@@ -20,7 +20,7 @@ Usage::
 * ``--check`` turns the comparison into a gate: the run exits 2 when
   aggregate simulator throughput (simulated instructions per second)
   regresses more than ``--max-regression`` (default 30%) below the
-  recorded snapshot.  CI uses this against the committed baseline.
+  recorded snapshot.
 
 The recorded metrics:
 
@@ -31,40 +31,19 @@ The recorded metrics:
 ``profile_s``               unbounded-predictor address profiling
 ``precompute_s``            one-time config-invariant stream construction
                             (see :mod:`repro.sim.precompute`)
-``replay_kernel_s``         one-time array-kernel compilation for the
-                            vectorized replay path (0.0 when numpy is
-                            absent or the trace is ineligible; see
-                            :mod:`repro.sim.replay_kernel`)
 ``sim_s``                   all timing-simulator replays, summed
-``leader_s``                kernel fixed-point leader scheduling within
-                            ``sim_s`` (0.0 off the kernel path)
-``repair_s``                kernel follower verify/repair passes within
-                            ``sim_s`` (0.0 off the kernel path)
-``replay_s``                ``sim_s - leader_s - repair_s``: the
-                            marginal per-config replay time once the
-                            sweep's shared scheduling work is split out
-``kernel_fallbacks``        kernel configs that fell back to the scalar
-                            recording replay (0 on a healthy warm sweep)
 ``sim_runs``                number of independent replays (incl. baseline)
 ``sim_instructions``        dynamic instructions replayed across all runs
-``sims_per_sec``            ``sim_runs / replay_s``
-``sim_instructions_per_sec``  ``sim_instructions / replay_s``
+``sims_per_sec``            ``sim_runs / sim_s``
+``sim_instructions_per_sec``  ``sim_instructions / sim_s``
 ==========================  =============================================
 
 Since schema 2 the sweep replays share one trace precompute:
 ``precompute_s`` carries the shared stream construction and ``sim_s``
-only the per-config replay passes, so trajectory files attribute the
-time correctly.  Schema 3 splits out ``replay_kernel_s`` — the
-config-invariant numpy array compilation consumed by the vectorized
-replay kernel — the same way.  Schema 4 continues the pattern inside
-``sim_s``: leader scheduling is paid once per donor neighbourhood and
-then shared by every follower of the sweep, and follower repairs are
-batched cross-config through the window memo, so both are amortized
-sweep-level stages (``leader_s`` / ``repair_s``, taken from the
-sweep's :class:`PathCounters`) rather than marginal per-config cost.
-The throughput rates are therefore computed over the remaining
-``replay_s``; ``sim_s`` and ``wall_s`` keep recording the unsplit
-truth for cross-schema comparisons.
+the per-config replay passes.  Schema 5 computes the rates over the
+whole of ``sim_s``; schemas 3 and 4 split array-kernel stages out of
+it and computed the rates over the remainder, so their throughput
+figures are not comparable with schema 5's.
 """
 
 from __future__ import annotations
@@ -85,21 +64,16 @@ from repro.harness.experiments import eg_tag, sim_requests
 from repro.profiling.address_profile import profile_trace
 from repro.sim.executor import Executor
 from repro.sim.machine import BASELINE, MachineConfig
-from repro.sim.precompute import (
-    kernel_counters,
-    simulate_many,
-    warm_kernel,
-    warm_precompute,
-)
+from repro.sim.precompute import simulate_many, warm_precompute
 from repro.workloads import get_workload, workload_names
 
 #: Version stamp of the snapshot JSON schema.  2: added the
 #: ``precompute_s`` stage (shared stream construction split out of
-#: ``sim_s``).  3: added the ``replay_kernel_s`` stage (array-kernel
-#: compilation split out of the first in-sweep replay).  4: added the
-#: in-sweep kernel splits ``leader_s`` / ``repair_s`` and the
-#: ``kernel_fallbacks`` count.
-BENCH_SCHEMA = 4
+#: ``sim_s``).  3: added an array-kernel compilation stage.  4: added
+#: the kernel's in-sweep ``leader_s`` / ``repair_s`` splits and its
+#: fallback count.  5: dropped every kernel stage with the kernel
+#: itself; rates are computed over the whole of ``sim_s``.
+BENCH_SCHEMA = 5
 
 #: Snapshot compared against by default when it exists in the cwd.
 DEFAULT_BASELINE = "BENCH_baseline.json"
@@ -172,24 +146,16 @@ def bench_workload(
 
         t0 = time.perf_counter()
         with tracer.span("precompute", workload=name):
-            pre = warm_precompute(trace, machine, configs, per_config_overrides)
+            warm_precompute(trace, machine, configs, per_config_overrides)
         t_precompute = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        with tracer.span("replay_kernel", workload=name):
-            warm_kernel(pre, sweep=len(configs))
-        t_kernel = time.perf_counter() - t0
-
-        counters = kernel_counters()
         t0 = time.perf_counter()
         simulate_many(
             trace, configs, machine=machine,
             overrides=per_config_overrides, span_tags=span_tags,
-            counters=counters,
         )
         sim_runs = len(configs)
         t_sim = time.perf_counter() - t0
-        t_replay = max(0.0, t_sim - counters.leader_s - counters.repair_s)
 
         wall = time.perf_counter() - started
         sim_instructions = sim_runs * len(trace)
@@ -203,17 +169,12 @@ def bench_workload(
         "emulate_s": round(t_emulate, 4),
         "profile_s": round(t_profile, 4),
         "precompute_s": round(t_precompute, 4),
-        "replay_kernel_s": round(t_kernel, 4),
         "sim_s": round(t_sim, 4),
-        "leader_s": round(counters.leader_s, 4),
-        "repair_s": round(counters.repair_s, 4),
-        "replay_s": round(t_replay, 4),
-        "kernel_fallbacks": counters.fallbacks,
         "sim_runs": sim_runs,
         "trace_instructions": len(trace),
         "sim_instructions": sim_instructions,
-        "sims_per_sec": _rate(sim_runs, t_replay, 2),
-        "sim_instructions_per_sec": _rate(sim_instructions, t_replay, 1),
+        "sims_per_sec": _rate(sim_runs, t_sim, 2),
+        "sim_instructions_per_sec": _rate(sim_instructions, t_sim, 1),
     }
 
 
@@ -240,17 +201,8 @@ def run_bench(
 
     total_sim = sum(w["sim_s"] for w in workloads.values())
     total_pre = sum(w["precompute_s"] for w in workloads.values())
-    total_kernel = sum(
-        w.get("replay_kernel_s", 0.0) for w in workloads.values()
-    )
     total_insts = sum(w["sim_instructions"] for w in workloads.values())
     total_runs = sum(w["sim_runs"] for w in workloads.values())
-    total_leader = sum(w.get("leader_s", 0.0) for w in workloads.values())
-    total_repair = sum(w.get("repair_s", 0.0) for w in workloads.values())
-    total_replay = sum(
-        w.get("replay_s", w["sim_s"]) for w in workloads.values()
-    )
-    total_falls = sum(w.get("kernel_fallbacks", 0) for w in workloads.values())
     return {
         "schema": BENCH_SCHEMA,
         "label": label,
@@ -261,16 +213,11 @@ def run_bench(
         "totals": {
             "wall_s": round(total_wall, 3),
             "precompute_s": round(total_pre, 3),
-            "replay_kernel_s": round(total_kernel, 3),
             "sim_s": round(total_sim, 3),
-            "leader_s": round(total_leader, 3),
-            "repair_s": round(total_repair, 3),
-            "replay_s": round(total_replay, 3),
-            "kernel_fallbacks": total_falls,
             "sim_runs": total_runs,
             "sim_instructions": total_insts,
-            "sims_per_sec": _rate(total_runs, total_replay, 2),
-            "sim_instructions_per_sec": _rate(total_insts, total_replay, 1),
+            "sims_per_sec": _rate(total_runs, total_sim, 2),
+            "sim_instructions_per_sec": _rate(total_insts, total_sim, 1),
         },
     }
 

@@ -330,10 +330,6 @@ class ExperimentContext:
         stats_list = simulate_many(
             run.trace, configs, machine=self.machine,
             overrides=overrides, span_tags=tags,
-            # Cached entries shrink the batch below the sweep it
-            # logically belongs to; declare the full width so the
-            # kernel profitability gate is unaffected.
-            sweep_width=1 + len(sim_requests(suite)),
         )
         for key, stats in zip(keys, stats_list):
             if key is None:
@@ -735,10 +731,9 @@ def predictor_ablation(
     each backend driving the prediction path.  Per-suite and overall
     geomean summary rows close the table.
 
-    All of a workload's backend configs are replayed in one
+    A workload's uncached backend configs are replayed in one
     :func:`repro.sim.precompute.simulate_many` batch, so the sweep
-    shares one trace precompute (and, with numpy, one replay-kernel
-    donor neighbourhood per backend) instead of simulating per config.
+    shares one trace precompute instead of simulating per config.
     """
     from repro.sim.precompute import simulate_many
 
@@ -750,16 +745,16 @@ def predictor_ablation(
         run = ctx.run(name)
         suite = get_workload(name).suite
         dynamic = run.get_profile().dynamic_class_shares()
-        # The baseline and every backend config go into one batch even
-        # when some are already cached: the batch width is what arms
-        # the replay kernel (see _KERNEL_MIN_SWEEP), and a cached
-        # config re-replays from the shared precompute for near free.
-        configs: List = [BASELINE]
-        keys: List = [None]
+        configs: List = []
+        keys: List = []
+        if run.baseline is None:
+            configs.append(BASELINE)
+            keys.append(None)
         for backend in backends:
             eg = ablation_config(backend)
-            configs.append(eg)
-            keys.append((eg, None))
+            if (eg, None) not in run._sims:
+                configs.append(eg)
+                keys.append((eg, None))
         if configs:
             stats_list = simulate_many(
                 run.trace, configs, machine=ctx.machine,

@@ -21,10 +21,9 @@ merges the files and prints:
 * **simulator totals** — the ``sim.counters`` event counters summed
   per early-generation config,
 * **replay path coverage** — the ``sim.replay`` events grouped by
-  chosen path (array-kernel leader/follower, stats memo, scalar, or
-  ``inline:<reason>``), with divergence patches and kernel
-  verify/repair effort, so a sweep's kernel coverage is visible at a
-  glance.
+  chosen path (stats memo, scalar stream replay, or
+  ``inline:<reason>``), with divergence patches, so a sweep's
+  fast-path coverage is visible at a glance.
 
 ``--validate`` instead checks the manifest and every trace record
 against the schema and exits non-zero on any problem; CI runs this
@@ -79,10 +78,6 @@ REPLAY_HEADERS = {
     "path": "Path",
     "runs": "Runs",
     "patches": "Patches",
-    "verify_rounds": "Verify rounds",
-    "fixed_point_rounds": "Fixed-pt rounds",
-    "batched_windows": "Batched",
-    "stepped": "Stepped",
 }
 
 
@@ -207,12 +202,8 @@ def replay_paths(records: List[dict]) -> List[dict]:
     """``sim.replay`` events grouped by chosen replay path.
 
     Declined configs report ``inline:<reason>`` so the rows show *why*
-    the array kernel / stream path was skipped; kernel rows accumulate
-    the divergence patches, the follower verify/repair effort, the
-    fixed-point leader's iteration rounds and the windows served by the
-    cross-config batched-repair memo.  ``kernel-fallback`` rows (a
-    config the fixed-point leader could not converge) render like any
-    other path, with the rounds spent before giving up.
+    the stream path was skipped; stream rows accumulate the divergence
+    patches their replays needed.
     """
     rows: Dict[str, Dict[str, int]] = {}
     for rec in records:
@@ -223,17 +214,11 @@ def replay_paths(records: List[dict]) -> List[dict]:
         reason = tags.get("reason")
         if reason and path == "inline":
             path = f"inline:{reason}"
-        row = rows.setdefault(
-            path,
-            {"runs": 0, "patches": 0, "verify_rounds": 0,
-             "fixed_point_rounds": 0, "batched_windows": 0, "stepped": 0},
-        )
+        row = rows.setdefault(path, {"runs": 0, "patches": 0})
         row["runs"] += 1
-        for key in ("patches", "verify_rounds", "fixed_point_rounds",
-                    "batched_windows", "stepped"):
-            value = tags.get(key)
-            if isinstance(value, int):
-                row[key] += value
+        patches = tags.get("patches")
+        if isinstance(patches, int):
+            row["patches"] += patches
     return [
         dict(rows[path], path=path) for path in sorted(rows)
     ]

@@ -5,7 +5,7 @@ grammar in :mod:`repro.workloads.gen.fingerprint`) and materialize
 lazily through the ordinary registry: the first
 ``get_workload("gen:strided:7")`` plans, self-checks, and registers the
 program under suite ``"gen"``, after which the harness, service jobs,
-precompute/kernel sim paths, and predictor ablations consume it exactly
+precompute sim path, and predictor ablations consume it exactly
 like a hand-written workload.  Materialization is deterministic per
 name — any process that resolves the same name builds byte-identical
 source and the same reference mirror — so names are sufficient

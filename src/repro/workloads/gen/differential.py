@@ -11,7 +11,7 @@ whole stack.  For each program the driver asserts three invariants:
   levels even if both are internally consistent);
 * **sim-path parity** — the timing stats of the proposed configuration
   are byte-identical between the inline pipeline and the
-  precompute/replay-kernel fast path (the short-trace threshold is
+  precompute stream-replay fast path (the short-trace threshold is
   disabled so small differential programs exercise the streams too).
 
 Any violated invariant becomes a :class:`Mismatch` in the report rather
@@ -104,7 +104,7 @@ def check_program(
         trace = outputs[2][1]
         machine = MachineConfig().with_earlygen(PROPOSED)
         inline = TimingSimulator(trace, machine)._run_inline()
-        # Disable the short-trace threshold so the stream/kernel path
+        # Disable the short-trace threshold so the stream path
         # actually engages at differential scales (parity-gate idiom).
         saved = precompute._PRECOMPUTE_MIN_N
         precompute._PRECOMPUTE_MIN_N = 0

@@ -41,7 +41,6 @@ def test_run_bench_totals_survive_zero_sim_time(monkeypatch):
     entry = {
         "suite": "spec", "wall_s": 0.0, "compile_s": 0.0,
         "emulate_s": 0.0, "profile_s": 0.0, "precompute_s": 0.0,
-        "replay_kernel_s": 0.0,
         "sim_s": 0.0, "sim_runs": 3, "trace_instructions": 10,
         "sim_instructions": 30, "sims_per_sec": 0.0,
         "sim_instructions_per_sec": 0.0,

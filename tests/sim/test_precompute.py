@@ -11,13 +11,18 @@ Covers what the parity suites do not:
 * golden lock — every eligible golden case replayed through
   ``simulate_many`` reproduces its recorded snapshot exactly;
 * divergence patching — wrong-address pollution that cannot dispatch is
-  resolved by stream rebuilds, not by silently wrong stats.
+  resolved by stream rebuilds, not by silently wrong stats, and the
+  stats memo dedupes identical stream tuples;
+* dependencies — a harness run through the stream path imports nothing
+  beyond the standard library.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -57,6 +62,14 @@ def trace():
 def _machine_variant(n: int) -> MachineConfig:
     """Distinct machine shapes (different icache => different keys)."""
     return MachineConfig(icache=CacheConfig(size=1024 << n))
+
+
+def _starved_machine(eg: EarlyGenConfig) -> MachineConfig:
+    """One memory port and a tiny D-cache: wrong-address pollution that
+    cannot dispatch, so replays need exclusion patching."""
+    return MachineConfig(
+        mem_ports=1, dcache=CacheConfig(size=1024)
+    ).with_earlygen(eg)
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +179,28 @@ def test_hw_dual_configs_fall_back_to_inline(trace):
     assert stats_to_record(batched) == inline
 
 
+def test_short_trace_threshold_skips_precompute(trace, monkeypatch):
+    """Below ``_PRECOMPUTE_MIN_N`` the stream path declines up front
+    (the adpcm_encode regression fix) and the inline loop still
+    produces the stats."""
+    monkeypatch.setattr(precompute, "_PRECOMPUTE_MIN_N", 10**9)
+    machine = MachineConfig().with_earlygen(
+        EarlyGenConfig(16, 0, SelectionMode.HARDWARE)
+    )
+    assert warm_precompute(trace, machine, [machine.earlygen]) is None
+    assert precompute.try_fast(
+        TimingSimulator(trace, machine), build=True
+    ) is None
+    before = precompute.replay_path_counts()
+    (batched,) = simulate_many(trace, [machine])
+    after = precompute.replay_path_counts()
+    assert after.get("inline:short-trace", 0) > before.get(
+        "inline:short-trace", 0
+    )
+    inline = stats_to_record(TimingSimulator(trace, machine)._run_inline())
+    assert stats_to_record(batched) == inline
+
+
 def test_simulate_many_accepts_earlygen_and_machine_items(trace):
     base = MachineConfig(mem_ports=1)
     eg = EarlyGenConfig(16, 0, SelectionMode.HARDWARE)
@@ -187,9 +222,9 @@ def test_divergence_patching_converges_without_fallback():
     diverged = False
     for _ in range(8):
         trace = execute(parse_asm(_random_asm(rng))).trace
-        machine = MachineConfig(
-            mem_ports=1, dcache=CacheConfig(size=1024)
-        ).with_earlygen(EarlyGenConfig(16, 0, SelectionMode.HARDWARE))
+        machine = _starved_machine(
+            EarlyGenConfig(16, 0, SelectionMode.HARDWARE)
+        )
         before = precompute.divergence_count()
         inline = stats_to_record(
             TimingSimulator(trace, machine)._run_inline()
@@ -211,6 +246,105 @@ def test_divergence_patching_converges_without_fallback():
             assert precompute.divergence_count() == again
     assert diverged, "seeds no longer produce divergence; rotate them"
     assert precompute.divergence_fallback_count() == fallbacks_before
+
+
+def _first_diverging(rng, eg):
+    """A (trace, machine) pair whose replay needs exclusion patching."""
+    for _ in range(12):
+        trace = execute(parse_asm(_random_asm(rng))).trace
+        machine = _starved_machine(eg)
+        before = precompute.divergence_count()
+        fast = precompute.try_fast(
+            TimingSimulator(trace, machine), build=True
+        )
+        assert fast is not None
+        if precompute.divergence_count() > before:
+            return trace, machine
+    raise AssertionError("seeds no longer produce divergence; rotate them")
+
+
+def test_exclusion_set_flips_twice_across_runs():
+    """An ordinal excluded -> seeded un-excluded -> re-excluded must
+    land on identical stats every time (the patch loop re-converges
+    from any remembered starting point)."""
+    eg = EarlyGenConfig(16, 0, SelectionMode.HARDWARE)
+    trace, machine = _first_diverging(random.Random(0xF11B), eg)
+    inline = stats_to_record(TimingSimulator(trace, machine)._run_inline())
+
+    pre = precompute.get_precompute(trace, machine)
+    sb = precompute._scheme_bytes(trace.program, eg, None)
+    route = pre.route_for(sb)
+    converged = pre.known_exclusions(eg, route)
+    assert converged, "divergence should have recorded exclusions"
+
+    # Flip 1: forget everything (seed the complement-of-knowledge).
+    pre.remember_exclusions(eg, route, frozenset())
+    pre._stats_memo.clear()
+    rerun = precompute.try_fast(TimingSimulator(trace, machine), build=True)
+    assert stats_to_record(rerun) == inline
+    assert pre.known_exclusions(eg, route) == converged
+
+    # Flip 2: seed garbage ordinals on top of the converged set.  Inert
+    # ordinals (not wrong-address loads) cannot affect any stream, so
+    # they may persist — the contract is exact stats and the genuine
+    # exclusions kept.
+    garbage = frozenset(range(min(8, pre.n_loads))) | converged
+    pre.remember_exclusions(eg, route, garbage)
+    pre._stats_memo.clear()
+    rerun = precompute.try_fast(TimingSimulator(trace, machine), build=True)
+    assert stats_to_record(rerun) == inline
+    assert pre.known_exclusions(eg, route) >= converged
+
+
+def test_patch_memo_collision_still_exact():
+    """A colliding patch-memo entry (same ``(table, conf, route)`` key
+    written by a different config's convergence) only seeds the first
+    attempt; the replay must re-converge to exact stats."""
+    eg = EarlyGenConfig(16, 0, SelectionMode.HARDWARE)
+    rng = random.Random(0xC0111)
+    trace = execute(parse_asm(_random_asm(rng))).trace
+    machine = _starved_machine(eg)
+    inline = stats_to_record(TimingSimulator(trace, machine)._run_inline())
+
+    pre = precompute.get_precompute(trace, machine)
+    sb = precompute._scheme_bytes(trace.program, eg, None)
+    route = pre.route_for(sb)
+    # Simulate another config's convergence landing under our key.
+    pre.remember_exclusions(
+        eg, route, frozenset(range(pre.n_loads))
+    )
+    fast = precompute.try_fast(TimingSimulator(trace, machine), build=True)
+    assert fast is not None
+    assert stats_to_record(fast) == inline
+    # A second EarlyGenConfig sharing the patch key replays exactly too.
+    eg2 = EarlyGenConfig(16, 2, SelectionMode.COMPILER)
+    key = pre._patch_key(eg, route)
+    machine2 = _starved_machine(eg2)
+    sb2 = precompute._scheme_bytes(trace.program, eg2, None)
+    route2 = pre.route_for(sb2)
+    if pre._patch_key(eg2, route2) == key:
+        inline2 = stats_to_record(
+            TimingSimulator(trace, machine2)._run_inline()
+        )
+        fast2 = precompute.try_fast(
+            TimingSimulator(trace, machine2), build=True
+        )
+        assert stats_to_record(fast2) == inline2
+
+
+def test_stats_memo_dedupes_identical_streams(trace):
+    """The same stream tuple listed twice resolves from the stats memo
+    — equal records, but independent SimStats objects."""
+    eg = EarlyGenConfig(16, 0, SelectionMode.HARDWARE)
+    machine = MachineConfig().with_earlygen(eg)
+    before = precompute.replay_path_counts()
+    first, second = simulate_many(trace, [machine, machine])
+    after = precompute.replay_path_counts()
+    assert after.get("memo", 0) > before.get("memo", 0)
+    assert stats_to_record(first) == stats_to_record(second)
+    assert first is not second
+    first.scheme_counts["__mutated__"] = 1
+    assert "__mutated__" not in second.scheme_counts
 
 
 # ---------------------------------------------------------------------------
@@ -237,3 +371,40 @@ def test_simulate_many_reproduces_golden_stats_exactly():
             assert stats_to_record(stats) == golden[case_id], case_id
             checked += 1
     assert checked >= 15
+
+
+# ---------------------------------------------------------------------------
+# Dependencies
+# ---------------------------------------------------------------------------
+
+_STDLIB_ONLY_SCRIPT = """
+import sys
+preloaded = set(sys.modules)  # interpreter start-up, site hooks included
+from repro.harness.experiments import ExperimentContext
+from repro.harness.runner import compute_rows
+from repro.sim import precompute
+
+precompute._PRECOMPUTE_MIN_N = 0
+ctx = ExperimentContext(scale=0.02)
+for name in ("026.compress", "adpcm_decode"):
+    ctx.prefetch_sims(name)
+    compute_rows(ctx, name)
+assert precompute.replay_path_counts().get("scalar"), "stream path unused"
+imported = {m.partition(".")[0] for m in set(sys.modules) - preloaded}
+foreign = imported - set(sys.stdlib_module_names) - {"repro", "__mp_main__"}
+assert not foreign, sorted(foreign)
+"""
+
+
+@pytest.mark.skipif(sys.version_info < (3, 10),
+                    reason="sys.stdlib_module_names needs Python 3.10")
+def test_tables_run_imports_only_the_standard_library():
+    """Harness rows replayed through :func:`simulate_many` import no
+    third-party package: no array library hides behind the sim layer."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _STDLIB_ONLY_SCRIPT],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
