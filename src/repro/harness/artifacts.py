@@ -1,23 +1,11 @@
-"""Content-keyed store for compiled per-workload artifacts.
+"""Deterministic content keys for per-workload artifacts.
 
-The parallel scheduler fans one workload's independent
-:class:`~repro.sim.machine.EarlyGenConfig` replays across worker
-processes.  Every replay needs the same compiled
-:class:`~repro.isa.program.Program` and functional
-:class:`~repro.sim.trace.Trace`; recompiling or re-emulating them per
-config would dwarf the simulation itself.  Instead the worker that
-prepares a workload pickles the artifact bundle here once, under a key
-derived from everything that determines its content, and each process
-(workers and the parent alike) unpickles it at most once.
-
-The bundle excludes the simulator's identity-keyed derived caches
-(``_timing_decode``, ``_frontend_pre``): pickled as plain Python
-structures they cost more to ship than to recompute.  The trace-length
-front-end precompute is instead shipped explicitly as packed arrays
-(the ``frontend`` bundle entry, installed by the sim task), and the
-decode cache is cheap enough to rebuild per process.  Compile options
-may carry unpicklable hooks (the fault injector's ``post_pass_hook``
-closure), so options are stored hook-free.
+:func:`artifact_key` hashes the facts that determine an artifact —
+workload name, scale, machine configuration, verifier switches,
+injected-fault mode, attempt — into a key that is identical in every
+process.  The result store (:class:`~repro.service.store.ResultStore`)
+keys its entries with it, and the run manifest records one per
+workload.
 """
 
 from __future__ import annotations
@@ -25,15 +13,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-import os
-import pickle
-import tempfile
-from dataclasses import replace
-from pathlib import Path
-from typing import Dict, List
-
-#: Program attributes that are per-process derived caches, never shipped.
-_DERIVED_CACHES = ("_timing_decode", "_frontend_pre")
+from typing import List
 
 
 def _canon(part, out: List[str]) -> None:
@@ -42,8 +22,8 @@ def _canon(part, out: List[str]) -> None:
     Every accepted value canonicalizes to the same tokens in every
     process; anything whose repr would embed a memory address (the
     ``object.__repr__`` default) is rejected outright — such a key
-    would silently differ between the worker that writes a bundle and
-    the workers that look it up.
+    would silently differ between the process that writes an entry
+    and the processes that look it up.
     """
     if part is None or isinstance(part, (bool, int, str, bytes)):
         out.append(f"{type(part).__name__}:{part!r}")
@@ -111,76 +91,3 @@ def artifact_key(*parts) -> str:
         _canon(part, tokens)
     digest = hashlib.sha256("\x1e".join(tokens).encode("utf-8")).hexdigest()
     return digest[:32]
-
-
-class ArtifactStore:
-    """Pickle files under one directory, memoized per process.
-
-    Writes are atomic (temp file + rename) so a reader never sees a
-    partial bundle; a key is written by exactly one prepare task, read
-    by many sim tasks.
-    """
-
-    def __init__(self, root) -> None:
-        self.root = Path(root)
-        self._memo: Dict[str, dict] = {}
-
-    def path(self, key: str) -> Path:
-        return self.root / f"{key}.pkl"
-
-    def put(self, key: str, bundle: dict) -> Path:
-        """Persist *bundle* under *key*; returns the file path."""
-        bundle = dict(bundle)
-        result = bundle.get("compile_result")
-        if result is not None and getattr(
-            result.options, "post_pass_hook", None
-        ) is not None:
-            bundle["compile_result"] = replace(
-                result, options=replace(result.options, post_pass_hook=None)
-            )
-            program = bundle["compile_result"].program
-        else:
-            program = result.program if result is not None else None
-        stripped = {}
-        if program is not None:
-            for attr in _DERIVED_CACHES:
-                if hasattr(program, attr):
-                    stripped[attr] = getattr(program, attr)
-                    delattr(program, attr)
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path(key)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(self.root), prefix=key, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(bundle, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        finally:
-            for attr, value in stripped.items():
-                setattr(program, attr, value)
-        self._memo[key] = bundle
-        return path
-
-    def get(self, key: str) -> dict:
-        """Load the bundle for *key* (unpickled once per process)."""
-        bundle = self._memo.get(key)
-        if bundle is None:
-            with open(self.path(key), "rb") as fh:
-                bundle = pickle.load(fh)
-            self._memo[key] = bundle
-        return bundle
-
-    def forget(self, key: str) -> None:
-        """Drop *key* from the memo and the filesystem (best effort)."""
-        self._memo.pop(key, None)
-        try:
-            os.unlink(self.path(key))
-        except OSError:
-            pass

@@ -30,7 +30,7 @@ import tempfile
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro import obs
 from repro.compiler.driver import CompileOptions, CompileResult, compile_source
@@ -179,16 +179,20 @@ class ExperimentContext:
         safe = name.replace("/", "_")
         return self.checkpoint_dir / f"{safe}.json"
 
-    def load_checkpoint(self, name: str) -> Optional[dict]:
+    def load_checkpoint(
+        self, name: str, backends: Sequence[str] = ()
+    ) -> Optional[dict]:
         """The stored result payload for *name*, or None.
 
         Stale artifacts — corrupt/truncated JSON, another schema
-        version, or a different workload scale — are treated as cache
-        misses, so resuming after a crash mid-write or a flag change
-        recomputes instead of aborting the suite or mixing incompatible
-        rows.  Corruption (a file that exists but does not parse)
-        additionally warns, because it usually means an interrupted or
-        concurrent writer.
+        version, a different workload scale, or rows that lack a
+        fragment this run needs (the ``"ablation"`` row with a column
+        for each of *backends*) — are treated as cache misses, so
+        resuming after a crash mid-write or a flag change recomputes
+        instead of aborting the suite or mixing incompatible rows.
+        Corruption (a file that exists but does not parse) additionally
+        warns, because it usually means an interrupted or concurrent
+        writer.
         """
         if self.checkpoint_dir is None:
             return None
@@ -213,6 +217,10 @@ class ExperimentContext:
             return None
         if payload.get("name") != name or payload.get("scale") != self.scale:
             return None
+        if backends:
+            ablation = payload.get("rows", {}).get("ablation", {})
+            if any(backend not in ablation for backend in backends):
+                return None
         return payload
 
     def store_checkpoint(self, name: str, payload: dict) -> Path:
@@ -408,9 +416,10 @@ def sim_requests(suite: str) -> List[SimRequest]:
     no-early-generation baseline run (see
     :meth:`ExperimentContext.baseline_stats`).  The experiment drivers
     remain the source of truth for the row *values* — this plan only
-    enumerates which independent sims they will request, so a scheduler
-    can fan them out and pre-populate the context cache.  A plan miss is
-    harmless: the context falls back to simulating inline.
+    enumerates which independent sims they will request, so
+    :meth:`ExperimentContext.prefetch_sims` can batch them through one
+    shared precompute and pre-populate the context cache.  A plan miss
+    is harmless: the context falls back to simulating inline.
     """
     requests: Dict[tuple, SimRequest] = {}
 
@@ -718,66 +727,64 @@ def ablation_config(backend: str) -> EarlyGenConfig:
     )
 
 
-def predictor_ablation(
-    ctx: ExperimentContext,
-    backends: List[str],
-    names: Optional[List[str]] = None,
-) -> List[dict]:
-    """Speedup of each predictor backend on the proposed configuration.
+def ablation_row(
+    ctx: ExperimentContext, name: str, backends: Sequence[str]
+) -> dict:
+    """One workload's row of the predictor-backend ablation.
 
-    One row per workload (both suites by default): the dynamic
-    prediction-class share (the loads the backends actually compete
-    on) and the speedup over the no-early-generation baseline with
-    each backend driving the prediction path.  Per-suite and overall
-    geomean summary rows close the table.
-
-    A workload's uncached backend configs are replayed in one
-    :func:`repro.sim.precompute.simulate_many` batch, so the sweep
-    shares one trace precompute instead of simulating per config.
+    The dynamic prediction-class share (the loads the backends actually
+    compete on) and the speedup over the no-early-generation baseline
+    with each backend driving the prediction path.  The uncached
+    backend configs are replayed in one
+    :func:`repro.sim.precompute.simulate_many` batch, so they share one
+    trace precompute instead of simulating per config.
     """
     from repro.sim.precompute import simulate_many
 
-    if names is None:
-        names = [n for s in ("spec", "mediabench")
-                 for n in workload_names(s)]
-    rows = []
-    for name in names:
-        run = ctx.run(name)
-        suite = get_workload(name).suite
-        dynamic = run.get_profile().dynamic_class_shares()
-        configs: List = []
-        keys: List = []
-        if run.baseline is None:
-            configs.append(BASELINE)
-            keys.append(None)
-        for backend in backends:
-            eg = ablation_config(backend)
-            if (eg, None) not in run._sims:
-                configs.append(eg)
-                keys.append((eg, None))
-        if configs:
-            stats_list = simulate_many(
-                run.trace, configs, machine=ctx.machine,
-                span_tags=[{
-                    "workload": name,
-                    "config": ("baseline" if key is None
-                               else eg_tag(key[0])),
-                } for key in keys],
-            )
-            for key, stats in zip(keys, stats_list):
-                if key is None:
-                    run.baseline = stats
-                else:
-                    run._sims[key] = stats
-        row = {
-            "benchmark": name,
-            "suite": suite,
-            "dyn_pd": dynamic["p"] * 100,
-        }
-        for backend in backends:
-            row[backend] = ctx.speedup(name, ablation_config(backend))
-        rows.append(row)
+    run = ctx.run(name)
+    dynamic = run.get_profile().dynamic_class_shares()
+    configs: List = []
+    keys: List = []
+    if run.baseline is None:
+        configs.append(BASELINE)
+        keys.append(None)
+    for backend in backends:
+        eg = ablation_config(backend)
+        if (eg, None) not in run._sims:
+            configs.append(eg)
+            keys.append((eg, None))
+    if configs:
+        stats_list = simulate_many(
+            run.trace, configs, machine=ctx.machine,
+            span_tags=[{
+                "workload": name,
+                "config": ("baseline" if key is None
+                           else eg_tag(key[0])),
+            } for key in keys],
+        )
+        for key, stats in zip(keys, stats_list):
+            if key is None:
+                run.baseline = stats
+            else:
+                run._sims[key] = stats
+    row = {
+        "benchmark": name,
+        "suite": get_workload(name).suite,
+        "dyn_pd": dynamic["p"] * 100,
+    }
+    for backend in backends:
+        row[backend] = ctx.speedup(name, ablation_config(backend))
+    return row
 
+
+def ablation_summary(
+    rows: List[dict], backends: Sequence[str]
+) -> List[dict]:
+    """The geomean rows closing the ablation table over *rows*.
+
+    One per suite when the rows span several suites, then the overall
+    geomean; none for an empty table.
+    """
     def summary(label: str, members: List[dict]) -> dict:
         out = {"benchmark": label, "suite": "", "dyn_pd":
                sum(r["dyn_pd"] for r in members) / len(members)}
@@ -785,18 +792,31 @@ def predictor_ablation(
             out[backend] = _geomean([r[backend] for r in members])
         return out
 
-    suites = []
-    for row in rows:
-        if row["suite"] not in suites:
-            suites.append(row["suite"])
-    members_by_suite = {
-        s: [r for r in rows if r["suite"] == s] for s in suites
-    }
+    if not rows:
+        return []
+    suites = list(dict.fromkeys(row["suite"] for row in rows))
+    out = []
     if len(suites) > 1:
         for s in suites:
-            rows.append(summary(f"geomean ({s})", members_by_suite[s]))
-    if rows:
-        rows.append(summary("geomean", [r for r in rows
-                                        if not str(r["benchmark"])
-                                        .startswith("geomean")]))
-    return rows
+            out.append(summary(f"geomean ({s})",
+                               [r for r in rows if r["suite"] == s]))
+    out.append(summary("geomean", rows))
+    return out
+
+
+def predictor_ablation(
+    ctx: ExperimentContext,
+    backends: List[str],
+    names: Optional[List[str]] = None,
+) -> List[dict]:
+    """Speedup of each predictor backend on the proposed configuration.
+
+    One :func:`ablation_row` per workload (both suites by default),
+    closed by the per-suite and overall geomean rows of
+    :func:`ablation_summary`.
+    """
+    if names is None:
+        names = [n for s in ("spec", "mediabench")
+                 for n in workload_names(s)]
+    rows = [ablation_row(ctx, name, backends) for name in names]
+    return rows + ablation_summary(rows, backends)

@@ -16,8 +16,9 @@ configuration recorded in EXPERIMENTS.md.
 Workloads run under the fault-isolated :class:`WorkloadRunner`: a
 crashing or hanging workload degrades to an ERROR/TIMEOUT row instead of
 aborting the run, and the exit status is non-zero whenever any row
-degraded.  ``--jobs N`` fans workloads and their per-config timing
-replays across N worker processes with identical output;
+degraded.  ``--jobs N`` (default: the usable cores) runs whole
+workloads as tasks on N forked worker processes with identical output;
+``--jobs 1`` runs them in this process, for debugging and profiling;
 ``--workers URL[,URL...]`` instead shards whole workloads across
 running ``repro.service`` coordinators (round-robin) whose leased
 remote workers execute them — tables are byte-identical to a
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import fnmatch
+import os
 import sys
 import time
 from pathlib import Path
@@ -112,6 +114,14 @@ def select_workloads(patterns):
             if workload.name not in selected:
                 selected.append(workload.name)
     return selected
+
+
+def usable_cores() -> int:
+    """CPUs this process may run on (the default ``--jobs``)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
 
 def _write_profile(args, outcomes) -> None:
@@ -195,6 +205,23 @@ def _write_run_manifest(args, argv, ctx, outcomes) -> None:
     obs.write_manifest(args.trace_out, manifest)
 
 
+def _ablation_table(ctx, backends, outcomes):
+    """The predictor-ablation rows of every successful workload.
+
+    Each row is the outcome's ``"ablation"`` fragment, computed next to
+    its tables; an outcome without one (a ``--workers`` job carries no
+    backends) gets its row computed here.
+    """
+    from repro.harness.experiments import ablation_row, ablation_summary
+
+    rows = [
+        o.rows["ablation"] if "ablation" in o.rows
+        else ablation_row(ctx, o.name, backends)
+        for o in outcomes if not o.degraded
+    ]
+    return rows + ablation_summary(rows, backends)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Reproduce the paper's tables and figures."
@@ -211,9 +238,11 @@ def main(argv=None) -> int:
                         "over registered names ('gen:*', '*decode*'); "
                         "overrides --suite; unmatched patterns are an "
                         "error")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes; >1 fans workloads and "
-                        "config sweeps across a pool (default 1)")
+    parser.add_argument("--jobs", type=int, default=None, metavar="N",
+                        help="worker processes, one workload per task "
+                        "(default: the usable cores, or 1 with "
+                        "--workers); 1 runs every workload in this "
+                        "process, for debugging and --profile")
     parser.add_argument("--profile", action="store_true",
                         help="after the run, cProfile the slowest "
                         "workload and write the top-25 cumulative "
@@ -261,7 +290,7 @@ def main(argv=None) -> int:
                         "manifest.json under DIR (see README: "
                         "Observability)")
     args = parser.parse_args(argv)
-    if args.jobs < 1:
+    if args.jobs is not None and args.jobs < 1:
         parser.error("--jobs must be >= 1")
     predictor_backends = []
     if args.predictor is not None:
@@ -287,13 +316,15 @@ def main(argv=None) -> int:
                        if u.strip()]
         if not worker_urls:
             parser.error("--workers needs at least one URL")
-        if args.jobs > 1:
+        if args.jobs is not None and args.jobs > 1:
             parser.error("--workers and --jobs > 1 are mutually "
                          "exclusive (the coordinators own the workers)")
         if args.inject:
             parser.error("--inject does not cross the wire; inject "
                          "faults on the service workers instead "
                          "(python -m repro.service worker --inject ...)")
+    if args.jobs is None:
+        args.jobs = 1 if worker_urls else usable_cores()
 
     try:
         injector = FaultInjector.parse(args.inject) if args.inject else None
@@ -351,6 +382,7 @@ def main(argv=None) -> int:
         jobs=args.jobs,
         result_store=result_store,
         pool=pool,
+        backends=predictor_backends,
     )
 
     if args.workloads is not None:
@@ -381,14 +413,12 @@ def main(argv=None) -> int:
             outcomes = runner.run_suite(names)
             ablation_rows = None
             if predictor_backends:
-                from repro.harness.experiments import predictor_ablation
-                ok_names = [o.name for o in outcomes if not o.degraded]
                 with tracer.span(
                     "predictor-ablation",
                     backends=",".join(predictor_backends),
                 ):
-                    ablation_rows = predictor_ablation(
-                        ctx, predictor_backends, names=ok_names
+                    ablation_rows = _ablation_table(
+                        ctx, predictor_backends, outcomes
                     )
         if args.trace_out is not None:
             cli = list(argv) if argv is not None else list(sys.argv[1:])

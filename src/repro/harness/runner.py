@@ -5,9 +5,9 @@ existed, one ``EmulationError`` or wedged scoreboard aborted every table
 and figure.  The :class:`WorkloadRunner` gives each workload's
 compile→emulate→simulate pipeline:
 
-* a **wall-clock timeout** (the attempt runs in a worker *process*;
-  on expiry the process is terminated — a real kill, not an abandoned
-  daemon thread — and the workload degrades to a ``TIMEOUT`` row),
+* a **wall-clock timeout** (the attempt runs in a pooled worker
+  *process*; on expiry the process is killed for real and the workload
+  degrades to a ``TIMEOUT`` row),
 * **bounded retries with exponential backoff** for transient failures
   (timeouts are not retried — a deterministic hang would just double
   the cost),
@@ -20,21 +20,19 @@ compile→emulate→simulate pipeline:
 
 Per workload, the runner computes the row fragments of every experiment
 that workload participates in (Table 2, Figures 5a–5c, and Table 3 for
-SPEC; Table 4 for MediaBench) through the unchanged experiment drivers,
-then :func:`assemble_table` rebuilds each paper artifact from the
-surviving fragments — summary rows (geomean/average) are computed over
-successful workloads only, and degraded workloads appear as
-ERROR/TIMEOUT rows.
+SPEC; Table 4 for MediaBench; the predictor ablation when asked)
+through the unchanged experiment drivers, then :func:`assemble_table`
+rebuilds each paper artifact from the surviving fragments — summary
+rows (geomean/average) are computed over successful workloads only, and
+degraded workloads appear as ERROR/TIMEOUT rows.
 
-With ``jobs > 1`` the suite additionally fans out across a process
-pool (see :mod:`repro.harness.parallel`): workloads prepare in
-parallel and each workload's independent config replays spread across
-the pool, with identical rows, outcomes, and checkpoints.
+Workloads run in this process (``jobs=1``, no timeout) or one per task
+on a worker pool (see :mod:`repro.harness.parallel`), with identical
+rows, outcomes, and checkpoints.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
@@ -44,6 +42,7 @@ from repro.errors import ReproError
 from repro.harness.experiments import (
     ExperimentContext,
     _geomean,
+    ablation_row,
     fig5a,
     fig5b,
     fig5c,
@@ -70,8 +69,9 @@ STATUS_TIMEOUT = "timeout"
 class RunnerConfig:
     """Fault-isolation policy for one run."""
 
-    #: Wall-clock seconds per attempt; 0 disables the timeout (and the
-    #: worker thread — attempts then run inline).
+    #: Wall-clock seconds per attempt; 0 disables the timeout.  A
+    #: timeout runs attempts in a pooled worker process even at
+    #: ``jobs=1``, so an expired attempt is killed for real.
     timeout: float = 0.0
     #: Extra attempts after the first failure (timeouts not retried).
     retries: int = 0
@@ -132,12 +132,18 @@ class WorkloadOutcome:
         )
 
 
-def compute_rows(ctx: ExperimentContext, name: str) -> Dict[str, dict]:
-    """Row fragments of every experiment *name* participates in."""
+def compute_rows(
+    ctx: ExperimentContext, name: str, backends: Sequence[str] = ()
+) -> Dict[str, dict]:
+    """Row fragments of every experiment *name* participates in.
+
+    With *backends*, the predictor-ablation row joins them as the
+    ``"ablation"`` fragment, reusing the workload's warm precompute and
+    baseline instead of recompiling and re-emulating it later.
+    """
     suite = get_workload(name).suite
     # Batch the whole config sweep through one shared trace precompute
     # before the drivers run; they then read from the context cache.
-    # No-op when the cache is already populated (parallel rows task).
     ctx.prefetch_sims(name)
     rows: Dict[str, dict] = {}
     if suite == "spec":
@@ -149,67 +155,36 @@ def compute_rows(ctx: ExperimentContext, name: str) -> Dict[str, dict]:
     else:
         key = "gen" if suite == "gen" else "table4"
         rows[key] = table4(ctx, [name])[0]
+    if backends:
+        rows["ablation"] = ablation_row(ctx, name, backends)
     return rows
-
-
-_FORK = multiprocessing.get_context("fork")
-
-
-def _attempt_child(conn, params: dict, name: str, attempt: int) -> None:
-    """Body of one fault-isolated attempt in a worker process.
-
-    Sends ``(True, rows)`` or ``(False, (error_type, message))`` back
-    on *conn*; the parent terminates the process on deadline expiry.
-    """
-    tracer = obs.current()
-    if tracer.enabled:
-        tracer.add_tags(worker="attempt")
-    try:
-        with tracer.span("workload:attempt", workload=name, attempt=attempt):
-            injector = params["injector"]
-            if injector is not None:
-                injector.prime(name, attempt)
-                injector.fire(name, attempt)
-            ctx = ExperimentContext(
-                scale=params["scale"],
-                machine=params["machine"],
-                verify=params["verify"],
-                verify_ir=params["verify_ir"],
-                fault_injector=injector,
-            )
-            rows = compute_rows(ctx, name)
-    except Exception as exc:
-        if isinstance(exc, ReproError):
-            exc.add_context(workload=name)
-        conn.send((False, (type(exc).__name__, str(exc))))
-    else:
-        conn.send((True, rows))
-
-
-class _ChildFailure(Exception):
-    """An attempt failed in a worker process; carries the real type."""
-
-    def __init__(self, error_type: str, message: str):
-        super().__init__(message)
-        self.error_type = error_type
 
 
 class WorkloadRunner:
     """Runs workloads under timeout/retry policy with checkpointing.
 
-    ``jobs`` controls suite-level parallelism: 1 (the default) runs
-    workloads sequentially; larger values fan both workloads and their
-    per-config timing replays across a pool of worker processes with
-    identical results (see :mod:`repro.harness.parallel`).
+    Two drivers execute the workloads that no checkpoint or result-store
+    entry covers.  With ``jobs`` 1 and no timeout they run one after
+    another in this process (the debugging and ``--profile`` path).
+    Otherwise every workload becomes one task of
+    :func:`~repro.harness.parallel.run_suite_pooled` over a
+    :class:`~repro.service.pool.LocalPool` of ``jobs`` forked workers
+    (one worker when only the timeout asks for it, so a wedged attempt
+    is killed for real), or over ``pool`` when one is given (e.g. a
+    RemotePool of coordinators).  Rows, statuses, attempt counts and
+    checkpoints are identical either way.
 
     ``result_store`` (a :class:`~repro.service.store.ResultStore`, the
     harness's ``--result-cache``) persists each workload's computed row
     fragments across *runs*, keyed on everything that determines them
-    (name, scale, machine, verifier switches, injected-fault mode, code
-    version): a warm store skips the workload's compile+simulate
-    entirely and reproduces byte-identical tables.  Unlike checkpoints
-    it is shared with the long-lived service layer and is not scoped to
-    one resumable run.
+    (name, scale, machine, verifier switches, injected-fault mode,
+    ablation backends, code version): a warm store skips the workload's
+    compile+simulate entirely and reproduces byte-identical tables.
+    Unlike checkpoints it is shared with the long-lived service layer
+    and is not scoped to one resumable run.
+
+    ``backends`` names the predictor backends whose ablation row each
+    workload computes as its ``"ablation"`` fragment (empty: none).
     """
 
     def __init__(
@@ -220,6 +195,7 @@ class WorkloadRunner:
         jobs: int = 1,
         result_store=None,
         pool=None,
+        backends: Sequence[str] = (),
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -231,6 +207,7 @@ class WorkloadRunner:
         #: A :class:`repro.service.pool.Pool` to shard the suite over
         #: (e.g. a RemotePool of coordinators); overrides ``jobs``.
         self.pool = pool
+        self.backends = tuple(backends)
 
     def _say(self, message: str) -> None:
         if self._progress is not None:
@@ -244,6 +221,7 @@ class WorkloadRunner:
         return self.result_store.key(
             "harness-rows", name, ctx.scale, ctx.machine, ctx.verify,
             ctx.verify_ir, injector.mode(name) if injector else None,
+            self.backends,
         )
 
     def load_cached_rows(self, name: str) -> Optional[WorkloadOutcome]:
@@ -268,117 +246,57 @@ class WorkloadRunner:
             {"suite": outcome.suite, "rows": outcome.rows},
         )
 
-    # -- single workload ---------------------------------------------------
+    def _resume(self, name: str) -> Optional[WorkloadOutcome]:
+        """A finished outcome from a checkpoint or the store, or None."""
+        ctx = self.ctx
+        if ctx.checkpoint_dir is not None:
+            checkpoint = ctx.load_checkpoint(name, self.backends)
+            if checkpoint and checkpoint.get("status") == STATUS_OK:
+                return WorkloadOutcome.from_payload(name, checkpoint)
+        cached = self.load_cached_rows(name)
+        if cached is not None and ctx.checkpoint_dir is not None:
+            ctx.store_checkpoint(name, cached.payload())
+        return cached
+
+    def _record(self, outcome: WorkloadOutcome) -> None:
+        """Persist a finished outcome to the store and the checkpoint."""
+        self.store_rows(outcome)
+        if self.ctx.checkpoint_dir is not None:
+            self.ctx.store_checkpoint(outcome.name, outcome.payload())
+
+    # -- single workload, in process ---------------------------------------
 
     def _attempt(self, name: str) -> Dict[str, dict]:
         """One attempt: fire injected faults, then compute the rows."""
         injector = self.ctx.fault_injector
         if injector is not None:
             injector.fire(name)
-        return compute_rows(self.ctx, name)
+        return compute_rows(self.ctx, name, self.backends)
 
-    def _attempt_in_process(
-        self, name: str, attempt: int
-    ) -> Dict[str, dict]:
-        """One attempt in a killable worker process, under the deadline."""
-        timeout = self.config.timeout
-        ctx = self.ctx
-        params = {
-            "scale": ctx.scale,
-            "machine": ctx.machine,
-            "verify": ctx.verify,
-            "verify_ir": ctx.verify_ir,
-            "injector": ctx.fault_injector,
-        }
-        parent_conn, child_conn = _FORK.Pipe(duplex=False)
-        proc = _FORK.Process(
-            target=_attempt_child,
-            args=(child_conn, params, name, attempt),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        try:
-            if not parent_conn.poll(timeout):
-                # Deadline expired: kill the attempt for real.  The
-                # stop_event is still set for API compatibility with
-                # callers that watch it.
-                proc.terminate()
-                injector = ctx.fault_injector
-                if injector is not None:
-                    injector.stop_event.set()
-                raise _AttemptTimeout(timeout)
-            try:
-                ok, payload = parent_conn.recv()
-            except (EOFError, OSError):
-                raise _ChildFailure(
-                    "WorkerCrash", "worker process died"
-                ) from None
-        finally:
-            proc.join()
-            parent_conn.close()
-        if not ok:
-            raise _ChildFailure(*payload)
-        return payload
-
-    def _attempt_with_timeout(
-        self, name: str, attempt: int
-    ) -> Dict[str, dict]:
-        if not self.config.timeout:
-            return self._attempt(name)
-        return self._attempt_in_process(name, attempt)
-
-    def run_workload(self, name: str) -> WorkloadOutcome:
-        """Run one workload, honoring checkpoints and the retry policy."""
-        ctx = self.ctx
-        checkpoint = ctx.load_checkpoint(name) if ctx.checkpoint_dir else None
-        if checkpoint is not None and checkpoint.get("status") == STATUS_OK:
-            return WorkloadOutcome.from_payload(name, checkpoint)
-        cached = self.load_cached_rows(name)
-        if cached is not None:
-            if ctx.checkpoint_dir is not None:
-                ctx.store_checkpoint(name, cached.payload())
-            return cached
-
+    def _run_in_process(self, name: str) -> WorkloadOutcome:
         suite = get_workload(name).suite
         started = time.monotonic()
         with obs.current().span("workload", workload=name) as wspan:
             outcome = self._run_attempts(name, suite, started)
             wspan.set_tag(status=outcome.status)
             wspan.set_counters(attempts=outcome.attempts)
-
-        self.store_rows(outcome)
-        if ctx.checkpoint_dir is not None:
-            ctx.store_checkpoint(name, outcome.payload())
         return outcome
 
     def _run_attempts(
         self, name: str, suite: str, started: float
     ) -> WorkloadOutcome:
-        """The retry loop of :meth:`run_workload`."""
+        """The retry loop of :meth:`_run_in_process`."""
         attempts = 0
         while True:
             attempts += 1
             try:
-                rows = self._attempt_with_timeout(name, attempts)
-            except _AttemptTimeout as exc:
-                # Deterministic hang: retrying doubles the cost.
-                return WorkloadOutcome(
-                    name, suite, STATUS_TIMEOUT,
-                    error=f"no result within {exc.timeout:g}s",
-                    error_type="Timeout",
-                    attempts=attempts,
-                    elapsed=time.monotonic() - started,
-                )
+                rows = self._attempt(name)
             except KeyboardInterrupt:
                 raise
             except Exception as exc:
-                if isinstance(exc, _ChildFailure):
-                    error_type = exc.error_type
-                else:
-                    if isinstance(exc, ReproError):
-                        exc.add_context(workload=name)
-                    error_type = type(exc).__name__
+                if isinstance(exc, ReproError):
+                    exc.add_context(workload=name)
+                error_type = type(exc).__name__
                 if attempts <= self.config.retries:
                     delay = self.config.backoff * (2 ** (attempts - 1))
                     self._say(
@@ -404,36 +322,54 @@ class WorkloadRunner:
 
     # -- suites ------------------------------------------------------------
 
+    def run_workload(self, name: str) -> WorkloadOutcome:
+        """Run one workload, honoring checkpoints and the retry policy."""
+        return self.run_suite([name])[0]
+
     def run_suite(self, names: Sequence[str]) -> List[WorkloadOutcome]:
-        """Run every workload in *names*, degrading failures to rows."""
-        if self.pool is not None:
-            from repro.harness.parallel import run_suite_pooled
-            return run_suite_pooled(self, names, self.pool)
-        if self.jobs > 1:
-            from repro.harness.parallel import run_suite_parallel
-            return run_suite_parallel(self, names)
-        outcomes: List[WorkloadOutcome] = []
-        total = len(names)
-        for i, name in enumerate(names, 1):
-            outcome = self.run_workload(name)
-            outcomes.append(outcome)
+        """Run every workload in *names*, degrading failures to rows.
+
+        Checkpoints and the result store are consulted here, before any
+        worker is forked, so a fully resumed suite never starts a pool.
+        Progress lines number each workload by its place in *names*.
+        """
+        outcomes: Dict[str, WorkloadOutcome] = {}
+        place = {name: i for i, name in enumerate(names, 1)}
+
+        def done(outcome: WorkloadOutcome, fresh: bool = True) -> None:
+            if fresh:
+                self._record(outcome)
+            outcomes[outcome.name] = outcome
             note = outcome.status.upper()
             if outcome.cached:
                 note += f" ({outcome.cache_kind or 'checkpointed'})"
             elif outcome.attempts > 1:
                 note += f" ({outcome.attempts} attempts)"
             self._say(
-                f"[{i}/{total}] {name}: {note} in {outcome.elapsed:.1f}s"
+                f"[{place[outcome.name]}/{len(names)}] {outcome.name}: "
+                f"{note} in {outcome.elapsed:.1f}s"
             )
-        return outcomes
 
+        todo = []
+        for name in names:
+            resumed = self._resume(name)
+            if resumed is None:
+                todo.append(name)
+            else:
+                done(resumed, fresh=False)
 
-class _AttemptTimeout(Exception):
-    """Internal: one attempt exceeded the wall-clock budget."""
+        pooled = self.pool is not None or (
+            todo and (self.jobs > 1 or self.config.timeout))
+        if pooled:
+            from repro.harness.parallel import local_pool, run_suite_pooled
 
-    def __init__(self, timeout: float):
-        super().__init__(f"attempt exceeded {timeout:g}s")
-        self.timeout = timeout
+            pool = self.pool or local_pool(
+                self.ctx, min(self.jobs, len(todo)))
+            run_suite_pooled(self, todo, pool, done)
+        else:
+            for name in todo:
+                done(self._run_in_process(name))
+        return [outcomes[name] for name in names]
 
 
 # ---------------------------------------------------------------------------

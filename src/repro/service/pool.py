@@ -3,9 +3,9 @@
 Extracted from the fork-pool machinery in :mod:`repro.harness.parallel`
 so that "where tasks run" is orthogonal to "how a sweep is scheduled":
 
-* :class:`LocalPool` wraps the same forked ``_Worker`` processes the
-  parallel harness uses — kill-for-real semantics, crash detection and
-  respawn — behind the protocol;
+* :class:`LocalPool` wraps the forked ``_Worker`` processes of
+  :mod:`repro.harness.parallel` — kill-for-real semantics, crash
+  detection and respawn — behind the protocol;
 * :class:`RemotePool` submits the same tasks to one or more
   :class:`~repro.service.server.ReproService` coordinators over HTTP,
   where registered :mod:`repro.service.worker` processes lease and
@@ -73,7 +73,8 @@ class LocalPool(Pool):
 
     Wraps :class:`repro.harness.parallel._Worker`: each worker is a
     forked process running the harness task loop (task kinds resolve
-    through ``repro.harness.parallel._TASKS``).  A worker that dies
+    through ``repro.harness.parallel._TASKS``: ``rows_full`` for the
+    harness, ``service`` for the job scheduler).  A worker that dies
     mid-task is respawned and its task reported as a ``WorkerCrash``
     failure; :meth:`kill_task` terminates the worker process for real
     (the harness/runner deadline semantics) and respawns it.

@@ -49,8 +49,6 @@ consults the store first.
 from __future__ import annotations
 
 import heapq
-import shutil
-import tempfile
 import threading
 import time
 from typing import Dict, List, Optional
@@ -247,7 +245,6 @@ class JobScheduler:
         self._pool: Optional[LocalPool] = None
         #: task id -> Job for tasks running on the local pool.
         self._running: Dict[str, Job] = {}
-        self._artifact_dir: Optional[str] = None
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self._wake = threading.Event()
@@ -258,10 +255,7 @@ class JobScheduler:
         if self._thread is not None:
             return self
         if self.jobs > 0:
-            self._artifact_dir = tempfile.mkdtemp(prefix="repro-service-")
-            init = {"artifact_dir": self._artifact_dir,
-                    "machine": self.machine}
-            self._pool = LocalPool(init, self.jobs)
+            self._pool = LocalPool({"machine": self.machine}, self.jobs)
         self._thread = threading.Thread(
             target=self._loop, name="repro-service-scheduler", daemon=True
         )
@@ -280,9 +274,6 @@ class JobScheduler:
         if self._pool is not None:
             self._pool.stop()
             self._pool = None
-        if self._artifact_dir is not None:
-            shutil.rmtree(self._artifact_dir, ignore_errors=True)
-            self._artifact_dir = None
         # Fail anything still queued, running, or leased so waiters
         # unblock.
         with self._lock:

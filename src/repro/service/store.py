@@ -1,9 +1,8 @@
 """Persistent content-addressed result store.
 
-Generalizes the in-run :class:`~repro.harness.artifacts.ArtifactStore`
-(scratch bundles, deleted when the pool shuts down) into a store that
-*survives* runs: identical (workload/source, compile options, early-gen
-config, code version) requests hit the cache instead of a simulator.
+A store that *survives* runs: identical (workload/source, compile
+options, early-gen config, code version) requests hit the cache instead
+of a simulator.
 
 Entry format — one file per key, ``<key>.res``::
 

@@ -78,3 +78,23 @@ def test_bad_inject_spec_is_a_usage_error():
         main(MEDIA_ARGS + ["--inject", "bogus"])
     with pytest.raises(SystemExit):
         main(MEDIA_ARGS + ["--inject", "adpcm_decode=explode"])
+
+
+def test_resume_with_predictor_recomputes_checkpoints(tmp_path, capsys):
+    """Checkpoints written without --predictor lack the ablation
+    fragment, so resuming with it recomputes every workload."""
+    args = ["--scale", "0.02", "--suite", "media",
+            "--checkpoint-dir", str(tmp_path)]
+    assert main(args) == 0
+    capsys.readouterr()
+
+    assert main(args + ["--predictor", "all"]) == 0
+    captured = capsys.readouterr()
+    assert "checkpointed" not in captured.err
+    assert captured.err.count(": OK in") == 13
+    assert "Predictor backend ablation" in captured.out
+    assert "geomean" in captured.out
+
+    # Now every checkpoint carries the fragment: a second resume skips all.
+    assert main(args + ["--predictor", "all"]) == 0
+    assert capsys.readouterr().err.count("(checkpointed)") == 13

@@ -21,6 +21,7 @@ import pytest
 
 import repro
 from repro.harness.experiments import ExperimentContext
+from repro.harness.parallel import local_pool
 from repro.harness.reporting import format_table
 from repro.harness.runner import (
     STATUS_OK,
@@ -29,7 +30,7 @@ from repro.harness.runner import (
     assemble_table,
     TABLES,
 )
-from repro.service.pool import LocalPool, RemotePool
+from repro.service.pool import RemotePool
 from repro.service.server import ReproService
 from repro.workloads import workload_names
 
@@ -71,17 +72,9 @@ def make_runner(ctx, pool, retries=0):
     )
 
 
-def test_local_pool_suite_matches_sequential(tmp_path, reference):
+def test_local_pool_suite_matches_sequential(reference):
     ctx = ExperimentContext(scale=SCALE)
-    init = {
-        "scale": ctx.scale,
-        "machine": ctx.machine,
-        "verify": ctx.verify,
-        "verify_ir": ctx.verify_ir,
-        "injector": None,
-        "artifact_dir": str(tmp_path),
-    }
-    outcomes = make_runner(ctx, LocalPool(init, 2)).run_suite(NAMES)
+    outcomes = make_runner(ctx, local_pool(ctx, 2)).run_suite(NAMES)
     assert_converged(outcomes, reference)
 
 

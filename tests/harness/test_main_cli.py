@@ -26,3 +26,54 @@ def test_cli_spec_suite_subset(capsys):
 def test_cli_rejects_bad_suite():
     with pytest.raises(SystemExit):
         main(["--suite", "nope"])
+
+
+def test_ablation_run_compiles_each_program_once(tmp_path, capsys):
+    """The ablation row is a fragment of the workload's own task, so
+    neither the parent nor a second task recompiles the program."""
+    from repro.harness.obs_report import read_trace
+    from repro.workloads import workload_names
+
+    out = tmp_path / "trace"
+    assert main([
+        "--scale", "0.02", "--suite", "media", "--predictor", "all",
+        "--jobs", "2", "--trace-out", str(out),
+    ]) == 0
+    assert "Predictor backend ablation" in capsys.readouterr().out
+    compiles = [r["tags"]["workload"] for r in read_trace(out)
+                if r.get("kind") == "span" and r["name"] == "compile"]
+    assert sorted(compiles) == sorted(workload_names("mediabench"))
+
+
+def _capture_runner(monkeypatch):
+    from repro.harness.runner import WorkloadRunner
+
+    seen = {}
+
+    def run_suite(self, names):
+        seen["jobs"] = self.jobs
+        seen["pool"] = type(self.pool).__name__
+        return []
+
+    monkeypatch.setattr(WorkloadRunner, "run_suite", run_suite)
+    return seen
+
+
+def test_default_jobs_is_the_usable_core_count(monkeypatch, capsys):
+    from repro.harness.main import usable_cores
+
+    seen = _capture_runner(monkeypatch)
+    assert main(["--scale", "0.02", "--suite", "media"]) == 0
+    assert seen == {"jobs": usable_cores(), "pool": "NoneType"}
+
+
+def test_workers_without_jobs_parses(monkeypatch, capsys):
+    seen = _capture_runner(monkeypatch)
+    assert main(["--scale", "0.02", "--suite", "media",
+                 "--workers", "http://127.0.0.1:1"]) == 0
+    assert seen == {"jobs": 1, "pool": "RemotePool"}
+
+
+def test_workers_with_explicit_jobs_is_a_usage_error():
+    with pytest.raises(SystemExit):
+        main(["--jobs", "2", "--workers", "http://127.0.0.1:1"])

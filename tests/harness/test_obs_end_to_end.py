@@ -66,6 +66,30 @@ def test_stage_summary_covers_every_layer(trace_dir):
     assert any(s.startswith("pass:") for s in stages)
 
 
+def _workload_spans(records):
+    return sorted(
+        (r["tags"]["workload"], r["tags"]["status"],
+         r["counters"]["attempts"])
+        for r in records
+        if r.get("kind") == "span" and r["name"] == "workload"
+    )
+
+
+def test_trace_shape_same_in_process(trace_dir, tmp_path):
+    """--jobs 1 (in process) and the default pooled run trace the same
+    stages and the same tagged ``workload`` spans."""
+    out = tmp_path / "trace"
+    assert main([
+        "--scale", str(SCALE), "--suite", "spec", "--jobs", "1",
+        "--trace-out", str(out),
+    ]) == 0
+    pooled, in_process = read_trace(trace_dir), read_trace(out)
+    assert ({row["stage"] for row in stage_summary(in_process)}
+            == {row["stage"] for row in stage_summary(pooled)})
+    assert _workload_spans(in_process) == _workload_spans(pooled)
+    assert {status for _, status, _ in _workload_spans(pooled)} == {"ok"}
+
+
 def test_class_rows_match_table2(trace_dir):
     rows = {r["benchmark"]: r for r in class_rows(read_trace(trace_dir))}
     expected = table2(ExperimentContext(scale=SCALE))

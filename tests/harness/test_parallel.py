@@ -1,8 +1,8 @@
 """Parallel suite execution must be indistinguishable from sequential.
 
-``WorkloadRunner.run_suite(jobs=4)`` fans workload preparation, the
-per-config timing replays, and row assembly across a process pool; these
-tests hold it to the sequential contract: identical row fragments,
+``WorkloadRunner.run_suite(jobs=4)`` runs each workload as one task on a
+pool of forked workers; these tests hold it to the in-process
+contract of ``jobs=1``: identical row fragments,
 identical assembled tables, identical statuses/attempt counts for
 degraded workloads under injected crash/hang/flaky faults, and identical
 checkpoint payloads (modulo wall-clock ``elapsed``).

@@ -62,3 +62,14 @@ def test_checkpoint_takes_precedence(capsys, cache_dir, tmp_path):
                   "--checkpoint-dir", str(ckpt))
     assert "(checkpointed)" in err
     assert "(result-cache)" not in err
+
+
+def test_key_is_sensitive_to_predictor_backends(capsys, cache_dir):
+    _run(capsys, "--result-cache", str(cache_dir))
+    out, err = _run(capsys, "--result-cache", str(cache_dir),
+                    "--predictor", "stride")
+    assert "result cache: 0 hits" in err  # rows now carry the ablation
+    assert "Predictor backend ablation" in out
+    _, err = _run(capsys, "--result-cache", str(cache_dir),
+                  "--predictor", "stride")
+    assert ", 0 misses" in err

@@ -33,11 +33,8 @@ SRC_SLOW = SRC.replace("< 40", "< 900000")
 
 
 @pytest.fixture
-def pool(tmp_path):
-    p = LocalPool(
-        {"artifact_dir": str(tmp_path), "machine": MachineConfig()},
-        size=2,
-    )
+def pool():
+    p = LocalPool({"machine": MachineConfig()}, size=2)
     try:
         yield p
     finally:
