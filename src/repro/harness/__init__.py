@@ -1,7 +1,7 @@
 """Experiment harness: one entry point per table/figure of the paper.
 
 The fault-isolation layer (:class:`WorkloadRunner`, :class:`FaultInjector`,
-checkpoint/resume on :class:`ExperimentContext`) lives here too; see
+resume through the result store) lives here too; see
 ``repro.harness.runner`` and ``repro.harness.faults``.
 """
 

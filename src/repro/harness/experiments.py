@@ -23,14 +23,10 @@ table4    MediaBench mix, prediction rates, and speedup
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import tempfile
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.compiler.driver import CompileOptions, CompileResult, compile_source
@@ -95,20 +91,13 @@ def emit_profile_event(tracer, name: str, profile: AddressProfile) -> None:
     tracer.event("profile.classes", counters=counters, workload=name)
 
 
-#: Version stamp of the per-workload checkpoint JSON schema.
-CHECKPOINT_SCHEMA = 1
-
-
 class ExperimentContext:
     """Compiles, emulates, and simulates workloads with caching.
 
     ``verify`` checks emulated output against the pure-Python reference;
     ``verify_ir`` additionally runs the structural IR verifier between
-    compiler passes.  With ``checkpoint_dir`` set, per-workload results
-    can be persisted as JSON (see :meth:`store_checkpoint`) so a
-    partially failed run resumes without recomputing completed
-    workloads.  ``fault_injector`` is the test seam that lets a chosen
-    workload crash, hang, or corrupt its IR/output.
+    compiler passes.  ``fault_injector`` is the test seam that lets a
+    chosen workload crash, hang, or corrupt its IR/output.
     """
 
     def __init__(
@@ -117,16 +106,12 @@ class ExperimentContext:
         machine: Optional[MachineConfig] = None,
         verify: bool = True,
         verify_ir: bool = True,
-        checkpoint_dir: Union[None, str, Path] = None,
         fault_injector=None,
     ):
         self.scale = scale
         self.machine = machine if machine is not None else MachineConfig()
         self.verify = verify
         self.verify_ir = verify_ir
-        self.checkpoint_dir = (
-            Path(checkpoint_dir) if checkpoint_dir is not None else None
-        )
         self.fault_injector = fault_injector
         self._runs: Dict[str, WorkloadRun] = {}
 
@@ -169,83 +154,6 @@ class ExperimentContext:
         )
         self._runs[name] = run
         return run
-
-    # -- checkpointing -----------------------------------------------------
-
-    def checkpoint_path(self, name: str) -> Path:
-        """Checkpoint file for one workload (requires checkpoint_dir)."""
-        if self.checkpoint_dir is None:
-            raise ValueError("no checkpoint_dir configured")
-        safe = name.replace("/", "_")
-        return self.checkpoint_dir / f"{safe}.json"
-
-    def load_checkpoint(
-        self, name: str, backends: Sequence[str] = ()
-    ) -> Optional[dict]:
-        """The stored result payload for *name*, or None.
-
-        Stale artifacts — corrupt/truncated JSON, another schema
-        version, a different workload scale, or rows that lack a
-        fragment this run needs (the ``"ablation"`` row with a column
-        for each of *backends*) — are treated as cache misses, so
-        resuming after a crash mid-write or a flag change recomputes
-        instead of aborting the suite or mixing incompatible rows.
-        Corruption (a file that exists but does not parse) additionally
-        warns, because it usually means an interrupted or concurrent
-        writer.
-        """
-        if self.checkpoint_dir is None:
-            return None
-        path = self.checkpoint_path(name)
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            return None  # no checkpoint yet: the normal first-run miss
-        try:
-            payload = json.loads(raw)
-        except ValueError:
-            warnings.warn(
-                f"corrupt checkpoint {path} ignored; recomputing "
-                f"{name!r}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return None
-        if not isinstance(payload, dict):
-            return None
-        if payload.get("schema") != CHECKPOINT_SCHEMA:
-            return None
-        if payload.get("name") != name or payload.get("scale") != self.scale:
-            return None
-        if backends:
-            ablation = payload.get("rows", {}).get("ablation", {})
-            if any(backend not in ablation for backend in backends):
-                return None
-        return payload
-
-    def store_checkpoint(self, name: str, payload: dict) -> Path:
-        """Atomically persist *payload* for *name* (write + rename)."""
-        if self.checkpoint_dir is None:
-            raise ValueError("no checkpoint_dir configured")
-        self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-        path = self.checkpoint_path(name)
-        payload = dict(
-            payload, schema=CHECKPOINT_SCHEMA, name=name, scale=self.scale
-        )
-        fd, tmp = tempfile.mkstemp(
-            dir=str(self.checkpoint_dir), prefix=path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=1, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
 
     def baseline_stats(self, name: str) -> SimStats:
         run = self.run(name)

@@ -4,8 +4,7 @@ Usage::
 
     python -m repro.harness.main [--scale 1.0] [--suite all|spec|media]
                                  [--jobs N] [--timeout SECS] [--retries N]
-                                 [--checkpoint-dir DIR] [--profile]
-                                 [--result-cache DIR]
+                                 [--result-cache DIR] [--profile]
                                  [--workers URL[,URL...]]
                                  [--predictor NAME[,NAME...]]
                                  [--inject WORKLOAD=MODE]...
@@ -23,12 +22,15 @@ workloads as tasks on N forked worker processes with identical output;
 running ``repro.service`` coordinators (round-robin) whose leased
 remote workers execute them — tables are byte-identical to a
 single-host run, even when a worker dies mid-sweep (the coordinator's
-lease recovery requeues its jobs); ``--profile``
-re-runs the slowest workload under cProfile and writes the top
-cumulative entries next to the checkpoint directory.  With ``--checkpoint-dir`` a re-invocation skips workloads
-that already completed and re-runs only the failed ones.  ``--inject``
-plants deterministic faults (crash, hang, flaky:N, corrupt-ir,
-corrupt-output) for exercising that machinery end to end.
+lease recovery requeues its jobs); ``--profile`` re-runs the slowest
+workload under cProfile and writes the top cumulative entries to the
+working directory.  ``--result-cache DIR`` stores each completed
+workload's rows under a key over everything that determines them, so a
+re-invocation with the same directory skips workloads that already
+completed and re-runs only the failed ones (and any whose flags or code
+changed).  ``--inject`` plants deterministic faults (crash, hang,
+flaky:N, corrupt-ir, corrupt-output) for exercising that machinery end
+to end.
 """
 
 from __future__ import annotations
@@ -127,10 +129,9 @@ def usable_cores() -> int:
 def _write_profile(args, outcomes) -> None:
     """cProfile the slowest freshly-computed workload of this run.
 
-    Checkpointed (resumed) workloads did no work, so they are skipped
-    when picking the target.  The report — the top 25 entries by
-    cumulative time — lands next to the checkpoint directory (inside
-    it when one is configured, else the working directory).
+    Workloads resumed from the result store did no work, so they are
+    skipped when picking the target.  The report — the top 25 entries
+    by cumulative time — lands in the working directory.
     """
     import cProfile
     import io
@@ -157,9 +158,7 @@ def _write_profile(args, outcomes) -> None:
     pstats.Stats(profiler, stream=stream).sort_stats(
         "cumulative"
     ).print_stats(25)
-    target_dir = Path(args.checkpoint_dir) if args.checkpoint_dir else Path(".")
-    target_dir.mkdir(parents=True, exist_ok=True)
-    path = target_dir / f"PROFILE_{slowest.name.replace('/', '_')}.txt"
+    path = Path(f"PROFILE_{slowest.name.replace('/', '_')}.txt")
     path.write_text(
         f"cProfile of slowest workload {slowest.name!r} "
         f"(elapsed {slowest.elapsed:.2f}s in the run)\n{stream.getvalue()}",
@@ -180,7 +179,6 @@ def _write_run_manifest(args, argv, ctx, outcomes) -> None:
             "attempts": outcome.attempts,
             "elapsed_s": round(outcome.elapsed, 3),
             "cached": outcome.cached,
-            "cache_kind": outcome.cache_kind,
             "error_type": outcome.error_type,
             "artifact_key": artifact_key(
                 outcome.name, ctx.scale, ctx.machine, ctx.verify,
@@ -246,7 +244,7 @@ def main(argv=None) -> int:
     parser.add_argument("--profile", action="store_true",
                         help="after the run, cProfile the slowest "
                         "workload and write the top-25 cumulative "
-                        "entries next to the checkpoint directory")
+                        "entries to the working directory")
     parser.add_argument("--timeout", type=float, default=0.0,
                         help="wall-clock seconds per workload attempt; "
                         "0 disables (default)")
@@ -256,14 +254,12 @@ def main(argv=None) -> int:
     parser.add_argument("--backoff", type=float, default=0.5,
                         help="base seconds of exponential retry backoff "
                         "(default 0.5)")
-    parser.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                        help="persist per-workload results as JSON and "
-                        "resume, skipping completed workloads")
     parser.add_argument("--result-cache", default=None, metavar="DIR",
-                        help="persistent cross-run result store: cached "
-                        "(workload, config) pairs skip compile+simulate "
-                        "entirely; shareable with 'python -m "
-                        "repro.service serve --store DIR'")
+                        help="persistent cross-run result store and the "
+                        "resume flag: workloads stored under the same "
+                        "flags and code skip compile+simulate, so a "
+                        "re-run re-runs only failures; shareable with "
+                        "'python -m repro.service serve --store DIR'")
     parser.add_argument("--result-cache-max-mb", type=int, default=0,
                         metavar="N",
                         help="LRU size bound of --result-cache in MiB "
@@ -337,18 +333,9 @@ def main(argv=None) -> int:
             if name not in known:
                 parser.error(f"--inject names unknown workload {name!r}")
 
-    if args.checkpoint_dir is not None:
-        ckpt = Path(args.checkpoint_dir)
-        if ckpt.exists() and not ckpt.is_dir():
-            parser.error(
-                f"--checkpoint-dir {args.checkpoint_dir!r} is not a "
-                "directory"
-            )
-
     ctx = ExperimentContext(
         scale=args.scale,
         verify_ir=not args.no_verify_ir,
-        checkpoint_dir=args.checkpoint_dir,
         fault_injector=injector,
     )
     try:

@@ -4,9 +4,9 @@ Usage::
 
     python -m repro.harness.obs_report TRACE_DIR [--validate]
 
-A trace directory (written by ``repro.harness.main --trace-out`` or
-``repro.harness.bench --trace-out``) holds one ``trace-<pid>.jsonl``
-per process that emitted records plus a ``manifest.json``.  This tool
+A trace directory (written by ``repro.harness.main --trace-out``)
+holds one ``trace-<pid>.jsonl`` per process that emitted records plus
+a ``manifest.json``.  This tool
 merges the files and prints:
 
 * **per-stage timings** — every span name with count / total / mean /

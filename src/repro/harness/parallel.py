@@ -56,7 +56,7 @@ def local_pool(ctx: ExperimentContext, size: int):
 
 
 def _child_context(init: dict) -> ExperimentContext:
-    """A fresh child-side context (no checkpointing in workers)."""
+    """A fresh child-side context for one task."""
     return ExperimentContext(
         scale=init["scale"],
         machine=init["machine"],
@@ -187,10 +187,11 @@ def run_suite_pooled(runner, names: Sequence[str], pool,
                      done: Callable) -> None:
     """Run every workload in *names* on *pool*, one task per workload.
 
-    *names* are the workloads the runner could not resume from a
-    checkpoint or the result store; each finished
+    *names* are the workloads the runner could not resume from the
+    result store; each finished
     :class:`~repro.harness.runner.WorkloadOutcome` is handed to *done*
-    as it lands (the runner records and announces it).  With a local
+    as it lands (the runner stores and announces it, including rows a
+    coordinator served from its own cache).  With a local
     pool the retry/backoff/timeout policy runs here, while a remote
     pool's coordinator owns it (``pool.handles_retries``), including
     lease-based recovery from workers that crash or vanish mid-job.
@@ -318,17 +319,13 @@ def run_suite_pooled(runner, names: Sequence[str], pool,
                     continue
                 attempts = result.get("attempts", state.attempt) or \
                     state.attempt
-                outcome = WorkloadOutcome(
+                finish(state, WorkloadOutcome(
                     state.name,
                     result.get("suite", state.suite),
                     STATUS_OK,
                     rows=result["rows"],
                     attempts=attempts,
                     elapsed=now - state.started,
-                )
-                if result.get("cached"):
-                    outcome.cached = True
-                    outcome.cache_kind = "service"
-                finish(state, outcome)
+                ))
     finally:
         pool.stop()

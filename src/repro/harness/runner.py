@@ -13,10 +13,11 @@ compile→emulate→simulate pipeline:
   the cost),
 * **graceful degradation** — any failure becomes an ``ERROR`` row
   carrying the exception summary instead of killing the run,
-* **checkpoint/resume** — with a checkpoint directory configured on the
-  :class:`~repro.harness.experiments.ExperimentContext`, each completed
-  workload's row fragments persist as JSON and a re-invocation skips
-  them, re-running only failed/timed-out workloads.
+* **resume** — with a result store (the harness's ``--result-cache``),
+  each completed workload's row fragments persist under a key over
+  everything that determines them, and a re-invocation skips them,
+  re-running only failed/timed-out workloads and those whose
+  configuration or code changed.
 
 Per workload, the runner computes the row fragments of every experiment
 that workload participates in (Table 2, Figures 5a–5c, and Table 3 for
@@ -28,7 +29,7 @@ degraded workloads appear as ERROR/TIMEOUT rows.
 
 Workloads run in this process (``jobs=1``, no timeout) or one per task
 on a worker pool (see :mod:`repro.harness.parallel`), with identical
-rows, outcomes, and checkpoints.
+rows, outcomes, and store entries.
 """
 
 from __future__ import annotations
@@ -95,41 +96,12 @@ class WorkloadOutcome:
     error_type: str = ""
     attempts: int = 1
     elapsed: float = 0.0
-    #: True when the result was loaded from a cache, not computed.
+    #: True when the rows were read from this run's result store.
     cached: bool = False
-    #: Which cache satisfied it: "checkpointed" or "result-cache".
-    cache_kind: str = ""
 
     @property
     def degraded(self) -> bool:
         return self.status != STATUS_OK
-
-    def payload(self) -> dict:
-        """JSON-serializable checkpoint body."""
-        return {
-            "suite": self.suite,
-            "status": self.status,
-            "rows": self.rows,
-            "error": self.error,
-            "error_type": self.error_type,
-            "attempts": self.attempts,
-            "elapsed": round(self.elapsed, 3),
-        }
-
-    @classmethod
-    def from_payload(cls, name: str, payload: dict) -> "WorkloadOutcome":
-        return cls(
-            name=name,
-            suite=payload.get("suite", ""),
-            status=payload.get("status", STATUS_ERROR),
-            rows=payload.get("rows", {}),
-            error=payload.get("error", ""),
-            error_type=payload.get("error_type", ""),
-            attempts=payload.get("attempts", 1),
-            elapsed=payload.get("elapsed", 0.0),
-            cached=True,
-            cache_kind="checkpointed",
-        )
 
 
 def compute_rows(
@@ -161,10 +133,10 @@ def compute_rows(
 
 
 class WorkloadRunner:
-    """Runs workloads under timeout/retry policy with checkpointing.
+    """Runs workloads under timeout/retry policy, resuming from a store.
 
-    Two drivers execute the workloads that no checkpoint or result-store
-    entry covers.  With ``jobs`` 1 and no timeout they run one after
+    Two drivers execute the workloads that no result-store entry
+    covers.  With ``jobs`` 1 and no timeout they run one after
     another in this process (the debugging and ``--profile`` path).
     Otherwise every workload becomes one task of
     :func:`~repro.harness.parallel.run_suite_pooled` over a
@@ -172,16 +144,16 @@ class WorkloadRunner:
     (one worker when only the timeout asks for it, so a wedged attempt
     is killed for real), or over ``pool`` when one is given (e.g. a
     RemotePool of coordinators).  Rows, statuses, attempt counts and
-    checkpoints are identical either way.
+    store entries are identical either way.
 
     ``result_store`` (a :class:`~repro.service.store.ResultStore`, the
-    harness's ``--result-cache``) persists each workload's computed row
+    harness's ``--result-cache``) persists each OK workload's row
     fragments across *runs*, keyed on everything that determines them
     (name, scale, machine, verifier switches, injected-fault mode,
     ablation backends, code version): a warm store skips the workload's
-    compile+simulate entirely and reproduces byte-identical tables.
-    Unlike checkpoints it is shared with the long-lived service layer
-    and is not scoped to one resumable run.
+    compile+simulate entirely and reproduces byte-identical tables, so
+    resuming a partly failed run re-runs only its failures.  The same
+    store can back the long-lived service layer.
 
     ``backends`` names the predictor backends whose ablation row each
     workload computes as its ``"ablation"`` fragment (empty: none).
@@ -233,11 +205,11 @@ class WorkloadRunner:
             return None
         return WorkloadOutcome(
             name, payload["suite"], STATUS_OK, rows=payload["rows"],
-            cached=True, cache_kind="result-cache",
+            cached=True,
         )
 
     def store_rows(self, outcome: WorkloadOutcome) -> None:
-        """Publish a freshly computed OK outcome's rows to the store."""
+        """Publish an OK outcome's rows unless they came from the store."""
         if (self.result_store is None or outcome.status != STATUS_OK
                 or outcome.cached):
             return
@@ -245,24 +217,6 @@ class WorkloadRunner:
             self._rows_key(outcome.name),
             {"suite": outcome.suite, "rows": outcome.rows},
         )
-
-    def _resume(self, name: str) -> Optional[WorkloadOutcome]:
-        """A finished outcome from a checkpoint or the store, or None."""
-        ctx = self.ctx
-        if ctx.checkpoint_dir is not None:
-            checkpoint = ctx.load_checkpoint(name, self.backends)
-            if checkpoint and checkpoint.get("status") == STATUS_OK:
-                return WorkloadOutcome.from_payload(name, checkpoint)
-        cached = self.load_cached_rows(name)
-        if cached is not None and ctx.checkpoint_dir is not None:
-            ctx.store_checkpoint(name, cached.payload())
-        return cached
-
-    def _record(self, outcome: WorkloadOutcome) -> None:
-        """Persist a finished outcome to the store and the checkpoint."""
-        self.store_rows(outcome)
-        if self.ctx.checkpoint_dir is not None:
-            self.ctx.store_checkpoint(outcome.name, outcome.payload())
 
     # -- single workload, in process ---------------------------------------
 
@@ -323,26 +277,25 @@ class WorkloadRunner:
     # -- suites ------------------------------------------------------------
 
     def run_workload(self, name: str) -> WorkloadOutcome:
-        """Run one workload, honoring checkpoints and the retry policy."""
+        """Run one workload, honoring the store and the retry policy."""
         return self.run_suite([name])[0]
 
     def run_suite(self, names: Sequence[str]) -> List[WorkloadOutcome]:
         """Run every workload in *names*, degrading failures to rows.
 
-        Checkpoints and the result store are consulted here, before any
-        worker is forked, so a fully resumed suite never starts a pool.
+        The result store is consulted here, before any worker is
+        forked, so a fully resumed suite never starts a pool.
         Progress lines number each workload by its place in *names*.
         """
         outcomes: Dict[str, WorkloadOutcome] = {}
         place = {name: i for i, name in enumerate(names, 1)}
 
-        def done(outcome: WorkloadOutcome, fresh: bool = True) -> None:
-            if fresh:
-                self._record(outcome)
+        def done(outcome: WorkloadOutcome) -> None:
+            self.store_rows(outcome)
             outcomes[outcome.name] = outcome
             note = outcome.status.upper()
             if outcome.cached:
-                note += f" ({outcome.cache_kind or 'checkpointed'})"
+                note += " (result-cache)"
             elif outcome.attempts > 1:
                 note += f" ({outcome.attempts} attempts)"
             self._say(
@@ -352,11 +305,11 @@ class WorkloadRunner:
 
         todo = []
         for name in names:
-            resumed = self._resume(name)
+            resumed = self.load_cached_rows(name)
             if resumed is None:
                 todo.append(name)
             else:
-                done(resumed, fresh=False)
+                done(resumed)
 
         pooled = self.pool is not None or (
             todo and (self.jobs > 1 or self.config.timeout))

@@ -26,12 +26,12 @@ into a long-lived process that serves many requests over shared work:
 """
 
 from repro.service.jobs import JobSpec, JobValidationError, execute_job
-from repro.service.store import RESULT_CODE_VERSION, ResultStore
+from repro.service.store import ResultStore, code_version
 
 __all__ = [
     "JobSpec",
     "JobValidationError",
-    "RESULT_CODE_VERSION",
     "ResultStore",
+    "code_version",
     "execute_job",
 ]

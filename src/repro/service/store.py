@@ -2,7 +2,8 @@
 
 A store that *survives* runs: identical (workload/source, compile
 options, early-gen config, code version) requests hit the cache instead
-of a simulator.
+of a simulator.  It is the harness's only persistence layer: resuming a
+partly failed suite is a store hit per completed workload.
 
 Entry format — one file per key, ``<key>.res``::
 
@@ -26,14 +27,14 @@ Guarantees:
   :mod:`repro.obs` tracer.
 
 Keys come from :meth:`ResultStore.key`, which folds
-:data:`RESULT_CODE_VERSION` into the existing
-:func:`~repro.harness.artifacts.artifact_key` canonicalizer so cached
-results are invalidated in one place when the pipeline's outputs
-change.
+:func:`code_version` — a digest of the package's own source — into the
+existing :func:`~repro.harness.artifacts.artifact_key` canonicalizer,
+so any source change invalidates every cached result.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import pickle
@@ -44,10 +45,30 @@ from typing import Optional
 from repro import obs
 from repro.harness.artifacts import artifact_key
 
-#: Bump when a compiler/simulator change alters results: every key
-#: derived through :meth:`ResultStore.key` changes, so stale cached
-#: tables can never be served for new code.
-RESULT_CODE_VERSION = 1
+#: The ``repro`` package directory whose source :func:`code_version`
+#: digests.
+_PACKAGE_ROOT = Path(__file__).resolve().parents[1]
+
+
+@functools.lru_cache(maxsize=None)
+def code_version() -> str:
+    """sha256 over the sorted relative paths and bytes of the ``repro``
+    package's ``**/*.py``, computed once per process.
+
+    Every key derived through :meth:`ResultStore.key` includes it, so a
+    stored result is never served to different code.
+    """
+    files = sorted(
+        (path.relative_to(_PACKAGE_ROOT).as_posix(), path)
+        for path in _PACKAGE_ROOT.rglob("*.py")
+    )
+    digest = hashlib.sha256()
+    for rel, path in files:
+        data = path.read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
+
 
 #: Entry-file magic; a mismatch means the file is not (or no longer) a
 #: store entry.
@@ -81,8 +102,7 @@ class ResultStore:
     @staticmethod
     def key(*parts) -> str:
         """Content key over *parts* plus the pipeline code version."""
-        return artifact_key("repro.service.result", RESULT_CODE_VERSION,
-                            *parts)
+        return artifact_key("repro.service.result", code_version(), *parts)
 
     def path(self, key: str) -> Path:
         return self.root / f"{key}{_SUFFIX}"

@@ -120,8 +120,8 @@ _MAX_PATCH_RETRIES = 6
 
 #: Traces shorter than this skip the precompute machinery entirely:
 #: building the record/dcache/predictor streams costs more than the
-#: handful of inline replays it would save (the BENCH_pr5 adpcm_encode
-#: wall regression was exactly this).  Patchable; the parity CLI and
+#: handful of inline replays it would save (an early adpcm_encode wall
+#: regression was exactly this).  Patchable; the parity CLI and
 #: stream-level tests set it to 0.
 _PRECOMPUTE_MIN_N = 3000
 

@@ -3,8 +3,8 @@
 These exercise the ISSUE's end-to-end scenario at a small scale: with
 injected crashing and hanging workloads, the run completes every other
 row, marks the victims ERROR/TIMEOUT, exits non-zero — and a second
-invocation against the same checkpoint directory re-runs only the
-previously failed workloads.
+invocation against the same ``--result-cache`` directory re-runs only
+the previously failed workloads.
 """
 
 import pytest
@@ -37,19 +37,20 @@ def test_injected_hang_times_out(capsys):
     assert "Degraded workloads (1/13)" in out
 
 
-def test_checkpoint_resume_reruns_only_failures(tmp_path, capsys):
-    ckpt = str(tmp_path)
+def test_resume_reruns_only_failures(tmp_path, capsys):
+    store = str(tmp_path)
     assert main(
         MEDIA_ARGS
-        + ["--checkpoint-dir", ckpt, "--inject", "adpcm_decode=crash"]
+        + ["--result-cache", store, "--inject", "adpcm_decode=crash"]
     ) == 1
     capsys.readouterr()
 
     # Without the injected fault, the resume run recovers and exits 0.
-    assert main(MEDIA_ARGS + ["--checkpoint-dir", ckpt]) == 0
+    assert main(MEDIA_ARGS + ["--result-cache", store]) == 0
     err = capsys.readouterr().err
-    assert err.count("checkpointed") == 12
-    assert "[1/13] adpcm_decode: OK" in err
+    assert err.count("(result-cache)") == 12
+    assert "[1/13] adpcm_decode: OK in" in err
+    assert "result cache: 12 hits, 1 misses" in err
 
 
 def test_retries_recover_flaky_workload(capsys):
@@ -80,21 +81,22 @@ def test_bad_inject_spec_is_a_usage_error():
         main(MEDIA_ARGS + ["--inject", "adpcm_decode=explode"])
 
 
-def test_resume_with_predictor_recomputes_checkpoints(tmp_path, capsys):
-    """Checkpoints written without --predictor lack the ablation
-    fragment, so resuming with it recomputes every workload."""
+def test_resume_with_predictor_recomputes(tmp_path, capsys):
+    """Rows stored without --predictor lack the ablation fragment and
+    are keyed without backends, so resuming with it recomputes every
+    workload."""
     args = ["--scale", "0.02", "--suite", "media",
-            "--checkpoint-dir", str(tmp_path)]
+            "--result-cache", str(tmp_path)]
     assert main(args) == 0
     capsys.readouterr()
 
     assert main(args + ["--predictor", "all"]) == 0
     captured = capsys.readouterr()
-    assert "checkpointed" not in captured.err
+    assert "(result-cache)" not in captured.err
     assert captured.err.count(": OK in") == 13
     assert "Predictor backend ablation" in captured.out
     assert "geomean" in captured.out
 
-    # Now every checkpoint carries the fragment: a second resume skips all.
+    # Now every stored row carries the fragment: a second resume skips all.
     assert main(args + ["--predictor", "all"]) == 0
-    assert capsys.readouterr().err.count("(checkpointed)") == 13
+    assert capsys.readouterr().err.count("(result-cache)") == 13

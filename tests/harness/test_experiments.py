@@ -139,24 +139,3 @@ def test_geomean_non_positive_is_nan_with_warning():
     for bad in ([1.0, 0.0], [1.0, -2.0], [1.0, float("nan")]):
         with pytest.warns(RuntimeWarning, match="undefined"):
             assert math.isnan(_geomean(bad))
-
-
-def test_corrupt_checkpoint_is_a_warned_miss(tmp_path):
-    cp_ctx = ExperimentContext(scale=0.12, checkpoint_dir=tmp_path)
-    cp_ctx.store_checkpoint("x", {"rows": [1]})
-    assert cp_ctx.load_checkpoint("x")["rows"] == [1]
-    # Truncate mid-write, as a crash would.
-    path = cp_ctx.checkpoint_path("x")
-    path.write_text(path.read_text()[:10], encoding="utf-8")
-    with pytest.warns(RuntimeWarning, match="corrupt checkpoint"):
-        assert cp_ctx.load_checkpoint("x") is None
-    # A recompute can re-store over the corpse.
-    cp_ctx.store_checkpoint("x", {"rows": [2]})
-    assert cp_ctx.load_checkpoint("x")["rows"] == [2]
-
-
-def test_missing_checkpoint_is_a_silent_miss(tmp_path, recwarn):
-    cp_ctx = ExperimentContext(scale=0.12, checkpoint_dir=tmp_path)
-    assert cp_ctx.load_checkpoint("never-stored") is None
-    assert not [w for w in recwarn.list
-                if issubclass(w.category, RuntimeWarning)]

@@ -148,26 +148,3 @@ def test_parallel_run_tags_workers(tmp_path):
     assert any(w.startswith("w") and w != "main" for w in workers)
     # Pool workers wrote their own per-pid files.
     assert len(list(out.glob("*.jsonl"))) >= 2
-
-
-def test_bench_trace_out(tmp_path, capsys, monkeypatch):
-    from repro.harness import bench
-
-    monkeypatch.setattr(
-        bench, "workload_names", lambda suite: ["026.compress"]
-    )
-    out = tmp_path / "trace"
-    snapshot_path = tmp_path / "snap.json"
-    code = bench.main([
-        "--scale", "0.02", "--suite", "media",
-        "--output", str(snapshot_path), "--trace-out", str(out),
-    ])
-    assert code == 0
-    assert obs.current() is obs.NULL_TRACER
-    assert validate(out) == []
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["command"] == "repro.harness.bench"
-    assert [w["name"] for w in manifest["workloads"]] == ["026.compress"]
-    stages = {row["stage"] for row in stage_summary(read_trace(out))}
-    assert {"run", "bench:workload", "compile", "emulate",
-            "profile", "sim"} <= stages

@@ -5,12 +5,11 @@ pool of forked workers; these tests hold it to the in-process
 contract of ``jobs=1``: identical row fragments,
 identical assembled tables, identical statuses/attempt counts for
 degraded workloads under injected crash/hang/flaky faults, and identical
-checkpoint payloads (modulo wall-clock ``elapsed``).
+result-store entries.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
@@ -26,6 +25,7 @@ from repro.harness.runner import (
     WorkloadRunner,
     assemble_table,
 )
+from repro.service.store import ResultStore
 from repro.workloads import workload_names
 
 #: A small mixed subset (both suites) keeps the test quick while still
@@ -35,26 +35,21 @@ SCALE = 0.02
 
 
 def _run_suite(tmp_path: Path, jobs: int, *, inject=None,
-               config: RunnerConfig = None, checkpoint: bool = False):
+               config: RunnerConfig = None, store: bool = False):
     injector = FaultInjector.parse(inject) if inject else None
-    ckpt_dir = tmp_path / f"ckpt-jobs{jobs}"
-    ctx = ExperimentContext(
-        scale=SCALE,
-        checkpoint_dir=str(ckpt_dir) if checkpoint else None,
-        fault_injector=injector,
-    )
+    ctx = ExperimentContext(scale=SCALE, fault_injector=injector)
+    result_store = ResultStore(tmp_path / f"store-jobs{jobs}") if store \
+        else None
     runner = WorkloadRunner(
-        ctx, config if config is not None else RunnerConfig(), jobs=jobs
+        ctx, config if config is not None else RunnerConfig(), jobs=jobs,
+        result_store=result_store,
     )
     outcomes = runner.run_suite(NAMES)
-    checkpoints = {}
-    if checkpoint:
-        for path in sorted(ckpt_dir.glob("*.json")):
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-            payload.pop("elapsed", None)
-            checkpoints[path.name] = payload
-    return outcomes, checkpoints
+    entries = {}
+    if store:
+        for _, _, path in result_store.entries():
+            entries[path.stem] = result_store.get(path.stem)
+    return outcomes, entries
 
 
 def _comparable(outcomes):
@@ -75,7 +70,8 @@ def test_parallel_rows_and_tables_match_sequential(tmp_path):
         assert assemble_table(spec, par) == assemble_table(spec, seq)
 
 
-def test_parallel_degraded_rows_and_checkpoints_match_sequential(tmp_path):
+def test_parallel_degraded_rows_and_store_entries_match_sequential(
+        tmp_path):
     # One deterministic crash (exhausts the retry budget), one
     # transient failure (succeeds on the second attempt), one hang
     # (degrades to TIMEOUT, never retried).
@@ -85,11 +81,11 @@ def test_parallel_degraded_rows_and_checkpoints_match_sequential(tmp_path):
         f"{NAMES[3]}=hang",
     ]
     config = RunnerConfig(timeout=10.0, retries=1, backoff=0.0)
-    seq, seq_ckpt = _run_suite(
-        tmp_path, jobs=1, inject=inject, config=config, checkpoint=True
+    seq, seq_entries = _run_suite(
+        tmp_path, jobs=1, inject=inject, config=config, store=True
     )
-    par, par_ckpt = _run_suite(
-        tmp_path, jobs=4, inject=inject, config=config, checkpoint=True
+    par, par_entries = _run_suite(
+        tmp_path, jobs=4, inject=inject, config=config, store=True
     )
 
     by_name = {o.name: o for o in par}
@@ -101,25 +97,24 @@ def test_parallel_degraded_rows_and_checkpoints_match_sequential(tmp_path):
     assert by_name[NAMES[3]].attempts == 1  # timeouts are not retried
 
     assert _comparable(par) == _comparable(seq)
-    assert par_ckpt == seq_ckpt
+    # Only the three OK workloads are stored, identically.
+    assert len(par_entries) == 3
+    assert par_entries == seq_entries
     for spec in TABLES:
         assert assemble_table(spec, par) == assemble_table(spec, seq)
 
 
-def test_parallel_resume_skips_checkpointed_workloads(tmp_path):
+def test_parallel_resume_skips_stored_workloads(tmp_path):
     config = RunnerConfig(timeout=20.0)
     inject = [f"{NAMES[0]}=crash"]
     first, _ = _run_suite(
-        tmp_path, jobs=4, inject=inject, config=config, checkpoint=True
+        tmp_path, jobs=4, inject=inject, config=config, store=True
     )
     assert {o.name for o in first if o.status == STATUS_ERROR} == {NAMES[0]}
 
-    # Re-running against the same checkpoint directory recomputes only
-    # the failed workload; completed ones come back cached.
-    ckpt_dir = tmp_path / "ckpt-jobs4"
-    ctx = ExperimentContext(scale=SCALE, checkpoint_dir=str(ckpt_dir))
-    runner = WorkloadRunner(ctx, config, jobs=4)
-    second = runner.run_suite(NAMES)
+    # Re-running against the same store recomputes only the failed
+    # workload; completed ones come back cached.
+    second, _ = _run_suite(tmp_path, jobs=4, config=config, store=True)
     by_name = {o.name: o for o in second}
     assert by_name[NAMES[0]].status == STATUS_OK
     assert not by_name[NAMES[0]].cached

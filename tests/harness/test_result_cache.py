@@ -1,9 +1,20 @@
-"""--result-cache: warm runs skip compile+simulate with identical tables."""
+"""--result-cache: warm runs skip compile+simulate with identical tables.
+
+The store is the harness's resume mechanism, so every input that changes
+a row — scale, predictor backends, injected faults, machine
+configuration, code — must change its key: a resumed run never serves
+rows computed for another configuration.
+"""
 
 import pytest
 
+from repro.harness.experiments import ExperimentContext
 from repro.harness.main import main
+from repro.harness.runner import WorkloadRunner
+from repro.service import store as store_module
+from repro.service.pool import Pool
 from repro.service.store import ResultStore
+from repro.sim.machine import MachineConfig
 
 ARGS = ["--scale", "0.05", "--suite", "media"]
 
@@ -53,17 +64,6 @@ def test_key_is_sensitive_to_scale(capsys, cache_dir):
     assert "result cache: 0 hits" in err  # different scale, different keys
 
 
-def test_checkpoint_takes_precedence(capsys, cache_dir, tmp_path):
-    """A checkpointed workload resumes from JSON, not the result store."""
-    ckpt = tmp_path / "ckpt"
-    _run(capsys, "--result-cache", str(cache_dir),
-         "--checkpoint-dir", str(ckpt))
-    _, err = _run(capsys, "--result-cache", str(cache_dir),
-                  "--checkpoint-dir", str(ckpt))
-    assert "(checkpointed)" in err
-    assert "(result-cache)" not in err
-
-
 def test_key_is_sensitive_to_predictor_backends(capsys, cache_dir):
     _run(capsys, "--result-cache", str(cache_dir))
     out, err = _run(capsys, "--result-cache", str(cache_dir),
@@ -73,3 +73,85 @@ def test_key_is_sensitive_to_predictor_backends(capsys, cache_dir):
     _, err = _run(capsys, "--result-cache", str(cache_dir),
                   "--predictor", "stride")
     assert ", 0 misses" in err
+
+
+def test_key_is_sensitive_to_inject_mode(capsys, cache_dir):
+    """A fault injected after a clean run recomputes instead of serving
+    the clean rows: the workload degrades and the run exits 1."""
+    _run(capsys, "--result-cache", str(cache_dir))
+    code = main(ARGS + ["--result-cache", str(cache_dir),
+                        "--inject", "adpcm_decode=corrupt-output"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "adpcm_decode: ERROR" in captured.err
+    assert "OutputMismatchError" in captured.out
+
+
+def test_key_is_sensitive_to_machine_config(tmp_path):
+    store = ResultStore(tmp_path)
+
+    def run(machine):
+        ctx = ExperimentContext(scale=0.05, machine=machine)
+        runner = WorkloadRunner(ctx, result_store=store)
+        return runner.run_workload("adpcm_decode")
+
+    default = run(MachineConfig())
+    slow = run(MachineConfig(load_latency=4))
+    assert not slow.cached
+    assert default.rows["table4"]["speedup"] == pytest.approx(1.0161,
+                                                              abs=1e-4)
+    assert slow.rows["table4"]["speedup"] == pytest.approx(1.0453,
+                                                           abs=1e-4)
+    assert run(MachineConfig(load_latency=4)).cached
+
+
+def test_key_is_sensitive_to_code_version(capsys, cache_dir, monkeypatch):
+    _run(capsys, "--result-cache", str(cache_dir))
+    monkeypatch.setattr(store_module, "code_version", lambda: "edited")
+    _, err = _run(capsys, "--result-cache", str(cache_dir))
+    assert "result cache: 0 hits" in err  # new code, new keys
+
+
+class _CachingCoordinator(Pool):
+    """A remote pool whose coordinator serves every task from its cache."""
+
+    handles_retries = True
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.ready = []
+
+    def idle(self):
+        return 1
+
+    def busy(self):
+        return bool(self.ready)
+
+    def submit(self, task):
+        self.ready.append((task["id"], True, {
+            "suite": "mediabench", "rows": self.rows, "attempts": 1,
+            "cached": True,
+        }))
+
+    def poll(self, timeout):
+        out, self.ready = self.ready, []
+        return out
+
+    def stop(self):
+        pass
+
+
+def test_rows_a_coordinator_served_from_its_cache_are_stored(tmp_path):
+    rows = {"table4": {"benchmark": "adpcm_decode", "speedup": 1.5}}
+    store = ResultStore(tmp_path)
+    ctx = ExperimentContext(scale=0.05)
+    served = WorkloadRunner(
+        ctx, result_store=store, pool=_CachingCoordinator(rows)
+    ).run_workload("adpcm_decode")
+    assert not served.cached  # not read from this run's store
+    assert len(store.entries()) == 1
+
+    resumed = WorkloadRunner(ctx, result_store=store).run_workload(
+        "adpcm_decode")
+    assert resumed.cached
+    assert resumed.rows == rows

@@ -1,11 +1,9 @@
 """Fault-isolated runner: degradation, retries, timeout, resume."""
 
-import json
-
 import pytest
 
 from repro.errors import InjectedFault
-from repro.harness.experiments import CHECKPOINT_SCHEMA, ExperimentContext
+from repro.harness.experiments import ExperimentContext
 from repro.harness.faults import FaultInjector
 from repro.harness.runner import (
     STATUS_ERROR,
@@ -18,19 +16,17 @@ from repro.harness.runner import (
     assemble_table,
     compute_rows,
 )
+from repro.service.store import ResultStore
 
 SPEC = "023.eqntott"
 MEDIA = "adpcm_decode"
 SCALE = 0.05
 
 
-def make_runner(tmp_path=None, injector=None, **cfg):
-    ctx = ExperimentContext(
-        scale=SCALE,
-        checkpoint_dir=tmp_path,
-        fault_injector=injector,
-    )
-    return WorkloadRunner(ctx, RunnerConfig(**cfg))
+def make_runner(tmp_path=None, injector=None, scale=SCALE, **cfg):
+    ctx = ExperimentContext(scale=scale, fault_injector=injector)
+    store = ResultStore(tmp_path) if tmp_path is not None else None
+    return WorkloadRunner(ctx, RunnerConfig(**cfg), result_store=store)
 
 
 # -- FaultInjector ---------------------------------------------------------
@@ -139,20 +135,17 @@ def test_bad_config_rejected():
         RunnerConfig(timeout=-1)
 
 
-# -- checkpoint/resume -----------------------------------------------------
+# -- resume through the result store ---------------------------------------
 
-def test_checkpoint_written_and_resumed(tmp_path):
+def test_rows_stored_and_resumed(tmp_path):
     outcome = make_runner(tmp_path).run_workload(MEDIA)
     assert not outcome.cached
-    path = tmp_path / f"{MEDIA}.json"
-    assert path.exists()
-    payload = json.loads(path.read_text())
-    assert payload["schema"] == CHECKPOINT_SCHEMA
-    assert payload["status"] == STATUS_OK
+    assert len(ResultStore(tmp_path).entries()) == 1
 
-    # A fresh runner (fresh context) resumes from the file.
+    # A fresh runner (fresh context) resumes from the store.
     resumed = make_runner(tmp_path).run_workload(MEDIA)
     assert resumed.cached
+    assert resumed.status == STATUS_OK
     assert resumed.rows == outcome.rows
 
 
@@ -160,28 +153,19 @@ def test_failed_workload_is_rerun_on_resume(tmp_path):
     injector = FaultInjector().add(MEDIA, "crash")
     first = make_runner(tmp_path, injector=injector).run_workload(MEDIA)
     assert first.status == STATUS_ERROR
+    assert ResultStore(tmp_path).entries() == []  # only OK rows persist
 
-    # Second run without the fault recomputes and overwrites.
+    # Second run without the fault recomputes and stores.
     second = make_runner(tmp_path).run_workload(MEDIA)
     assert not second.cached
     assert second.status == STATUS_OK
-    payload = json.loads((tmp_path / f"{MEDIA}.json").read_text())
-    assert payload["status"] == STATUS_OK
+    assert make_runner(tmp_path).run_workload(MEDIA).cached
 
 
-def test_checkpoint_ignored_on_scale_change(tmp_path):
+def test_stored_rows_missed_on_scale_change(tmp_path):
     make_runner(tmp_path).run_workload(MEDIA)
-    ctx = ExperimentContext(scale=0.07, checkpoint_dir=tmp_path)
-    outcome = WorkloadRunner(ctx).run_workload(MEDIA)
+    outcome = make_runner(tmp_path, scale=0.07).run_workload(MEDIA)
     assert not outcome.cached
-
-
-def test_corrupt_checkpoint_ignored(tmp_path):
-    (tmp_path / f"{MEDIA}.json").write_text("{not json")
-    with pytest.warns(RuntimeWarning, match="corrupt checkpoint"):
-        outcome = make_runner(tmp_path).run_workload(MEDIA)
-    assert not outcome.cached
-    assert outcome.status == STATUS_OK
 
 
 def test_run_suite_isolates_failures(tmp_path):
@@ -221,15 +205,3 @@ def test_assemble_table_appends_degraded_and_summary():
 def test_assemble_table_skips_other_suites():
     outcome = WorkloadOutcome(SPEC, "spec", STATUS_ERROR)
     assert assemble_table(media_spec(), [outcome]) == []
-
-
-def test_outcome_payload_round_trip():
-    outcome = WorkloadOutcome(
-        MEDIA, "mediabench", STATUS_ERROR,
-        error="boom", error_type="RuntimeError", attempts=2, elapsed=1.25,
-    )
-    restored = WorkloadOutcome.from_payload(MEDIA, outcome.payload())
-    assert restored.cached
-    assert restored.status == STATUS_ERROR
-    assert restored.error == "boom"
-    assert restored.attempts == 2

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -9,9 +10,25 @@ from pathlib import Path
 
 import pytest
 
-from repro.service.store import RESULT_CODE_VERSION, ResultStore
+from repro.service.store import ResultStore, code_version
 
 _FORK = multiprocessing.get_context("fork")
+
+_SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+def _key_in_subprocess(src: Path) -> str:
+    """``code_version()`` and ``ResultStore.key("a")`` under *src*."""
+    script = (
+        "from repro.service.store import ResultStore, code_version\n"
+        "print(code_version(), ResultStore.key('a'))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    return out.stdout.strip()
 
 
 @pytest.fixture
@@ -35,11 +52,26 @@ def test_forget(store):
 
 
 def test_key_includes_code_version(store):
-    assert RESULT_CODE_VERSION == 1  # bumping must be a conscious act
+    assert len(code_version()) == 64  # a sha256 over the source
     key = store.key("a")
     assert key != store.key("a", 2)
     assert key != store.key("b")
     assert key == store.key("a")
+
+
+def test_edited_source_tree_changes_keys(tmp_path):
+    """Another process over a copy of the tree keys like this one until
+    one file changes."""
+    copy = tmp_path / "src"
+    shutil.copytree(_SRC / "repro", copy / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    original = _key_in_subprocess(copy)
+    assert original == f"{code_version()} {ResultStore.key('a')}"
+    edited = copy / "repro" / "sim" / "pipeline.py"
+    edited.write_text(edited.read_text() + "\n# edited\n")
+    version, key = _key_in_subprocess(copy).split()
+    assert version != code_version()
+    assert key != ResultStore.key("a")
 
 
 def test_truncated_entry_is_a_miss_and_deleted(store):
@@ -154,8 +186,7 @@ def test_key_stable_across_processes(tmp_path):
         frozenset({"p", "q"}), ("tuple", 3),
     )
     local = ResultStore.key(*parts)
-    src = Path(__file__).resolve().parents[2] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="12345")
+    env = dict(os.environ, PYTHONPATH=str(_SRC), PYTHONHASHSEED="12345")
     script = (
         "from repro.service.store import ResultStore\n"
         "parts = ('job', 1.25, {'nested': [1, 2, {'deep': 'x'}]}, "
