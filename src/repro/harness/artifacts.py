@@ -3,7 +3,7 @@
 :func:`artifact_key` hashes the facts that determine an artifact —
 workload name, scale, machine configuration, verifier switches,
 injected-fault mode, attempt — into a key that is identical in every
-process.  The result store (:class:`~repro.service.store.ResultStore`)
+process.  The result store (:class:`~repro.harness.store.ResultStore`)
 keys its entries with it, and the run manifest records one per
 workload.
 """

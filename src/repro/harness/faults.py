@@ -28,9 +28,8 @@ Supported modes:
 
 from __future__ import annotations
 
-import random
 import threading
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.errors import InjectedFault
 from repro.isa.instruction import Imm, Instruction, Reg
@@ -207,104 +206,3 @@ class FaultInjector:
         if fault is None or fault.mode != "corrupt-output":
             return output
         return list(output) + [0xBAD]
-
-
-# ---------------------------------------------------------------------------
-# Service-layer (distributed) faults
-# ---------------------------------------------------------------------------
-
-#: Fault modes a :mod:`repro.service.worker` process can inject while
-#: holding a lease.
-SERVICE_MODES = ("crash", "hang", "stale", "corrupt")
-
-
-class ServiceFaultInjector:
-    """Deterministic faults for a leased service worker.
-
-    Where :class:`FaultInjector` breaks the *pipeline* (so the runner's
-    retry/degradation machinery is exercised), this breaks the *worker
-    protocol* itself, so the coordinator's lease recovery is testable:
-
-    ==========  ========================================================
-    ``crash``   hard-exit the worker process mid-job (``os._exit``);
-                the lease expires and the job is requeued
-    ``hang``    keep heartbeating but never produce a result; the
-                coordinator's per-attempt deadline must revoke the lease
-    ``stale``   stop heartbeating, outlive the lease, then complete
-                late — the duplicate-completion path
-    ``corrupt`` complete with a result that fails validation; counts as
-                a lease failure and drives the poisoning path
-    ==========  ========================================================
-
-    Entries select jobs by 1-based lease ordinal (``crash@3`` fires on
-    this worker's third lease) or by job label (``corrupt@rows:022.li``
-    fires on every lease of that job — the deterministic way to poison
-    one job).  :meth:`seeded` instead derives a pseudo-random schedule
-    from a seed, for chaos tests whose fault points must be arbitrary
-    but reproducible.
-    """
-
-    def __init__(self) -> None:
-        self._by_ordinal: Dict[int, str] = {}
-        self._by_label: Dict[str, str] = {}
-
-    @classmethod
-    def parse(cls, entries: Sequence[str]) -> "ServiceFaultInjector":
-        """Build an injector from CLI ``MODE@SELECTOR`` entries."""
-        injector = cls()
-        for entry in entries:
-            mode, sep, selector = entry.partition("@")
-            if not sep or not mode or not selector:
-                raise ValueError(
-                    f"bad service fault {entry!r}; expected MODE@ORDINAL "
-                    "or MODE@JOB_LABEL"
-                )
-            if mode not in SERVICE_MODES:
-                raise ValueError(
-                    f"unknown service fault mode {mode!r}; known: "
-                    f"{', '.join(SERVICE_MODES)}"
-                )
-            if selector.isdigit():
-                ordinal = int(selector)
-                if ordinal < 1:
-                    raise ValueError("fault ordinal must be >= 1")
-                injector._by_ordinal[ordinal] = mode
-            else:
-                injector._by_label[selector] = mode
-        return injector
-
-    @classmethod
-    def seeded(
-        cls,
-        seed: int,
-        rate: float,
-        modes: Sequence[str] = SERVICE_MODES,
-        horizon: int = 64,
-    ) -> "ServiceFaultInjector":
-        """A reproducible pseudo-random fault schedule.
-
-        Each of the first *horizon* leases independently faults with
-        probability *rate*; the mode is drawn from *modes*.  The same
-        seed always produces the same schedule.
-        """
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError("rate must be in [0, 1]")
-        for mode in modes:
-            if mode not in SERVICE_MODES:
-                raise ValueError(f"unknown service fault mode {mode!r}")
-        injector = cls()
-        rng = random.Random(seed)
-        for ordinal in range(1, horizon + 1):
-            if rng.random() < rate:
-                injector._by_ordinal[ordinal] = rng.choice(list(modes))
-        return injector
-
-    def __bool__(self) -> bool:
-        return bool(self._by_ordinal or self._by_label)
-
-    def plan(self, ordinal: int, label: str) -> Optional[str]:
-        """The fault mode for this lease, or None (label wins)."""
-        mode = self._by_label.get(label)
-        if mode is not None:
-            return mode
-        return self._by_ordinal.get(ordinal)

@@ -5,7 +5,6 @@ Usage::
     python -m repro.harness.main [--scale 1.0] [--suite all|spec|media]
                                  [--jobs N] [--timeout SECS] [--retries N]
                                  [--result-cache DIR] [--profile]
-                                 [--workers URL[,URL...]]
                                  [--predictor NAME[,NAME...]]
                                  [--inject WORKLOAD=MODE]...
 
@@ -18,19 +17,14 @@ aborting the run, and the exit status is non-zero whenever any row
 degraded.  ``--jobs N`` (default: the usable cores) runs whole
 workloads as tasks on N forked worker processes with identical output;
 ``--jobs 1`` runs them in this process, for debugging and profiling;
-``--workers URL[,URL...]`` instead shards whole workloads across
-running ``repro.service`` coordinators (round-robin) whose leased
-remote workers execute them — tables are byte-identical to a
-single-host run, even when a worker dies mid-sweep (the coordinator's
-lease recovery requeues its jobs); ``--profile`` re-runs the slowest
-workload under cProfile and writes the top cumulative entries to the
-working directory.  ``--result-cache DIR`` stores each completed
-workload's rows under a key over everything that determines them, so a
-re-invocation with the same directory skips workloads that already
-completed and re-runs only the failed ones (and any whose flags or code
-changed).  ``--inject`` plants deterministic faults (crash, hang,
-flaky:N, corrupt-ir, corrupt-output) for exercising that machinery end
-to end.
+``--profile`` re-runs the slowest workload under cProfile and writes
+the top cumulative entries to the working directory.  ``--result-cache
+DIR`` stores each completed workload's rows under a key over everything
+that determines them, so a re-invocation with the same directory skips
+workloads that already completed and re-runs only the failed ones (and
+any whose flags or code changed).  ``--inject`` plants deterministic
+faults (crash, hang, flaky:N, corrupt-ir, corrupt-output) for
+exercising that machinery end to end.
 """
 
 from __future__ import annotations
@@ -193,30 +187,17 @@ def _write_run_manifest(args, argv, ctx, outcomes) -> None:
         scale=args.scale,
         machine=ctx.machine,
         workloads=entries,
-        extra={
-            "suite": args.suite,
-            "jobs": args.jobs,
-            "workers": ([u.strip() for u in args.workers.split(",")
-                         if u.strip()] if args.workers else []),
-        },
+        extra={"suite": args.suite, "jobs": args.jobs},
     )
     obs.write_manifest(args.trace_out, manifest)
 
 
-def _ablation_table(ctx, backends, outcomes):
-    """The predictor-ablation rows of every successful workload.
+def _ablation_table(backends, outcomes):
+    """The predictor-ablation rows of every successful workload: each
+    outcome's ``"ablation"`` fragment, computed next to its tables."""
+    from repro.harness.experiments import ablation_summary
 
-    Each row is the outcome's ``"ablation"`` fragment, computed next to
-    its tables; an outcome without one (a ``--workers`` job carries no
-    backends) gets its row computed here.
-    """
-    from repro.harness.experiments import ablation_row, ablation_summary
-
-    rows = [
-        o.rows["ablation"] if "ablation" in o.rows
-        else ablation_row(ctx, o.name, backends)
-        for o in outcomes if not o.degraded
-    ]
+    rows = [o.rows["ablation"] for o in outcomes if not o.degraded]
     return rows + ablation_summary(rows, backends)
 
 
@@ -238,9 +219,9 @@ def main(argv=None) -> int:
                         "error")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes, one workload per task "
-                        "(default: the usable cores, or 1 with "
-                        "--workers); 1 runs every workload in this "
-                        "process, for debugging and --profile")
+                        "(default: the usable cores); 1 runs every "
+                        "workload in this process, for debugging and "
+                        "--profile")
     parser.add_argument("--profile", action="store_true",
                         help="after the run, cProfile the slowest "
                         "workload and write the top-25 cumulative "
@@ -258,21 +239,11 @@ def main(argv=None) -> int:
                         help="persistent cross-run result store and the "
                         "resume flag: workloads stored under the same "
                         "flags and code skip compile+simulate, so a "
-                        "re-run re-runs only failures; shareable with "
-                        "'python -m repro.service serve --store DIR'")
-    parser.add_argument("--result-cache-max-mb", type=int, default=0,
-                        metavar="N",
-                        help="LRU size bound of --result-cache in MiB "
-                        "(0 = unbounded)")
+                        "re-run re-runs only failures")
     parser.add_argument("--inject", action="append", default=[],
                         metavar="WORKLOAD=MODE",
                         help="inject a fault (crash, hang, flaky:N, "
                         "corrupt-ir[:PASS], corrupt-output); repeatable")
-    parser.add_argument("--workers", default=None, metavar="URL[,URL...]",
-                        help="shard the sweep across these running "
-                        "repro.service coordinators (round-robin); "
-                        "their lease-based fault recovery replaces the "
-                        "local retry policy")
     parser.add_argument("--predictor", default=None,
                         metavar="NAME[,NAME...]",
                         help="also print the predictor-backend ablation "
@@ -306,21 +277,8 @@ def main(argv=None) -> int:
                 )
             if backend not in predictor_backends:
                 predictor_backends.append(backend)
-    worker_urls = []
-    if args.workers is not None:
-        worker_urls = [u.strip() for u in args.workers.split(",")
-                       if u.strip()]
-        if not worker_urls:
-            parser.error("--workers needs at least one URL")
-        if args.jobs is not None and args.jobs > 1:
-            parser.error("--workers and --jobs > 1 are mutually "
-                         "exclusive (the coordinators own the workers)")
-        if args.inject:
-            parser.error("--inject does not cross the wire; inject "
-                         "faults on the service workers instead "
-                         "(python -m repro.service worker --inject ...)")
     if args.jobs is None:
-        args.jobs = 1 if worker_urls else usable_cores()
+        args.jobs = usable_cores()
 
     try:
         injector = FaultInjector.parse(args.inject) if args.inject else None
@@ -348,27 +306,14 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     result_store = None
     if args.result_cache is not None:
-        from repro.service.store import ResultStore
-        result_store = ResultStore(
-            args.result_cache,
-            max_bytes=(args.result_cache_max_mb * 1024 * 1024
-                       if args.result_cache_max_mb else None),
-        )
-    pool = None
-    if worker_urls:
-        from repro.service.pool import RemotePool
-        pool = RemotePool(worker_urls)
-        if args.timeout or args.retries:
-            print("--workers: timeout/retry policy is enforced by the "
-                  "coordinator(s); local --timeout/--retries apply only "
-                  "to cache preambles", file=sys.stderr)
+        from repro.harness.store import ResultStore
+        result_store = ResultStore(args.result_cache)
     runner = WorkloadRunner(
         ctx,
         config,
         progress=lambda msg: print(msg, file=sys.stderr, flush=True),
         jobs=args.jobs,
         result_store=result_store,
-        pool=pool,
         backends=predictor_backends,
     )
 
@@ -405,7 +350,7 @@ def main(argv=None) -> int:
                     backends=",".join(predictor_backends),
                 ):
                     ablation_rows = _ablation_table(
-                        ctx, predictor_backends, outcomes
+                        predictor_backends, outcomes
                     )
         if args.trace_out is not None:
             cli = list(argv) if argv is not None else list(sys.argv[1:])

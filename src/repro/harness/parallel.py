@@ -1,22 +1,19 @@
-"""Pool-based suite driver for the experiment harness.
+"""Fork-pool suite driver for the experiment harness.
 
-One workload is one ``rows_full`` task: compile → emulate → profile →
-config sweep → row fragments, all inside a single worker, so nothing of
-the workload crosses a process boundary except its final row dicts.
-That is exactly the shape a remote worker returns, so the same driver,
-:func:`run_suite_pooled`, shards a suite across forked processes
-(:class:`~repro.service.pool.LocalPool`, the harness's ``--jobs N``
-and ``--timeout`` paths) or across ``repro.service`` coordinators with
-leased remote workers (:class:`~repro.service.pool.RemotePool`,
-``--workers``).  Every float in every table comes from the same
-:func:`~repro.harness.runner.compute_rows` code path as an in-process
-run, so pooled output is identical row for row.
+One workload is one task: compile → emulate → profile → config sweep →
+row fragments, all inside a single forked worker, so nothing of the
+workload crosses a process boundary except its final row dicts.
+:func:`run_suite_pooled` shards a suite across a :class:`LocalPool`
+(the harness's ``--jobs N`` and ``--timeout`` paths).  Every float in
+every table comes from the same :func:`~repro.harness.runner.compute_rows`
+code path as an in-process run, so pooled output is identical row for
+row.
 
 Fault-isolation semantics mirror the in-process runner: per-attempt
 wall-clock deadline (the worker running the attempt is killed for real
 and respawned), bounded retries with exponential backoff (timeouts are
-not retried), and degradation to ERROR/TIMEOUT outcomes.  With a remote
-pool the coordinator owns that policy (``pool.handles_retries``).
+not retried), and degradation to ERROR/TIMEOUT outcomes.  A worker that
+dies mid-task fails that attempt as a ``WorkerCrash``.
 """
 
 from __future__ import annotations
@@ -24,7 +21,9 @@ from __future__ import annotations
 import multiprocessing
 import time
 from collections import deque
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+from multiprocessing.connection import wait as _conn_wait
 
 from repro import obs
 from repro.errors import ReproError
@@ -36,131 +35,151 @@ _FORK = multiprocessing.get_context("fork")
 #: Scheduler tick when no deadline is nearer (seconds).
 _POLL = 0.05
 
+#: One polled result: (task_id, ok, rows-or-(error_type, message)).
+TaskResult = Tuple[str, bool, object]
+
 
 # ---------------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------------
 
-def local_pool(ctx: ExperimentContext, size: int):
-    """A :class:`~repro.service.pool.LocalPool` of *size* forked workers
-    whose ``rows_full`` tasks run with *ctx*'s settings."""
-    from repro.service.pool import LocalPool
-
-    return LocalPool({
-        "scale": ctx.scale,
-        "machine": ctx.machine,
-        "verify": ctx.verify,
-        "verify_ir": ctx.verify_ir,
-        "injector": ctx.fault_injector,
-    }, size)
-
-
-def _child_context(init: dict) -> ExperimentContext:
-    """A fresh child-side context for one task."""
-    return ExperimentContext(
-        scale=init["scale"],
-        machine=init["machine"],
-        verify=init["verify"],
-        verify_ir=init["verify_ir"],
-        fault_injector=init["injector"],
-    )
-
-
-def _task_service(init: dict, payload: dict):
-    """One service-layer compile-and-simulate job (see repro.service).
-
-    The service scheduler drives the same :class:`_Worker` pool as the
-    suite driver; its jobs arrive as this task kind.  Imported lazily
-    so harness runs never load the service layer.
-    """
-    from repro.service.jobs import execute_job
-
-    return execute_job(payload["spec"], machine=init["machine"])
-
-
-def _task_rows_full(init: dict, payload: dict):
+def _run_task(init: dict, payload: dict):
     """One attempt at one workload's *entire* sweep, prepare through rows.
 
-    Opens the same ``workload`` span (``status`` tag, ``attempts``
-    counter) as the in-process runner, so a trace has the same shape at
-    any ``--jobs``.
+    Runs on a fresh child-side context built from *init* (the parent's
+    :class:`ExperimentContext` settings) and opens the same ``workload``
+    span (``status`` tag, ``attempts`` counter) as the in-process
+    runner, so a trace has the same shape at any ``--jobs``.
     """
     from repro.harness.runner import STATUS_ERROR, STATUS_OK, compute_rows
 
     name = payload["name"]
     attempt = payload["attempt"]
-    injector = init["injector"]
+    injector = init["fault_injector"]
     with obs.current().span("workload", workload=name) as span:
         span.set_counters(attempts=attempt)
         span.set_tag(status=STATUS_ERROR)  # until the rows are in
         if injector is not None:
             injector.prime(name, attempt)
             injector.fire(name, attempt)
-        rows = compute_rows(_child_context(init), name, payload["backends"])
+        rows = compute_rows(ExperimentContext(**init), name,
+                            payload["backends"])
         span.set_tag(status=STATUS_OK)
-    return {"suite": get_workload(name).suite, "rows": rows}
+    return rows
 
 
-_TASKS = {
-    "rows_full": _task_rows_full,
-    "service": _task_service,
-}
-
-
-def _worker_main(conn, init: dict, slot: int = 0) -> None:
-    """Worker loop: run tasks off the pipe until told to exit."""
+def _worker_main(conn, init: dict, slot: int) -> None:
+    """Worker loop: run payloads off the pipe until told to exit."""
     tracer = obs.current()
     if tracer.enabled:
         tracer.add_tags(worker=f"w{slot}")
     while True:
-        message = conn.recv()
-        if message is None:
+        payload = conn.recv()
+        if payload is None:
             return
-        task_id, kind, payload = message
         try:
-            result = _TASKS[kind](init, payload)
+            result = _run_task(init, payload)
         except Exception as exc:
             if isinstance(exc, ReproError):
-                exc.add_context(workload=payload.get("name"))
-            conn.send((task_id, False, (type(exc).__name__, str(exc))))
+                exc.add_context(workload=payload["name"])
+            conn.send((False, (type(exc).__name__, str(exc))))
         else:
-            conn.send((task_id, True, result))
+            conn.send((True, result))
 
 
-class _Worker:
-    """One pooled process plus its duplex pipe and current task."""
+class LocalPool:
+    """*size* forked workers, each running one task at a time.
 
-    __slots__ = ("proc", "conn", "current", "slot")
+    Every worker inherits *ctx*'s settings and builds a fresh context
+    per task.  A worker that dies mid-task is respawned and its task
+    reported as a ``WorkerCrash`` failure; :meth:`kill` terminates the
+    worker running a task for real (the runner's deadline semantics)
+    and respawns it.
+    """
 
-    def __init__(self, init: dict, slot: int = 0):
-        self.slot = slot
-        self.conn, child_conn = _FORK.Pipe(duplex=True)
-        self.proc = _FORK.Process(
-            target=_worker_main, args=(child_conn, init, slot), daemon=True
+    def __init__(self, ctx: ExperimentContext, size: int):
+        if size < 1:
+            raise ValueError("pool size must be >= 1")
+        self._init = {
+            "scale": ctx.scale,
+            "machine": ctx.machine,
+            "verify": ctx.verify,
+            "verify_ir": ctx.verify_ir,
+            "fault_injector": ctx.fault_injector,
+        }
+        self._procs: list = [None] * size
+        self._conns: list = [None] * size
+        #: The task id each slot is running (None: idle).
+        self._tasks: List[Optional[str]] = [None] * size
+        for slot in range(size):
+            self._spawn(slot)
+
+    def _spawn(self, slot: int) -> None:
+        conn, child_conn = _FORK.Pipe(duplex=True)
+        proc = _FORK.Process(
+            target=_worker_main, args=(child_conn, self._init, slot),
+            daemon=True,
         )
-        self.proc.start()
+        proc.start()
         child_conn.close()
-        self.current: Optional[dict] = None
+        self._procs[slot], self._conns[slot] = proc, conn
 
-    def submit(self, task: dict) -> None:
-        self.current = task
-        self.conn.send((task["id"], task["kind"], task["payload"]))
+    def _respawn(self, slot: int) -> None:
+        self._procs[slot].terminate()
+        self._procs[slot].join()
+        self._conns[slot].close()
+        self._tasks[slot] = None
+        self._spawn(slot)
 
-    def kill(self) -> None:
-        self.proc.terminate()
-        self.proc.join()
-        self.conn.close()
+    def idle(self) -> int:
+        """How many tasks can be submitted right now."""
+        return self._tasks.count(None)
+
+    def busy(self) -> bool:
+        """True when at least one submitted task has not come back."""
+        return self.idle() < len(self._tasks)
+
+    def submit(self, task_id: str, payload: dict) -> None:
+        """Hand *payload* to an idle worker (check :meth:`idle` first)."""
+        slot = self._tasks.index(None)
+        self._tasks[slot] = task_id
+        self._conns[slot].send(payload)
+
+    def poll(self, timeout: float) -> List[TaskResult]:
+        """Completed tasks, waiting up to *timeout* seconds for one."""
+        busy = {self._conns[slot]: slot
+                for slot, task in enumerate(self._tasks) if task is not None}
+        out: List[TaskResult] = []
+        for conn in _conn_wait(list(busy), timeout=timeout):
+            slot = busy[conn]
+            task_id = self._tasks[slot]
+            try:
+                ok, result = conn.recv()
+            except (EOFError, OSError):
+                self._respawn(slot)
+                out.append((task_id, False,
+                            ("WorkerCrash", "worker process died")))
+                continue
+            self._tasks[slot] = None
+            out.append((task_id, ok, result))
+        return out
+
+    def kill(self, task_id: str) -> None:
+        """Abort a running task by killing (and respawning) its worker."""
+        self._respawn(self._tasks.index(task_id))
 
     def stop(self) -> None:
-        try:
-            self.conn.send(None)
-            self.proc.join(1.0)
-        except (BrokenPipeError, OSError):
-            pass
-        if self.proc.is_alive():
-            self.proc.terminate()
-            self.proc.join()
-        self.conn.close()
+        """Release every worker (running tasks are abandoned)."""
+        for proc, conn in zip(self._procs, self._conns):
+            try:
+                conn.send(None)
+                proc.join(1.0)
+            except (BrokenPipeError, OSError):
+                pass
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
+            conn.close()
 
 
 # ---------------------------------------------------------------------------
@@ -183,19 +202,17 @@ class _State:
         self.task_id: Optional[str] = None
 
 
-def run_suite_pooled(runner, names: Sequence[str], pool,
+def run_suite_pooled(runner, names: Sequence[str], size: int,
                      done: Callable) -> None:
-    """Run every workload in *names* on *pool*, one task per workload.
+    """Run every workload in *names* on a :class:`LocalPool` of *size*
+    workers, one task per workload attempt.
 
     *names* are the workloads the runner could not resume from the
     result store; each finished
     :class:`~repro.harness.runner.WorkloadOutcome` is handed to *done*
-    as it lands (the runner stores and announces it, including rows a
-    coordinator served from its own cache).  With a local
-    pool the retry/backoff/timeout policy runs here, while a remote
-    pool's coordinator owns it (``pool.handles_retries``), including
-    lease-based recovery from workers that crash or vanish mid-job.
-    The pool is stopped on return.
+    as it lands (the runner stores and announces it).  The runner's
+    retry/backoff/timeout policy runs here; the pool is stopped on
+    return.
     """
     from repro.harness.runner import (
         STATUS_ERROR,
@@ -206,7 +223,7 @@ def run_suite_pooled(runner, names: Sequence[str], pool,
 
     ctx = runner.ctx
     config = runner.config
-    local_policy = not pool.handles_retries
+    pool = LocalPool(ctx, size)
     states: Dict[str, _State] = {}  # name -> state (all unfinished)
     by_task: Dict[str, _State] = {}  # task_id -> state (submitted)
     pending: deque = deque()  # states not yet submitted
@@ -223,25 +240,19 @@ def run_suite_pooled(runner, names: Sequence[str], pool,
         state.attempt += 1
         if state.started is None:
             state.started = now
-        if config.timeout and local_policy:
+        if config.timeout:
             state.deadline = now + config.timeout
         state.task_id = f"{state.name}#{state.attempt}"
         by_task[state.task_id] = state
-        pool.submit({
-            "id": state.task_id,
-            "kind": "rows_full",
-            "payload": {
-                "name": state.name,
-                "attempt": state.attempt,
-                "scale": ctx.scale,
-                "verify_ir": ctx.verify_ir,
-                "backends": runner.backends,
-            },
+        pool.submit(state.task_id, {
+            "name": state.name,
+            "attempt": state.attempt,
+            "backends": runner.backends,
         })
 
     def retry_or_fail(state: _State, error_type: str,
                       message: str, now: float) -> None:
-        if local_policy and state.attempt <= config.retries:
+        if state.attempt <= config.retries:
             delay = config.backoff * (2 ** (state.attempt - 1))
             runner._say(
                 f"{state.name}: attempt {state.attempt} failed "
@@ -251,10 +262,8 @@ def run_suite_pooled(runner, names: Sequence[str], pool,
             state.deadline = None
             pending.append(state)
             return
-        status = (STATUS_TIMEOUT if error_type == "Timeout"
-                  else STATUS_ERROR)
         finish(state, WorkloadOutcome(
-            state.name, state.suite, status,
+            state.name, state.suite, STATUS_ERROR,
             error=message, error_type=error_type,
             attempts=state.attempt,
             elapsed=now - state.started,
@@ -264,13 +273,11 @@ def run_suite_pooled(runner, names: Sequence[str], pool,
         while states:
             now = time.monotonic()
 
-            # Local-pool deadlines (a remote pool's coordinator enforces
-            # its own; see JobScheduler._enforce_deadlines).
-            if config.timeout and local_policy:
+            if config.timeout:
                 for state in list(by_task.values()):
                     if state.deadline is None or now < state.deadline:
                         continue
-                    pool.kill_task(state.task_id)
+                    pool.kill(state.task_id)
                     del by_task[state.task_id]
                     if ctx.fault_injector is not None:
                         ctx.fault_injector.stop_event.set()
@@ -299,32 +306,20 @@ def run_suite_pooled(runner, names: Sequence[str], pool,
                 continue
 
             timeout = _POLL
-            if config.timeout and local_policy:
-                deadlines = [s.deadline for s in by_task.values()
-                             if s.deadline is not None]
-                if deadlines:
-                    timeout = min(timeout, max(0.0, min(deadlines) - now))
+            deadlines = [s.deadline for s in by_task.values()
+                         if s.deadline is not None]
+            if deadlines:
+                timeout = min(timeout, max(0.0, min(deadlines) - now))
             for task_id, ok, result in pool.poll(timeout):
-                state = by_task.pop(task_id, None)
-                if state is None or state.name not in states:
-                    continue  # superseded attempt or late straggler
+                state = by_task.pop(task_id)
                 now = time.monotonic()
                 if not ok:
-                    error_type, message = result[0], result[1]
-                    if len(result) > 2 and result[2]:
-                        # The coordinator's attempt count (its retries
-                        # happened remotely, invisible to this loop).
-                        state.attempt = result[2]
-                    retry_or_fail(state, error_type, message, now)
+                    retry_or_fail(state, *result, now)
                     continue
-                attempts = result.get("attempts", state.attempt) or \
-                    state.attempt
                 finish(state, WorkloadOutcome(
-                    state.name,
-                    result.get("suite", state.suite),
-                    STATUS_OK,
-                    rows=result["rows"],
-                    attempts=attempts,
+                    state.name, state.suite, STATUS_OK,
+                    rows=result,
+                    attempts=state.attempt,
                     elapsed=now - state.started,
                 ))
     finally:

@@ -140,20 +140,18 @@ class WorkloadRunner:
     another in this process (the debugging and ``--profile`` path).
     Otherwise every workload becomes one task of
     :func:`~repro.harness.parallel.run_suite_pooled` over a
-    :class:`~repro.service.pool.LocalPool` of ``jobs`` forked workers
-    (one worker when only the timeout asks for it, so a wedged attempt
-    is killed for real), or over ``pool`` when one is given (e.g. a
-    RemotePool of coordinators).  Rows, statuses, attempt counts and
+    :class:`~repro.harness.parallel.LocalPool` of ``jobs`` forked
+    workers (one worker when only the timeout asks for it, so a wedged
+    attempt is killed for real).  Rows, statuses, attempt counts and
     store entries are identical either way.
 
-    ``result_store`` (a :class:`~repro.service.store.ResultStore`, the
+    ``result_store`` (a :class:`~repro.harness.store.ResultStore`, the
     harness's ``--result-cache``) persists each OK workload's row
     fragments across *runs*, keyed on everything that determines them
     (name, scale, machine, verifier switches, injected-fault mode,
     ablation backends, code version): a warm store skips the workload's
     compile+simulate entirely and reproduces byte-identical tables, so
-    resuming a partly failed run re-runs only its failures.  The same
-    store can back the long-lived service layer.
+    resuming a partly failed run re-runs only its failures.
 
     ``backends`` names the predictor backends whose ablation row each
     workload computes as its ``"ablation"`` fragment (empty: none).
@@ -166,7 +164,6 @@ class WorkloadRunner:
         progress: Optional[Callable[[str], None]] = None,
         jobs: int = 1,
         result_store=None,
-        pool=None,
         backends: Sequence[str] = (),
     ):
         if jobs < 1:
@@ -176,9 +173,6 @@ class WorkloadRunner:
         self._progress = progress
         self.jobs = jobs
         self.result_store = result_store
-        #: A :class:`repro.service.pool.Pool` to shard the suite over
-        #: (e.g. a RemotePool of coordinators); overrides ``jobs``.
-        self.pool = pool
         self.backends = tuple(backends)
 
     def _say(self, message: str) -> None:
@@ -311,14 +305,10 @@ class WorkloadRunner:
             else:
                 done(resumed)
 
-        pooled = self.pool is not None or (
-            todo and (self.jobs > 1 or self.config.timeout))
-        if pooled:
-            from repro.harness.parallel import local_pool, run_suite_pooled
+        if todo and (self.jobs > 1 or self.config.timeout):
+            from repro.harness.parallel import run_suite_pooled
 
-            pool = self.pool or local_pool(
-                self.ctx, min(self.jobs, len(todo)))
-            run_suite_pooled(self, todo, pool, done)
+            run_suite_pooled(self, todo, min(self.jobs, len(todo)), done)
         else:
             for name in todo:
                 done(self._run_in_process(name))

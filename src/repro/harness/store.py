@@ -12,18 +12,15 @@ Entry format — one file per key, ``<key>.res``::
 Guarantees:
 
 * **Atomic writes** — temp file + ``os.replace``, so concurrent writers
-  (forked harness workers, server pool workers) never expose a partial
-  entry; last writer wins, and both wrote the same content anyway
-  because the key is content-addressed.
+  (forked harness workers, parallel runs sharing a directory) never
+  expose a partial entry; last writer wins, and both wrote the same
+  content anyway because the key is content-addressed.
 * **Corruption detection** — a read verifies the checksum before
   unpickling and guards the unpickle itself; a truncated or corrupted
   entry counts as a miss, is deleted, and never propagates an
   exception.
-* **Size-bounded LRU eviction** — with ``max_bytes`` set, the oldest
-  entries (by mtime; a hit bumps it) are evicted after each write until
-  the store fits.  The entry just written is never evicted.
-* **Observability** — hits/misses/corruption/evictions are counted on
-  the instance and emitted as ``store.*`` events on the ambient
+* **Observability** — hits/misses/corruption are counted on the
+  instance and emitted as ``store.*`` events on the ambient
   :mod:`repro.obs` tracer.
 
 Keys come from :meth:`ResultStore.key`, which folds
@@ -40,7 +37,7 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import List
 
 from repro import obs
 from repro.harness.artifacts import artifact_key
@@ -79,30 +76,25 @@ _DIGEST_LEN = 32  # sha256
 
 
 class ResultStore:
-    """Checksummed pickle entries under one directory, LRU-bounded.
+    """Checksummed pickle entries under one directory.
 
-    ``max_bytes`` limits the sum of entry-file sizes; ``None`` means
-    unbounded.  All operations are safe against concurrent readers and
-    writers in other processes — the worst case is recomputing a value
-    another process was about to publish.
+    All operations are safe against concurrent readers and writers in
+    other processes — the worst case is recomputing a value another
+    process was about to publish.
     """
 
-    def __init__(self, root, max_bytes: Optional[int] = None) -> None:
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError("max_bytes must be positive or None")
+    def __init__(self, root) -> None:
         self.root = Path(root)
-        self.max_bytes = max_bytes
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
-        self.evictions = 0
 
     # -- keys --------------------------------------------------------------
 
     @staticmethod
     def key(*parts) -> str:
         """Content key over *parts* plus the pipeline code version."""
-        return artifact_key("repro.service.result", code_version(), *parts)
+        return artifact_key("repro.harness.result", code_version(), *parts)
 
     def path(self, key: str) -> Path:
         return self.root / f"{key}{_SUFFIX}"
@@ -134,10 +126,6 @@ class ResultStore:
             return None
         self.hits += 1
         self._emit("store.hit", key)
-        try:
-            os.utime(path)  # bump mtime: this entry is now most recent
-        except OSError:
-            pass
         return value
 
     def put(self, key: str, value) -> Path:
@@ -169,8 +157,6 @@ class ResultStore:
                 pass
             raise
         self._emit("store.put", key)
-        if self.max_bytes is not None:
-            self._evict(keep=path.name)
         return path
 
     def _fsync_dir(self) -> None:
@@ -185,13 +171,6 @@ class ResultStore:
             pass
         finally:
             os.close(dir_fd)
-
-    def forget(self, key: str) -> None:
-        """Drop *key* from the filesystem (best effort)."""
-        try:
-            os.unlink(self.path(key))
-        except OSError:
-            pass
 
     @staticmethod
     def _decode(blob: bytes):
@@ -210,54 +189,22 @@ class ResultStore:
             # (e.g. written by an incompatible interpreter): miss.
             return None, False
 
-    # -- eviction and stats ------------------------------------------------
+    # -- stats -------------------------------------------------------------
 
-    def entries(self):
-        """``(mtime, size, path)`` of every entry, oldest first."""
+    def entries(self) -> List[Path]:
+        """Every entry file, sorted by name."""
         try:
-            listing = list(self.root.glob(f"*{_SUFFIX}"))
+            return sorted(self.root.glob(f"*{_SUFFIX}"))
         except OSError:
             return []
-        out = []
-        for path in listing:
-            try:
-                stat = path.stat()
-            except OSError:
-                continue  # evicted/replaced by another process mid-scan
-            out.append((stat.st_mtime_ns, stat.st_size, path))
-        out.sort()
-        return out
-
-    def _evict(self, keep: str) -> None:
-        """Delete oldest entries until the store fits ``max_bytes``."""
-        entries = self.entries()
-        total = sum(size for _, size, _ in entries)
-        for _, size, path in entries:
-            if total <= self.max_bytes:
-                break
-            if path.name == keep:
-                continue  # never evict the entry just written
-            try:
-                os.unlink(path)
-            except OSError:
-                continue
-            total -= size
-            self.evictions += 1
-            self._emit("store.evict", path.stem)
-
-    def size_bytes(self) -> int:
-        return sum(size for _, size, _ in self.entries())
 
     def stats(self) -> dict:
-        """Counter snapshot (per-process; entry/size figures are live)."""
+        """Counter snapshot (per-process; ``entries`` is live)."""
         return {
             "hits": self.hits,
             "misses": self.misses,
             "corrupt": self.corrupt,
-            "evictions": self.evictions,
             "entries": len(self.entries()),
-            "size_bytes": self.size_bytes(),
-            "max_bytes": self.max_bytes,
         }
 
     def _emit(self, name: str, key: str) -> None:

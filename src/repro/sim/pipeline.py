@@ -273,9 +273,9 @@ def _precompute_frontend(program: Program, trace, cfg, dec):
                     ras.append(addr + 4)
 
     result = (ifetch, imiss_total, br_extra, misp_total)
-    # Bounded (FIFO) so long service sessions sweeping many front-end
-    # variants over one trace cannot grow the Program-attached cache
-    # without limit; a fresh trace identity already resets the dict.
+    # Bounded (FIFO) so a sweep over many front-end variants of one
+    # trace cannot grow the Program-attached cache without limit; a
+    # fresh trace identity already resets the dict.
     while len(inner) >= _FRONTEND_CACHE_LIMIT:
         del inner[next(iter(inner))]
     inner[key] = result

@@ -122,7 +122,7 @@ def _cmd_sweep(args) -> int:
 
     result_store = None
     if args.result_cache is not None:
-        from repro.service.store import ResultStore
+        from repro.harness.store import ResultStore
         result_store = ResultStore(args.result_cache)
     result = run_sweep(
         step=args.step,

@@ -52,7 +52,6 @@ def _capture_runner(monkeypatch):
 
     def run_suite(self, names):
         seen["jobs"] = self.jobs
-        seen["pool"] = type(self.pool).__name__
         return []
 
     monkeypatch.setattr(WorkloadRunner, "run_suite", run_suite)
@@ -64,16 +63,4 @@ def test_default_jobs_is_the_usable_core_count(monkeypatch, capsys):
 
     seen = _capture_runner(monkeypatch)
     assert main(["--scale", "0.02", "--suite", "media"]) == 0
-    assert seen == {"jobs": usable_cores(), "pool": "NoneType"}
-
-
-def test_workers_without_jobs_parses(monkeypatch, capsys):
-    seen = _capture_runner(monkeypatch)
-    assert main(["--scale", "0.02", "--suite", "media",
-                 "--workers", "http://127.0.0.1:1"]) == 0
-    assert seen == {"jobs": 1, "pool": "RemotePool"}
-
-
-def test_workers_with_explicit_jobs_is_a_usage_error():
-    with pytest.raises(SystemExit):
-        main(["--jobs", "2", "--workers", "http://127.0.0.1:1"])
+    assert seen == {"jobs": usable_cores()}

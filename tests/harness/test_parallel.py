@@ -5,15 +5,18 @@ pool of forked workers; these tests hold it to the in-process
 contract of ``jobs=1``: identical row fragments,
 identical assembled tables, identical statuses/attempt counts for
 degraded workloads under injected crash/hang/flaky faults, and identical
-result-store entries.
+result-store entries.  A worker process that dies mid-task is respawned
+and its attempt fails as a ``WorkerCrash``.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
 
+from repro.harness import parallel
 from repro.harness.experiments import ExperimentContext
 from repro.harness.faults import FaultInjector
 from repro.harness.runner import (
@@ -25,7 +28,7 @@ from repro.harness.runner import (
     WorkloadRunner,
     assemble_table,
 )
-from repro.service.store import ResultStore
+from repro.harness.store import ResultStore
 from repro.workloads import workload_names
 
 #: A small mixed subset (both suites) keeps the test quick while still
@@ -47,7 +50,7 @@ def _run_suite(tmp_path: Path, jobs: int, *, inject=None,
     outcomes = runner.run_suite(NAMES)
     entries = {}
     if store:
-        for _, _, path in result_store.entries():
+        for path in result_store.entries():
             entries[path.stem] = result_store.get(path.stem)
     return outcomes, entries
 
@@ -121,3 +124,48 @@ def test_parallel_resume_skips_stored_workloads(tmp_path):
     for name in NAMES[1:]:
         assert by_name[name].cached
         assert by_name[name].status == STATUS_OK
+
+
+def _exit_on_first_attempt(monkeypatch, victim):
+    """Make the pooled worker die outright on *victim*'s first attempt.
+
+    Patched before the pool forks, so every worker inherits it; unlike
+    the ``crash`` inject mode (an exception the worker reports), this
+    takes the dead-pipe path of the pool.
+    """
+    run_task = parallel._run_task
+
+    def dying_run_task(init, payload):
+        if payload["name"] == victim and payload["attempt"] == 1:
+            os._exit(1)
+        return run_task(init, payload)
+
+    monkeypatch.setattr(parallel, "_run_task", dying_run_task)
+
+
+def test_worker_crash_is_retried_on_a_respawned_worker(
+        tmp_path, monkeypatch):
+    seq, _ = _run_suite(tmp_path, jobs=1)
+    _exit_on_first_attempt(monkeypatch, NAMES[1])
+    # A timeout at jobs=1 runs the suite on a one-worker pool, so the
+    # workloads after the crash can only run on the respawned worker.
+    config = RunnerConfig(timeout=60.0, retries=1, backoff=0.0)
+    crashed, _ = _run_suite(tmp_path, jobs=1, config=config)
+    assert all(o.status == STATUS_OK for o in crashed)
+    assert [o.attempts for o in crashed] == [
+        2 if name == NAMES[1] else 1 for name in NAMES
+    ]
+    assert [o.rows for o in crashed] == [o.rows for o in seq]
+
+
+def test_worker_crash_without_retries_degrades_only_its_workload(
+        tmp_path, monkeypatch):
+    _exit_on_first_attempt(monkeypatch, NAMES[1])
+    config = RunnerConfig(timeout=60.0, retries=0)
+    outcomes, _ = _run_suite(tmp_path, jobs=1, config=config)
+    by_name = {o.name: o for o in outcomes}
+    assert by_name[NAMES[1]].status == STATUS_ERROR
+    assert by_name[NAMES[1]].error_type == "WorkerCrash"
+    assert by_name[NAMES[1]].attempts == 1
+    assert all(by_name[name].status == STATUS_OK
+               for name in NAMES if name != NAMES[1])

@@ -11,9 +11,8 @@ import pytest
 from repro.harness.experiments import ExperimentContext
 from repro.harness.main import main
 from repro.harness.runner import WorkloadRunner
-from repro.service import store as store_module
-from repro.service.pool import Pool
-from repro.service.store import ResultStore
+from repro.harness import store as store_module
+from repro.harness.store import ResultStore
 from repro.sim.machine import MachineConfig
 
 ARGS = ["--scale", "0.05", "--suite", "media"]
@@ -110,48 +109,3 @@ def test_key_is_sensitive_to_code_version(capsys, cache_dir, monkeypatch):
     monkeypatch.setattr(store_module, "code_version", lambda: "edited")
     _, err = _run(capsys, "--result-cache", str(cache_dir))
     assert "result cache: 0 hits" in err  # new code, new keys
-
-
-class _CachingCoordinator(Pool):
-    """A remote pool whose coordinator serves every task from its cache."""
-
-    handles_retries = True
-
-    def __init__(self, rows):
-        self.rows = rows
-        self.ready = []
-
-    def idle(self):
-        return 1
-
-    def busy(self):
-        return bool(self.ready)
-
-    def submit(self, task):
-        self.ready.append((task["id"], True, {
-            "suite": "mediabench", "rows": self.rows, "attempts": 1,
-            "cached": True,
-        }))
-
-    def poll(self, timeout):
-        out, self.ready = self.ready, []
-        return out
-
-    def stop(self):
-        pass
-
-
-def test_rows_a_coordinator_served_from_its_cache_are_stored(tmp_path):
-    rows = {"table4": {"benchmark": "adpcm_decode", "speedup": 1.5}}
-    store = ResultStore(tmp_path)
-    ctx = ExperimentContext(scale=0.05)
-    served = WorkloadRunner(
-        ctx, result_store=store, pool=_CachingCoordinator(rows)
-    ).run_workload("adpcm_decode")
-    assert not served.cached  # not read from this run's store
-    assert len(store.entries()) == 1
-
-    resumed = WorkloadRunner(ctx, result_store=store).run_workload(
-        "adpcm_decode")
-    assert resumed.cached
-    assert resumed.rows == rows

@@ -16,7 +16,7 @@ from repro.harness.runner import (
     assemble_table,
     compute_rows,
 )
-from repro.service.store import ResultStore
+from repro.harness.store import ResultStore
 
 SPEC = "023.eqntott"
 MEDIA = "adpcm_decode"
