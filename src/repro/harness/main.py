@@ -55,7 +55,7 @@ from repro.harness.runner import (
     WorkloadRunner,
     assemble_table,
 )
-from repro.workloads import workload_names
+from repro.workloads import workload_names, workload_suite
 
 __all__ = [
     "FIG5A_HEADERS",
@@ -77,14 +77,18 @@ _SUITES = {
 def select_workloads(patterns):
     """Resolve comma/glob ``--workloads`` patterns into workload names.
 
-    Each pattern is either an exact workload name (``gen:`` names
-    materialize on demand) or a glob matched against the registered
-    names (``'gen:*'``, ``'1*'``, ``'*decode*'``).  A pattern that
-    selects nothing raises :class:`ValueError` — silently running an
-    empty suite hides typos.  Order follows the patterns; duplicates
-    collapse to the first occurrence.
+    Each pattern is either an exact workload name or a glob matched
+    against the registered names (``'1*'``, ``'*decode*'``).  A
+    generated ``gen:<fingerprint>:<seed>`` name is given exactly: it
+    is only canonicalized here, never planned, so it is registered
+    (and globbable) only in the process that computes its rows.  A
+    malformed name or a pattern that selects nothing raises
+    :class:`ValueError` — silently running an empty suite hides typos.
+    Order follows the patterns; duplicates collapse to the first
+    occurrence.
     """
     from repro.workloads import get_workload
+    from repro.workloads.gen import gen_name, parse_gen_name
 
     selected = []
     for pattern in patterns:
@@ -94,21 +98,24 @@ def select_workloads(patterns):
                 raise ValueError(
                     f"--workloads pattern {pattern!r} matched no "
                     f"registered workload (known: {workload_names()}); "
-                    "note that generated workloads only match globs "
-                    "after they are named exactly once"
+                    "generated workloads are given exactly, as "
+                    "'gen:<fingerprint>:<seed>'"
                 )
             for name in sorted(matched):
                 if name not in selected:
                     selected.append(name)
         else:
             try:
-                workload = get_workload(pattern)
+                if pattern.startswith("gen:"):
+                    name = gen_name(*parse_gen_name(pattern))
+                else:
+                    name = get_workload(pattern).name
             except (KeyError, ValueError) as exc:
                 raise ValueError(
                     f"--workloads: {exc.args[0] if exc.args else exc}"
                 ) from None
-            if workload.name not in selected:
-                selected.append(workload.name)
+            if name not in selected:
+                selected.append(name)
     return selected
 
 
@@ -162,11 +169,16 @@ def _write_profile(args, outcomes) -> None:
 
 
 def _write_run_manifest(args, argv, ctx, outcomes) -> None:
-    """Record what ran — and what degraded — next to the trace files."""
+    """Record what ran — and what degraded — next to the trace files.
+
+    A generated workload's provenance comes with its rows (the
+    ``"provenance"`` fragment), so only a degraded one is planned again
+    here, by :func:`repro.obs.build_manifest`.
+    """
     injector = ctx.fault_injector
     entries = []
     for outcome in outcomes:
-        entries.append({
+        entry = {
             "name": outcome.name,
             "suite": outcome.suite,
             "status": outcome.status,
@@ -180,7 +192,10 @@ def _write_run_manifest(args, argv, ctx, outcomes) -> None:
                 injector.mode(outcome.name) if injector else None,
                 outcome.attempts,
             ),
-        })
+        }
+        if "provenance" in outcome.rows:
+            entry["gen"] = outcome.rows["provenance"]
+        entries.append(entry)
     manifest = obs.build_manifest(
         command="repro.harness.main",
         argv=argv,
@@ -212,9 +227,10 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", default=None,
                         metavar="PAT[,PAT...]",
                         help="run only these workloads: exact names "
-                        "(including generated 'gen:<fingerprint>:<seed>' "
-                        "names, materialized on demand) and/or globs "
-                        "over registered names ('gen:*', '*decode*'); "
+                        "and/or globs over the registered names "
+                        "('*decode*'); generated workloads are named "
+                        "exactly ('gen:<fingerprint>:<seed>') and are "
+                        "planned where their rows are computed; "
                         "overrides --suite; unmatched patterns are an "
                         "error")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
@@ -327,10 +343,7 @@ def main(argv=None) -> int:
         except ValueError as exc:
             parser.error(str(exc))
         # Print only the tables the selection populates.
-        from repro.workloads import get_workload
-        suites = tuple(dict.fromkeys(
-            get_workload(n).suite for n in names
-        ))
+        suites = tuple(dict.fromkeys(workload_suite(n) for n in names))
     else:
         suites = _SUITES[args.suite]
         names = [n for s in suites for n in workload_names(s)]

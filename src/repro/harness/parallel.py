@@ -28,7 +28,7 @@ from multiprocessing.connection import wait as _conn_wait
 from repro import obs
 from repro.errors import ReproError
 from repro.harness.experiments import ExperimentContext
-from repro.workloads import get_workload
+from repro.workloads import workload_suite
 
 _FORK = multiprocessing.get_context("fork")
 
@@ -228,7 +228,7 @@ def run_suite_pooled(runner, names: Sequence[str], size: int,
     by_task: Dict[str, _State] = {}  # task_id -> state (submitted)
     pending: deque = deque()  # states not yet submitted
     for name in names:
-        state = _State(name, get_workload(name).suite)
+        state = _State(name, workload_suite(name))
         states[name] = state
         pending.append(state)
 

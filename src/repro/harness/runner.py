@@ -59,7 +59,7 @@ from repro.harness.reporting import (
     TABLE3_HEADERS,
     TABLE4_HEADERS,
 )
-from repro.workloads import get_workload
+from repro.workloads import get_workload, workload_suite
 
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
@@ -111,7 +111,10 @@ def compute_rows(
 
     With *backends*, the predictor-ablation row joins them as the
     ``"ablation"`` fragment, reusing the workload's warm precompute and
-    baseline instead of recompiling and re-emulating it later.
+    baseline instead of recompiling and re-emulating it later.  A
+    generated workload is planned here (on a store miss, in the task
+    that computes it) and its generator provenance joins the rows as
+    the ``"provenance"`` fragment, so no consumer has to plan it again.
     """
     suite = get_workload(name).suite
     # Batch the whole config sweep through one shared trace precompute
@@ -127,6 +130,9 @@ def compute_rows(
     else:
         key = "gen" if suite == "gen" else "table4"
         rows[key] = table4(ctx, [name])[0]
+    if suite == "gen":
+        from repro.workloads.gen import provenance
+        rows["provenance"] = provenance(name)
     if backends:
         rows["ablation"] = ablation_row(ctx, name, backends)
     return rows
@@ -222,7 +228,7 @@ class WorkloadRunner:
         return compute_rows(self.ctx, name, self.backends)
 
     def _run_in_process(self, name: str) -> WorkloadOutcome:
-        suite = get_workload(name).suite
+        suite = workload_suite(name)
         started = time.monotonic()
         with obs.current().span("workload", workload=name) as wspan:
             outcome = self._run_attempts(name, suite, started)

@@ -80,9 +80,10 @@ def _gen_provenance(name: str) -> Optional[dict]:
 
     The provenance (fingerprint, seed, recipe weights, achieved mix) is
     enough to regenerate the exact program from the manifest alone.
-    Planning is deterministic per name and usually already cached in
-    this process by the run that produced the entry; a name that fails
-    to materialize must not take the manifest down with it.
+    It is the fallback for entries that arrive without a ``"gen"`` key
+    (the harness passes the provenance its rows carry), so it plans;
+    a name that fails to materialize must not take the manifest down
+    with it.
     """
     try:
         from repro.workloads.gen import provenance
@@ -107,8 +108,9 @@ def build_manifest(
     workloads = [dict(entry) for entry in workloads]
     for entry in workloads:
         name = entry.get("name", "")
-        if isinstance(name, str) and name.startswith("gen:"):
-            entry.setdefault("gen", _gen_provenance(name))
+        if (isinstance(name, str) and name.startswith("gen:")
+                and "gen" not in entry):
+            entry["gen"] = _gen_provenance(name)
 
     manifest = {
         "schema": MANIFEST_SCHEMA,

@@ -13,6 +13,7 @@ Layout::
 
 from __future__ import annotations
 
+import mmap
 import struct
 
 from repro.isa.program import DATA_BASE, Program
@@ -26,13 +27,20 @@ class MemoryError_(Exception):
 
 
 class Memory:
-    """Byte-addressed little-endian memory backed by a ``bytearray``."""
+    """Byte-addressed little-endian memory backed by an anonymous mmap.
+
+    Untouched pages of the mapping read as zero and never become
+    resident, so a run costs the memory its program touches, not the
+    full image.  A ``bytearray`` would zero-fill every page, and once
+    the C allocator reuses freed images instead of fresh mappings, they
+    stay resident after the run.
+    """
 
     __slots__ = ("size", "data")
 
     def __init__(self, size: int = DEFAULT_MEM_SIZE):
         self.size = size
-        self.data = bytearray(size)
+        self.data = mmap.mmap(-1, size)
 
     # -- word (32-bit) access ------------------------------------------------
 

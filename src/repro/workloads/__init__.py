@@ -15,6 +15,7 @@ from repro.workloads.registry import (
     mediabench_workloads,
     spec_workloads,
     workload_names,
+    workload_suite,
 )
 
 __all__ = [
@@ -24,4 +25,5 @@ __all__ = [
     "mediabench_workloads",
     "spec_workloads",
     "workload_names",
+    "workload_suite",
 ]

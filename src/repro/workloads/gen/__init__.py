@@ -6,7 +6,9 @@ lazily through the ordinary registry: the first
 ``get_workload("gen:strided:7")`` plans, self-checks, and registers the
 program under suite ``"gen"``, after which the harness, the
 precompute sim path, and predictor ablations consume it exactly
-like a hand-written workload.  Materialization is deterministic per
+like a hand-written workload.  The harness resolves a ``gen:`` name
+only where its rows are computed (in the worker task, on a result-store
+miss).  Materialization is deterministic per
 name — any process that resolves the same name builds byte-identical
 source and the same reference mirror — so names are sufficient
 provenance to ship across forked workers and result caches.
@@ -14,7 +16,7 @@ provenance to ship across forked workers and result caches.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.workloads.gen.fingerprint import (
     CANONICAL,
@@ -40,7 +42,6 @@ __all__ = [
     "GEN_DEFAULT_SCALE",
     "format_fingerprint",
     "gen_name",
-    "gen_workload_names",
     "generate",
     "materialize",
     "parse_fingerprint",
@@ -134,9 +135,3 @@ def provenance(name: str) -> Dict[str, object]:
     fp, seed = parse_gen_name(name)
     return generate(fp, seed).provenance()
 
-
-def gen_workload_names() -> List[str]:
-    """Names of the gen workloads materialized so far, sorted."""
-    return sorted(
-        name for name, workload in REGISTRY.items() if workload.suite == "gen"
-    )

@@ -150,14 +150,16 @@ def _initial_weights(
 
 def _probe(
     recipes: List[Recipe], weights: Dict[str, int]
-) -> Tuple[str, Dict[str, float]]:
-    """Compile + emulate at default scale; return (template, shares)."""
+) -> Tuple[str, Dict[str, float], List[int]]:
+    """Compile + emulate at default scale; return (template, shares,
+    emulator output)."""
     template = build_source(recipes, weights)
     source = template.replace("__SCALE__", str(GEN_DEFAULT_SCALE))
     result = compile_source(source)
     exec_result = execute(result.program)
     profile = profile_trace(result.program, exec_result.trace)
-    return template, profile.dynamic_class_shares()
+    return (template, profile.dynamic_class_shares(),
+            list(exec_result.output))
 
 
 def plan_program(fp: Fingerprint, seed: int) -> GenPlan:
@@ -179,7 +181,7 @@ def plan_program(fp: Fingerprint, seed: int) -> GenPlan:
     iterations = 0
     for _ in range(_MAX_ITERS):
         iterations += 1
-        template, shares = _probe(recipes, weights)
+        template, shares, output = _probe(recipes, weights)
         err = max(abs(shares[cls] - target[cls]) for cls in ("n", "p", "e"))
         if err < best_err:
             best_err = err
@@ -187,6 +189,7 @@ def plan_program(fp: Fingerprint, seed: int) -> GenPlan:
                 "template": template,
                 "shares": shares,
                 "weights": dict(weights),
+                "output": output,
             }
         if err <= _INNER_TOL:
             break
@@ -225,13 +228,13 @@ def plan_program(fp: Fingerprint, seed: int) -> GenPlan:
 
     # Self-check: the accepted program's emulator output must equal the
     # pure-Python mirror at the default scale before anything registers.
-    source = plan.source_template.replace("__SCALE__", str(GEN_DEFAULT_SCALE))
-    exec_result = execute(compile_source(source).program)
+    # The accepted probe compiled and emulated exactly this source, so
+    # its output is the emulator's.
     expected = plan.reference(GEN_DEFAULT_SCALE)
-    if list(exec_result.output) != expected:
+    if best["output"] != expected:
         raise GenerationError(
             f"generated program {token!r} seed {seed} failed its reference "
-            f"self-check: emulator {list(exec_result.output)!r} != "
+            f"self-check: emulator {best['output']!r} != "
             f"reference {expected!r}"
         )
 

@@ -27,7 +27,7 @@ from repro.harness.runner import (
     RunnerConfig,
     WorkloadRunner,
 )
-from repro.workloads.gen import materialize, provenance
+from repro.workloads.gen import format_fingerprint, parse_gen_name
 
 #: Grid pitch (percentage points) of the default simplex sweep.
 DEFAULT_STEP = 20
@@ -78,10 +78,13 @@ def run_sweep(
     timeout: float = 0.0,
     progress: Optional[Callable[[str], None]] = None,
 ) -> dict:
-    """Materialize, run, and tabulate one simplex sweep.
+    """Run and tabulate one simplex sweep.
 
-    Returns ``{"rows": [...], "outcomes": [...], "degraded": [...]}``
-    where ``rows`` is the fingerprint-vs-speedup table (one row per
+    Each workload is planned in the task that computes its rows (a
+    result-store hit never plans); the achieved mix comes from the
+    rows' ``"provenance"`` fragment.  Returns
+    ``{"rows": [...], "outcomes": [...], "degraded": [...]}`` where
+    ``rows`` is the fingerprint-vs-speedup table (one row per
     generated workload, geomean last).
     """
     names = sweep_names(step, seeds)
@@ -92,10 +95,6 @@ def run_sweep(
         )
     tracer = obs.current()
     with tracer.span("gen.sweep", step=step, seeds=seeds, jobs=jobs):
-        # Materialize up front (planning is sequential and cheap); the
-        # fork-based worker pools inherit the populated registry.
-        for name in names:
-            materialize(name)
         ctx = ExperimentContext(scale=scale)
         runner = WorkloadRunner(
             ctx,
@@ -109,22 +108,24 @@ def run_sweep(
     rows: List[dict] = []
     speedups: List[float] = []
     for outcome in outcomes:
-        prov = provenance(outcome.name)
-        row = {
-            "fingerprint": prov["fingerprint"],
-            "seed": prov["seed"],
-            "ach_nt": prov["achieved"]["n"] * 100,
-            "ach_pd": prov["achieved"]["p"] * 100,
-            "ach_ec": prov["achieved"]["e"] * 100,
-        }
-        if outcome.status == STATUS_OK and "gen" in outcome.rows:
+        fp, seed = parse_gen_name(outcome.name)
+        row = {"fingerprint": format_fingerprint(fp), "seed": seed}
+        if outcome.status == STATUS_OK:
+            achieved = outcome.rows["provenance"]["achieved"]
             fragment = outcome.rows["gen"]
-            row["dyn_loads"] = fragment["dyn_loads"]
-            row["speedup"] = fragment["speedup"]
+            row.update(
+                ach_nt=achieved["n"] * 100,
+                ach_pd=achieved["p"] * 100,
+                ach_ec=achieved["e"] * 100,
+                dyn_loads=fragment["dyn_loads"],
+                speedup=fragment["speedup"],
+            )
             speedups.append(fragment["speedup"])
         else:
-            row["dyn_loads"] = outcome.status.upper()
-            row["speedup"] = outcome.status.upper()
+            marker = outcome.status.upper()
+            for key in ("ach_nt", "ach_pd", "ach_ec", "dyn_loads",
+                        "speedup"):
+                row[key] = marker
         rows.append(row)
     if speedups:
         geomean = 1.0

@@ -78,6 +78,19 @@ def get_workload(name: str) -> Workload:
     ) from None
 
 
+def workload_suite(name: str) -> str:
+    """The suite of workload *name*, without materializing it.
+
+    A ``gen:`` name is suite ``"gen"`` by its prefix, so routing or
+    labelling a generated workload never plans it; planning happens
+    where its rows are computed.  Other names must be registered
+    (:class:`KeyError` as from :func:`get_workload`).
+    """
+    if name.startswith("gen:"):
+        return "gen"
+    return get_workload(name).suite
+
+
 def workload_names(suite: Optional[str] = None) -> List[str]:
     _ensure_loaded()
     return sorted(

@@ -1,10 +1,45 @@
 """Harness/CLI integration of generated workloads: ``--workloads``
-selection and the synthetic-SPEC sweep tier."""
+selection, planning only where rows are computed, and the
+synthetic-SPEC sweep tier."""
+
+import json
 
 import pytest
 
 from repro.harness.main import main, select_workloads
+from repro.workloads import gen
+from repro.workloads.gen import GenerationError
 from repro.workloads.gen.__main__ import main as gen_main
+from repro.workloads.registry import REGISTRY
+
+
+@pytest.fixture
+def forget_gen(monkeypatch):
+    """Forget every generated workload, as a fresh process would.
+
+    Yields the forgetting function so a test can forget again between
+    two invocations; the registry is restored afterwards.
+    """
+    saved = dict(REGISTRY)
+
+    def forget():
+        for name in [n for n in REGISTRY if n.startswith("gen:")]:
+            del REGISTRY[name]
+        monkeypatch.setattr(gen, "_PLANS", {})
+
+    forget()
+    yield forget
+    REGISTRY.clear()
+    REGISTRY.update(saved)
+
+
+def _failing_planner(fp, seed):
+    raise GenerationError(f"planner must not run (seed {seed})")
+
+
+def _without_wall_time(out):
+    return [line for line in out.splitlines()
+            if not line.startswith("total wall time")]
 
 
 def test_select_workloads_globs_and_exact_names():
@@ -40,6 +75,54 @@ def test_cli_workloads_selection_runs_gen_table(capsys):
 def test_cli_workloads_bad_pattern_exits(capsys):
     with pytest.raises(SystemExit):
         main(["--workloads", "gen:zzz*"])
+    with pytest.raises(SystemExit):
+        main(["--workloads", "gen:mixed:x"])
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_generation_error_is_an_error_row(
+    jobs, forget_gen, monkeypatch, capsys
+):
+    monkeypatch.setattr(gen, "plan_program", _failing_planner)
+    assert main([
+        "--workloads", "gen:mixed:0,adpcm_decode", "--scale", "0.05",
+        "--jobs", jobs,
+    ]) == 1
+    captured = capsys.readouterr()
+    out = captured.out
+    assert "Degraded workloads (1/2)" in out
+    assert "gen:n34p33e33:0: ERROR [GenerationError]" in out
+    generated = out[out.index("Generated workloads"):]
+    row = next(line for line in generated.splitlines()
+               if line.startswith("gen:n34p33e33:0"))
+    assert "ERROR" in row
+    assert "adpcm_decode: OK" in captured.err
+
+
+def test_store_hit_never_plans(tmp_path, forget_gen, monkeypatch, capsys):
+    args = ["--workloads", "gen:mixed:0,gen:strided:1", "--scale", "0.25",
+            "--jobs", "2", "--result-cache", str(tmp_path / "store")]
+    assert main(args) == 0
+    cold = capsys.readouterr().out
+
+    forget_gen()
+    monkeypatch.setattr(gen, "plan_program", _failing_planner)
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert "result cache: 2 hits, 0 misses" in captured.err
+    assert _without_wall_time(captured.out) == _without_wall_time(cold)
+
+
+def test_manifest_provenance_comes_from_the_rows(tmp_path, forget_gen):
+    names = ["gen:n34p33e33:0", "gen:n20p70e10:1"]
+    assert main([
+        "--workloads", ",".join(names), "--scale", "0.25", "--jobs", "2",
+        "--trace-out", str(tmp_path),
+    ]) == 0
+    assert gen._PLANS == {}  # the workers planned, the parent did not
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    entries = {e["name"]: e["gen"] for e in manifest["workloads"]}
+    assert entries == {name: gen.provenance(name) for name in names}
 
 
 def test_sweep_cli_end_to_end_with_jobs_and_result_cache(
@@ -63,6 +146,31 @@ def test_sweep_cli_end_to_end_with_jobs_and_result_cache(
     assert gen_main(args) == 0
     out2 = capsys.readouterr().out
     assert "result-cache" in out2 or md.read_text() == text
+
+
+def test_sweep_degraded_row_keeps_fingerprint_and_seed(
+    forget_gen, monkeypatch
+):
+    from repro.workloads.gen.sweep import run_sweep
+
+    real = gen.plan_program
+
+    def plan(fp, seed):
+        if gen.format_fingerprint(fp) == "n100p0e0":
+            raise GenerationError("unrealizable")
+        return real(fp, seed)
+
+    monkeypatch.setattr(gen, "plan_program", plan)
+    result = run_sweep(step=100, scale=0.05)
+    assert result["degraded"] == ["gen:n100p0e0:0"]
+    rows = {row["fingerprint"]: row for row in result["rows"]}
+    assert rows["n100p0e0"] == {
+        "fingerprint": "n100p0e0", "seed": 0, "ach_nt": "ERROR",
+        "ach_pd": "ERROR", "ach_ec": "ERROR", "dyn_loads": "ERROR",
+        "speedup": "ERROR",
+    }
+    assert rows["n0p0e100"]["ach_ec"] > 90
+    assert "geomean" in rows
 
 
 def test_gen_cli_emit_and_bad_name(capsys):

@@ -1,5 +1,7 @@
 """Flat-memory model tests."""
 
+import os
+
 import pytest
 
 from repro.isa import DataItem, Function, Instruction, Opcode, Program
@@ -83,3 +85,19 @@ def test_initial_sp_alignment():
     assert sp % 16 == 0
     assert sp < DEFAULT_MEM_SIZE
     assert sp > HEAP_BASE
+
+
+def _resident_bytes():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="needs Linux /proc")
+def test_untouched_memory_is_not_resident():
+    """A fresh image costs the pages a program touches, not its size."""
+    before = _resident_bytes()
+    mem = Memory(DEFAULT_MEM_SIZE)
+    mem.store_word(initial_sp(), 1)
+    assert _resident_bytes() - before < DEFAULT_MEM_SIZE // 4
+    assert mem.load_word(HEAP_BASE) == 0

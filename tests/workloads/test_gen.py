@@ -1,6 +1,7 @@
 """Generated-workload subsystem: planner accuracy, determinism,
 registry integration, differential driver, and provenance."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from repro.workloads.gen import (
     GEN_DEFAULT_SCALE,
     TOLERANCE,
     Fingerprint,
+    GenerationError,
     format_fingerprint,
     generate,
     materialize,
@@ -106,6 +108,67 @@ def test_texture_knobs_shape_the_program():
     aliased = generate(parse_fingerprint("n34p33e33-a50"), seed=0)
     assert aliased.weights["alias"] > 0
     assert flat.weights["alias"] == 0
+
+
+def test_planner_compiles_each_probe_once(monkeypatch):
+    """The self-check reuses the accepted probe's output: no recompile."""
+    from repro.workloads.gen import planner
+
+    sources = []
+
+    def counting(source, *args, **kwargs):
+        sources.append(source)
+        return compile_source(source, *args, **kwargs)
+
+    monkeypatch.setattr(planner, "compile_source", counting)
+    plan = planner.plan_program(CANONICAL["mixed"], seed=0)
+    assert len(sources) == plan.iterations
+
+
+def test_planner_self_check_rejects_a_wrong_mirror(monkeypatch):
+    from repro.workloads.gen import planner
+
+    real = planner.reference_output
+    monkeypatch.setattr(
+        planner, "reference_output",
+        lambda *args: [v + 1 for v in real(*args)],
+    )
+    with pytest.raises(GenerationError, match="self-check"):
+        planner.plan_program(CANONICAL["strided"], seed=3)
+
+
+#: sha256 of (source_template, provenance JSON with sorted keys).
+_PINNED = {
+    "gen:mixed:0": (
+        "6710cefb797007a7f6b2ad6913225c176d9ff7b6639acc56449e512dbe55d941",
+        "9099206dd11744c17b8ca34392816f5d66efacc5c91716fe33ee11e0674c2031",
+    ),
+    "gen:strided:1": (
+        "64910d64c5a67ef751f915944de2c9f04df022f5702b10679868119c0f131e07",
+        "de6a53a575839f16b7656173e076e8d2ff627845bc17b4ffcaa903bda8f78a66",
+    ),
+    "gen:n0p0e100:0": (
+        "f1e1ff96975a42b318dbf8fc478f5816439e6d75409bcd4743719155ef7675bd",
+        "11942ccb756fd50987be0bab904c3a1d8c3eb02b04639ad5c428db092769d584",
+    ),
+    "gen:n100p0e0:0": (
+        "09efebfa333844f870c925d905b86c3afc491a6cf3e9ff4d6cf2d8aa8b924b68",
+        "cab67a89bbfe455208191d925449c7e30b5c7482eaf9c68abc1f8297431bd4eb",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_generated_programs_are_pinned(name):
+    """Planner changes must keep every generated program byte-identical."""
+    source_sha, provenance_sha = _PINNED[name]
+    workload = materialize(name)
+    assert hashlib.sha256(
+        workload.source_template.encode()
+    ).hexdigest() == source_sha
+    assert hashlib.sha256(
+        json.dumps(provenance(name), sort_keys=True).encode()
+    ).hexdigest() == provenance_sha
 
 
 # -- determinism -----------------------------------------------------------
