@@ -16,11 +16,17 @@ Optimization levels:
 
 With ``verify=True`` the structural IR verifier
 (:mod:`repro.compiler.verify`) runs after IR generation, after every
-optimization pass, and after register allocation; a pass that breaks an
-invariant raises :class:`~repro.errors.IRVerificationError` naming that
-pass.  ``post_pass_hook`` is a test seam (used by the harness fault
-injector) called as ``hook(pass_name, fir)`` after each per-function
-pass, *before* verification — corrupting the IR there must be caught.
+optimization pass that runs, and after register allocation; a pass that
+breaks an invariant raises :class:`~repro.errors.IRVerificationError`
+naming that pass.  ``post_pass_hook`` is a test seam (used by the harness
+fault injector) called as ``hook(pass_name, fir)`` after each
+per-function pass, *before* verification — corrupting the IR there must
+be caught.
+
+A per-function pass that returned ``changed=False`` is not run again
+until some pass changes the function's IR: on the same IR it would find
+nothing to do again.  A hook may edit the IR behind the driver's back,
+so with one installed every pass runs every time.
 """
 
 from __future__ import annotations
@@ -57,6 +63,10 @@ from repro.lang.sema import analyze
 #: Signature of the post-pass test hook: ``(pass_name, fir) -> None``.
 PassHook = Callable[[str, FuncIR], None]
 
+#: Most scalar rounds run right after mem2reg; a round that changes
+#: nothing ends the loop early.
+_MAX_SCALAR_ROUNDS = 4
+
 
 @dataclass
 class CompileOptions:
@@ -65,7 +75,6 @@ class CompileOptions:
     opt_level: int = 2
     classify: bool = True
     inline: bool = True
-    max_scalar_rounds: int = 4
     #: Run the structural IR verifier between passes.
     verify: bool = False
     #: Test seam called after each per-function pass (fault injection).
@@ -107,38 +116,48 @@ def _func_ir_counts(fir: FuncIR) -> tuple:
 def _run_pass(pass_fn, fir: FuncIR, options: CompileOptions) -> bool:
     """Run one per-function pass, then the hook and the verifier.
 
-    With a tracer configured, each invocation emits a ``pass:<name>``
-    span carrying IR-delta counters (instructions/loads/blocks
-    before→after); the disabled path is byte-identical to the
-    uninstrumented driver.
+    A pass in ``fir.clean_passes`` is skipped (no run, hook, verifier
+    or span) and reports no change.  With a tracer configured, each
+    pass that runs emits a ``pass:<name>`` span carrying IR-delta
+    counters (instructions/loads/blocks before→after); the disabled
+    path is byte-identical to the uninstrumented driver.
     """
     name = pass_fn.__name__
+    if name in fir.clean_passes:
+        return False
     tracer = obs.current()
     if not tracer.enabled:
-        changed = pass_fn(fir)
-        hook = options.post_pass_hook
-        if hook is not None:
-            hook(name, fir)
-        if options.verify:
-            verify_func(fir.func, pass_name=name)
-        return bool(changed)
+        return _apply_pass(pass_fn, name, fir, options)
 
     before_i, before_l, before_b = _func_ir_counts(fir)
     with tracer.span("pass:" + name, func=fir.func.name) as span:
-        changed = pass_fn(fir)
-        hook = options.post_pass_hook
-        if hook is not None:
-            hook(name, fir)
-        if options.verify:
-            verify_func(fir.func, pass_name=name)
+        changed = _apply_pass(pass_fn, name, fir, options)
         after_i, after_l, after_b = _func_ir_counts(fir)
         span.set_counters(
-            changed=int(bool(changed)),
+            changed=int(changed),
             instructions_before=before_i, instructions_after=after_i,
             loads_before=before_l, loads_after=after_l,
             blocks_before=before_b, blocks_after=after_b,
         )
-    return bool(changed)
+    return changed
+
+
+def _apply_pass(pass_fn, name: str, fir: FuncIR,
+                options: CompileOptions) -> bool:
+    changed = bool(pass_fn(fir))
+    if changed:
+        # Passes may edit instructions in place, which the body-identity
+        # check of the analysis cache cannot see.
+        fir.invalidate()
+    else:
+        fir.clean_passes.add(name)
+    hook = options.post_pass_hook
+    if hook is not None:
+        hook(name, fir)
+        fir.invalidate()
+    if options.verify:
+        verify_func(fir.func, pass_name=name)
+    return changed
 
 
 def _scalar_round(fir, options: CompileOptions) -> bool:
@@ -188,7 +207,7 @@ def compile_source(
             for fir in module.funcs.values():
                 _run_pass(simplify_control_flow, fir, options)
                 _run_pass(promote_locals, fir, options)
-                for _ in range(options.max_scalar_rounds):
+                for _ in range(_MAX_SCALAR_ROUNDS):
                     if not _scalar_round(fir, options):
                         break
                 if options.opt_level >= 2:
@@ -197,6 +216,8 @@ def compile_source(
                     for _ in range(2):
                         if not _scalar_round(fir, options):
                             break
+                # No analysis outlives the optimizer.
+                fir.invalidate()
 
         # Classification runs on virtual-register code, as IMPACT's heuristics
         # did: after register allocation, physical-register reuse merges

@@ -35,9 +35,15 @@ class Loop:
         return f"Loop(header=BB{self.header}, blocks={sorted(self.blocks)})"
 
 
-def find_loops(cfg: CFG) -> List[Loop]:
-    """All natural loops of *cfg*, innermost first."""
-    dom = dominators(cfg)
+def find_loops(
+    cfg: CFG, dom: Optional[Dict[int, Set[int]]] = None
+) -> List[Loop]:
+    """All natural loops of *cfg*, innermost first.
+
+    *dom* is :func:`dominators` of *cfg*, computed here when omitted.
+    """
+    if dom is None:
+        dom = dominators(cfg)
     reach = set(cfg.reachable())
 
     merged: Dict[int, Set[int]] = {}

@@ -16,8 +16,6 @@ classification pass's S_load sets.
 
 from __future__ import annotations
 
-from repro.compiler.cfg import CFG
-from repro.compiler.dataflow import Liveness
 from repro.compiler.ir import FuncIR
 from repro.isa.instruction import Instruction, Reg
 from repro.isa.opcodes import FP_ALU_OPS, INT_ALU_OPS, LOAD_OPS, Opcode
@@ -33,8 +31,8 @@ def coalesce_moves(fir: FuncIR) -> bool:
 
 def _coalesce_dead_copies(fir: FuncIR) -> bool:
     changed = False
-    cfg = CFG(fir.func)
-    liveness = Liveness(cfg)
+    cfg = fir.cfg()
+    liveness = fir.liveness()
     for block in cfg.blocks:
         live_after = liveness.per_instruction(block.index)
         new_instrs = []
@@ -86,10 +84,7 @@ def _coalesce_iv_updates(fir: FuncIR) -> bool:
     renamed to ``v``.  This restores the ``v = v + c`` shape induction-
     variable strength reduction needs.
     """
-    from repro.compiler.dominators import dominators
-    from repro.isa.opcodes import INT_ALU_OPS
-
-    cfg = CFG(fir.func)
+    cfg = fir.cfg()
     defs: dict = {}
     use_blocks: dict = {}
     for block in cfg.blocks:
@@ -127,7 +122,7 @@ def _coalesce_iv_updates(fir: FuncIR) -> bool:
             if len(defs.get(t_key, ())) != 1:
                 continue
             if dom is None:
-                dom = dominators(cfg)
+                dom = fir.dominators()
 
             # Soundness part 1: every use of t (other than the copy) is
             # dominated by the pair — in-block uses after the pair, or

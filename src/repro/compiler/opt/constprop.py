@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.compiler.cfg import CFG
 from repro.compiler.ir import FuncIR
 from repro.compiler.opt.fold import fold, fold_branch
 from repro.isa.instruction import Imm, Instruction, Reg
@@ -82,7 +81,7 @@ def _meet_into(target: Dict[RegKey, object], other: Dict[RegKey, object]) -> boo
 
 def constant_propagation(fir: FuncIR) -> bool:
     """Run to a dataflow fixed point, then rewrite; returns changed."""
-    cfg = CFG(fir.func)
+    cfg = fir.cfg()
     blocks = cfg.blocks
     n = len(blocks)
     in_env: list = [None] * n

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.compiler.cfg import CFG
 from repro.compiler.ir import FuncIR
 from repro.isa.instruction import Instruction, Reg
 from repro.isa.opcodes import Opcode
@@ -45,7 +44,7 @@ def _transfer(inst: Instruction, env: Dict[RegKey, RegKey]) -> None:
 
 
 def copy_propagation(fir: FuncIR) -> bool:
-    cfg = CFG(fir.func)
+    cfg = fir.cfg()
     blocks = cfg.blocks
     n = len(blocks)
     in_env: list = [None] * n

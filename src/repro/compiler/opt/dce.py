@@ -8,8 +8,6 @@ count only loads that survive optimization.
 
 from __future__ import annotations
 
-from repro.compiler.cfg import CFG
-from repro.compiler.dataflow import Liveness
 from repro.compiler.ir import FuncIR
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import FP_ALU_OPS, INT_ALU_OPS, LOAD_OPS, Opcode
@@ -21,8 +19,8 @@ def dead_code_elimination(fir: FuncIR) -> bool:
     """Iterate liveness + removal until no instruction dies."""
     removed_any = False
     while True:
-        cfg = CFG(fir.func)
-        liveness = Liveness(cfg)
+        cfg = fir.cfg()
+        liveness = fir.liveness()
         removed = False
         for block in cfg.blocks:
             live_after = liveness.per_instruction(block.index)

@@ -22,20 +22,17 @@ Hoisted instructions move to a freshly created preheader block.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.compiler.cfg import CFG, BasicBlock
-from repro.compiler.dataflow import Liveness, inst_defs
-from repro.compiler.dominators import dominators
+from repro.compiler.dataflow import inst_defs
 from repro.compiler.ir import FuncIR
-from repro.compiler.loops import Loop, find_loops
+from repro.compiler.loops import Loop
 from repro.compiler.opt.alias import may_alias, mem_key
 from repro.isa.instruction import Imm, Instruction, Reg, Sym
 from repro.isa.opcodes import FP_ALU_OPS, INT_ALU_OPS, Opcode
 
 _PURE_ALU = (INT_ALU_OPS | FP_ALU_OPS) - {Opcode.DIV, Opcode.REM}
-
-_preheader_counter = 0
 
 
 def loop_invariant_code_motion(fir: FuncIR) -> bool:
@@ -48,9 +45,8 @@ def loop_invariant_code_motion(fir: FuncIR) -> bool:
 
 def _hoist_one(fir: FuncIR) -> bool:
     """Process loops innermost-first; returns True after one mutation."""
-    cfg = CFG(fir.func)
-    loops = find_loops(cfg)
-    for loop in loops:
+    cfg = fir.cfg()
+    for loop in fir.loops():
         if _process_loop(fir, cfg, loop):
             # The freshly inserted preheader has no wired-up edges, so
             # unreachable-block filtering must be skipped here.
@@ -83,9 +79,8 @@ def _process_loop(fir: FuncIR, cfg: CFG, loop: Loop) -> bool:
             elif inst.opcode is Opcode.CALL:
                 has_call = True
 
-    liveness = Liveness(cfg)
-    live_in_header = liveness.live_in[loop.header]
-    dom = dominators(cfg)
+    live_in_header = fir.liveness().live_in[loop.header]
+    dom = fir.dominators()
     exit_blocks = {
         b.index
         for b in loop_blocks
@@ -154,9 +149,7 @@ def _process_loop(fir: FuncIR, cfg: CFG, loop: Loop) -> bool:
         ]
 
     # Build the preheader and retarget out-of-loop branches to it.
-    global _preheader_counter
-    _preheader_counter += 1
-    pre_label = f"{fir.func.name}__pre{_preheader_counter}"
+    pre_label = fir.fresh_label("pre")
     header_labels = set(blocks[loop.header].labels)
     for block in blocks:
         if block.index in loop.blocks:

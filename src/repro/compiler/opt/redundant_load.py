@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.compiler.cfg import CFG
 from repro.compiler.ir import FuncIR
 from repro.compiler.opt.alias import MemKey, may_alias, mem_key
 from repro.isa.instruction import Instruction, Reg
@@ -26,7 +25,7 @@ from repro.isa.opcodes import Opcode
 
 
 def redundant_load_elimination(fir: FuncIR) -> bool:
-    cfg = CFG(fir.func)
+    cfg = fir.cfg()
     changed = False
     for block in cfg.blocks:
         avail: Dict[MemKey, Reg] = {}

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.compiler.cfg import CFG
 from repro.compiler.ir import FuncIR
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
@@ -46,7 +45,7 @@ def simplify_control_flow(fir: FuncIR) -> bool:
     before_ops = sum(1 for _ in func.instructions())
 
     # Rebuild through the CFG to drop unreachable blocks.
-    CFG(func).to_function()
+    fir.cfg().to_function()
 
     body = func.body
     new_body: List = []

@@ -333,11 +333,22 @@ def test_diagnostic_names_pass_function_and_instruction():
     assert "inst=" in str(err)
 
 
-def test_driver_verification_catches_corrupted_pass_output():
+@pytest.mark.parametrize("target", [
+    "simplify_control_flow",
+    "promote_locals",
+    "constant_propagation",
+    "copy_propagation",
+    "coalesce_moves",
+    "redundant_load_elimination",
+    "dead_code_elimination",
+    "loop_invariant_code_motion",
+    "strength_reduction",
+])
+def test_driver_verification_catches_corrupted_pass_output(target):
     # Simulate a miscompiling pass through the driver's post-pass hook:
     # the verifier must pin the failure on that pass by name.
     def corrupt(pass_name, fir):
-        if pass_name == "constant_propagation" and not corrupt.done:
+        if pass_name == target and not corrupt.done:
             corrupt.done = True
             fir.func.body.insert(
                 0,
@@ -355,5 +366,5 @@ def test_driver_verification_catches_corrupted_pass_output():
             source,
             options=CompileOptions(verify=True, post_pass_hook=corrupt),
         )
-    assert info.value.pass_name == "constant_propagation"
+    assert info.value.pass_name == target
     assert corrupt.done
