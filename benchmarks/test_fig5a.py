@@ -1,28 +1,15 @@
-"""Figure 5a — prediction-table-only speedups (64/128/256 entries),
+"""Figure 5a — prediction-table-only speedups (4..256 entries),
 hardware-only allocation vs compiler-directed allocation."""
 
 from benchmarks.conftest import emit
-from repro.harness.experiments import fig5a
-from repro.harness.reporting import format_table
-
-HEADERS = {
-    "benchmark": "Benchmark",
-    "hw_4": "HW 4",
-    "hw_16": "HW 16",
-    "hw_64": "HW 64",
-    "hw_128": "HW 128",
-    "hw_256": "HW 256",
-    "cc_4": "CC 4",
-    "cc_16": "CC 16",
-    "cc_64": "CC 64",
-    "cc_128": "CC 128",
-    "cc_256": "CC 256",
-}
+from repro.harness.experiments import experiment_table
+from repro.harness.reporting import FIG5A_HEADERS, format_table
 
 
 def test_fig5a(benchmark, ctx):
-    rows = benchmark.pedantic(fig5a, args=(ctx,), rounds=1, iterations=1)
-    emit(format_table(rows, headers=HEADERS,
+    rows = benchmark.pedantic(experiment_table, args=(ctx, "fig5a"),
+                              rounds=1, iterations=1)
+    emit(format_table(rows, headers=FIG5A_HEADERS,
                       title="Figure 5a — table-only speedup"))
 
     geo = rows[-1]

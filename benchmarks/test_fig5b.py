@@ -2,20 +2,14 @@
 hardware-only BRIC-style cache)."""
 
 from benchmarks.conftest import emit
-from repro.harness.experiments import fig5b
-from repro.harness.reporting import format_table
-
-HEADERS = {
-    "benchmark": "Benchmark",
-    "regs_4": "4 regs",
-    "regs_8": "8 regs",
-    "regs_16": "16 regs",
-}
+from repro.harness.experiments import experiment_table
+from repro.harness.reporting import FIG5B_HEADERS, format_table
 
 
 def test_fig5b(benchmark, ctx):
-    rows = benchmark.pedantic(fig5b, args=(ctx,), rounds=1, iterations=1)
-    emit(format_table(rows, headers=HEADERS,
+    rows = benchmark.pedantic(experiment_table, args=(ctx, "fig5b"),
+                              rounds=1, iterations=1)
+    emit(format_table(rows, headers=FIG5B_HEADERS,
                       title="Figure 5b — early-calculation-only speedup"))
 
     geo = rows[-1]

@@ -3,12 +3,13 @@ hardware vs dual-path hardware-only vs compiler-directed (with and
 without address profiling)."""
 
 from benchmarks.conftest import emit
-from repro.harness.experiments import fig5c
+from repro.harness.experiments import experiment_table
 from repro.harness.reporting import FIG5C_HEADERS, format_table
 
 
 def test_fig5c(benchmark, ctx):
-    rows = benchmark.pedantic(fig5c, args=(ctx,), rounds=1, iterations=1)
+    rows = benchmark.pedantic(experiment_table, args=(ctx, "fig5c"),
+                              rounds=1, iterations=1)
     emit(format_table(rows, headers=FIG5C_HEADERS,
                       title="Figure 5c — dual-path comparison"))
 

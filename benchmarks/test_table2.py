@@ -1,13 +1,13 @@
 """Table 2 — SPEC load-class mix and NT/PD prediction rates."""
 
 from benchmarks.conftest import emit
-from repro.harness.experiments import table2
+from repro.harness.experiments import experiment_table
 from repro.harness.reporting import TABLE2_HEADERS, format_table
 
 
 def test_table2(benchmark, ctx):
     rows = benchmark.pedantic(
-        table2, args=(ctx,), rounds=1, iterations=1
+        experiment_table, args=(ctx, "table2"), rounds=1, iterations=1
     )
     emit(format_table(rows, headers=TABLE2_HEADERS,
                       title="Table 2 — SPEC suite"))

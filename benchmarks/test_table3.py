@@ -1,16 +1,17 @@
 """Table 3 — profile-guided load classification (60% threshold)."""
 
 from benchmarks.conftest import emit
-from repro.harness.experiments import table2, table3
+from repro.harness.experiments import experiment_table
 from repro.harness.reporting import TABLE3_HEADERS, format_table
 
 
 def test_table3(benchmark, ctx):
-    rows = benchmark.pedantic(table3, args=(ctx,), rounds=1, iterations=1)
+    rows = benchmark.pedantic(experiment_table, args=(ctx, "table3"),
+                              rounds=1, iterations=1)
     emit(format_table(rows, headers=TABLE3_HEADERS,
                       title="Table 3 — with address profiling"))
 
-    base_rows = {r["benchmark"]: r for r in table2(ctx)}
+    base_rows = {r["benchmark"]: r for r in experiment_table(ctx, "table2")}
     body = rows[:-1]
     assert len(body) == 12
     for row in body:

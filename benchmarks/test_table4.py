@@ -2,12 +2,13 @@
 the proposed configuration (256-entry table + one R_addr)."""
 
 from benchmarks.conftest import emit
-from repro.harness.experiments import table2, table4
+from repro.harness.experiments import experiment_table
 from repro.harness.reporting import TABLE4_HEADERS, format_table
 
 
 def test_table4(benchmark, ctx):
-    rows = benchmark.pedantic(table4, args=(ctx,), rounds=1, iterations=1)
+    rows = benchmark.pedantic(experiment_table, args=(ctx, "table4"),
+                              rounds=1, iterations=1)
     emit(format_table(rows, headers=TABLE4_HEADERS,
                       title="Table 4 — MediaBench suite"))
 
@@ -19,7 +20,7 @@ def test_table4(benchmark, ctx):
 
     # The paper's embedded-suite signature: MediaBench is markedly more
     # PD-dominated than SPEC (79.3% vs 58.1% dynamic PD in the paper).
-    spec_rows = table2(ctx)
+    spec_rows = experiment_table(ctx, "table2")
     spec_dyn_pd = sum(r["dyn_pd"] for r in spec_rows) / len(spec_rows)
     assert average["dyn_pd"] > spec_dyn_pd
     # ...and its PD loads predict well.

@@ -1,18 +1,19 @@
-"""Experiment harness: one entry point per table/figure of the paper.
+"""Experiment harness: the paper's tables and figures, declared once.
 
-The fault-isolation layer (:class:`WorkloadRunner`, :class:`FaultInjector`,
-resume through the result store) lives here too; see
-``repro.harness.runner`` and ``repro.harness.faults``.
+Each artifact is a :class:`TableSpec` in :data:`TABLES`;
+:func:`experiment_table` computes one over a suite through an
+:class:`ExperimentContext`.  The fault-isolation layer
+(:class:`WorkloadRunner`, :class:`FaultInjector`, resume through the
+result store) lives here too; see ``repro.harness.runner`` and
+``repro.harness.faults``.
 """
 
 from repro.harness.experiments import (
+    TABLES,
     ExperimentContext,
-    fig5a,
-    fig5b,
-    fig5c,
-    table2,
-    table3,
-    table4,
+    TableSpec,
+    experiment_table,
+    table_row,
 )
 from repro.harness.faults import FaultInjector
 from repro.harness.reporting import format_table
@@ -27,14 +28,12 @@ __all__ = [
     "ExperimentContext",
     "FaultInjector",
     "RunnerConfig",
+    "TABLES",
+    "TableSpec",
     "WorkloadOutcome",
     "WorkloadRunner",
     "assemble_table",
-    "fig5a",
-    "fig5b",
-    "fig5c",
+    "experiment_table",
     "format_table",
-    "table2",
-    "table3",
-    "table4",
+    "table_row",
 ]

@@ -1,11 +1,22 @@
-"""Drivers that regenerate the paper's evaluation artifacts.
+"""The paper's evaluation artifacts, declared once and computed per workload.
 
-Every public function takes an :class:`ExperimentContext`, which caches
-the expensive per-workload artifacts (compiled program, functional
-trace, baseline timing run, address profile) so that the figure drivers
-can share them.  ``scale`` shrinks or grows workload iteration counts
-relative to their defaults, letting the same drivers run as fast smoke
-benchmarks or as full experiments.
+Each artifact is one :class:`TableSpec` in :data:`TABLES`: its suite,
+title, headers and summary kind, plus its speedup columns declared as
+``column -> (EarlyGenConfig, profiled)``.  Everything else derives from
+that declaration:
+
+* :func:`sim_requests` — the deduplicated configs a suite's tables
+  replay, which :meth:`ExperimentContext.prefetch_sims` simulates in one
+  :func:`~repro.sim.precompute.simulate_many` sweep per workload;
+* :func:`table_row` — one workload's row of one artifact;
+* :func:`experiment_table` — an artifact's rows over its suite, closed
+  by its summary row.
+
+:class:`ExperimentContext` caches the expensive per-workload artifacts
+(compiled program, functional trace, address profile, profile-guided
+overrides, timing stats).  ``scale`` shrinks or grows workload
+iteration counts relative to their defaults, so the same declarations
+run as fast smoke benchmarks or as full experiments.
 
 Experiment map (see DESIGN.md):
 
@@ -18,6 +29,7 @@ fig5c     dual-path comparison: best single-path hw, dual hw-only,
           dual compiler, dual compiler+profiling
 table3    profile-guided classification: speedup, PD shares, rates
 table4    MediaBench mix, prediction rates, and speedup
+gen       the Table 4 columns for generated workloads
 ========  ==========================================================
 """
 
@@ -26,7 +38,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.compiler.driver import CompileOptions, CompileResult, compile_source
@@ -35,20 +47,184 @@ from repro.compiler.profile_feedback import (
     DEFAULT_THRESHOLD,
     profile_overrides,
 )
+from repro.harness.reporting import (
+    FIG5A_HEADERS,
+    FIG5B_HEADERS,
+    FIG5C_HEADERS,
+    TABLE2_HEADERS,
+    TABLE3_HEADERS,
+    TABLE4_HEADERS,
+)
 from repro.isa.opcodes import LoadSpec
 from repro.profiling.address_profile import AddressProfile, profile_trace
 from repro.sim.executor import Executor
 from repro.sim.machine import (
     BASELINE,
+    PROPOSED,
     EarlyGenConfig,
     MachineConfig,
     SelectionMode,
 )
-from repro.sim.pipeline import TimingSimulator
+from repro.sim.precompute import simulate_many
 from repro.sim.stats import SimStats
 from repro.sim.trace import Trace
 from repro.workloads import get_workload, workload_names
 
+
+# ---------------------------------------------------------------------------
+# Table declarations
+# ---------------------------------------------------------------------------
+
+#: Prediction-table sweep of Figure 5a.  The paper sweeps 64/128/256
+#: entries against SPEC binaries with thousands of static loads; our
+#: workloads have tens, so the sweep extends down to 4 and 16 entries
+#: to cover the same conflict-pressure regime (static loads per entry).
+FIG5A_TABLE_SIZES = (4, 16, 64, 128, 256)
+#: Cached-register sweep of Figure 5b (hardware-only BRIC-style cache).
+FIG5B_REG_COUNTS = (4, 8, 16)
+
+_HW = SelectionMode.HARDWARE
+_CC = SelectionMode.COMPILER
+
+
+@dataclass(frozen=True)
+class TableSpec:
+    """One paper artifact: its columns and where each value comes from.
+
+    A column named in ``speedups`` is the baseline's cycles over the
+    declared config's cycles; ``profiled`` configs replay with the
+    Section 4.3 profile-guided overrides (:meth:`WorkloadRun.get_overrides`).
+    Every other column but ``benchmark`` is a load-class column of the
+    address profile (:func:`class_columns`), reclassified by the same
+    overrides when ``reclassified``.
+    """
+
+    key: str
+    suite: str
+    title: str
+    headers: Dict[str, str]
+    #: "geomean" = geomean every column; "average" = geomean the
+    #: ``speedup`` column, arithmetic-mean the rest; None = no summary.
+    summary: Optional[str]
+    speedups: Dict[str, Tuple[EarlyGenConfig, bool]] = field(
+        default_factory=dict
+    )
+    reclassified: bool = False
+
+
+TABLES = (
+    TableSpec(
+        "table2", "spec",
+        "Table 2 — SPEC load classes and prediction rates",
+        TABLE2_HEADERS, None,
+    ),
+    # Hardware-only allocates every load a table entry; compiler mode
+    # only the loads classified ``ld_p``.  Columns are declared size by
+    # size so the sweep replays each size's pair back to back.
+    TableSpec(
+        "fig5a", "spec",
+        "Figure 5a — prediction-table-only speedup",
+        FIG5A_HEADERS, "geomean",
+        {f"{kind}_{size}": (EarlyGenConfig(size, 0, mode), False)
+         for size in FIG5A_TABLE_SIZES
+         for kind, mode in (("hw", _HW), ("cc", _CC))},
+    ),
+    TableSpec(
+        "fig5b", "spec",
+        "Figure 5b — early-calculation-only speedup (hardware BRIC)",
+        FIG5B_HEADERS, "geomean",
+        {f"regs_{count}": (EarlyGenConfig(0, count, _HW), False)
+         for count in FIG5B_REG_COUNTS},
+    ),
+    # The headline comparison: 5a's and 5b's best single paths, the
+    # dual path under run-time selection, compiler-directed (the
+    # proposal), and compiler-directed plus address profiling.
+    TableSpec(
+        "fig5c", "spec",
+        "Figure 5c — dual-path comparison",
+        FIG5C_HEADERS, "geomean",
+        {
+            "hw_table": (EarlyGenConfig(256, 0, _HW), False),
+            "hw_calc": (EarlyGenConfig(0, 16, _HW), False),
+            "hw_dual": (EarlyGenConfig(256, 1, _HW), False),
+            "cc_dual": (PROPOSED, False),
+            "cc_prof": (PROPOSED, True),
+        },
+    ),
+    TableSpec(
+        "table3", "spec",
+        "Table 3 — profile-guided classification (threshold 60%)",
+        TABLE3_HEADERS, "average",
+        {"speedup": (PROPOSED, True)}, reclassified=True,
+    ),
+    TableSpec(
+        "table4", "mediabench",
+        "Table 4 — MediaBench",
+        TABLE4_HEADERS, "average",
+        {"speedup": (PROPOSED, False)},
+    ),
+    TableSpec(
+        "gen", "gen",
+        "Generated workloads — load mix and proposed-config speedup",
+        TABLE4_HEADERS, "average",
+        {"speedup": (PROPOSED, False)},
+    ),
+)
+
+
+def table_spec(key: str) -> TableSpec:
+    """The :data:`TABLES` entry named *key*."""
+    for spec in TABLES:
+        if spec.key == key:
+            return spec
+    raise KeyError(f"unknown table {key!r} "
+                   f"(known: {', '.join(s.key for s in TABLES)})")
+
+
+# ---------------------------------------------------------------------------
+# Simulation plan
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SimRequest:
+    """One independent timing-simulator run of a workload's trace.
+
+    ``use_profile_override`` marks the profile-guided runs that replay
+    with Section 4.3 reclassification (the override map itself is
+    derived from the workload's trace); ``cache_key`` is ``"profile"``
+    for exactly those runs and tags them in traces.
+    """
+
+    earlygen: EarlyGenConfig
+    cache_key: Optional[str] = None
+    use_profile_override: bool = False
+
+
+def _request(earlygen: EarlyGenConfig, profiled: bool = False) -> SimRequest:
+    return SimRequest(earlygen, "profile" if profiled else None, profiled)
+
+
+_BASELINE_REQUEST = _request(BASELINE)
+
+
+def sim_requests(suite: str) -> List[SimRequest]:
+    """Every early-generation replay the *suite*'s tables need.
+
+    The union of the speedup columns of the suite's :data:`TABLES`,
+    deduplicated, in declaration order; the no-early-generation
+    baseline run is not included.
+    """
+    specs = [spec for spec in TABLES if spec.suite == suite]
+    if not specs:
+        raise ValueError(f"unknown suite {suite!r}")
+    requests = [_request(*column) for spec in specs
+                for column in spec.speedups.values()]
+    return list(dict.fromkeys(requests))
+
+
+# ---------------------------------------------------------------------------
+# Per-workload artifacts
+# ---------------------------------------------------------------------------
 
 @dataclass
 class WorkloadRun:
@@ -59,8 +235,9 @@ class WorkloadRun:
     trace: Trace
     steps: int
     profile: Optional[AddressProfile] = None
-    baseline: Optional[SimStats] = None
-    _sims: Dict = field(default_factory=dict)
+    overrides: Optional[Dict[int, LoadSpec]] = None
+    #: Timing stats per replayed :class:`SimRequest`, baseline included.
+    sims: Dict[SimRequest, SimStats] = field(default_factory=dict)
 
     @property
     def program(self):
@@ -74,6 +251,15 @@ class WorkloadRun:
             if tracer.enabled:
                 emit_profile_event(tracer, self.name, self.profile)
         return self.profile
+
+    def get_overrides(self) -> Dict[int, LoadSpec]:
+        """Section 4.3 reclassification at the paper's 60% threshold."""
+        if self.overrides is None:
+            self.overrides = profile_overrides(
+                self.program, self.trace, DEFAULT_THRESHOLD,
+                self.get_profile().predictor,
+            )
+        return self.overrides
 
 
 def emit_profile_event(tracer, name: str, profile: AddressProfile) -> None:
@@ -98,6 +284,11 @@ class ExperimentContext:
     ``verify_ir`` additionally runs the structural IR verifier between
     compiler passes.  ``fault_injector`` is the test seam that lets a
     chosen workload crash, hang, or corrupt its IR/output.
+
+    Every simulation goes through one
+    :func:`~repro.sim.precompute.simulate_many` sweep per call of
+    :meth:`prefetch_sims` (or per cache miss), which shares one trace
+    precompute across the configs it replays.
     """
 
     def __init__(
@@ -155,104 +346,76 @@ class ExperimentContext:
         self._runs[name] = run
         return run
 
-    def baseline_stats(self, name: str) -> SimStats:
-        run = self.run(name)
-        if run.baseline is None:
-            with obs.current().span(
-                "sim", workload=name, config="baseline"
-            ):
-                run.baseline = TimingSimulator(
-                    run.trace, self.machine.with_earlygen(BASELINE)
-                ).run()
-        return run.baseline
+    def prefetch_sims(self, name: str, backends: Sequence[str] = ()) -> None:
+        """Simulate every config *name*'s rows need in one sweep.
 
-    def sim(
-        self,
-        name: str,
-        earlygen: EarlyGenConfig,
-        spec_override: Optional[Dict[int, LoadSpec]] = None,
-        cache_key: Optional[str] = None,
-    ) -> SimStats:
-        run = self.run(name)
-        key = (earlygen, cache_key)
-        cached = run._sims.get(key)
-        if cached is not None:
-            return cached
-        with obs.current().span(
-            "sim", workload=name, config=eg_tag(earlygen, cache_key)
-        ):
-            stats = TimingSimulator(
-                run.trace, self.machine.with_earlygen(earlygen),
-                spec_override,
-            ).run()
-        run._sims[key] = stats
-        return stats
-
-    def speedup(
-        self,
-        name: str,
-        earlygen: EarlyGenConfig,
-        spec_override: Optional[Dict[int, LoadSpec]] = None,
-        cache_key: Optional[str] = None,
-    ) -> float:
-        stats = self.sim(name, earlygen, spec_override, cache_key)
-        return self.baseline_stats(name).cycles / stats.cycles
-
-    def prefetch_sims(self, name: str, threshold: float = None) -> None:
-        """Run every sim the row drivers will request for *name* in one
-        batch, sharing a single trace precompute across the sweep.
-
-        Fills :attr:`WorkloadRun.baseline` and the per-config sim cache
-        with :class:`SimStats` byte-identical to what the lazy
-        :meth:`sim` calls would have produced (see
-        :mod:`repro.sim.precompute`); the drivers then hit the cache
-        instead of simulating one config at a time.  Already-cached
-        entries are left untouched, so a plan miss or a manual
-        :meth:`sim` call stays harmless.
+        The baseline, the :func:`sim_requests` of the workload's suite
+        and the :func:`ablation_config` of each of *backends* go through
+        a single :func:`~repro.sim.precompute.simulate_many` call, so
+        they share one trace precompute; the row builders then read the
+        context cache.  Configs already cached are not replayed again.
         """
-        from repro.sim.precompute import simulate_many
-
-        if threshold is None:
-            threshold = DEFAULT_THRESHOLD
-        run = self.run(name)
         suite = get_workload(name).suite
-        configs: List = []
-        overrides: List = []
-        tags: List = []
-        keys: List = []
-        if run.baseline is None:
-            configs.append(BASELINE)
-            overrides.append(None)
-            tags.append({"workload": name, "config": "baseline"})
-            keys.append(None)
-        for req in sim_requests(suite):
-            if (req.earlygen, req.cache_key) in run._sims:
-                continue
-            override = None
-            if req.use_profile_override:
-                override = profile_overrides(
-                    run.program, run.trace, threshold,
-                    run.get_profile().predictor,
-                )
-            configs.append(req.earlygen)
-            overrides.append(override)
-            tags.append({
-                "workload": name,
-                "config": eg_tag(req.earlygen, req.cache_key),
-            })
-            keys.append((req.earlygen, req.cache_key))
-        if not configs:
+        self._sweep(name, [
+            *sim_requests(suite),
+            *(_request(ablation_config(b)) for b in backends),
+        ])
+
+    def _sweep(self, name: str, requests: Iterable[SimRequest]) -> None:
+        """Replay the uncached ones of *requests*, and the baseline if it
+        is not cached yet, in one :func:`simulate_many` call."""
+        run = self.run(name)
+        todo = [req for req in dict.fromkeys([_BASELINE_REQUEST, *requests])
+                if req not in run.sims]
+        if not todo:
             return
         stats_list = simulate_many(
-            run.trace, configs, machine=self.machine,
-            overrides=overrides, span_tags=tags,
+            run.trace, [req.earlygen for req in todo], machine=self.machine,
+            overrides=[run.get_overrides() if req.use_profile_override
+                       else None for req in todo],
+            span_tags=[{"workload": name,
+                        "config": eg_tag(req.earlygen, req.cache_key)}
+                       for req in todo],
         )
-        for key, stats in zip(keys, stats_list):
-            if key is None:
-                run.baseline = stats
-            else:
-                run._sims[key] = stats
+        run.sims.update(zip(todo, stats_list))
 
+    def sim(
+        self, name: str, earlygen: EarlyGenConfig, profiled: bool = False
+    ) -> SimStats:
+        """Stats of *name* under *earlygen* (with the profile-guided
+        overrides when *profiled*); a cache miss runs a sweep."""
+        request = _request(earlygen, profiled)
+        self._sweep(name, [request])
+        return self.run(name).sims[request]
+
+    def baseline_stats(self, name: str) -> SimStats:
+        return self.sim(name, BASELINE)
+
+    def speedup(
+        self, name: str, earlygen: EarlyGenConfig, profiled: bool = False
+    ) -> float:
+        stats = self.sim(name, earlygen, profiled)
+        return self.baseline_stats(name).cycles / stats.cycles
+
+
+def eg_tag(earlygen: EarlyGenConfig, cache_key: Optional[str] = None) -> str:
+    """Short trace tag for one early-gen config, e.g. ``t256_r1_compiler``."""
+    if not earlygen.enabled:
+        return "baseline"
+    tag = (
+        f"t{earlygen.table_entries}_r{earlygen.cached_regs}"
+        f"_{earlygen.selection.value}"
+    )
+    if earlygen.table_entries and earlygen.predictor != "stride":
+        tag += f"_{earlygen.predictor}"
+    if cache_key:
+        tag += f"+{cache_key}"
+    return tag
+
+
+# ---------------------------------------------------------------------------
+# Rows and summaries
+# ---------------------------------------------------------------------------
 
 def _geomean(values: List[float]) -> float:
     """Geometric mean; NaN (with a warning) for undefined inputs.
@@ -277,343 +440,83 @@ def _geomean(values: List[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def eg_tag(earlygen: EarlyGenConfig, cache_key: Optional[str] = None) -> str:
-    """Short trace tag for one early-gen config, e.g. ``t256_r1_compiler``."""
-    if not earlygen.enabled:
-        return "baseline"
-    tag = (
-        f"t{earlygen.table_entries}_r{earlygen.cached_regs}"
-        f"_{earlygen.selection.value}"
-    )
-    if earlygen.table_entries and earlygen.predictor != "stride":
-        tag += f"_{earlygen.predictor}"
-    if cache_key:
-        tag += f"+{cache_key}"
-    return tag
-
-
-# ---------------------------------------------------------------------------
-# Simulation plan
-# ---------------------------------------------------------------------------
-
-#: Prediction-table sweep of Figure 5a (see :func:`fig5a`).
-FIG5A_TABLE_SIZES = (4, 16, 64, 128, 256)
-#: Cached-register sweep of Figure 5b (see :func:`fig5b`).
-FIG5B_REG_COUNTS = (4, 8, 16)
-
-
-@dataclass(frozen=True)
-class SimRequest:
-    """One independent timing-simulator run of a workload's trace.
-
-    ``cache_key`` mirrors the ``cache_key`` argument of
-    :meth:`ExperimentContext.sim`; ``use_profile_override`` marks the
-    profile-guided runs that replay with Section 4.3 reclassification
-    (the override map itself is derived from the workload's trace).
-    """
-
-    earlygen: EarlyGenConfig
-    cache_key: Optional[str] = None
-    use_profile_override: bool = False
-
-
-def sim_requests(suite: str) -> List[SimRequest]:
-    """Every :class:`EarlyGenConfig` replay a suite's row fragments need.
-
-    The list is deduplicated and ordered; it does not include the
-    no-early-generation baseline run (see
-    :meth:`ExperimentContext.baseline_stats`).  The experiment drivers
-    remain the source of truth for the row *values* — this plan only
-    enumerates which independent sims they will request, so
-    :meth:`ExperimentContext.prefetch_sims` can batch them through one
-    shared precompute and pre-populate the context cache.  A plan miss
-    is harmless: the context falls back to simulating inline.
-    """
-    requests: Dict[tuple, SimRequest] = {}
-
-    def add(earlygen, cache_key=None, use_profile_override=False):
-        key = (earlygen, cache_key)
-        if key not in requests:
-            requests[key] = SimRequest(earlygen, cache_key,
-                                       use_profile_override)
-
-    if suite == "spec":
-        for size in FIG5A_TABLE_SIZES:
-            add(EarlyGenConfig(size, 0, SelectionMode.HARDWARE))
-            add(EarlyGenConfig(size, 0, SelectionMode.COMPILER))
-        for count in FIG5B_REG_COUNTS:
-            add(EarlyGenConfig(0, count, SelectionMode.HARDWARE))
-        add(EarlyGenConfig(256, 1, SelectionMode.HARDWARE))
-        add(EarlyGenConfig(256, 1, SelectionMode.COMPILER))
-        add(EarlyGenConfig(256, 1, SelectionMode.COMPILER),
-            cache_key="profile", use_profile_override=True)
-    elif suite in ("mediabench", "gen"):
-        # Generated workloads report the Table-4-style row: the
-        # proposed compiler-selected configuration only.
-        add(EarlyGenConfig(256, 1, SelectionMode.COMPILER))
-    else:
-        raise ValueError(f"unknown suite {suite!r}")
-    return list(requests.values())
-
-
-def _spec_names(names: Optional[List[str]]) -> List[str]:
-    return names if names is not None else workload_names("spec")
-
-
-def _media_names(names: Optional[List[str]]) -> List[str]:
-    return names if names is not None else workload_names("mediabench")
-
-
-# ---------------------------------------------------------------------------
-# Table 2
-# ---------------------------------------------------------------------------
-
-def table2(
-    ctx: ExperimentContext, names: Optional[List[str]] = None
-) -> List[dict]:
-    """Load-class mix and NT/PD prediction rates for the SPEC suite.
-
-    Columns mirror the paper's Table 2: dynamic loads, static and dynamic
-    shares of NT/PD/EC, and the unbounded-predictor prediction rates of
-    the NT and PD classes.
-    """
-    rows = []
-    for name in _spec_names(names):
-        run = ctx.run(name)
-        profile = run.get_profile()
-        static = profile.static_class_shares()
-        dynamic = profile.dynamic_class_shares()
-        rates = profile.class_rates()
-        rows.append(
-            {
-                "benchmark": name,
-                "dyn_loads": profile.dynamic_loads,
-                "static_nt": static["n"] * 100,
-                "static_pd": static["p"] * 100,
-                "static_ec": static["e"] * 100,
-                "dyn_nt": dynamic["n"] * 100,
-                "dyn_pd": dynamic["p"] * 100,
-                "dyn_ec": dynamic["e"] * 100,
-                "rate_nt": rates["n"] * 100,
-                "rate_pd": rates["p"] * 100,
-            }
-        )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Figure 5a — prediction-table-only sweep
-# ---------------------------------------------------------------------------
-
-def fig5a(
-    ctx: ExperimentContext,
-    names: Optional[List[str]] = None,
-    table_sizes: tuple = FIG5A_TABLE_SIZES,
-) -> List[dict]:
-    """Speedup with only the prediction table, hw-only vs compiler.
-
-    In hardware-only mode every load is allocated a table entry; in
-    compiler mode only the loads classified ``ld_p`` use the table.
-
-    The paper sweeps 64/128/256 entries against SPEC binaries with
-    thousands of static loads; our workloads have tens, so the sweep is
-    extended down to 4 and 16 entries to cover the same
-    conflict-pressure regime (static loads per table entry).
-    """
-    rows = []
-    for name in _spec_names(names):
-        row = {"benchmark": name}
-        for size in table_sizes:
-            row[f"hw_{size}"] = ctx.speedup(
-                name,
-                EarlyGenConfig(size, 0, SelectionMode.HARDWARE),
-            )
-            row[f"cc_{size}"] = ctx.speedup(
-                name,
-                EarlyGenConfig(size, 0, SelectionMode.COMPILER),
-            )
-        rows.append(row)
-    summary = {"benchmark": "geomean"}
-    for size in table_sizes:
-        for kind in ("hw", "cc"):
-            summary[f"{kind}_{size}"] = _geomean(
-                [row[f"{kind}_{size}"] for row in rows]
-            )
-    rows.append(summary)
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Figure 5b — early-calculation-only sweep
-# ---------------------------------------------------------------------------
-
-def fig5b(
-    ctx: ExperimentContext,
-    names: Optional[List[str]] = None,
-    reg_counts: tuple = FIG5B_REG_COUNTS,
-) -> List[dict]:
-    """Speedup with only the BRIC-style register cache (hardware-only)."""
-    rows = []
-    for name in _spec_names(names):
-        row = {"benchmark": name}
-        for count in reg_counts:
-            row[f"regs_{count}"] = ctx.speedup(
-                name,
-                EarlyGenConfig(0, count, SelectionMode.HARDWARE),
-            )
-        rows.append(row)
-    summary = {"benchmark": "geomean"}
-    for count in reg_counts:
-        summary[f"regs_{count}"] = _geomean(
-            [row[f"regs_{count}"] for row in rows]
-        )
-    rows.append(summary)
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Figure 5c — dual-path comparison
-# ---------------------------------------------------------------------------
-
-def fig5c(
-    ctx: ExperimentContext,
-    names: Optional[List[str]] = None,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> List[dict]:
-    """The paper's headline comparison.
-
-    Five configurations per benchmark:
-
-    * ``hw_table`` — 256-entry table only, hardware-allocated (5a's best)
-    * ``hw_calc`` — 16 cached registers only (5b's best)
-    * ``hw_dual`` — 256-entry table + 1 register, run-time selection
-    * ``cc_dual`` — same hardware, compiler-directed (the proposal)
-    * ``cc_prof`` — compiler-directed plus address profiling
-    """
-    rows = []
-    for name in _spec_names(names):
-        run = ctx.run(name)
-        overrides = profile_overrides(run.program, run.trace, threshold,
-                                      run.get_profile().predictor)
-        row = {
-            "benchmark": name,
-            "hw_table": ctx.speedup(
-                name, EarlyGenConfig(256, 0, SelectionMode.HARDWARE)
-            ),
-            "hw_calc": ctx.speedup(
-                name, EarlyGenConfig(0, 16, SelectionMode.HARDWARE)
-            ),
-            "hw_dual": ctx.speedup(
-                name, EarlyGenConfig(256, 1, SelectionMode.HARDWARE)
-            ),
-            "cc_dual": ctx.speedup(
-                name, EarlyGenConfig(256, 1, SelectionMode.COMPILER)
-            ),
-            "cc_prof": ctx.speedup(
-                name,
-                EarlyGenConfig(256, 1, SelectionMode.COMPILER),
-                spec_override=overrides,
-                cache_key="profile",
-            ),
-        }
-        rows.append(row)
-    summary = {"benchmark": "geomean"}
-    for key in ("hw_table", "hw_calc", "hw_dual", "cc_dual", "cc_prof"):
-        summary[key] = _geomean([row[key] for row in rows])
-    rows.append(summary)
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Table 3 — profile-guided classification
-# ---------------------------------------------------------------------------
-
-def table3(
-    ctx: ExperimentContext,
-    names: Optional[List[str]] = None,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> List[dict]:
-    """Speedup and PD shares after profile-guided reclassification."""
-    rows = []
-    for name in _spec_names(names):
-        run = ctx.run(name)
-        profile = run.get_profile()
-        overrides = profile_overrides(
-            run.program, run.trace, threshold, profile.predictor
-        )
-        static = profile.static_class_shares(overrides)
-        dynamic = profile.dynamic_class_shares(overrides)
-        rates = profile.class_rates(overrides)
-        rows.append(
-            {
-                "benchmark": name,
-                "speedup": ctx.speedup(
-                    name,
-                    EarlyGenConfig(256, 1, SelectionMode.COMPILER),
-                    spec_override=overrides,
-                    cache_key="profile",
-                ),
-                "static_pd": static["p"] * 100,
-                "dyn_pd": dynamic["p"] * 100,
-                "rate_nt": rates["n"] * 100,
-                "rate_pd": rates["p"] * 100,
-            }
-        )
-    summary = {
-        "benchmark": "average",
-        "speedup": _geomean([row["speedup"] for row in rows]),
-        "static_pd": sum(r["static_pd"] for r in rows) / len(rows),
-        "dyn_pd": sum(r["dyn_pd"] for r in rows) / len(rows),
-        "rate_nt": sum(r["rate_nt"] for r in rows) / len(rows),
-        "rate_pd": sum(r["rate_pd"] for r in rows) / len(rows),
+def class_columns(
+    profile: AddressProfile,
+    overrides: Optional[Dict[int, LoadSpec]] = None,
+) -> dict:
+    """The load-class columns of Tables 2–4: dynamic loads, static and
+    dynamic NT/PD/EC shares, and the unbounded-predictor NT/PD rates
+    (percentages), classified by *overrides* when given."""
+    static = profile.static_class_shares(overrides)
+    dynamic = profile.dynamic_class_shares(overrides)
+    rates = profile.class_rates(overrides)
+    return {
+        "dyn_loads": profile.dynamic_loads,
+        "static_nt": static["n"] * 100,
+        "static_pd": static["p"] * 100,
+        "static_ec": static["e"] * 100,
+        "dyn_nt": dynamic["n"] * 100,
+        "dyn_pd": dynamic["p"] * 100,
+        "dyn_ec": dynamic["e"] * 100,
+        "rate_nt": rates["n"] * 100,
+        "rate_pd": rates["p"] * 100,
     }
-    rows.append(summary)
-    return rows
 
 
-# ---------------------------------------------------------------------------
-# Table 4 — MediaBench
-# ---------------------------------------------------------------------------
+def table_row(ctx: ExperimentContext, spec: TableSpec, name: str) -> dict:
+    """Workload *name*'s row of *spec*, keyed in header order."""
+    if spec.speedups:
+        ctx._sweep(name, [_request(*column)
+                          for column in spec.speedups.values()])
+    row = {"benchmark": name}
+    classes = None
+    for column in spec.headers:
+        if column == "benchmark":
+            continue
+        if column in spec.speedups:
+            row[column] = ctx.speedup(name, *spec.speedups[column])
+            continue
+        if classes is None:
+            run = ctx.run(name)
+            classes = class_columns(
+                run.get_profile(),
+                run.get_overrides() if spec.reclassified else None,
+            )
+        row[column] = classes[column]
+    return row
 
-def table4(
-    ctx: ExperimentContext, names: Optional[List[str]] = None
+
+def _summary_row(spec: TableSpec, rows: List[dict]) -> Optional[dict]:
+    """The geomean/average row closing *spec* over *rows* (or None)."""
+    if spec.summary is None or not rows:
+        return None
+    columns = [key for key in spec.headers if key != "benchmark"]
+    if spec.summary == "geomean":
+        summary = {"benchmark": "geomean"}
+        for key in columns:
+            summary[key] = _geomean([row[key] for row in rows])
+        return summary
+    summary = {"benchmark": "average"}
+    for key in columns:
+        values = [row[key] for row in rows]
+        if key == "speedup":
+            summary[key] = _geomean(values)
+        else:
+            summary[key] = sum(values) / len(values)
+    return summary
+
+
+def experiment_table(
+    ctx: ExperimentContext, key: str, names: Optional[List[str]] = None
 ) -> List[dict]:
-    """MediaBench load mix, prediction rates, and proposed-config speedup."""
-    rows = []
-    for name in _media_names(names):
-        run = ctx.run(name)
-        profile = run.get_profile()
-        static = profile.static_class_shares()
-        dynamic = profile.dynamic_class_shares()
-        rates = profile.class_rates()
-        rows.append(
-            {
-                "benchmark": name,
-                "dyn_loads": profile.dynamic_loads,
-                "static_nt": static["n"] * 100,
-                "static_pd": static["p"] * 100,
-                "static_ec": static["e"] * 100,
-                "dyn_nt": dynamic["n"] * 100,
-                "dyn_pd": dynamic["p"] * 100,
-                "dyn_ec": dynamic["e"] * 100,
-                "rate_nt": rates["n"] * 100,
-                "rate_pd": rates["p"] * 100,
-                "speedup": ctx.speedup(
-                    name, EarlyGenConfig(256, 1, SelectionMode.COMPILER)
-                ),
-            }
-        )
-    if rows:
-        summary = {"benchmark": "average", "dyn_loads": 0}
-        for key in rows[0]:
-            if key in ("benchmark",):
-                continue
-            if key == "speedup":
-                summary[key] = _geomean([r[key] for r in rows])
-            else:
-                summary[key] = sum(r[key] for r in rows) / len(rows)
-        rows.append(summary)
-    return rows
+    """The artifact *key* of :data:`TABLES` over *names* (default: every
+    workload of its suite), closed by its summary row if it has one."""
+    spec = table_spec(key)
+    if names is None:
+        names = workload_names(spec.suite)
+    rows = [table_row(ctx, spec, name) for name in names]
+    summary = _summary_row(spec, rows)
+    return rows if summary is None else rows + [summary]
 
 
 # ---------------------------------------------------------------------------
@@ -642,39 +545,11 @@ def ablation_row(
 
     The dynamic prediction-class share (the loads the backends actually
     compete on) and the speedup over the no-early-generation baseline
-    with each backend driving the prediction path.  The uncached
-    backend configs are replayed in one
-    :func:`repro.sim.precompute.simulate_many` batch, so they share one
-    trace precompute instead of simulating per config.
+    with each backend driving the prediction path; the uncached backend
+    configs replay in one sweep.
     """
-    from repro.sim.precompute import simulate_many
-
-    run = ctx.run(name)
-    dynamic = run.get_profile().dynamic_class_shares()
-    configs: List = []
-    keys: List = []
-    if run.baseline is None:
-        configs.append(BASELINE)
-        keys.append(None)
-    for backend in backends:
-        eg = ablation_config(backend)
-        if (eg, None) not in run._sims:
-            configs.append(eg)
-            keys.append((eg, None))
-    if configs:
-        stats_list = simulate_many(
-            run.trace, configs, machine=ctx.machine,
-            span_tags=[{
-                "workload": name,
-                "config": ("baseline" if key is None
-                           else eg_tag(key[0])),
-            } for key in keys],
-        )
-        for key, stats in zip(keys, stats_list):
-            if key is None:
-                run.baseline = stats
-            else:
-                run._sims[key] = stats
+    ctx._sweep(name, [_request(ablation_config(b)) for b in backends])
+    dynamic = ctx.run(name).get_profile().dynamic_class_shares()
     row = {
         "benchmark": name,
         "suite": get_workload(name).suite,

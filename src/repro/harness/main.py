@@ -301,11 +301,16 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     if injector is not None:
-        known = set(workload_names())
+        # Resolve each name as --workloads does, so faults are keyed by
+        # the canonical names the runner sees (gen: names included).
+        entries = []
         for entry in args.inject:
-            name = entry.partition("=")[0]
-            if name not in known:
+            name, _, mode = entry.partition("=")
+            try:
+                entries += [f"{n}={mode}" for n in select_workloads([name])]
+            except ValueError:
                 parser.error(f"--inject names unknown workload {name!r}")
+        injector = FaultInjector.parse(entries)
 
     ctx = ExperimentContext(
         scale=args.scale,

@@ -144,7 +144,7 @@ def class_rows(records: List[dict]) -> List[dict]:
 
     Uses each workload's latest event (a retried attempt re-emits it)
     and applies the same arithmetic as
-    :func:`repro.harness.experiments.table2`: static share =
+    :func:`repro.harness.experiments.class_columns`: static share =
     static_c / Σstatic, dynamic share = dyn_c / Σdyn, rate =
     correct_c / dyn_c, all × 100.
     """

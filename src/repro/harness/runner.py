@@ -19,13 +19,14 @@ compile→emulate→simulate pipeline:
   re-running only failed/timed-out workloads and those whose
   configuration or code changed.
 
-Per workload, the runner computes the row fragments of every experiment
-that workload participates in (Table 2, Figures 5a–5c, and Table 3 for
-SPEC; Table 4 for MediaBench; the predictor ablation when asked)
-through the unchanged experiment drivers, then :func:`assemble_table`
-rebuilds each paper artifact from the surviving fragments — summary
-rows (geomean/average) are computed over successful workloads only, and
-degraded workloads appear as ERROR/TIMEOUT rows.
+Per workload, the runner computes the row fragment of every
+:data:`~repro.harness.experiments.TABLES` entry of that workload's
+suite (Table 2, Figures 5a–5c, and Table 3 for SPEC; Table 4 for
+MediaBench; the predictor ablation when asked) after one simulation
+sweep, then :func:`assemble_table` rebuilds each paper artifact from
+the surviving fragments — summary rows (geomean/average) are computed
+over successful workloads only, and degraded workloads appear as
+ERROR/TIMEOUT rows.
 
 Workloads run in this process (``jobs=1``, no timeout) or one per task
 on a worker pool (see :mod:`repro.harness.parallel`), with identical
@@ -41,23 +42,12 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro import obs
 from repro.errors import ReproError
 from repro.harness.experiments import (
+    TABLES,
     ExperimentContext,
-    _geomean,
+    TableSpec,
+    _summary_row,
     ablation_row,
-    fig5a,
-    fig5b,
-    fig5c,
-    table2,
-    table3,
-    table4,
-)
-from repro.harness.reporting import (
-    FIG5A_HEADERS,
-    FIG5B_HEADERS,
-    FIG5C_HEADERS,
-    TABLE2_HEADERS,
-    TABLE3_HEADERS,
-    TABLE4_HEADERS,
+    table_row,
 )
 from repro.workloads import get_workload, workload_suite
 
@@ -110,26 +100,19 @@ def compute_rows(
     """Row fragments of every experiment *name* participates in.
 
     With *backends*, the predictor-ablation row joins them as the
-    ``"ablation"`` fragment, reusing the workload's warm precompute and
-    baseline instead of recompiling and re-emulating it later.  A
+    ``"ablation"`` fragment; its configs replay in the same sweep as the
+    tables', instead of recompiling and re-emulating the workload
+    later.  A
     generated workload is planned here (on a store miss, in the task
     that computes it) and its generator provenance joins the rows as
     the ``"provenance"`` fragment, so no consumer has to plan it again.
     """
     suite = get_workload(name).suite
-    # Batch the whole config sweep through one shared trace precompute
-    # before the drivers run; they then read from the context cache.
-    ctx.prefetch_sims(name)
-    rows: Dict[str, dict] = {}
-    if suite == "spec":
-        rows["table2"] = table2(ctx, [name])[0]
-        rows["fig5a"] = fig5a(ctx, [name])[0]
-        rows["fig5b"] = fig5b(ctx, [name])[0]
-        rows["fig5c"] = fig5c(ctx, [name])[0]
-        rows["table3"] = table3(ctx, [name])[0]
-    else:
-        key = "gen" if suite == "gen" else "table4"
-        rows[key] = table4(ctx, [name])[0]
+    # One sweep replays every config of the rows below, the ablation's
+    # included; the row builders then read the context cache.
+    ctx.prefetch_sims(name, backends)
+    rows = {spec.key: table_row(ctx, spec, name)
+            for spec in TABLES if spec.suite == suite}
     if suite == "gen":
         from repro.workloads.gen import provenance
         rows["provenance"] = provenance(name)
@@ -324,77 +307,6 @@ class WorkloadRunner:
 # ---------------------------------------------------------------------------
 # Table assembly from per-workload fragments
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TableSpec:
-    """One paper artifact assembled from per-workload row fragments."""
-
-    key: str
-    suite: str
-    title: str
-    headers: Dict[str, str]
-    #: "geomean" = geomean every column; "average" = geomean the
-    #: ``speedup`` column, arithmetic-mean the rest; None = no summary.
-    summary: Optional[str]
-
-
-TABLES = (
-    TableSpec(
-        "table2", "spec",
-        "Table 2 — SPEC load classes and prediction rates",
-        TABLE2_HEADERS, None,
-    ),
-    TableSpec(
-        "fig5a", "spec",
-        "Figure 5a — prediction-table-only speedup",
-        FIG5A_HEADERS, "geomean",
-    ),
-    TableSpec(
-        "fig5b", "spec",
-        "Figure 5b — early-calculation-only speedup (hardware BRIC)",
-        FIG5B_HEADERS, "geomean",
-    ),
-    TableSpec(
-        "fig5c", "spec",
-        "Figure 5c — dual-path comparison",
-        FIG5C_HEADERS, "geomean",
-    ),
-    TableSpec(
-        "table3", "spec",
-        "Table 3 — profile-guided classification (threshold 60%)",
-        TABLE3_HEADERS, "average",
-    ),
-    TableSpec(
-        "table4", "mediabench",
-        "Table 4 — MediaBench",
-        TABLE4_HEADERS, "average",
-    ),
-    TableSpec(
-        "gen", "gen",
-        "Generated workloads — load mix and proposed-config speedup",
-        TABLE4_HEADERS, "average",
-    ),
-)
-
-
-def _summary_row(spec: TableSpec, rows: List[dict]) -> Optional[dict]:
-    if spec.summary is None or not rows:
-        return None
-    columns = [key for key in spec.headers if key != "benchmark"]
-    if spec.summary == "geomean":
-        summary = {"benchmark": "geomean"}
-        for key in columns:
-            summary[key] = _geomean([row[key] for row in rows])
-        return summary
-    summary = {"benchmark": "average"}
-    for key in columns:
-        values = [row[key] for row in rows]
-        if key == "speedup":
-            summary[key] = _geomean(values)
-        else:
-            summary[key] = sum(values) / len(values)
-    return summary
-
 
 def degraded_row(spec: TableSpec, outcome: WorkloadOutcome) -> dict:
     """An ERROR/TIMEOUT placeholder row for a degraded workload."""

@@ -371,28 +371,14 @@ class TimingSimulator:
     def run(self) -> SimStats:
         """Simulate the whole trace; returns the collected statistics.
 
-        When the trace already carries a warm config-invariant
-        precompute (:mod:`repro.sim.precompute`) and this run has no
-        per-step observer (``event_hook``), no timeline, and no
-        ``spec_override``, the precomputed-stream path is used; it is
-        byte-identical to :meth:`_run_inline` (golden snapshots, the
-        randomized parity suite, and the ``python -m
-        repro.sim.precompute`` CI gate enforce that).  Everything else
-        — cold traces, hardware dual-path selection, hooks, timelines,
-        overrides, tightened watchdogs — runs inline.  A one-shot
-        simulation never pays for building a precompute here; batched
-        sweeps build one via :func:`repro.sim.precompute.simulate_many`.
+        A one-shot run is the inline loop (:meth:`_run_inline`) and
+        never builds a trace precompute.  Config sweeps go through
+        :func:`repro.sim.precompute.simulate_many`, which shares one
+        precompute across the sweep and replays each config on the
+        precomputed-stream path where it can, byte-identical to this
+        loop (golden snapshots, the randomized parity suite, and the
+        ``python -m repro.sim.precompute`` CI gate enforce that).
         """
-        if (
-            self.event_hook is None
-            and not self.collect_timeline
-            and self.spec_override is None
-        ):
-            from repro.sim import precompute as _precompute
-
-            stats = _precompute.try_fast(self, build=False)
-            if stats is not None:
-                return stats
         return self._run_inline()
 
     def _run_inline(self) -> SimStats:

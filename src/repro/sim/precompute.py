@@ -46,19 +46,19 @@ Two effects cannot be precomputed and are handled explicitly:
   current interlock state (timing-dependent), so those configs always
   use the inline path.
 
-``TimingSimulator.run`` consumes the streams automatically when the
-precompute is already warm (never building one for a one-shot run);
-:func:`simulate_many` is the batched entry point that builds and shares
-one precompute across a sweep.  Both paths produce byte-identical
-:class:`~repro.sim.stats.SimStats` — enforced by the golden snapshots,
-a randomized parity test, and the ``python -m repro.sim.precompute``
-parity gate run in CI.
+:func:`simulate_many` is the one entry point into the streams: it
+builds and shares one precompute across a sweep (a one-shot
+``TimingSimulator.run`` is always the inline loop).  Both paths produce
+byte-identical :class:`~repro.sim.stats.SimStats` — enforced by the
+golden snapshots, a randomized parity test, and the ``python -m
+repro.sim.precompute`` parity gate run in CI.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import OrderedDict, deque
+from contextlib import nullcontext
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro import obs
@@ -117,13 +117,6 @@ _EMASK_TAB = bytes(1 if b == 2 else 0 for b in range(256))
 #: (one replay records every disagreement it sees), so convergence
 #: normally takes one or two rebuilds.
 _MAX_PATCH_RETRIES = 6
-
-#: Traces shorter than this skip the precompute machinery entirely:
-#: building the record/dcache/predictor streams costs more than the
-#: handful of inline replays it would save (an early adpcm_encode wall
-#: regression was exactly this).  Patchable; the parity CLI and
-#: stream-level tests set it to 0.
-_PRECOMPUTE_MIN_N = 3000
 
 #: Identical stream tuples produce identical stats (the replay is a
 #: pure function of them), so sweeps memoize per-tuple results.
@@ -636,21 +629,15 @@ def _scheme_bytes(program, eg: EarlyGenConfig,
     return (b"\x01" if has_table else b"\x02") * nl
 
 
-def get_precompute(trace: Trace, cfg: MachineConfig,
-                   build: bool = True) -> Optional[TracePrecompute]:
-    """The trace's precompute for *cfg*'s machine shape.
+def get_precompute(trace: Trace, cfg: MachineConfig) -> TracePrecompute:
+    """The trace's precompute for *cfg*'s machine shape, built on a miss.
 
     Cached on the Program keyed by trace identity (like the front-end
     cache) with an LRU bound of ``_PRECOMPUTE_LIMIT`` machine shapes.
-    With ``build=False`` only an already-warm precompute is returned —
-    that is what lets ``TimingSimulator.run`` use the fast path without
-    ever paying a build for a one-shot simulation.
     """
     program = trace.program
     cached = getattr(program, "_sim_precompute", None)
     if cached is None or cached[0] is not trace.uids:
-        if not build:
-            return None
         cached = (trace.uids, OrderedDict())
         program._sim_precompute = cached
     store = cached[1]
@@ -659,8 +646,6 @@ def get_precompute(trace: Trace, cfg: MachineConfig,
     if pre is not None and pre.flat is program.flat:
         store.move_to_end(key)
         return pre
-    if not build:
-        return None
     pre = TracePrecompute(program, trace, cfg)
     while len(store) >= _PRECOMPUTE_LIMIT:
         store.popitem(last=False)
@@ -709,11 +694,11 @@ def _copy_stats(stats: SimStats) -> SimStats:
     return replace(stats, scheme_counts=dict(stats.scheme_counts))
 
 
-def try_fast(sim: TimingSimulator, build: bool = False) -> Optional[SimStats]:
-    """Run *sim* on the precomputed-stream path, or return None when the
-    config is inline-only, the precompute is cold (``build=False``), the
-    trace is too short to amortize stream construction, or the replay
-    diverged (wrong-address pollution that did not dispatch).
+def try_fast(sim: TimingSimulator) -> Optional[SimStats]:
+    """Run *sim* on the precomputed-stream path (building the trace's
+    precompute on first use), or return None when the config is
+    inline-only or the replay diverged (wrong-address pollution that
+    did not dispatch).
 
     Within the stream path a stats memo hit for an identical stream
     tuple short-circuits the scalar replay.
@@ -729,13 +714,7 @@ def try_fast(sim: TimingSimulator, build: bool = False) -> Optional[SimStats]:
         _decline("hw-dual", eg)
         return None
     trace = sim.trace
-    if _PRECOMPUTE_MIN_N and len(trace.uids) < _PRECOMPUTE_MIN_N:
-        _decline("short-trace", eg)
-        return None
-    pre = get_precompute(trace, cfg, build=build)
-    if pre is None:
-        _decline("cold", eg)
-        return None
+    pre = get_precompute(trace, cfg)
     if pre.records is None:
         _decline("unstreamable", eg)
         return None
@@ -1162,14 +1141,11 @@ def warm_precompute(
 
     Separating this from :func:`simulate_many` lets callers (the bench
     harness in particular) attribute one-time stream construction to a
-    ``precompute`` stage and keep the per-config passes pure.  Short
-    traces return None: the sweep is cheaper inline than the streams
-    are to build (see :data:`_PRECOMPUTE_MIN_N`).
+    ``precompute`` stage and keep the per-config passes pure.  Returns
+    None when the trace cannot be streamed.
     """
-    if _PRECOMPUTE_MIN_N and len(trace.uids) < _PRECOMPUTE_MIN_N:
-        return None
     pre = get_precompute(trace, machine)
-    if pre is None or pre.records is None:
+    if pre.records is None:
         return None
     for idx, eg in enumerate(configs):
         if (
@@ -1217,13 +1193,9 @@ def simulate_many(
         ov = overrides[idx] if overrides is not None else None
         sim = TimingSimulator(trace, mcfg, ov)
         tags = span_tags[idx] if span_tags is not None else None
-        if tags is not None:
-            with tracer.span("sim", **tags):
-                stats = try_fast(sim, build=True)
-                if stats is None:
-                    stats = sim._run_inline()
-        else:
-            stats = try_fast(sim, build=True)
+        with (tracer.span("sim", **tags) if tags is not None
+              else nullcontext()):
+            stats = try_fast(sim)
             if stats is None:
                 stats = sim._run_inline()
         results.append(stats)
@@ -1245,10 +1217,6 @@ def _parity_main(argv: Optional[Sequence[str]] = None) -> int:
     import dataclasses
     from dataclasses import asdict
 
-    from repro.compiler.profile_feedback import (
-        DEFAULT_THRESHOLD,
-        profile_overrides,
-    )
     from repro.harness.experiments import (
         ExperimentContext,
         eg_tag,
@@ -1290,11 +1258,6 @@ def _parity_main(argv: Optional[Sequence[str]] = None) -> int:
                 f"(registered: {', '.join(backend_names())})"
             )
 
-    # The gate's whole point is exercising the stream path, so the
-    # short-trace threshold is disabled for every workload.
-    global _PRECOMPUTE_MIN_N
-    _PRECOMPUTE_MIN_N = 0
-
     suites = ("spec", "mediabench") if args.suite == "all" else (args.suite,)
     if args.workloads:
         known = {n for s in suites for n in workload_names(s)}
@@ -1313,12 +1276,6 @@ def _parity_main(argv: Optional[Sequence[str]] = None) -> int:
         ]
         for name in names:
             run = ctx.run(name)
-            override = None
-            if any(r.use_profile_override for r in requests):
-                override = profile_overrides(
-                    run.program, run.trace, DEFAULT_THRESHOLD,
-                    run.get_profile().predictor,
-                )
             configs = [BASELINE] + [r.earlygen for r in requests]
             if args.predictor is not None:
                 configs = [
@@ -1327,7 +1284,7 @@ def _parity_main(argv: Optional[Sequence[str]] = None) -> int:
                     for eg in configs
                 ]
             overrides = [None] + [
-                override if r.use_profile_override else None
+                run.get_overrides() if r.use_profile_override else None
                 for r in requests
             ]
             tags = ["baseline"] + [

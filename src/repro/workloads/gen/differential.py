@@ -11,8 +11,7 @@ whole stack.  For each program the driver asserts three invariants:
   levels even if both are internally consistent);
 * **sim-path parity** — the timing stats of the proposed configuration
   are byte-identical between the inline pipeline and the
-  precompute stream-replay fast path (the short-trace threshold is
-  disabled so small differential programs exercise the streams too).
+  precompute stream-replay fast path.
 
 Any violated invariant becomes a :class:`Mismatch` in the report rather
 than an exception, so one bad seed doesn't hide the rest of the batch.
@@ -28,6 +27,7 @@ from repro.compiler.driver import compile_source
 from repro.sim.executor import execute
 from repro.sim.machine import MachineConfig, PROPOSED
 from repro.sim.pipeline import TimingSimulator
+from repro.sim.precompute import simulate_many
 from repro.workloads.gen import materialize
 
 #: Optimization levels every program is compiled and run at.
@@ -99,19 +99,10 @@ def check_program(
                 ))
 
     if sim_paths and 2 in outputs:
-        from repro.sim import precompute
-
         trace = outputs[2][1]
         machine = MachineConfig().with_earlygen(PROPOSED)
         inline = TimingSimulator(trace, machine)._run_inline()
-        # Disable the short-trace threshold so the stream path
-        # actually engages at differential scales (parity-gate idiom).
-        saved = precompute._PRECOMPUTE_MIN_N
-        precompute._PRECOMPUTE_MIN_N = 0
-        try:
-            fast = precompute.simulate_many(trace, [PROPOSED])[0]
-        finally:
-            precompute._PRECOMPUTE_MIN_N = saved
+        fast = simulate_many(trace, [PROPOSED])[0]
         report.checks += 1
         if asdict(inline) != asdict(fast):
             diffs = [

@@ -50,9 +50,6 @@ from repro.workloads.gen.recipes import (
 )
 
 #: Default harness scale of generated workloads (reps of the main loop).
-#: Four reps of a ~1.2k-load budget clears the precompute streaming
-#: threshold (``_PRECOMPUTE_MIN_N``) so gen workloads exercise the
-#: stream-replay sim path like the hand-written suite does.
 GEN_DEFAULT_SCALE = 4
 
 #: Planner iteration budget (probe compiles + emulations).

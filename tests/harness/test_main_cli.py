@@ -64,3 +64,17 @@ def test_default_jobs_is_the_usable_core_count(monkeypatch, capsys):
     seen = _capture_runner(monkeypatch)
     assert main(["--scale", "0.02", "--suite", "media"]) == 0
     assert seen == {"jobs": usable_cores()}
+
+
+def test_inject_resolves_names_like_workloads(capsys):
+    """``--inject`` takes the names ``--workloads`` takes: a ``gen:``
+    name is canonicalized, so the fault lands on the workload run."""
+    code = main(["--scale", "0.05", "--jobs", "1",
+                 "--workloads", "gen:mixed:0",
+                 "--inject", "gen:mixed:0=crash"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "Degraded workloads (1/1)" in out
+    assert "InjectedFault" in out
+    with pytest.raises(SystemExit):
+        main(["--workloads", "gen:mixed:0", "--inject", "gen:bogus=crash"])

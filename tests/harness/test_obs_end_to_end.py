@@ -5,7 +5,7 @@ manifest; these tests assert the trace validates, that the per-stage
 summary covers every pipeline layer (compiler passes, simulator
 replays, harness tasks), and that ``obs_report``'s load-class table —
 computed purely from ``profile.classes`` trace events — matches the
-rows :func:`repro.harness.experiments.table2` computes directly.
+rows ``experiment_table(ctx, "table2")`` computes directly.
 """
 
 import json
@@ -14,7 +14,7 @@ import pytest
 
 from repro import obs
 from repro.harness import obs_report
-from repro.harness.experiments import ExperimentContext, table2
+from repro.harness.experiments import ExperimentContext, experiment_table
 from repro.harness.main import main
 from repro.harness.obs_report import (
     class_rows,
@@ -92,7 +92,7 @@ def test_trace_shape_same_in_process(trace_dir, tmp_path):
 
 def test_class_rows_match_table2(trace_dir):
     rows = {r["benchmark"]: r for r in class_rows(read_trace(trace_dir))}
-    expected = table2(ExperimentContext(scale=SCALE))
+    expected = experiment_table(ExperimentContext(scale=SCALE), "table2")
     assert set(rows) == {r["benchmark"] for r in expected}
     for exp in expected:
         got = rows[exp["benchmark"]]

@@ -166,7 +166,7 @@ def test_both_paths_report_identical_cache_counters(ways):
     ).with_earlygen(EarlyGenConfig(16, 0, SelectionMode.HARDWARE))
 
     inline = TimingSimulator(trace, machine)._run_inline()
-    fast = precompute.try_fast(TimingSimulator(trace, machine), build=True)
+    fast = precompute.try_fast(TimingSimulator(trace, machine))
     assert fast is not None, "config unexpectedly ineligible for fast path"
 
     assert fast.dcache_hits == inline.dcache_hits
@@ -295,7 +295,7 @@ def test_both_paths_identical_counters_per_backend(backend):
     trace = execute(parse_asm(_random_asm(rng))).trace
     machine = MachineConfig(mem_ports=1).with_earlygen(_eg(backend))
     inline = TimingSimulator(trace, machine)._run_inline()
-    fast = precompute.try_fast(TimingSimulator(trace, machine), build=True)
+    fast = precompute.try_fast(TimingSimulator(trace, machine))
     assert fast is not None, "config unexpectedly ineligible for fast path"
     assert stats_to_record(fast) == stats_to_record(inline)
 

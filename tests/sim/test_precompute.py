@@ -5,8 +5,8 @@ Covers what the parity suites do not:
 * cache bounds — the Program-attached caches (front-end outcomes, trace
   precomputes, per-config streams/routes) stay bounded no matter how
   many machines or configs a long service session replays;
-* fast-path gating — one-shot ``run()`` calls never pay a precompute
-  build, hooks/timeline/override runs stay inline, and ``simulate_many``
+* fast-path gating — one-shot ``run()`` calls are the inline loop and
+  never build a precompute, hooks stay inline, and ``simulate_many``
   results land byte-identical to independent runs;
 * golden lock — every eligible golden case replayed through
   ``simulate_many`` reproduces its recorded snapshot exactly;
@@ -44,6 +44,7 @@ from repro.sim.precompute import (
     _PRECOMPUTE_LIMIT,
     _ROUTE_LIMIT,
     _STREAM_LIMIT,
+    _machine_key,
     get_precompute,
     simulate_many,
     warm_precompute,
@@ -93,9 +94,8 @@ def test_precompute_store_is_bounded(trace):
     assert uids is trace.uids
     assert len(store) <= _PRECOMPUTE_LIMIT
     # LRU: the most recent machine is still warm.
-    warm = get_precompute(trace, _machine_variant(_PRECOMPUTE_LIMIT + 2),
-                          build=False)
-    assert warm is not None
+    latest = _machine_variant(_PRECOMPUTE_LIMIT + 2)
+    assert get_precompute(trace, latest) is store[_machine_key(latest)]
 
 
 def test_stream_and_route_caches_are_bounded(trace):
@@ -124,9 +124,11 @@ def test_stream_and_route_caches_are_bounded(trace):
 
 def test_precompute_invalidated_when_program_recompiled(trace):
     pre = get_precompute(trace, MachineConfig())
-    assert get_precompute(trace, MachineConfig(), build=False) is pre
+    assert get_precompute(trace, MachineConfig()) is pre
     trace.program.flat = list(trace.program.flat)  # simulate re-lowering
-    assert get_precompute(trace, MachineConfig(), build=False) is None
+    rebuilt = get_precompute(trace, MachineConfig())
+    assert rebuilt is not pre
+    assert rebuilt.flat is trace.program.flat
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +150,16 @@ def test_warm_run_uses_fast_path_and_matches_inline(trace):
     inline = stats_to_record(TimingSimulator(trace, machine)._run_inline())
     (batched,) = simulate_many(trace, [machine])
     assert stats_to_record(batched) == inline
-    # The precompute is now warm, so a plain run() takes the fast path
-    # and must agree too.
+    # The precompute is now warm: a second sweep streams again and
+    # agrees, while a plain run() stays the inline loop.
     assert getattr(trace.program, "_sim_precompute", None) is not None
+    before = precompute.replay_path_counts()
+    (again,) = simulate_many(trace, [machine])
+    assert stats_to_record(again) == inline
+    streamed = precompute.replay_path_counts()
+    assert streamed.get("memo", 0) == before.get("memo", 0) + 1
     assert stats_to_record(TimingSimulator(trace, machine).run()) == inline
+    assert precompute.replay_path_counts() == streamed
 
 
 def test_event_hook_runs_stay_inline(trace):
@@ -172,32 +180,10 @@ def test_hw_dual_configs_fall_back_to_inline(trace):
         EarlyGenConfig(16, 2, SelectionMode.HARDWARE)
     )
     assert precompute.try_fast(
-        TimingSimulator(trace, machine), build=True
+        TimingSimulator(trace, machine)
     ) is None
     inline = stats_to_record(TimingSimulator(trace, machine)._run_inline())
     (batched,) = simulate_many(trace, [machine])
-    assert stats_to_record(batched) == inline
-
-
-def test_short_trace_threshold_skips_precompute(trace, monkeypatch):
-    """Below ``_PRECOMPUTE_MIN_N`` the stream path declines up front
-    (the adpcm_encode regression fix) and the inline loop still
-    produces the stats."""
-    monkeypatch.setattr(precompute, "_PRECOMPUTE_MIN_N", 10**9)
-    machine = MachineConfig().with_earlygen(
-        EarlyGenConfig(16, 0, SelectionMode.HARDWARE)
-    )
-    assert warm_precompute(trace, machine, [machine.earlygen]) is None
-    assert precompute.try_fast(
-        TimingSimulator(trace, machine), build=True
-    ) is None
-    before = precompute.replay_path_counts()
-    (batched,) = simulate_many(trace, [machine])
-    after = precompute.replay_path_counts()
-    assert after.get("inline:short-trace", 0) > before.get(
-        "inline:short-trace", 0
-    )
-    inline = stats_to_record(TimingSimulator(trace, machine)._run_inline())
     assert stats_to_record(batched) == inline
 
 
@@ -230,7 +216,7 @@ def test_divergence_patching_converges_without_fallback():
             TimingSimulator(trace, machine)._run_inline()
         )
         fast = precompute.try_fast(
-            TimingSimulator(trace, machine), build=True
+            TimingSimulator(trace, machine)
         )
         assert fast is not None
         assert stats_to_record(fast) == inline
@@ -240,7 +226,7 @@ def test_divergence_patching_converges_without_fallback():
             # rediscover the exclusions.
             again = precompute.divergence_count()
             rerun = precompute.try_fast(
-                TimingSimulator(trace, machine), build=True
+                TimingSimulator(trace, machine)
             )
             assert stats_to_record(rerun) == inline
             assert precompute.divergence_count() == again
@@ -255,7 +241,7 @@ def _first_diverging(rng, eg):
         machine = _starved_machine(eg)
         before = precompute.divergence_count()
         fast = precompute.try_fast(
-            TimingSimulator(trace, machine), build=True
+            TimingSimulator(trace, machine)
         )
         assert fast is not None
         if precompute.divergence_count() > before:
@@ -280,7 +266,7 @@ def test_exclusion_set_flips_twice_across_runs():
     # Flip 1: forget everything (seed the complement-of-knowledge).
     pre.remember_exclusions(eg, route, frozenset())
     pre._stats_memo.clear()
-    rerun = precompute.try_fast(TimingSimulator(trace, machine), build=True)
+    rerun = precompute.try_fast(TimingSimulator(trace, machine))
     assert stats_to_record(rerun) == inline
     assert pre.known_exclusions(eg, route) == converged
 
@@ -291,7 +277,7 @@ def test_exclusion_set_flips_twice_across_runs():
     garbage = frozenset(range(min(8, pre.n_loads))) | converged
     pre.remember_exclusions(eg, route, garbage)
     pre._stats_memo.clear()
-    rerun = precompute.try_fast(TimingSimulator(trace, machine), build=True)
+    rerun = precompute.try_fast(TimingSimulator(trace, machine))
     assert stats_to_record(rerun) == inline
     assert pre.known_exclusions(eg, route) >= converged
 
@@ -313,7 +299,7 @@ def test_patch_memo_collision_still_exact():
     pre.remember_exclusions(
         eg, route, frozenset(range(pre.n_loads))
     )
-    fast = precompute.try_fast(TimingSimulator(trace, machine), build=True)
+    fast = precompute.try_fast(TimingSimulator(trace, machine))
     assert fast is not None
     assert stats_to_record(fast) == inline
     # A second EarlyGenConfig sharing the patch key replays exactly too.
@@ -327,7 +313,7 @@ def test_patch_memo_collision_still_exact():
             TimingSimulator(trace, machine2)._run_inline()
         )
         fast2 = precompute.try_fast(
-            TimingSimulator(trace, machine2), build=True
+            TimingSimulator(trace, machine2)
         )
         assert stats_to_record(fast2) == inline2
 
@@ -384,7 +370,6 @@ from repro.harness.experiments import ExperimentContext
 from repro.harness.runner import compute_rows
 from repro.sim import precompute
 
-precompute._PRECOMPUTE_MIN_N = 0
 ctx = ExperimentContext(scale=0.02)
 for name in ("026.compress", "adpcm_decode"):
     ctx.prefetch_sims(name)
