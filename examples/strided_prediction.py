@@ -10,7 +10,7 @@ from repro.compiler.driver import compile_source
 from repro.sim.executor import Executor
 from repro.sim.machine import EarlyGenConfig, SelectionMode
 from repro.sim.pipeline import speedup
-from repro.sim.stride_table import FUNCTIONING, TableEntry
+from repro.sim.predictors import FUNCTIONING, TableEntry
 
 SOURCE = """
 int a[512]; int b[512]; int c[512]; int d[512];

@@ -15,7 +15,7 @@ from typing import Dict, Optional
 
 from repro.isa.opcodes import LoadSpec
 from repro.isa.program import Program
-from repro.sim.stride_table import UnboundedPredictor
+from repro.sim.predictors import UnboundedPredictor
 from repro.sim.trace import Trace
 
 #: The paper's reclassification threshold.

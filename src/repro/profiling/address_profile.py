@@ -13,7 +13,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.isa.opcodes import LoadSpec
 from repro.isa.program import Program
-from repro.sim.stride_table import UnboundedPredictor
+from repro.sim.predictors import UnboundedPredictor
 from repro.sim.trace import Trace
 
 

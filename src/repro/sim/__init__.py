@@ -2,9 +2,10 @@
 
 The split mirrors the paper's emulation-driven methodology: the
 :mod:`~repro.sim.executor` runs the program functionally and produces a
-dynamic trace; :mod:`~repro.sim.pipeline` replays that trace through an
-in-order scoreboard timing model of the 6-stage pipeline, including both
-early-address-generation paths.
+dynamic trace; :class:`~repro.sim.pipeline.TimingSimulator` and
+:func:`~repro.sim.precompute.simulate_many` replay that trace through
+one in-order scoreboard timing loop of the 6-stage pipeline, including
+both early-address-generation paths.
 """
 
 from repro.sim.executor import (

@@ -3,10 +3,7 @@
 The paper's caches are 64 KB direct-mapped with 64-byte blocks; the data
 cache is write-through with no write-allocate: stores update memory
 through a write buffer and never stall the pipeline, and store misses do
-not allocate a block.  :class:`SetAssociativeCache` generalizes the same
-contract to N ways with LRU replacement (an extension used by the
-embedded design-space exploration); ``DirectMappedCache`` keeps its fast
-1-way implementation and is what the paper's configuration instantiates.
+not allocate a block.
 
 Counter semantics — a contract relied on by the stream-precompute fast
 path (:mod:`repro.sim.precompute`), which rebuilds these counters from
@@ -16,11 +13,9 @@ totals instead of replaying the tag array, and pinned by
 * ``accesses == hits + misses`` at all times;
 * ``probe`` never counts and never allocates, so interleaving probes
   does not perturb the statistics or the fill state;
-* ``access`` counts exactly one hit or miss and allocates on a miss
-  (a hit refreshes the LRU position in the set-associative case);
+* ``access`` counts exactly one hit or miss and allocates on a miss;
 * ``write_access`` counts exactly one hit or miss and never fills
-  (write-through, no-allocate); a set-associative write hit refreshes
-  LRU exactly like a read hit.
+  (write-through, no-allocate).
 """
 
 from __future__ import annotations
@@ -29,19 +24,10 @@ from repro.sim.machine import CacheConfig
 
 
 class DirectMappedCache:
-    """Tag array of a direct-mapped cache.
-
-    Constructing it with a multi-way :class:`CacheConfig` transparently
-    returns a :class:`SetAssociativeCache` instead.
-    """
+    """Tag array of a direct-mapped cache."""
 
     __slots__ = ("config", "_index_mask", "_block_shift", "_tag_shift",
                  "_tags", "hits", "misses")
-
-    def __new__(cls, config: CacheConfig):
-        if cls is DirectMappedCache and config.ways > 1:
-            return SetAssociativeCache(config)
-        return super().__new__(cls)
 
     def __init__(self, config: CacheConfig):
         self.config = config
@@ -84,68 +70,6 @@ class DirectMappedCache:
         index = block & self._index_mask
         tag = block >> self._tag_shift
         if self._tags[index] == tag:
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-
-class SetAssociativeCache:
-    """N-way set-associative tag array with LRU replacement.
-
-    Same interface and write policy as :class:`DirectMappedCache`; each
-    set holds its tags most-recently-used last.
-    """
-
-    __slots__ = ("config", "_set_mask", "_set_bits", "_block_shift",
-                 "_sets", "hits", "misses")
-
-    def __init__(self, config: CacheConfig):
-        self.config = config
-        self._block_shift = config.block_size.bit_length() - 1
-        self._set_mask = config.num_sets - 1
-        self._set_bits = config.num_sets.bit_length() - 1
-        self._sets: list = [[] for _ in range(config.num_sets)]
-        self.hits = 0
-        self.misses = 0
-
-    def reset(self) -> None:
-        self._sets = [[] for _ in range(self.config.num_sets)]
-        self.hits = 0
-        self.misses = 0
-
-    def _split(self, addr: int) -> tuple[int, int]:
-        block = addr >> self._block_shift
-        return block & self._set_mask, block >> self._set_bits
-
-    def probe(self, addr: int) -> bool:
-        index, tag = self._split(addr)
-        return tag in self._sets[index]
-
-    def access(self, addr: int) -> bool:
-        index, tag = self._split(addr)
-        ways = self._sets[index]
-        if tag in ways:
-            ways.remove(tag)
-            ways.append(tag)  # refresh LRU position
-            self.hits += 1
-            return True
-        if len(ways) >= self.config.ways:
-            ways.pop(0)
-        ways.append(tag)
-        self.misses += 1
-        return False
-
-    def write_access(self, addr: int) -> bool:
-        index, tag = self._split(addr)
-        ways = self._sets[index]
-        if tag in ways:
-            ways.remove(tag)
-            ways.append(tag)
             self.hits += 1
             return True
         self.misses += 1

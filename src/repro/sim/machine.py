@@ -37,33 +37,22 @@ class SelectionMode(enum.Enum):
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """A set-associative cache (``ways=1``, the default, is the paper's
-    direct-mapped design)."""
+    """A direct-mapped cache (the paper's design)."""
 
     size: int = 64 * 1024
     block_size: int = 64
     miss_penalty: int = 12
-    ways: int = 1
 
     def __post_init__(self) -> None:
         if self.size % self.block_size:
             raise ValueError("cache size must be a multiple of block size")
-        if self.ways < 1:
-            raise ValueError("ways must be >= 1")
         num_blocks = self.size // self.block_size
-        if num_blocks % self.ways:
-            raise ValueError("block count must be a multiple of ways")
-        num_sets = num_blocks // self.ways
-        if num_sets & (num_sets - 1):
-            raise ValueError("number of sets must be a power of two")
+        if num_blocks & (num_blocks - 1):
+            raise ValueError("number of blocks must be a power of two")
 
     @property
     def num_blocks(self) -> int:
         return self.size // self.block_size
-
-    @property
-    def num_sets(self) -> int:
-        return self.num_blocks // self.ways
 
 
 @dataclass(frozen=True)
@@ -149,9 +138,8 @@ class MachineConfig:
     def load_latencies(self) -> tuple:
         """``(ld_lat, ld_hit_lat, miss_lat)`` writeback latencies.
 
-        One derivation for the two consumers that must agree exactly:
-        the inline pipeline and the scalar stream replay.
-        ``ld_hit_lat`` is the early-generated hit latency (the paper's
+        Read by both outcome sources of the timing loop in
+        :mod:`repro.sim.precompute`.  ``ld_hit_lat`` is the early-generated hit latency (the paper's
         single-cycle use of a predicted/calculated address), capped by
         the demand latency for degenerate sub-cycle configs.
         """

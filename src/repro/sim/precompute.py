@@ -1,4 +1,14 @@
-"""Config-invariant event precomputation + batched multi-config replay.
+"""The timing loop, its trace precompute, and batched multi-config replay.
+
+:func:`_replay` is the one fast timing loop of the Section 5.1 machine:
+a window scoreboard over per-trace decode-once records.  It takes its
+load and store outcomes from one of two sources:
+
+* **live** — each load probes and updates the predictor backend, the
+  d-cache and ``R_addr`` or the BRIC register cache as it issues.  This
+  is :meth:`TimingSimulator.run <repro.sim.pipeline.TimingSimulator.run>`
+  and the fallback for every config the streams decline;
+* **precomputed streams** — the outcomes below, shared across a sweep.
 
 A config sweep replays one :class:`~repro.sim.trace.Trace` under many
 :class:`~repro.sim.machine.EarlyGenConfig` variants (the harness runs
@@ -25,10 +35,9 @@ order:
 
 This module precomputes those streams once per trace (cached on the
 Program the same way ``_precompute_frontend`` caches front-end
-outcomes) and replays them through a window-local scoreboard that only
-does timing accounting.  What is *not* config-invariant stays in the
-replay: port arbitration, store interlocks, the ``R_addr`` writeback
-interlock, and issue scheduling.
+outcomes), and the loop then only does timing accounting.  What is
+*not* config-invariant stays in the loop: port arbitration, store
+interlocks, the ``R_addr`` writeback interlock, and issue scheduling.
 
 Two effects cannot be precomputed and are handled explicitly:
 
@@ -41,17 +50,18 @@ Two effects cannot be precomputed and are handled explicitly:
   assumptions matched the observed dispatch behavior at every
   wrong-prediction point — so only a zero-divergence replay is ever
   accepted; after :data:`_MAX_PATCH_RETRIES` rebuilds the config falls
-  back to the inline path.
+  back to live outcomes.
 * **Hardware dual-path selection** routes each load at decode using the
   current interlock state (timing-dependent), so those configs always
-  use the inline path.
+  run on live outcomes.
 
 :func:`simulate_many` is the one entry point into the streams: it
 builds and shares one precompute across a sweep (a one-shot
-``TimingSimulator.run`` is always the inline loop).  Both paths produce
-byte-identical :class:`~repro.sim.stats.SimStats` — enforced by the
-golden snapshots, a randomized parity test, and the ``python -m
-repro.sim.precompute`` parity gate run in CI.
+``TimingSimulator.run`` never takes the stream path).  Both sources
+produce byte-identical :class:`~repro.sim.stats.SimStats`, and so does
+the seed oracle :mod:`repro.sim._pipeline_reference` — enforced by the
+golden snapshots, the parity tests, and the ``python -m
+repro.sim.precompute`` three-way parity gate run in CI.
 """
 
 from __future__ import annotations
@@ -72,6 +82,12 @@ from repro.sim.machine import (
 )
 from repro.sim.pipeline import (
     _DRAIN,
+    _K_CBRANCH,
+    _K_LIVE_LOAD,
+    _K_LIVE_STORE,
+    _K_LOAD,
+    _K_STORE,
+    _K_WATCH,
     TimingSimulator,
     _decode_program,
     _precompute_frontend,
@@ -92,16 +108,6 @@ _PRECOMPUTE_LIMIT = 4
 _STREAM_LIMIT = 32
 _ROUTE_LIMIT = 32
 
-# Replay record kinds (coarser than the decode kinds: the replay only
-# distinguishes the unit an instruction consumes).
-_R_LOAD = 0
-_R_STORE = 1
-_R_BRANCH = 2
-_R_CALL = 3
-_R_ALU = 4
-_R_FP = 5
-_R_FREE = 6
-
 #: Source-slot sentinel that always reads ready-at-0, and a junk dest
 #: slot, so the replay never branches on "has operand / has dest".
 _NO_SRC = 128
@@ -113,7 +119,7 @@ _EMASK_TAB = bytes(1 if b == 2 else 0 for b in range(256))
 
 
 #: Bound on stream-patching rebuilds before a diverging config reruns
-#: on the inline path.  Divergent ordinals are discovered in batches
+#: on live outcomes.  Divergent ordinals are discovered in batches
 #: (one replay records every disagreement it sees), so convergence
 #: normally takes one or two rebuilds.
 _MAX_PATCH_RETRIES = 6
@@ -123,8 +129,8 @@ _MAX_PATCH_RETRIES = 6
 _STATS_MEMO_LIMIT = 64
 
 #: Process-wide divergence counters (exposed for tests and the parity
-#: CLI): patched = resolved by a stream rebuild, fallbacks = rerun
-#: inline.
+#: CLI): patched = resolved by a stream rebuild, fallbacks = rerun on
+#: live outcomes.
 _divergences = 0
 _divergence_fallbacks = 0
 
@@ -152,11 +158,12 @@ class TracePrecompute:
 
     Built in a single pass over the trace:
 
-    * ``records`` — per-dynamic-instruction replay tuples
+    * ``records`` — per-dynamic-instruction scheduler tuples
       ``(kind, fetch_penalty, src1, src2, src3, dest, extra)`` with the
       front-end outcomes (i-cache stall, branch redirect cycles) baked
       in.  Tuples are interned on ``(uid, penalty, extra)`` so the list
-      costs one pointer per position.
+      costs one pointer per position.  :meth:`live_records` derives
+      the live source's copy on first use.
     * the interleaved memory-op sequence plus per-load static facts
       (PC, word index, base/displacement slots, addressing mode) that
       the per-config stream builders replay, and
@@ -170,7 +177,7 @@ class TracePrecompute:
     * ``estream`` — calc-path dispatch-candidate codes, keyed
       ``(cached_regs, use_raddr, e-mask)``.
 
-    Counter semantics (asserted in the stream builders and pinned by
+    Counter semantics (pinned by
     ``tests/sim/test_counter_semantics.py``): a load's demand access
     always counts exactly once (hit or miss-and-fill), a store's write
     access counts but never fills, and a wrong-address speculative
@@ -182,7 +189,7 @@ class TracePrecompute:
     __slots__ = (
         "flat", "uids", "machine_key", "dcache_cfg",
         "n", "n_loads", "n_stores",
-        "records", "ineligible_reason",
+        "records", "_mem_records", "_live_records",
         "imiss_total", "misp_total",
         "mseq_kind", "mseq_ea", "lpc", "lword", "lbase", "lro", "ldisp",
         "dyn_load_uids", "sword", "static_load_uids",
@@ -224,49 +231,27 @@ class TracePrecompute:
         dyn_load_uids = array("q")
         sword = array("q")
         max_lat = 1
-        reason = None
 
         for i in range(n):
             uid = uids[i]
             d = dec[uid]
-            kind = d[0]
+            k = d[0]
             pen = ifetch[i]
-            x = 0
-            if kind == 0:
-                k = _R_LOAD
-            elif kind == 1:
-                k = _R_STORE
-            elif kind <= 5:
-                k = _R_CALL if kind == 4 else _R_BRANCH
-                x = br_extra[i]
-            elif kind == 6:
-                k = _R_FP
-                x = d[7]
-            elif kind == 7:
-                k = _R_FREE
-                x = d[7]
-            else:
-                k = _R_ALU
-                x = d[7]
+            # Branch redirect cycles, or the ALU/FP latency (0 for
+            # memory operations).
+            x = br_extra[i] if k >= _K_CBRANCH else d[7]
             key = (uid, pen, x)
             rec = intern.get(key)
             if rec is None:
-                srcs = d[2]
-                ns = len(srcs)
-                if ns > 3:
-                    reason = "more than three register sources"
-                    break
-                s1 = srcs[0] if ns else _NO_SRC
-                s2 = srcs[1] if ns > 1 else _NO_SRC
-                s3 = srcs[2] if ns > 2 else _NO_SRC
+                srcs = d[2] + (_NO_SRC,) * (3 - len(d[2]))
                 dest = d[3]
                 if dest < 0:
                     dest = _NO_DEST
-                if k >= _R_ALU and x > max_lat:
+                if k < _K_CBRANCH and x > max_lat:
                     max_lat = x
-                rec = intern[key] = (k, pen, s1, s2, s3, dest, x)
+                rec = intern[key] = (k, pen) + srcs + (dest, x)
             rec_append(rec)
-            if k == _R_LOAD:
+            if k == _K_LOAD:
                 ea = eas[i]
                 mk_append(0)
                 me_append(ea)
@@ -276,14 +261,17 @@ class TracePrecompute:
                 lro.append(d[5])
                 ldisp.append(d[6] if d[6] >= 0 else 0)
                 dyn_load_uids.append(uid)
-            elif k == _R_STORE:
+            elif k == _K_STORE:
                 ea = eas[i]
                 mk_append(1)
                 me_append(ea)
                 sword.append(ea >> 2)
 
-        self.ineligible_reason = reason
-        self.records = records if reason is None else None
+        self.records = records
+        self._mem_records = [
+            rec for rec in intern.values() if rec[0] <= _K_STORE
+        ]
+        self._live_records = None
         self.mseq_kind = bytes(mseq_kind)
         self.mseq_ea = mseq_ea
         self.lpc = lpc
@@ -296,11 +284,10 @@ class TracePrecompute:
         self.n_loads = len(lword)
         self.n_stores = len(sword)
 
-        # Watchdog-compatibility bound: the most cycles one replay
-        # record can advance the clock (fetch stall + operand wait +
-        # one resource re-arbitration + branch redirect).  Used to
-        # prove the inline watchdogs could never have fired, so the
-        # fast path may skip them.
+        # Watchdog-compatibility bound: the most cycles one record can
+        # advance the clock (fetch stall + operand wait + one resource
+        # re-arbitration + branch redirect).  Used to prove the
+        # watchdogs could never fire, so the scheduler may skip them.
         self.per_entry_bound = (
             cfg.icache.miss_penalty
             + max(cfg.load_latency + cfg.dcache.miss_penalty, max_lat)
@@ -315,6 +302,31 @@ class TracePrecompute:
         self._estreams: OrderedDict = OrderedDict()
         self._patches: OrderedDict = OrderedDict()
         self._stats_memo: OrderedDict = OrderedDict()
+
+    def live_records(self) -> list:
+        """``records`` with loads and stores re-kinded for the live source.
+
+        A live load carries no sources in the shared operand-wait slots
+        (its sources move to ``extra``) because it waits on its own: it
+        needs the clock from before the wait for hardware dual-path
+        selection.  Built on first use and kept; the stream path never
+        pays for it.
+        """
+        live = self._live_records
+        if live is None:
+            swap = {}
+            for rec in self._mem_records:
+                k, pen, s1, s2, s3, dest, x = rec
+                if k == _K_LOAD:
+                    swap[id(rec)] = (_K_LIVE_LOAD, pen, _NO_SRC, _NO_SRC,
+                                     _NO_SRC, dest, (s1, s2, s3))
+                else:
+                    swap[id(rec)] = (_K_LIVE_STORE,) + rec[1:]
+            records = self.records
+            live = self._live_records = list(
+                map(swap.get, map(id, records), records)
+            )
+        return live
 
     # -- derived per-config streams --------------------------------------
 
@@ -393,18 +405,15 @@ class TracePrecompute:
     def _build_dstream(self, eg: Optional[EarlyGenConfig],
                        pmask: Optional[bytes],
                        excluded: frozenset) -> tuple:
+        # The d-cache tag array, driven in place.
         dc = DirectMappedCache(self.dcache_cfg)
-        direct = type(dc) is DirectMappedCache
-        if direct:
-            tags = dc._tags
-            bs = dc._block_shift
-            im = dc._index_mask
-            ts = dc._tag_shift
-        dc_access = dc.access
-        dc_write = dc.write_access
+        tags = dc._tags
+        bs = dc._block_shift
+        im = dc._index_mask
+        ts = dc._tag_shift
 
-        # The backend comes from the same registry factory as both
-        # pipelines, so the stream replays the identical state machine.
+        # The backend comes from the same registry factory as the live
+        # source, so the stream replays the identical state machine.
         table = (_create_predictor(eg)
                  if eg is not None and pmask is not None else None)
         tb_inline = (table is not None and eg.predictor == "stride"
@@ -412,7 +421,7 @@ class TracePrecompute:
         # Demand-trained backends consume the demand outcome, so their
         # update is deferred until after the demand access below (the
         # update itself never touches the cache — same outcome as the
-        # pipelines' probe-before-access).
+        # live source's probe-before-access).
         tb_demand = table is not None and table.trains_on_demand
         if tb_inline:
             tbl = table._table
@@ -422,7 +431,7 @@ class TracePrecompute:
         tb_update = table.update if table is not None else None
 
         codes = bytearray(self.n_loads)
-        dmiss = store_miss = poll_miss = poll_hit = 0
+        dmiss = store_miss = poll_miss = 0
         mseq_ea = self.mseq_ea
         lpc = self.lpc
         li = 0
@@ -461,25 +470,18 @@ class TracePrecompute:
                             # actually happen, and it lands in
                             # `excluded` on the rebuild).
                             code = 2
-                            if li in excluded:
-                                pass
-                            elif direct:
+                            if li not in excluded:
                                 cblk = predicted >> bs
                                 cidx = cblk & im
                                 ctag = cblk >> ts
                                 if tags[cidx] != ctag:
                                     tags[cidx] = ctag
                                     poll_miss += 1
-                                else:
-                                    poll_hit += 1
-                            elif dc_access(predicted):
-                                poll_hit += 1
-                            else:
-                                poll_miss += 1
                     if tb_inline:
-                        # Identical state-machine arcs to the inline
-                        # path (Figure 3): Replace / Correct /
-                        # New_Stride / Verified_Stride.
+                        # The state-machine arcs of
+                        # AddressPredictionTable.update (Figure 3):
+                        # Replace / Correct / New_Stride /
+                        # Verified_Stride.
                         if entry is None:
                             tbl[t_idx] = TableEntry(t_tag, ea)
                         elif entry.tag != t_tag:
@@ -504,20 +506,14 @@ class TracePrecompute:
                 # The demand access happens for every load, whatever
                 # the speculation outcome: a successful speculative
                 # access probed the same state the demand access sees,
-                # so one `access` covers both (same result, same fill,
-                # same LRU refresh).
-                if direct:
-                    cblk = ea >> bs
-                    cidx = cblk & im
-                    ctag = cblk >> ts
-                    if tags[cidx] == ctag:
-                        code |= 1
-                    else:
-                        tags[cidx] = ctag
-                        dmiss += 1
-                elif dc_access(ea):
+                # so one access covers both (same result, same fill).
+                cblk = ea >> bs
+                cidx = cblk & im
+                ctag = cblk >> ts
+                if tags[cidx] == ctag:
                     code |= 1
                 else:
+                    tags[cidx] = ctag
                     dmiss += 1
                 if probed and tb_demand:
                     tb_update(pc_addr, ea, predicted, bool(code & 1))
@@ -525,24 +521,9 @@ class TracePrecompute:
                 li += 1
             else:
                 # Write-through, no-allocate: counts, never fills.
-                if direct:
-                    cblk = ea >> bs
-                    if tags[cblk & im] != cblk >> ts:
-                        store_miss += 1
-                elif not dc_write(ea):
+                cblk = ea >> bs
+                if tags[cblk & im] != cblk >> ts:
                     store_miss += 1
-
-        if not direct:
-            # Counter-semantics contract (satellite): the cache's own
-            # accounting must agree with the stream totals, which is
-            # exactly what makes SimStats.dcache_* reconstructible.
-            assert dc.misses == dmiss + store_miss + poll_miss
-            assert dc.hits == (
-                (self.n_loads - dmiss)
-                + (self.n_stores - store_miss)
-                + poll_hit
-            )
-            assert dc.accesses == dc.hits + dc.misses
         return (bytes(codes), dmiss, store_miss, poll_miss)
 
     def estream(self, eg: EarlyGenConfig, route: bytes) -> bytes:
@@ -654,8 +635,8 @@ def get_precompute(trace: Trace, cfg: MachineConfig) -> TracePrecompute:
 
 
 def _watchdogs_compatible(pre: TracePrecompute, sim: TimingSimulator) -> bool:
-    """True when the inline watchdogs provably cannot fire, so the fast
-    path (which does not check them) is behaviorally identical."""
+    """True when *sim*'s watchdogs provably cannot fire on this trace,
+    so the scheduler may skip checking them."""
     if sim.stall_limit and sim.stall_limit < pre.per_entry_bound:
         return False
     if sim.max_cycles and sim.max_cycles < pre.total_cycle_bound:
@@ -665,7 +646,8 @@ def _watchdogs_compatible(pre: TracePrecompute, sim: TimingSimulator) -> bool:
 
 #: Process-wide replay path counters, keyed by the ``sim.replay`` event
 #: ``path`` field (``inline:<reason>`` for configs the stream path
-#: declined).  Exposed for tests and ``obs_report``.
+#: declined and ran on live outcomes).  Exposed for tests and
+#: ``obs_report``.
 _replay_paths: Dict[str, int] = {}
 
 
@@ -678,7 +660,7 @@ def _count_path(path: str) -> None:
 
 
 def _decline(reason: str, eg=None) -> None:
-    """Record that the stream path handed this run to the inline loop."""
+    """Record that the stream path handed this run to the live source."""
     _count_path("inline:" + reason)
     tracer = obs.current()
     if tracer.enabled:
@@ -696,8 +678,8 @@ def _copy_stats(stats: SimStats) -> SimStats:
 
 def try_fast(sim: TimingSimulator) -> Optional[SimStats]:
     """Run *sim* on the precomputed-stream path (building the trace's
-    precompute on first use), or return None when the config is
-    inline-only or the replay diverged (wrong-address pollution that
+    precompute on first use), or return None when the config needs
+    live outcomes or the replay diverged (wrong-address pollution that
     did not dispatch).
 
     Within the stream path a stats memo hit for an identical stream
@@ -705,25 +687,15 @@ def try_fast(sim: TimingSimulator) -> Optional[SimStats]:
     """
     cfg = sim.config
     eg = cfg.earlygen
-    if (
-        eg.table_entries
-        and eg.cached_regs
-        and eg.selection is SelectionMode.HARDWARE
-    ):
+    trace = sim.trace
+    sb = _scheme_bytes(trace.program, eg, sim.spec_override)
+    if sb is None:
         # Run-time (dual-path) selection is timing-dependent.
         _decline("hw-dual", eg)
         return None
-    trace = sim.trace
     pre = get_precompute(trace, cfg)
-    if pre.records is None:
-        _decline("unstreamable", eg)
-        return None
     if not _watchdogs_compatible(pre, sim):
         _decline("watchdog", eg)
-        return None
-    sb = _scheme_bytes(trace.program, eg, sim.spec_override)
-    if sb is None:
-        _decline("unstreamable", eg)
         return None
     route = pre.route_for(sb)
     ecodes = pre.estream(eg, route)
@@ -786,9 +758,25 @@ def try_fast(sim: TimingSimulator) -> Optional[SimStats]:
     return None
 
 
+def run_live(sim: TimingSimulator) -> SimStats:
+    """Run *sim* through the scheduler on live outcomes.
+
+    This is :meth:`TimingSimulator.run`, and what :func:`simulate_many`
+    falls back to for every config :func:`try_fast` declines.
+    """
+    cfg = sim.config
+    trace = sim.trace
+    pre = get_precompute(trace, cfg)
+    sb = _scheme_bytes(trace.program, cfg.earlygen, sim.spec_override)
+    route = pre.route_for(sb) if sb is not None else None
+    stats, ra_interlock = _replay(pre, cfg, route, sim=sim)
+    _emit_counters(sim, cfg.earlygen, stats, ra_interlock)
+    return stats
+
+
 def _emit_counters(sim: TimingSimulator, eg: EarlyGenConfig,
                    stats: SimStats, ra_interlock: int) -> None:
-    """The same post-run observability seam as the inline path."""
+    """Post-run observability seam: the event hook and ``sim.counters``."""
     hook = sim.event_hook
     tracer = obs.current()
     if hook is None and not tracer.enabled:
@@ -806,19 +794,66 @@ def _emit_counters(sim: TimingSimulator, eg: EarlyGenConfig,
         )
 
 
-def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
-            dcodes: bytes, dtotals: tuple, ecodes: bytes,
-            excluded: frozenset = frozenset(),
-            diverged: Optional[list] = None):
-    """Timing-accounting pass over the precomputed streams.
+def _store_interlock(sq: deque, c: int, word: int) -> bool:
+    """Mem_Interlock for a speculative access at cycle *c*: an in-flight
+    store (issued at ``s``, writing at ``s + 1``) to *word* writes after
+    *c*.  Stores that can no longer interlock any later access leave
+    the queue.  The live source calls this; the stream loads, the hot
+    path of config sweeps, spell it out in place."""
+    while sq and sq[0][0] + 1 <= c:
+        sq.popleft()
+    for _, s_word in sq:
+        if s_word == word:
+            return True
+    return False
 
-    The inline simulator's cycle-tagged ring scoreboards collapse to a
-    handful of locals here because the issue cycle is monotone: ``iss``
-    / ``alu`` / ``fpu`` / ``bru`` count units consumed at the current
-    cycle, and a three-slot window ``pp`` / ``pm`` / ``pc`` tracks
-    memory ports at cycles ``cur-1`` / ``cur`` / ``cur+1`` (speculative
-    accesses charge ``pp``, normal MEM accesses charge ``pc``).  Every
-    clock advance shifts the window by the advance distance.
+
+def _with_watch_marks(records: list) -> list:
+    """*records* with a watch mark after each one; the mark's ``extra``
+    is the record it follows."""
+    marks: dict = {}
+    out: list = []
+    append = out.append
+    for rec in records:
+        mark = marks.get(id(rec))
+        if mark is None:
+            mark = marks[id(rec)] = (_K_WATCH, 0, _NO_SRC, _NO_SRC,
+                                     _NO_SRC, _NO_DEST, rec)
+        append(rec)
+        append(mark)
+    return out
+
+
+def _replay(pre: TracePrecompute, cfg: MachineConfig,
+            route: Optional[bytes], dcodes: bytes = b"",
+            dtotals: tuple = (0, 0, 0), ecodes: bytes = b"",
+            excluded: frozenset = frozenset(),
+            diverged: Optional[list] = None,
+            sim: Optional[TimingSimulator] = None):
+    """The timing loop: one pass over the trace's scheduler records.
+
+    Outcomes come from one of two sources:
+
+    * **precomputed streams** (``sim`` None): ``dcodes``/``dtotals``
+      and ``ecodes`` from :meth:`TracePrecompute.dstream` and
+      :meth:`TracePrecompute.estream` under ``route``; wrong-address
+      dispatches that disagree with the stream are appended to
+      ``diverged``;
+    * **live** (``sim`` set): each load probes and updates the
+      predictor backend, the d-cache and ``R_addr`` or the BRIC
+      register cache as it issues, and each store write-accesses the
+      d-cache.  ``route`` None means hardware dual-path selection,
+      decided per load at decode.  When ``sim`` collects a timeline or
+      has a watchdog tighter than the trace's bounds, a watch mark
+      follows every record; otherwise the loop never tests for them.
+
+    The scoreboard is a handful of locals because the issue cycle is
+    monotone: ``iss`` / ``alu`` / ``fpu`` / ``bru`` count units consumed
+    at the current cycle, and a three-slot window ``pp`` / ``pm`` /
+    ``pc`` tracks memory ports at cycles ``cur-1`` / ``cur`` / ``cur+1``
+    (speculative accesses charge ``pp``, normal MEM accesses charge
+    ``pc``).  Every clock advance shifts the window by the advance
+    distance.  Returns ``(stats, raddr_interlocks)``.
     """
     records = pre.records
     lword = pre.lword
@@ -837,7 +872,7 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
     iss = alu = fpu = bru = 0
     pp = pm = pc = 0
 
-    spec_any = 1 in route or 2 in route
+    spec_any = route is None or 1 in route or 2 in route
     sq: deque = deque()
     sq_append = sq.append
     sq_popleft = sq.popleft
@@ -848,6 +883,52 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
     calc_disp = calc_succ = calc_part = 0
     sp_noport = sp_interlock = sp_dmiss = 0
     ra_interlock = 0
+
+    timeline = None
+    if sim is not None:
+        records = pre.live_records()
+        eg = cfg.earlygen
+        dcache = DirectMappedCache(cfg.dcache)
+        dc_probe = dcache.probe
+        dc_access = dcache.access
+        dc_write = dcache.write_access
+        table = _create_predictor(eg)
+        if table is not None:
+            tb_probe = table.probe
+            tb_update = table.update
+            # Backends that train on the demand d-cache outcome get it
+            # as an extra update argument, probed before the demand
+            # access (nothing touches the cache in between).
+            tb_demand = table.trains_on_demand
+        use_raddr = eg.selection is SelectionMode.COMPILER
+        bound = -1  # R_addr binding (a register slot)
+        if eg.cached_regs and not use_raddr:
+            regcache = RegisterCache(eg.cached_regs)
+            rc_probe = regcache.probe
+            rc_insert = regcache.insert
+        hw_dual = route is None
+        if hw_dual:
+            route = bytearray(pre.n_loads)
+        mseq_ea = pre.mseq_ea
+        lpc = pre.lpc
+        lro = pre.lro
+        ldisp = pre.ldisp
+        mi = 0  # memory-op ordinal (loads and stores)
+        dmiss = store_miss = poll_miss = 0
+        if sim.collect_timeline:
+            timeline = []
+        if timeline is not None or not _watchdogs_compatible(pre, sim):
+            # Timeline and watchdogs: a watch mark after every record,
+            # so runs without them (and the stream path) never test
+            # for them.
+            records = _with_watch_marks(records)
+            tl_append = timeline.append if timeline is not None else None
+            # 0 disables a watchdog: an unreachable bound.
+            slim = sim.stall_limit or (1 << 62)
+            mcyc = sim.max_cycles or (1 << 62)
+            uids = pre.uids
+            i = 0
+            t_prev = 0
 
     for k, pen, s1, s2, s3, dest, x in records:
         if pen:
@@ -886,7 +967,8 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
             iss = alu = fpu = bru = 0
             cur = t
 
-        if k == 4:  # int ALU
+        # Kind codes are repro.sim.pipeline's _K_* constants.
+        if k == 2:  # int ALU
             if iss >= width or alu >= n_alus:
                 cur += 1
                 pp = pm
@@ -897,7 +979,7 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
             alu += 1
             rr[dest] = cur + x
 
-        elif k == 0:  # load
+        elif k == 0:  # load, precomputed outcomes
             code = dcodes[li]
             r = route[li]
             if r == 0:
@@ -1021,7 +1103,7 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
                     rr[dest] = cur + (ld_lat if code & 1 else miss_lat)
             li += 1
 
-        elif k == 2 or k == 3:  # branch / call
+        elif k >= 8:  # branch, jump, return, call
             if iss >= width or bru >= n_brus:
                 cur += 1
                 pp = pm
@@ -1030,7 +1112,7 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
                 iss = alu = fpu = bru = 0
             iss += 1
             bru += 1
-            if k == 3:
+            if k == 11:  # call writes the link register
                 rr[63] = cur + 1
             if x:  # precomputed redirect cycles
                 if x == 1:
@@ -1063,7 +1145,7 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
                         sq_popleft()
             si += 1
 
-        elif k == 5:  # FP
+        elif k == 3:  # FP
             if iss >= width or fpu >= n_fpus:
                 cur += 1
                 pp = pm
@@ -1074,7 +1156,7 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
             fpu += 1
             rr[dest] = cur + x
 
-        else:  # k == 6: HALT/NOP, issue-width bound only
+        elif k == 4:  # HALT/NOP, issue-width bound only
             if iss >= width:
                 cur += 1
                 pp = pm
@@ -1084,12 +1166,194 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
             iss += 1
             rr[dest] = cur + x
 
+        elif k == 5:  # load, live outcomes
+            # The record's operand slots are empty, so the clock is
+            # still the decode cycle: dual-path selection reads the
+            # base register's interlock here, then the load waits on
+            # its own sources.
+            t_dec = cur
+            s1, s2, s3 = x
+            t = rr[s1]
+            r2 = rr[s2]
+            if r2 > t:
+                t = r2
+            r3 = rr[s3]
+            if r3 > t:
+                t = r3
+            if t > cur:
+                d = t - cur
+                if d == 1:
+                    pp = pm
+                    pm = pc
+                elif d == 2:
+                    pp = pc
+                    pm = 0
+                else:
+                    pp = 0
+                    pm = 0
+                pc = 0
+                iss = alu = fpu = bru = 0
+                cur = t
+            ea = mseq_ea[mi]
+            mi += 1
+            base = lbase[li]
+            if hw_dual:
+                # Eickemeyer-Vassiliadis: prediction only for loads
+                # whose base register is interlocked at decode.
+                r = 1 if rr[base] > t_dec - 2 else 2
+                route[li] = r
+            else:
+                r = route[li]
+            success = False
+            lat = ld_lat
+            if r == 1:
+                pc_addr = lpc[li]
+                predicted = tb_probe(pc_addr)
+                if predicted is not None:
+                    if pp < n_ports:
+                        pp += 1
+                        pred_disp += 1
+                        if predicted == ea:
+                            if sq and _store_interlock(sq, cur - 1,
+                                                       lword[li]):
+                                sp_interlock += 1
+                            elif dc_probe(ea):
+                                success = True
+                                lat = ld_hit_lat
+                                pred_succ += 1
+                            else:
+                                sp_dmiss += 1
+                        else:
+                            pred_wrong += 1
+                            # The wrong-address access still fetches
+                            # its block (the paper's "extra load").
+                            if not dc_access(predicted):
+                                poll_miss += 1
+                    else:
+                        sp_noport += 1
+                if tb_demand:
+                    tb_update(pc_addr, ea, predicted, dc_probe(ea))
+                else:
+                    tb_update(pc_addr, ea, predicted)
+            elif r == 2:
+                # ec: 1 = may dispatch, 3 = reg+reg partial case.  Every
+                # load on this path then rebinds R_addr / fills the
+                # register cache (neither touches ports or the d-cache).
+                if use_raddr:
+                    # A load that just switched the binding reads a
+                    # stale value; reg+reg cannot use R_addr at all.
+                    ec = 1 if bound == base and lro[li] else 0
+                    bound = base
+                else:
+                    ec = 0
+                    if rc_probe(base):
+                        if lro[li]:
+                            ec = 1
+                        elif rc_probe(ldisp[li]):
+                            ec = 3
+                    rc_insert(base)
+                if ec:
+                    if pp < n_ports:
+                        pp += 1
+                        calc_disp += 1
+                        if rr[base] > cur - 2:
+                            # base not written back by ID1
+                            ra_interlock += 1
+                        elif sq and _store_interlock(sq, cur - 1,
+                                                     lword[li]):
+                            sp_interlock += 1
+                        elif dc_probe(ea):
+                            success = True
+                            calc_succ += 1
+                            if ec & 2:
+                                calc_part += 1
+                                lat = 1
+                            else:
+                                lat = 0
+                        else:
+                            sp_dmiss += 1
+                    else:
+                        sp_noport += 1
+            if success:
+                if iss >= width:
+                    cur += 1
+                    pp = pm
+                    pm = pc
+                    pc = 0
+                    iss = alu = fpu = bru = 0
+                iss += 1
+                dc_access(ea)  # the probed block is present: a hit
+            else:
+                if iss >= width or pc >= n_ports:
+                    cur += 1
+                    pp = pm
+                    pm = pc
+                    pc = 0
+                    iss = alu = fpu = bru = 0
+                iss += 1
+                pc += 1
+                if not dc_access(ea):
+                    dmiss += 1
+                    lat = miss_lat
+            rr[dest] = cur + lat
+            li += 1
+
+        elif k == 6:  # store, live outcomes
+            if iss >= width or pc >= n_ports:
+                cur += 1
+                pp = pm
+                pm = pc
+                pc = 0
+                iss = alu = fpu = bru = 0
+            iss += 1
+            pc += 1
+            # Write-through, no-allocate: misses count, nothing fills.
+            if not dc_write(mseq_ea[mi]):
+                store_miss += 1
+            mi += 1
+            if spec_any:
+                sq_append((cur, sword[si]))
+                if len(sq) > 32:
+                    c = cur - 1
+                    while sq[0][0] + 1 <= c:
+                        sq_popleft()
+            si += 1
+
+        else:  # k == 7: watch mark for the record just issued
+            # The mark has no fetch penalty, sources or destination, so
+            # the clock and scoreboard are as that record left them.
+            k = x[0]
+            if tl_append is not None:
+                if k >= 8:  # issue cycle, before the redirect
+                    x = x[6]
+                    note = "branch mispredict" if x > 1 else "branch"
+                    tl_append((uids[i], cur - x, note))
+                else:
+                    if k == 5:
+                        ch = "npe"[r]
+                        if success:
+                            note = f"{ch}-hit lat={lat}"
+                        elif r:
+                            note = f"{ch}-miss lat={lat}"
+                        else:
+                            note = f"load lat={lat}"
+                    else:
+                        note = "store" if k == 6 else ""
+                    tl_append((uids[i], cur, note))
+            if cur - t_prev > slim or cur > mcyc:
+                raise sim._hang(i, t_prev, cur, sq)
+            t_prev = cur
+            i += 1
+
+    if sim is not None:
+        dtotals = (dmiss, store_miss, poll_miss)
     stats = _assemble_stats(
         pre, route, dtotals, cur,
         pred_disp, pred_succ, pred_wrong,
         calc_disp, calc_succ, calc_part,
         sp_noport, sp_interlock, sp_dmiss,
     )
+    stats.timeline = timeline
     return stats, ra_interlock
 
 
@@ -1136,27 +1400,18 @@ def warm_precompute(
     machine: MachineConfig,
     configs: Sequence[EarlyGenConfig],
     overrides: Optional[Sequence[Optional[Dict[int, LoadSpec]]]] = None,
-) -> Optional[TracePrecompute]:
+) -> TracePrecompute:
     """Build the precompute and every stream *configs* will need.
 
     Separating this from :func:`simulate_many` lets callers (the bench
     harness in particular) attribute one-time stream construction to a
-    ``precompute`` stage and keep the per-config passes pure.  Returns
-    None when the trace cannot be streamed.
+    ``precompute`` stage and keep the per-config passes pure.
     """
     pre = get_precompute(trace, machine)
-    if pre.records is None:
-        return None
     for idx, eg in enumerate(configs):
-        if (
-            eg.table_entries
-            and eg.cached_regs
-            and eg.selection is SelectionMode.HARDWARE
-        ):
-            continue
         ov = overrides[idx] if overrides is not None else None
         sb = _scheme_bytes(trace.program, eg, ov)
-        if sb is None:
+        if sb is None:  # hardware dual-path: live outcomes only
             continue
         route = pre.route_for(sb)
         pre.dstream(eg, route)
@@ -1180,7 +1435,7 @@ def simulate_many(
     for a ``sim`` span on the ambient tracer.  Results are in input
     order and byte-identical to independent ``TimingSimulator`` runs —
     configs the streams cannot express (hardware dual-path, diverging
-    pollution) transparently use the inline path.
+    pollution, tight watchdogs) run the same loop on live outcomes.
     """
     base = machine if machine is not None else MachineConfig()
     tracer = obs.current()
@@ -1197,7 +1452,7 @@ def simulate_many(
               else nullcontext()):
             stats = try_fast(sim)
             if stats is None:
-                stats = sim._run_inline()
+                stats = run_live(sim)
         results.append(stats)
     return results
 
@@ -1207,11 +1462,15 @@ def simulate_many(
 # ---------------------------------------------------------------------------
 
 def _parity_main(argv: Optional[Sequence[str]] = None) -> int:
-    """Replay every harness sim request on both paths and diff the stats.
+    """Run every harness sim request three ways and diff the stats.
 
-    CI runs this at a small scale as a standing precompute-vs-inline
-    parity gate; exit status 1 means at least one config produced
-    non-identical :class:`SimStats`.
+    Each config runs through the seed oracle
+    (:func:`~repro.sim._pipeline_reference.reference_run`), a plain
+    :meth:`TimingSimulator.run` (live outcomes), and one
+    :func:`simulate_many` sweep (precomputed streams where they apply).
+    CI runs this at a small scale as a standing parity gate; exit
+    status 1 means at least one config produced non-identical
+    :class:`SimStats` on either diff.
     """
     import argparse
     import dataclasses
@@ -1222,12 +1481,14 @@ def _parity_main(argv: Optional[Sequence[str]] = None) -> int:
         eg_tag,
         sim_requests,
     )
+    from repro.sim._pipeline_reference import reference_run
     from repro.sim.machine import BASELINE
     from repro.workloads import workload_names
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.sim.precompute",
-        description="precompute-vs-inline SimStats parity check",
+        description="reference vs run() vs simulate_many SimStats "
+        "parity check",
     )
     parser.add_argument("--scale", type=float, default=0.02)
     parser.add_argument(
@@ -1244,10 +1505,10 @@ def _parity_main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--require-stream", action="store_true",
-        help="fail if any table-bearing config fell back to the "
-        "inline pipeline (CI predictor-parity job: proves the "
-        "backend streams through the precompute fast path; dual-"
-        "predictor hardware configs are exempt — they never stream)",
+        help="fail if any table-bearing config fell back to live "
+        "outcomes (CI predictor-parity job: proves the backend "
+        "streams through the precompute fast path; dual-predictor "
+        "hardware configs are exempt — they never stream)",
     )
     args = parser.parse_args(argv)
     if args.predictor is not None:
@@ -1267,6 +1528,7 @@ def _parity_main(argv: Optional[Sequence[str]] = None) -> int:
                          f"{', '.join(unknown)}")
     ctx = ExperimentContext(scale=args.scale)
     mismatches = 0
+    ref_mismatches = 0
     checked = 0
     for suite in suites:
         requests = sim_requests(suite)
@@ -1290,30 +1552,38 @@ def _parity_main(argv: Optional[Sequence[str]] = None) -> int:
             tags = ["baseline"] + [
                 eg_tag(r.earlygen, r.cache_key) for r in requests
             ]
-            inline = [
-                TimingSimulator(
-                    run.trace, ctx.machine.with_earlygen(eg), ov
-                )._run_inline()
+            sims = [
+                TimingSimulator(run.trace, ctx.machine.with_earlygen(eg), ov)
                 for eg, ov in zip(configs, overrides)
             ]
+            reference = [asdict(reference_run(sim)) for sim in sims]
+            live = [asdict(sim.run()) for sim in sims]
             fast = simulate_many(
                 run.trace, configs, machine=ctx.machine, overrides=overrides
             )
             bad = [
-                tag for tag, a, b in zip(tags, inline, fast)
-                if asdict(a) != asdict(b)
+                tag for tag, a, b in zip(tags, live, fast) if a != asdict(b)
+            ]
+            bad_ref = [
+                tag for tag, a, b in zip(tags, reference, live) if a != b
             ]
             checked += len(configs)
+            mismatches += len(bad)
+            ref_mismatches += len(bad_ref)
             if bad:
-                mismatches += len(bad)
-                print(f"MISMATCH {name}: {', '.join(bad)}")
-            else:
+                print(f"MISMATCH {name} run() vs simulate_many: "
+                      f"{', '.join(bad)}")
+            if bad_ref:
+                print(f"MISMATCH {name} reference vs run(): "
+                      f"{', '.join(bad_ref)}")
+            if not bad and not bad_ref:
                 print(f"ok {name} ({len(configs)} configs)")
     paths = replay_path_counts()
     print(
         f"parity: {checked} configs checked, {mismatches} mismatches, "
+        f"{ref_mismatches} reference mismatches, "
         f"{divergence_count()} divergences patched, "
-        f"{divergence_fallback_count()} inline fallbacks"
+        f"{divergence_fallback_count()} live fallbacks"
     )
     print("paths: " + ", ".join(
         f"{k}={v}" for k, v in sorted(paths.items())
@@ -1324,12 +1594,12 @@ def _parity_main(argv: Optional[Sequence[str]] = None) -> int:
             if k.startswith("inline:") and k != "inline:hw-dual"
         }
         if fallbacks:
-            print("require-stream: configs fell back to the inline "
-                  "pipeline: " + ", ".join(
+            print("require-stream: configs fell back to live "
+                  "outcomes: " + ", ".join(
                       f"{k}={v}" for k, v in sorted(fallbacks.items())
                   ))
             return 1
-    return 1 if mismatches else 0
+    return 1 if mismatches or ref_mismatches else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised by CI

@@ -181,7 +181,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     diff.add_argument("--scale", type=float, default=1.0)
     diff.add_argument("--opt-levels", default="0,1,2")
     diff.add_argument("--no-sim-paths", action="store_true",
-                      help="skip the inline-vs-precompute parity check")
+                      help="skip the run()-vs-simulate_many parity check")
     diff.add_argument("--verbose", action="store_true")
 
     stress = sub.add_parser("stress", help="per-backend hostile suites")

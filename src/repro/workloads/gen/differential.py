@@ -10,8 +10,8 @@ whole stack.  For each program the driver asserts three invariants:
   that same stream (a miscompiling pass shows up as a diff between
   levels even if both are internally consistent);
 * **sim-path parity** — the timing stats of the proposed configuration
-  are byte-identical between the inline pipeline and the
-  precompute stream-replay fast path.
+  are byte-identical between a plain ``TimingSimulator.run()`` (live
+  outcomes) and ``simulate_many`` (precomputed streams).
 
 Any violated invariant becomes a :class:`Mismatch` in the report rather
 than an exception, so one bad seed doesn't hide the rest of the batch.
@@ -101,17 +101,14 @@ def check_program(
     if sim_paths and 2 in outputs:
         trace = outputs[2][1]
         machine = MachineConfig().with_earlygen(PROPOSED)
-        inline = TimingSimulator(trace, machine)._run_inline()
-        fast = simulate_many(trace, [PROPOSED])[0]
+        live = asdict(TimingSimulator(trace, machine).run())
+        fast = asdict(simulate_many(trace, [PROPOSED])[0])
         report.checks += 1
-        if asdict(inline) != asdict(fast):
-            diffs = [
-                key for key in asdict(inline)
-                if asdict(inline)[key] != asdict(fast)[key]
-            ]
+        if live != fast:
+            diffs = [key for key in live if live[key] != fast[key]]
             report.mismatches.append(Mismatch(
                 name, "sim-parity",
-                f"inline != precompute SimStats (fields: {diffs})",
+                f"run() != simulate_many SimStats (fields: {diffs})",
             ))
     return report
 

@@ -8,7 +8,7 @@ from repro.compiler.profile_feedback import (
 )
 from repro.isa.opcodes import LoadSpec
 from repro.sim.executor import execute
-from repro.sim.stride_table import UnboundedPredictor
+from repro.sim.predictors import UnboundedPredictor
 
 # A sorted index array makes tbl[idx[i]] highly stride-predictable, yet
 # the heuristics must classify it NT (the index is loaded, reg+reg mode).

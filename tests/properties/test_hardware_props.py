@@ -10,7 +10,7 @@ from repro.sim.btb import BranchTargetBuffer
 from repro.sim.cache import DirectMappedCache
 from repro.sim.machine import CacheConfig
 from repro.sim.addr_reg import RegisterCache
-from repro.sim.stride_table import (
+from repro.sim.predictors import (
     FUNCTIONING,
     LEARNING,
     TableEntry,

@@ -115,8 +115,8 @@ def iter_cases() -> Iterator[
            overrides, False)
 
     # embedded_design.py's workload (ghostscript) at a reduced scale,
-    # under machine variants: associativity, RAS, a narrow core with
-    # small caches (forces dcache/icache miss accounting).
+    # under machine variants: RAS, a narrow core with small caches
+    # (forces dcache/icache miss accounting).
     workload = get_workload("ghostscript")
     trace = _compiled_trace(
         workload.source(max(1, workload.default_scale // 10))
@@ -124,8 +124,6 @@ def iter_cases() -> Iterator[
     proposed = EarlyGenConfig(256, 1, _CC)
     variants = (
         ("default", default),
-        ("ways4", MachineConfig(
-            dcache=CacheConfig(ways=4), icache=CacheConfig(ways=2))),
         ("ras8", MachineConfig(ras_entries=8)),
         ("narrow_small$", MachineConfig(
             issue_width=2, int_alus=2, mem_ports=1, fp_alus=1,

@@ -79,93 +79,3 @@ def test_paper_default_geometry():
     assert c.config.block_size == 64
     assert c.config.num_blocks == 1024
     assert c.config.miss_penalty == 12
-
-
-class TestSetAssociative:
-    def _cache(self, ways, size=1024):
-        from repro.sim.cache import SetAssociativeCache
-
-        cache = DirectMappedCache(
-            CacheConfig(size=size, block_size=64, ways=ways)
-        )
-        assert isinstance(cache, SetAssociativeCache)
-        return cache
-
-    def test_config_validation(self):
-        import pytest as _pytest
-
-        with _pytest.raises(ValueError):
-            CacheConfig(size=1024, block_size=64, ways=0)
-        with _pytest.raises(ValueError):
-            CacheConfig(size=1024, block_size=64, ways=3)  # 16 % 3 != 0
-
-    def test_two_way_resolves_the_classic_conflict(self):
-        # two blocks that alias in a direct-mapped cache coexist 2-way
-        direct = DirectMappedCache(CacheConfig(size=1024, block_size=64))
-        assoc = self._cache(2)
-        a, b = 0x0, 512 * 2  # same direct-mapped index
-        for cache in (direct, assoc):
-            cache.access(a)
-            cache.access(b)
-        assert not direct.probe(a)  # evicted
-        assert assoc.probe(a) and assoc.probe(b)
-
-    def test_lru_replacement(self):
-        cache = self._cache(2, size=128)  # 1 set, 2 ways
-        cache.access(0 * 64)
-        cache.access(1 * 64)
-        cache.access(0 * 64)  # refresh 0
-        cache.access(2 * 64)  # evicts 1 (LRU)
-        assert cache.probe(0 * 64)
-        assert not cache.probe(1 * 64)
-        assert cache.probe(2 * 64)
-
-    def test_write_through_no_allocate(self):
-        cache = self._cache(4)
-        assert not cache.write_access(0x100)
-        assert not cache.probe(0x100)
-        cache.access(0x100)
-        assert cache.write_access(0x100)
-
-    def test_counters(self):
-        cache = self._cache(2)
-        for addr in (0, 64, 0, 128, 64):
-            cache.access(addr)
-        assert cache.hits + cache.misses == 5
-
-    def test_full_associativity_never_conflicts(self):
-        cache = self._cache(16, size=1024)  # 1 set, 16 ways
-        for i in range(16):
-            cache.access(i * 4096)
-        assert all(cache.probe(i * 4096) for i in range(16))
-
-    def test_pipeline_runs_with_associative_dcache(self):
-        from repro.isa import parse_asm
-        from repro.sim.executor import execute
-        from repro.sim.machine import MachineConfig
-        from repro.sim.pipeline import TimingSimulator
-
-        program = parse_asm(
-            """
-            .data arr 256
-            main:
-                lea r4, arr
-                mov r6, 0
-            loop:
-                ld_n r7, r4(0)
-                add r5, r5, r7
-                add r4, r4, 4
-                add r6, r6, 1
-                blt r6, 32, loop
-                halt
-            """
-        )
-        trace = execute(program).trace
-        stats = TimingSimulator(
-            trace,
-            MachineConfig(
-                dcache=CacheConfig(size=1024, block_size=64, ways=4)
-            ),
-        ).run()
-        assert stats.cycles > 0
-        assert stats.dcache_misses >= 1

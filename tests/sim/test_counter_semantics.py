@@ -4,7 +4,7 @@ The stream-precompute fast path (:mod:`repro.sim.precompute`) does not
 replay the tag arrays inside the timing loop — it reconstructs
 ``SimStats`` cache counters from precomputed totals.  That is only
 sound under the documented counter semantics of
-:mod:`repro.sim.cache` and :mod:`repro.sim.stride_table`:
+:mod:`repro.sim.cache` and :mod:`repro.sim.predictors.stride`:
 
 * ``accesses == hits + misses`` at all times, with ``probe``
   non-counting and non-allocating;
@@ -15,7 +15,8 @@ sound under the documented counter semantics of
   unconditionally per routed load, independent of dispatch timing.
 
 These tests pin the semantics at the unit level and then pin that both
-simulator paths report identical access/hit counters on a real trace.
+outcome sources of the timing loop (live and precomputed streams)
+report identical access/hit counters on a real trace.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro.isa import parse_asm
 from repro.sim import precompute
-from repro.sim.cache import DirectMappedCache, SetAssociativeCache
+from repro.sim.cache import DirectMappedCache
 from repro.sim.executor import execute
 from repro.sim.machine import (
     CacheConfig,
@@ -39,7 +40,7 @@ from repro.sim.machine import (
     SelectionMode,
 )
 from repro.sim.pipeline import TimingSimulator
-from repro.sim.stride_table import AddressPredictionTable
+from repro.sim.predictors import AddressPredictionTable
 
 from golden_cases import stats_to_record
 from test_pipeline_parity import _random_asm
@@ -51,8 +52,7 @@ def _block(cache, n: int) -> int:
 
 
 def test_direct_mapped_counter_identity():
-    cache = DirectMappedCache(CacheConfig(size=256, block_size=64, ways=1))
-    assert type(cache) is DirectMappedCache
+    cache = DirectMappedCache(CacheConfig(size=256, block_size=64))
     assert cache.accesses == 0
 
     assert cache.access(_block(cache, 0)) is False      # cold miss, fills
@@ -65,7 +65,7 @@ def test_direct_mapped_counter_identity():
 
 
 def test_direct_mapped_probe_is_neutral():
-    cache = DirectMappedCache(CacheConfig(size=256, block_size=64, ways=1))
+    cache = DirectMappedCache(CacheConfig(size=256, block_size=64))
     assert cache.probe(_block(cache, 0)) is False
     assert (cache.hits, cache.misses, cache.accesses) == (0, 0, 0)
     assert cache.access(_block(cache, 0)) is False  # probe did not allocate
@@ -75,28 +75,6 @@ def test_direct_mapped_probe_is_neutral():
         cache.probe(_block(cache, 7))
     assert (cache.hits, cache.misses) == before
     assert cache.access(_block(cache, 0)) is True
-
-
-def test_set_associative_counter_identity_and_lru():
-    cache = DirectMappedCache(CacheConfig(size=512, block_size=64, ways=2))
-    assert isinstance(cache, SetAssociativeCache)
-    sets = cache.config.num_sets
-    a, b, c = (_block(cache, n * sets) for n in range(3))  # same set
-
-    assert cache.access(a) is False
-    assert cache.access(b) is False
-    assert cache.access(a) is True     # refreshes LRU: b is now oldest
-    assert cache.access(c) is False    # evicts b
-    assert cache.probe(b) is False
-    assert cache.probe(a) is True
-    # A write hit refreshes LRU like a read hit; a write miss never
-    # fills and never evicts.
-    assert cache.write_access(a) is True
-    assert cache.write_access(b) is False
-    assert cache.probe(c) is True
-    assert cache.access(b) is False    # evicts c (a was refreshed)
-    assert cache.probe(c) is False
-    assert cache.accesses == cache.hits + cache.misses == 7
 
 
 def test_table_probe_counts_exactly_once():
@@ -154,25 +132,26 @@ def test_suppressed_predictions_still_count_probes():
     ) <= table.probes
 
 
-@pytest.mark.parametrize("ways", (1, 2))
-def test_both_paths_report_identical_cache_counters(ways):
-    """Regression: precomputed and inline paths must report identical
-    ``dcache_hits``/``dcache_misses`` (and every other counter)."""
+@pytest.mark.parametrize("mem_ports", (1, 2))
+def test_both_paths_report_identical_cache_counters(mem_ports):
+    """Regression: precomputed streams and live outcomes must report
+    identical ``dcache_hits``/``dcache_misses`` (and every other
+    counter), with wrong-address pollution port-starved or not."""
     rng = random.Random(0xCAFE)
     trace = execute(parse_asm(_random_asm(rng))).trace
     machine = MachineConfig(
-        mem_ports=1,
-        dcache=CacheConfig(size=1024, ways=ways),
+        mem_ports=mem_ports,
+        dcache=CacheConfig(size=1024),
     ).with_earlygen(EarlyGenConfig(16, 0, SelectionMode.HARDWARE))
 
-    inline = TimingSimulator(trace, machine)._run_inline()
+    live = TimingSimulator(trace, machine).run()
     fast = precompute.try_fast(TimingSimulator(trace, machine))
     assert fast is not None, "config unexpectedly ineligible for fast path"
 
-    assert fast.dcache_hits == inline.dcache_hits
-    assert fast.dcache_misses == inline.dcache_misses
-    assert fast.icache_misses == inline.icache_misses
-    assert stats_to_record(fast) == stats_to_record(inline)
+    assert fast.dcache_hits == live.dcache_hits
+    assert fast.dcache_misses == live.dcache_misses
+    assert fast.icache_misses == live.icache_misses
+    assert stats_to_record(fast) == stats_to_record(live)
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +268,15 @@ def test_backend_params_key_matches_registry(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_both_paths_identical_counters_per_backend(backend):
-    """The stream path must reproduce the inline path byte-identically
+    """The stream path must reproduce live outcomes byte-identically
     for every registered backend, not just stride."""
     rng = random.Random(0xBEEF)
     trace = execute(parse_asm(_random_asm(rng))).trace
     machine = MachineConfig(mem_ports=1).with_earlygen(_eg(backend))
-    inline = TimingSimulator(trace, machine)._run_inline()
+    live = TimingSimulator(trace, machine).run()
     fast = precompute.try_fast(TimingSimulator(trace, machine))
     assert fast is not None, "config unexpectedly ineligible for fast path"
-    assert stats_to_record(fast) == stats_to_record(inline)
+    assert stats_to_record(fast) == stats_to_record(live)
 
 
 # ---------------------------------------------------------------------------

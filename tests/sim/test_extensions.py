@@ -19,7 +19,7 @@ from repro.isa import (
 from repro.sim.executor import execute
 from repro.sim.machine import EarlyGenConfig, MachineConfig, SelectionMode
 from repro.sim.pipeline import TimingSimulator
-from repro.sim.stride_table import AddressPredictionTable
+from repro.sim.predictors import AddressPredictionTable
 
 
 def I(op, dest=None, srcs=(), target=None, lspec=LoadSpec.N):  # noqa: E743

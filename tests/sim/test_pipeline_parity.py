@@ -1,25 +1,29 @@
-"""Property test: the fast-path simulator matches the seed implementation.
+"""Parity: the one timing loop matches the seed implementation.
 
-``TimingSimulator.run`` was restructured for throughput (decode-once
-flat arrays, ring-buffer scoreboards, inlined cache/predictor state
-machines).  The original dict-scoreboard implementation is kept verbatim
-in :mod:`repro.sim._pipeline_reference` as an executable specification;
-this test replays randomized programs under randomized machine and
-early-generation configs through both and requires bit-identical
-:class:`~repro.sim.stats.SimStats` — every counter, every scheme count,
-and (when enabled) every timeline entry.
+``TimingSimulator.run`` is the scheduler of :mod:`repro.sim.precompute`
+(a window scoreboard over decode-once records) fed live outcomes, and
+``simulate_many`` is the same scheduler fed precomputed streams.  The
+original dict-scoreboard implementation is kept verbatim in
+:mod:`repro.sim._pipeline_reference` as an executable specification;
+these tests replay programs under machine and early-generation configs
+through it and require bit-identical :class:`~repro.sim.stats.SimStats`
+— every counter, every scheme count, and (when enabled) every timeline
+entry.
 
-Programs are generated two ways:
+Programs come three ways:
 
 * random assembly kernels: a store loop that seeds a data array, then a
   walk loop mixing strided ``ld_n``/``ld_p``/``ld_e`` loads, stores, and
   ALU traffic over a small register pool — this exercises the
-  prediction-table state machine, R_addr binding, and the dcache inline
-  paths under every selection mode;
+  prediction-table state machine, R_addr binding, and the d-cache
+  under every selection mode;
 * randomized mini-C sources built from the quickstart template with
   random array sizes, strides, and trip counts — this routes through the
   full compiler (classification included) and adds FP-free but
-  branch-heavy traces with compiler-chosen load specs.
+  branch-heavy traces with compiler-chosen load specs;
+* two real workloads at a small scale, under every config the harness
+  tables and the backend ablation replay, checked three ways
+  (reference, ``run()``, ``simulate_many``).
 
 Seeds are fixed, so failures reproduce deterministically.
 """
@@ -35,16 +39,24 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro.compiler.driver import compile_source
+from repro.harness.experiments import (
+    ExperimentContext,
+    ablation_config,
+    sim_requests,
+)
 from repro.isa import parse_asm
 from repro.sim._pipeline_reference import reference_run
 from repro.sim.executor import Executor, execute
 from repro.sim.machine import (
+    BASELINE,
     CacheConfig,
     EarlyGenConfig,
     MachineConfig,
     SelectionMode,
 )
 from repro.sim.pipeline import TimingSimulator
+from repro.sim.precompute import simulate_many
+from repro.sim.predictors import backend_names
 
 from golden_cases import stats_to_record
 
@@ -143,10 +155,7 @@ def _random_machine(rng: random.Random) -> MachineConfig:
             issue_width=rng.choice((2, 4, 6)),
             int_alus=rng.choice((2, 4)),
             mem_ports=rng.choice((1, 2)),
-            dcache=CacheConfig(
-                size=rng.choice((1024, 4096, 16384)),
-                ways=rng.choice((1, 2)),
-            ),
+            dcache=CacheConfig(size=rng.choice((1024, 4096, 16384))),
             icache=CacheConfig(size=rng.choice((4096, 16384))),
         )
     earlygen = EarlyGenConfig(
@@ -187,3 +196,56 @@ def test_random_compiled_programs_match_reference(seed):
     trace = Executor(result.program).run().trace
     for _ in range(2):
         _assert_parity(trace, _random_machine(rng), rng.random() < 0.3)
+
+
+#: The real workloads of the three-way check, with their table suite.
+_REAL_WORKLOADS = {"023.eqntott": "spec", "adpcm_decode": "mediabench"}
+
+
+@pytest.fixture(scope="module")
+def real_ctx():
+    return ExperimentContext(scale=0.02)
+
+
+@pytest.mark.parametrize("name", sorted(_REAL_WORKLOADS))
+def test_real_workloads_match_reference_three_ways(real_ctx, name):
+    """Every table config and every backend's ablation config: the
+    reference, a plain ``run()`` and one ``simulate_many`` sweep give
+    identical stats."""
+    run = real_ctx.run(name)
+    requests = sim_requests(_REAL_WORKLOADS[name])
+    ablation = [ablation_config(b) for b in backend_names()]
+    configs = ([BASELINE] + [r.earlygen for r in requests] + ablation)
+    overrides = (
+        [None]
+        + [run.get_overrides() if r.use_profile_override else None
+           for r in requests]
+        + [None] * len(ablation)
+    )
+    sims = [
+        TimingSimulator(run.trace, real_ctx.machine.with_earlygen(eg), ov)
+        for eg, ov in zip(configs, overrides)
+    ]
+    reference = [stats_to_record(reference_run(sim)) for sim in sims]
+    live = [stats_to_record(sim.run()) for sim in sims]
+    swept = simulate_many(
+        run.trace, configs, machine=real_ctx.machine, overrides=overrides
+    )
+    assert live == reference
+    assert [stats_to_record(s) for s in swept] == reference
+
+
+def test_real_workload_hw_dual_timeline_matches_reference(real_ctx):
+    """Hardware dual-path selection reads the decode-stage clock; the
+    per-instruction issue cycles and notes must match the reference."""
+    run = real_ctx.run("023.eqntott")
+    machine = real_ctx.machine.with_earlygen(
+        EarlyGenConfig(256, 1, SelectionMode.HARDWARE)
+    )
+    reference = reference_run(
+        TimingSimulator(run.trace, machine, collect_timeline=True)
+    )
+    live = TimingSimulator(run.trace, machine, collect_timeline=True).run()
+    assert len(live.timeline) == len(run.trace.uids)
+    assert live.timeline == reference.timeline
+    assert stats_to_record(live) == stats_to_record(reference)

@@ -5,9 +5,10 @@ Covers what the parity suites do not:
 * cache bounds — the Program-attached caches (front-end outcomes, trace
   precomputes, per-config streams/routes) stay bounded no matter how
   many machines or configs a long service session replays;
-* fast-path gating — one-shot ``run()`` calls are the inline loop and
-  never build a precompute, hooks stay inline, and ``simulate_many``
-  results land byte-identical to independent runs;
+* one timing loop — ``run()`` and every ``simulate_many`` config,
+  streamed or declined, go through the one scheduler on the shared
+  precompute, and ``simulate_many`` results land byte-identical to
+  independent runs;
 * golden lock — every eligible golden case replayed through
   ``simulate_many`` reproduces its recorded snapshot exactly;
 * divergence patching — wrong-address pollution that cannot dispatch is
@@ -132,33 +133,59 @@ def test_precompute_invalidated_when_program_recompiled(trace):
 
 
 # ---------------------------------------------------------------------------
-# Fast-path gating
+# One timing loop
 # ---------------------------------------------------------------------------
 
-def test_one_shot_run_never_builds_a_precompute(trace):
+def test_one_shot_run_builds_the_shared_precompute(trace):
     machine = MachineConfig().with_earlygen(
         EarlyGenConfig(64, 0, SelectionMode.HARDWARE)
     )
+    before = precompute.replay_path_counts()
     TimingSimulator(trace, machine).run()
-    assert getattr(trace.program, "_sim_precompute", None) is None
+    uids, store = trace.program._sim_precompute
+    assert uids is trace.uids
+    pre = store[_machine_key(machine)]
+    assert get_precompute(trace, machine) is pre
+    # Live outcomes only: no stream was derived and no path counted.
+    assert pre._live_records is not None
+    assert not pre._dstreams and not pre._estreams
+    assert precompute.replay_path_counts() == before
+
+
+def test_run_and_every_sweep_config_call_the_one_scheduler(
+        trace, monkeypatch):
+    calls = []
+    real_replay = precompute._replay
+
+    def counting_replay(*args, **kwargs):
+        calls.append(kwargs.get("sim") is not None)
+        return real_replay(*args, **kwargs)
+
+    monkeypatch.setattr(precompute, "_replay", counting_replay)
+    hw_dual = EarlyGenConfig(256, 1, SelectionMode.HARDWARE)
+    TimingSimulator(trace, MachineConfig().with_earlygen(hw_dual)).run()
+    assert calls == [True]
+    simulate_many(trace, [EarlyGenConfig(64, 1), hw_dual])
+    # One streamed config, one declined to live outcomes.
+    assert calls == [True, False, True]
 
 
 def test_warm_run_uses_fast_path_and_matches_inline(trace):
     machine = MachineConfig().with_earlygen(
         EarlyGenConfig(64, 0, SelectionMode.HARDWARE)
     )
-    inline = stats_to_record(TimingSimulator(trace, machine)._run_inline())
+    live = stats_to_record(TimingSimulator(trace, machine).run())
     (batched,) = simulate_many(trace, [machine])
-    assert stats_to_record(batched) == inline
+    assert stats_to_record(batched) == live
     # The precompute is now warm: a second sweep streams again and
-    # agrees, while a plain run() stays the inline loop.
+    # agrees, while a plain run() takes no stream path.
     assert getattr(trace.program, "_sim_precompute", None) is not None
     before = precompute.replay_path_counts()
     (again,) = simulate_many(trace, [machine])
-    assert stats_to_record(again) == inline
+    assert stats_to_record(again) == live
     streamed = precompute.replay_path_counts()
     assert streamed.get("memo", 0) == before.get("memo", 0) + 1
-    assert stats_to_record(TimingSimulator(trace, machine).run()) == inline
+    assert stats_to_record(TimingSimulator(trace, machine).run()) == live
     assert precompute.replay_path_counts() == streamed
 
 
@@ -182,9 +209,9 @@ def test_hw_dual_configs_fall_back_to_inline(trace):
     assert precompute.try_fast(
         TimingSimulator(trace, machine)
     ) is None
-    inline = stats_to_record(TimingSimulator(trace, machine)._run_inline())
+    live = stats_to_record(TimingSimulator(trace, machine).run())
     (batched,) = simulate_many(trace, [machine])
-    assert stats_to_record(batched) == inline
+    assert stats_to_record(batched) == live
 
 
 def test_simulate_many_accepts_earlygen_and_machine_items(trace):
@@ -212,14 +239,14 @@ def test_divergence_patching_converges_without_fallback():
             EarlyGenConfig(16, 0, SelectionMode.HARDWARE)
         )
         before = precompute.divergence_count()
-        inline = stats_to_record(
-            TimingSimulator(trace, machine)._run_inline()
+        live = stats_to_record(
+            TimingSimulator(trace, machine).run()
         )
         fast = precompute.try_fast(
             TimingSimulator(trace, machine)
         )
         assert fast is not None
-        assert stats_to_record(fast) == inline
+        assert stats_to_record(fast) == live
         if precompute.divergence_count() > before:
             diverged = True
             # Convergence is remembered: a second fast run must not
@@ -228,7 +255,7 @@ def test_divergence_patching_converges_without_fallback():
             rerun = precompute.try_fast(
                 TimingSimulator(trace, machine)
             )
-            assert stats_to_record(rerun) == inline
+            assert stats_to_record(rerun) == live
             assert precompute.divergence_count() == again
     assert diverged, "seeds no longer produce divergence; rotate them"
     assert precompute.divergence_fallback_count() == fallbacks_before
@@ -255,7 +282,7 @@ def test_exclusion_set_flips_twice_across_runs():
     from any remembered starting point)."""
     eg = EarlyGenConfig(16, 0, SelectionMode.HARDWARE)
     trace, machine = _first_diverging(random.Random(0xF11B), eg)
-    inline = stats_to_record(TimingSimulator(trace, machine)._run_inline())
+    live = stats_to_record(TimingSimulator(trace, machine).run())
 
     pre = precompute.get_precompute(trace, machine)
     sb = precompute._scheme_bytes(trace.program, eg, None)
@@ -267,7 +294,7 @@ def test_exclusion_set_flips_twice_across_runs():
     pre.remember_exclusions(eg, route, frozenset())
     pre._stats_memo.clear()
     rerun = precompute.try_fast(TimingSimulator(trace, machine))
-    assert stats_to_record(rerun) == inline
+    assert stats_to_record(rerun) == live
     assert pre.known_exclusions(eg, route) == converged
 
     # Flip 2: seed garbage ordinals on top of the converged set.  Inert
@@ -278,7 +305,7 @@ def test_exclusion_set_flips_twice_across_runs():
     pre.remember_exclusions(eg, route, garbage)
     pre._stats_memo.clear()
     rerun = precompute.try_fast(TimingSimulator(trace, machine))
-    assert stats_to_record(rerun) == inline
+    assert stats_to_record(rerun) == live
     assert pre.known_exclusions(eg, route) >= converged
 
 
@@ -290,7 +317,7 @@ def test_patch_memo_collision_still_exact():
     rng = random.Random(0xC0111)
     trace = execute(parse_asm(_random_asm(rng))).trace
     machine = _starved_machine(eg)
-    inline = stats_to_record(TimingSimulator(trace, machine)._run_inline())
+    live = stats_to_record(TimingSimulator(trace, machine).run())
 
     pre = precompute.get_precompute(trace, machine)
     sb = precompute._scheme_bytes(trace.program, eg, None)
@@ -301,7 +328,7 @@ def test_patch_memo_collision_still_exact():
     )
     fast = precompute.try_fast(TimingSimulator(trace, machine))
     assert fast is not None
-    assert stats_to_record(fast) == inline
+    assert stats_to_record(fast) == live
     # A second EarlyGenConfig sharing the patch key replays exactly too.
     eg2 = EarlyGenConfig(16, 2, SelectionMode.COMPILER)
     key = pre._patch_key(eg, route)
@@ -309,13 +336,13 @@ def test_patch_memo_collision_still_exact():
     sb2 = precompute._scheme_bytes(trace.program, eg2, None)
     route2 = pre.route_for(sb2)
     if pre._patch_key(eg2, route2) == key:
-        inline2 = stats_to_record(
-            TimingSimulator(trace, machine2)._run_inline()
+        live2 = stats_to_record(
+            TimingSimulator(trace, machine2).run()
         )
         fast2 = precompute.try_fast(
             TimingSimulator(trace, machine2)
         )
-        assert stats_to_record(fast2) == inline2
+        assert stats_to_record(fast2) == live2
 
 
 def test_stats_memo_dedupes_identical_streams(trace):
@@ -343,7 +370,7 @@ def test_simulate_many_reproduces_golden_stats_exactly():
     groups: dict = {}
     for case_id, trace, machine, overrides, collect_timeline in iter_cases():
         if collect_timeline:
-            continue  # timeline collection is inline-only by design
+            continue  # timelines run on live outcomes only
         entry = groups.setdefault(id(trace), (trace, []))
         entry[1].append((case_id, machine, overrides))
     checked = 0

@@ -1,12 +1,13 @@
 """Property test: ``simulate_many`` equals independent simulator runs.
 
 For random programs, machine shapes, table sizes, selection modes
-(including hardware dual-path run-time selection, which is inline-only)
-and random ``spec_override`` maps, a batched ``simulate_many`` sweep
-must produce :class:`~repro.sim.stats.SimStats` bit-identical to
-running each config through its own ``TimingSimulator`` — the batched
-path shares one precompute across the sweep, so this pins that sharing
-(and the divergence patching behind it) never leaks between configs.
+(including hardware dual-path run-time selection, which runs on live
+outcomes only) and random ``spec_override`` maps, a batched
+``simulate_many`` sweep must produce :class:`~repro.sim.stats.SimStats`
+bit-identical to running each config through its own
+``TimingSimulator`` — the batched path shares one precompute across the
+sweep, so this pins that sharing (and the divergence patching behind
+it) never leaks between configs.
 
 Runs under the deterministic ``repro`` hypothesis profile (see
 ``tests/conftest.py``).
@@ -27,7 +28,7 @@ from repro.isa import parse_asm
 from repro.isa.opcodes import LoadSpec
 from repro.sim.executor import execute
 from repro.sim.machine import EarlyGenConfig, SelectionMode
-from repro.sim.pipeline import _K_LOAD, TimingSimulator, _decode_program
+from repro.sim.pipeline import TimingSimulator, _decode_program
 from repro.sim.precompute import simulate_many
 
 from golden_cases import stats_to_record
@@ -40,9 +41,7 @@ _HW_DUAL = EarlyGenConfig(16, 2, SelectionMode.HARDWARE)
 
 def _random_override(rng: random.Random, program) -> dict:
     """A random reclassification map over the program's static loads."""
-    dec, _ = _decode_program(program)
-    load_uids = [uid for uid, entry in enumerate(dec)
-                 if entry is not None and entry[0] == _K_LOAD]
+    _, load_uids = _decode_program(program)
     chosen = rng.sample(load_uids, k=min(len(load_uids),
                                          rng.randint(1, 4)))
     specs = (LoadSpec.N, LoadSpec.P, LoadSpec.E)

@@ -3,7 +3,7 @@ behavioural checks for the bounded table and the unbounded profiler."""
 
 import pytest
 
-from repro.sim.stride_table import (
+from repro.sim.predictors import (
     FUNCTIONING,
     LEARNING,
     AddressPredictionTable,
