@@ -14,9 +14,8 @@ Supported modes:
 ``flaky:N``         raise on the first *N* attempts, then succeed
                     (a transient failure; exercises retry/backoff)
 ``hang``            block at the start of the attempt until the
-                    injector's ``stop_event`` is set (exercises the
-                    wall-clock timeout; the runner sets the event when
-                    it gives up on the attempt)
+                    runner's deadline kills the worker running it
+                    (exercises the wall-clock timeout)
 ``corrupt-ir``      corrupt the virtual-register IR after a chosen
                     optimization pass (default ``constant_propagation``;
                     ``corrupt-ir:PASSNAME`` picks another) so the IR
@@ -28,7 +27,7 @@ Supported modes:
 
 from __future__ import annotations
 
-import threading
+import time
 from typing import Dict, List, Optional
 
 from repro.errors import InjectedFault
@@ -59,30 +58,13 @@ class _Fault:
 class FaultInjector:
     """Holds per-workload fault specs and applies them on demand.
 
-    One injector is shared by the harness context and the runner; it is
+    The harness context carries one injector into every worker; it is
     inert for workloads without a spec, so production runs simply pass
     ``None`` (or an empty injector) and take no hooks.
     """
 
     def __init__(self) -> None:
         self._faults: Dict[str, _Fault] = {}
-        self._attempts: Dict[str, int] = {}
-        #: Set by the runner when it abandons a timed-out attempt, so a
-        #: ``hang`` loop exits instead of leaking a spinning thread.
-        self.stop_event = threading.Event()
-
-    def __getstate__(self) -> dict:
-        # The injector crosses process boundaries when attempts run in
-        # worker processes.  ``threading.Event`` does not pickle; each
-        # process gets its own event (a hanging child is killed by the
-        # parent's deadline, not released through the event).
-        state = self.__dict__.copy()
-        state["stop_event"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.stop_event = threading.Event()
 
     # -- construction ------------------------------------------------------
 
@@ -124,14 +106,14 @@ class FaultInjector:
 
     # -- attempt-start faults ---------------------------------------------
 
-    def fire(self, workload: str, attempt: Optional[int] = None) -> None:
-        """Apply crash/flaky/hang faults at the start of an attempt.
+    def fire(self, workload: str, attempt: int) -> None:
+        """The start hook of attempt *attempt* (1-based) at *workload*.
 
-        ``attempt`` is the 1-based attempt number.  When omitted the
-        injector counts attempts itself (the original in-process
-        behavior); callers that run attempts in worker processes must
-        pass it explicitly, because a child's copy of the injector
-        cannot advance the parent's counters.
+        Raises for crash/flaky faults and blocks for ``hang``.  The
+        worker running the attempt holds its own copy of the injector,
+        which may have seen any earlier attempt or none, so the attempt
+        number alone sets ``corrupt-ir``'s sticky flag: only the first
+        attempt corrupts its compile, and retries recompile cleanly.
         """
         fault = self._faults.get(workload)
         if fault is None:
@@ -141,31 +123,15 @@ class FaultInjector:
                 "injected crash", workload=workload
             )
         if fault.mode == "flaky":
-            if attempt is None:
-                attempt = self._attempts.get(workload, 0) + 1
-                self._attempts[workload] = attempt
             if attempt <= int(fault.arg):
                 raise InjectedFault(
                     f"injected transient failure (attempt {attempt})",
                     workload=workload,
                 )
         elif fault.mode == "hang":
-            # Block until the runner abandons the attempt; a daemon
-            # worker thread parks here instead of spinning, then dies.
-            self.stop_event.wait()
-            raise InjectedFault("injected hang", workload=workload)
-
-    def prime(self, workload: str, attempt: int) -> None:
-        """Restore attempt-dependent state in a fresh process copy.
-
-        ``corrupt-ir`` fires once: the first attempt that reaches the
-        target pass corrupts it and sets ``fired``, so in-process
-        retries recompile cleanly.  A retry running in a new worker
-        process starts from an unfired copy; priming with the attempt
-        number reproduces the sticky flag.
-        """
-        fault = self._faults.get(workload)
-        if fault is not None and fault.mode == "corrupt-ir":
+            while True:  # until the runner's deadline kills the worker
+                time.sleep(3600)
+        elif fault.mode == "corrupt-ir":
             fault.fired = attempt > 1
 
     # -- compile-time faults ----------------------------------------------

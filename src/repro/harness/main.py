@@ -14,17 +14,17 @@ configuration recorded in EXPERIMENTS.md.
 Workloads run under the fault-isolated :class:`WorkloadRunner`: a
 crashing or hanging workload degrades to an ERROR/TIMEOUT row instead of
 aborting the run, and the exit status is non-zero whenever any row
-degraded.  ``--jobs N`` (default: the usable cores) runs whole
-workloads as tasks on N forked worker processes with identical output;
-``--jobs 1`` runs them in this process, for debugging and profiling;
-``--profile`` re-runs the slowest workload under cProfile and writes
-the top cumulative entries to the working directory.  ``--result-cache
-DIR`` stores each completed workload's rows under a key over everything
-that determines them, so a re-invocation with the same directory skips
-workloads that already completed and re-runs only the failed ones (and
-any whose flags or code changed).  ``--inject`` plants deterministic
-faults (crash, hang, flaky:N, corrupt-ir, corrupt-output) for
-exercising that machinery end to end.
+degraded.  Every workload attempt is a task on a pool of ``--jobs``
+forked worker processes (default: the usable cores; ``--jobs 1`` is
+one worker), with identical output at any ``--jobs``; ``--profile``
+re-runs the slowest workload in this process under cProfile and
+writes the top cumulative entries to the working directory.
+``--result-cache DIR`` stores each completed workload's rows under a
+key over everything that determines them, so a re-invocation with the
+same directory skips workloads that already completed and re-runs only
+the failed ones (and any whose flags or code changed).  ``--inject``
+plants deterministic faults (crash, hang, flaky:N, corrupt-ir,
+corrupt-output) for exercising that machinery end to end.
 """
 
 from __future__ import annotations
@@ -127,12 +127,14 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _write_profile(args, outcomes) -> None:
+def _write_profile(args, outcomes, backends) -> None:
     """cProfile the slowest freshly-computed workload of this run.
 
     Workloads resumed from the result store did no work, so they are
-    skipped when picking the target.  The report — the top 25 entries
-    by cumulative time — lands in the working directory.
+    skipped when picking the target.  The profiled rows include the
+    ablation fragment of *backends*, as the timed ones did.  The report
+    — the top 25 entries by cumulative time — lands in the working
+    directory.
     """
     import cProfile
     import io
@@ -153,7 +155,7 @@ def _write_profile(args, outcomes) -> None:
     )
     profiler = cProfile.Profile()
     profiler.enable()
-    compute_rows(ctx, slowest.name)
+    compute_rows(ctx, slowest.name, backends)
     profiler.disable()
     stream = io.StringIO()
     pstats.Stats(profiler, stream=stream).sort_stats(
@@ -234,10 +236,8 @@ def main(argv=None) -> int:
                         "overrides --suite; unmatched patterns are an "
                         "error")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes, one workload per task "
-                        "(default: the usable cores); 1 runs every "
-                        "workload in this process, for debugging and "
-                        "--profile")
+                        help="worker processes, one workload attempt "
+                        "per task (default: the usable cores)")
     parser.add_argument("--profile", action="store_true",
                         help="after the run, cProfile the slowest "
                         "workload and write the top-25 cumulative "
@@ -378,7 +378,7 @@ def main(argv=None) -> int:
             obs.disable()
 
     if args.profile:
-        _write_profile(args, outcomes)
+        _write_profile(args, outcomes, predictor_backends)
 
     for spec in TABLES:
         if spec.suite not in suites:

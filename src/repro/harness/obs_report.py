@@ -13,7 +13,7 @@ merges the files and prints:
   max wall seconds (compiler passes, sims, prepare/emulate/profile,
   harness tasks),
 * **per-worker utilisation** — the same, grouped by the ``worker`` tag
-  the harness stamps on pool workers and attempt processes,
+  the harness stamps on its pool workers,
 * **load classes** — Table 2's per-class static/dynamic shares and
   NT/PD prediction rates, recomputed from each workload's
   ``profile.classes`` event (the raw counts, so the table is a pure

@@ -28,19 +28,19 @@ the surviving fragments — summary rows (geomean/average) are computed
 over successful workloads only, and degraded workloads appear as
 ERROR/TIMEOUT rows.
 
-Workloads run in this process (``jobs=1``, no timeout) or one per task
-on a worker pool (see :mod:`repro.harness.parallel`), with identical
-rows, outcomes, and store entries.
+Every workload the store does not cover runs one task per attempt on
+a pool of forked workers (:class:`~repro.harness.parallel.LocalPool`),
+at any ``jobs``: ``jobs=1`` is one worker.
 """
 
 from __future__ import annotations
 
+import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro import obs
-from repro.errors import ReproError
 from repro.harness.experiments import (
     TABLES,
     ExperimentContext,
@@ -55,14 +55,16 @@ STATUS_OK = "ok"
 STATUS_ERROR = "error"
 STATUS_TIMEOUT = "timeout"
 
+#: Scheduler tick when no deadline is nearer (seconds).
+_POLL = 0.05
+
 
 @dataclass
 class RunnerConfig:
     """Fault-isolation policy for one run."""
 
-    #: Wall-clock seconds per attempt; 0 disables the timeout.  A
-    #: timeout runs attempts in a pooled worker process even at
-    #: ``jobs=1``, so an expired attempt is killed for real.
+    #: Wall-clock seconds per attempt; 0 disables the timeout.  The
+    #: worker process running an expired attempt is killed for real.
     timeout: float = 0.0
     #: Extra attempts after the first failure (timeouts not retried).
     retries: int = 0
@@ -124,15 +126,12 @@ def compute_rows(
 class WorkloadRunner:
     """Runs workloads under timeout/retry policy, resuming from a store.
 
-    Two drivers execute the workloads that no result-store entry
-    covers.  With ``jobs`` 1 and no timeout they run one after
-    another in this process (the debugging and ``--profile`` path).
-    Otherwise every workload becomes one task of
-    :func:`~repro.harness.parallel.run_suite_pooled` over a
-    :class:`~repro.harness.parallel.LocalPool` of ``jobs`` forked
-    workers (one worker when only the timeout asks for it, so a wedged
-    attempt is killed for real).  Rows, statuses, attempt counts and
-    store entries are identical either way.
+    Every attempt at a workload that no result-store entry covers is
+    one task on a :class:`~repro.harness.parallel.LocalPool` of
+    ``jobs`` forked workers, so a wedged attempt is killed for real
+    and rows, statuses, attempt counts and store entries are the same
+    at any ``jobs``.  To step through one workload in this process,
+    call :func:`compute_rows` directly.
 
     ``result_store`` (a :class:`~repro.harness.store.ResultStore`, the
     harness's ``--result-cache``) persists each OK workload's row
@@ -201,62 +200,6 @@ class WorkloadRunner:
             {"suite": outcome.suite, "rows": outcome.rows},
         )
 
-    # -- single workload, in process ---------------------------------------
-
-    def _attempt(self, name: str) -> Dict[str, dict]:
-        """One attempt: fire injected faults, then compute the rows."""
-        injector = self.ctx.fault_injector
-        if injector is not None:
-            injector.fire(name)
-        return compute_rows(self.ctx, name, self.backends)
-
-    def _run_in_process(self, name: str) -> WorkloadOutcome:
-        suite = workload_suite(name)
-        started = time.monotonic()
-        with obs.current().span("workload", workload=name) as wspan:
-            outcome = self._run_attempts(name, suite, started)
-            wspan.set_tag(status=outcome.status)
-            wspan.set_counters(attempts=outcome.attempts)
-        return outcome
-
-    def _run_attempts(
-        self, name: str, suite: str, started: float
-    ) -> WorkloadOutcome:
-        """The retry loop of :meth:`_run_in_process`."""
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                rows = self._attempt(name)
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:
-                if isinstance(exc, ReproError):
-                    exc.add_context(workload=name)
-                error_type = type(exc).__name__
-                if attempts <= self.config.retries:
-                    delay = self.config.backoff * (2 ** (attempts - 1))
-                    self._say(
-                        f"{name}: attempt {attempts} failed "
-                        f"({error_type}); retrying in {delay:g}s"
-                    )
-                    if delay:
-                        time.sleep(delay)
-                    continue
-                return WorkloadOutcome(
-                    name, suite, STATUS_ERROR,
-                    error=str(exc),
-                    error_type=error_type,
-                    attempts=attempts,
-                    elapsed=time.monotonic() - started,
-                )
-            else:
-                return WorkloadOutcome(
-                    name, suite, STATUS_OK, rows=rows,
-                    attempts=attempts,
-                    elapsed=time.monotonic() - started,
-                )
-
     # -- suites ------------------------------------------------------------
 
     def run_workload(self, name: str) -> WorkloadOutcome:
@@ -293,15 +236,107 @@ class WorkloadRunner:
                 todo.append(name)
             else:
                 done(resumed)
-
-        if todo and (self.jobs > 1 or self.config.timeout):
-            from repro.harness.parallel import run_suite_pooled
-
-            run_suite_pooled(self, todo, min(self.jobs, len(todo)), done)
-        else:
-            for name in todo:
-                done(self._run_in_process(name))
+        if todo:
+            self._run_on_pool(todo, done)
         return [outcomes[name] for name in names]
+
+    def _run_on_pool(self, names: Sequence[str],
+                     done: Callable[[WorkloadOutcome], None]) -> None:
+        """Run *names* on a pool, one task per attempt, handing each
+        finished outcome to *done* as it lands.
+
+        The retry/backoff/timeout policy of :attr:`config` runs here;
+        the pool is stopped on return.
+        """
+        # Deferred: the fork pool is imported only on a store miss.
+        from repro.harness.parallel import LocalPool
+
+        timeout = self.config.timeout
+        pending = deque(_Workload(name) for name in names)
+        running: Dict[str, _Workload] = {}  # name -> submitted workload
+        pool = LocalPool(self.ctx, min(self.jobs, len(names)))
+        try:
+            while pending or running:
+                now = time.monotonic()
+                for work in [w for w in running.values()
+                             if now >= w.deadline]:
+                    pool.kill(work.name)
+                    del running[work.name]
+                    done(work.outcome(
+                        STATUS_TIMEOUT, now, error_type="Timeout",
+                        error=f"no result within {timeout:g}s",
+                    ))
+
+                # Submit ready workloads while the pool has room.
+                backing_off = []
+                while pending and pool.idle():
+                    work = pending.popleft()
+                    if work.not_before > now:
+                        backing_off.append(work)
+                        continue
+                    work.attempt += 1
+                    if work.started is None:
+                        work.started = now
+                    work.deadline = now + timeout if timeout else math.inf
+                    running[work.name] = work
+                    pool.submit(work.name, {
+                        "name": work.name,
+                        "attempt": work.attempt,
+                        "backends": self.backends,
+                    })
+                pending.extend(backing_off)
+
+                if not running:
+                    if pending:  # every one is backing off
+                        time.sleep(max(0.0, min(
+                            w.not_before for w in pending) - now))
+                    continue
+
+                wait = min([_POLL] + [w.deadline - now
+                                      for w in running.values()])
+                for name, ok, result in pool.poll(max(0.0, wait)):
+                    work = running.pop(name)
+                    now = time.monotonic()
+                    if ok:
+                        done(work.outcome(STATUS_OK, now, rows=result))
+                        continue
+                    error_type, message = result
+                    if work.attempt > self.config.retries:
+                        done(work.outcome(
+                            STATUS_ERROR, now, error=message,
+                            error_type=error_type,
+                        ))
+                        continue
+                    delay = self.config.backoff * (2 ** (work.attempt - 1))
+                    self._say(
+                        f"{name}: attempt {work.attempt} failed "
+                        f"({error_type}); retrying in {delay:g}s"
+                    )
+                    work.not_before = now + delay
+                    pending.append(work)
+        finally:
+            pool.stop()
+
+
+class _Workload:
+    """One unfinished workload: its attempt count, clock and deadline."""
+
+    __slots__ = ("name", "suite", "attempt", "started", "deadline",
+                 "not_before")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.suite = workload_suite(name)
+        self.attempt = 0
+        self.started: Optional[float] = None
+        self.deadline = math.inf
+        self.not_before = 0.0
+
+    def outcome(self, status: str, now: float, **fields) -> WorkloadOutcome:
+        return WorkloadOutcome(
+            self.name, self.suite, status, attempts=self.attempt,
+            elapsed=now - self.started, **fields,
+        )
 
 
 # ---------------------------------------------------------------------------

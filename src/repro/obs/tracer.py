@@ -2,11 +2,11 @@
 
 One :class:`Tracer` per process writes newline-delimited JSON records to
 its own ``trace-<pid>.jsonl`` file inside the trace directory, so the
-fork-based harness workers never interleave partial lines: a worker (or
-a fault-isolated attempt process) inherits the parent's tracer across
-``fork()`` and transparently switches to a fresh per-pid file on its
-first record.  A run's trace is therefore the *set* of ``*.jsonl`` files
-in the directory; :mod:`repro.harness.obs_report` merges them.
+fork-based harness workers never interleave partial lines: a worker
+inherits the parent's tracer across ``fork()`` and transparently
+switches to a fresh per-pid file on its first record.  A run's trace is
+therefore the *set* of ``*.jsonl`` files in the directory;
+:mod:`repro.harness.obs_report` merges them.
 
 Record kinds (every record carries ``schema``, ``kind``, ``pid``,
 ``ts`` — wall-clock epoch seconds — and a merged ``tags`` dict):

@@ -3,10 +3,10 @@ specification.
 
 ``reference_run(sim)`` is the original dict-scoreboard implementation of
 :meth:`repro.sim.pipeline.TimingSimulator.run`, verbatim.  The
-restructured fast path in ``pipeline.py`` must produce bit-identical
-:class:`~repro.sim.stats.SimStats` (including timelines); the property
-test ``tests/sim/test_pipeline_parity.py`` checks the two against each
-other on randomized programs and configs.
+scheduler that now runs it, ``precompute._replay``, must produce
+bit-identical :class:`~repro.sim.stats.SimStats` (including
+timelines); the property test ``tests/sim/test_pipeline_parity.py``
+checks the two against each other on randomized programs and configs.
 
 Do not optimize this module.  Its value is being the obviously-faithful
 transcription of the timing conventions documented in ``pipeline.py``;

@@ -49,7 +49,7 @@ instruction facts, the trace-static front end (i-cache, BTB, RAS) and
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.errors import SimulationHang
 from repro.isa.instruction import Reg as _REG_TYPE
@@ -327,14 +327,12 @@ class TimingSimulator:
     The loop checks them only when a limit is tighter than the most any
     run of this trace could need.
 
-    ``event_hook`` is the observability seam: when set, it is called
-    once at the end of :meth:`run` with a flat dict of event counters
+    With a :mod:`repro.obs` tracer configured, each simulation emits a
+    ``sim.counters`` event carrying a flat dict of event counters
     (ld_p hits/misses, ``R_addr`` interlocks, dcache/BTB outcomes, and
-    the per-specifier-class scheme counts).  Without a hook, the same
-    payload is emitted as a ``sim.counters`` event on the ambient
-    :mod:`repro.obs` tracer when one is configured.  Both paths run
-    strictly after the simulation loop, so the golden SimStats
-    snapshots are untouched when disabled.
+    the per-specifier-class scheme counts).  It is assembled strictly
+    after the simulation loop, so the golden SimStats snapshots are
+    untouched when tracing is off.
     """
 
     def __init__(
@@ -345,7 +343,6 @@ class TimingSimulator:
         collect_timeline: bool = False,
         max_cycles: Optional[int] = None,
         stall_limit: int = DEFAULT_STALL_LIMIT,
-        event_hook: Optional[Callable[[dict], None]] = None,
     ):
         self.trace = trace
         self.config = config
@@ -364,7 +361,6 @@ class TimingSimulator:
             )
         self.max_cycles = max_cycles
         self.stall_limit = stall_limit
-        self.event_hook = event_hook
 
     def _hang_dump(self, i: int, uid: int, op, t_next: int,
                    store_q) -> dict:
@@ -409,7 +405,7 @@ class TimingSimulator:
 
     @staticmethod
     def _event_counters(stats: SimStats, ra_interlock: int) -> dict:
-        """Flat event-counter payload handed to the observability hook."""
+        """Flat event-counter payload of the ``sim.counters`` event."""
         return {
             "cycles": stats.cycles,
             "instructions": stats.instructions,

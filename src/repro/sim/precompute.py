@@ -743,7 +743,7 @@ def try_fast(sim: TimingSimulator) -> Optional[SimStats]:
                     predictor=eg.predictor,
                     path=path,
                 )
-            _emit_counters(sim, eg, stats, ra_interlock)
+            _emit_counters(eg, stats, ra_interlock)
             return stats
         # The stream's fill assumptions disagreed with the ports the
         # replay actually saw: flip every recorded ordinal and rebuild.
@@ -770,28 +770,23 @@ def run_live(sim: TimingSimulator) -> SimStats:
     sb = _scheme_bytes(trace.program, cfg.earlygen, sim.spec_override)
     route = pre.route_for(sb) if sb is not None else None
     stats, ra_interlock = _replay(pre, cfg, route, sim=sim)
-    _emit_counters(sim, cfg.earlygen, stats, ra_interlock)
+    _emit_counters(cfg.earlygen, stats, ra_interlock)
     return stats
 
 
-def _emit_counters(sim: TimingSimulator, eg: EarlyGenConfig,
-                   stats: SimStats, ra_interlock: int) -> None:
-    """Post-run observability seam: the event hook and ``sim.counters``."""
-    hook = sim.event_hook
+def _emit_counters(eg: EarlyGenConfig, stats: SimStats,
+                   ra_interlock: int) -> None:
+    """Post-run observability seam: the ``sim.counters`` event."""
     tracer = obs.current()
-    if hook is None and not tracer.enabled:
+    if not tracer.enabled:
         return
-    payload = TimingSimulator._event_counters(stats, ra_interlock)
-    if hook is not None:
-        hook(payload)
-    if tracer.enabled:
-        tracer.event(
-            "sim.counters",
-            counters=payload,
-            table=eg.table_entries,
-            regs=eg.cached_regs,
-            selection=eg.selection.value,
-        )
+    tracer.event(
+        "sim.counters",
+        counters=TimingSimulator._event_counters(stats, ra_interlock),
+        table=eg.table_entries,
+        regs=eg.cached_regs,
+        selection=eg.selection.value,
+    )
 
 
 def _store_interlock(sq: deque, c: int, word: int) -> bool:

@@ -1,7 +1,10 @@
 """CLI smoke tests for ``python -m repro.harness.main``."""
 
+import os
+
 import pytest
 
+from repro.harness import runner
 from repro.harness.main import main
 
 
@@ -78,3 +81,43 @@ def test_inject_resolves_names_like_workloads(capsys):
     assert "InjectedFault" in out
     with pytest.raises(SystemExit):
         main(["--workloads", "gen:mixed:0", "--inject", "gen:bogus=crash"])
+
+
+def test_jobs_1_computes_rows_in_a_worker(tmp_path, monkeypatch, capsys):
+    """``--jobs 1`` is a one-worker pool, not an in-process run."""
+    pids = tmp_path / "pids"
+    compute_rows = runner.compute_rows
+
+    def recording(ctx, name, backends=()):
+        with open(pids, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return compute_rows(ctx, name, backends)
+
+    monkeypatch.setattr(runner, "compute_rows", recording)
+    assert main(["--scale", "0.02", "--workloads", "adpcm_decode",
+                 "--jobs", "1"]) == 0
+    recorded = pids.read_text(encoding="utf-8").split()
+    assert recorded and str(os.getpid()) not in recorded
+
+
+def test_profile_includes_the_predictor_ablation(
+        tmp_path, monkeypatch, capsys):
+    """``--profile`` re-runs what was timed: with ``--predictor``, the
+    ablation backends are part of the profiled rows."""
+    from repro.sim.predictors import backend_names
+
+    parent = os.getpid()
+    profiled = []
+    compute_rows = runner.compute_rows
+
+    def recording(ctx, name, backends=()):
+        if os.getpid() == parent:
+            profiled.append(tuple(backends))
+        return compute_rows(ctx, name, backends)
+
+    monkeypatch.setattr(runner, "compute_rows", recording)
+    monkeypatch.chdir(tmp_path)
+    assert main(["--scale", "0.02", "--workloads", "adpcm_decode",
+                 "--jobs", "1", "--predictor", "all", "--profile"]) == 0
+    assert profiled == [tuple(backend_names())]
+    assert (tmp_path / "PROFILE_adpcm_decode.txt").exists()

@@ -36,7 +36,7 @@ def trace_dir(tmp_path_factory):
         "--trace-out", str(out),
     ])
     assert code == 0
-    # main() must uninstall its tracer even on in-process calls.
+    # main() must uninstall its tracer even when called in process.
     assert obs.current() is obs.NULL_TRACER
     return out
 
@@ -75,19 +75,19 @@ def _workload_spans(records):
     )
 
 
-def test_trace_shape_same_in_process(trace_dir, tmp_path):
-    """--jobs 1 (in process) and the default pooled run trace the same
+def test_trace_shape_same_at_1_and_n_jobs(trace_dir, tmp_path):
+    """--jobs 1 and the default (one job per core) trace the same
     stages and the same tagged ``workload`` spans."""
     out = tmp_path / "trace"
     assert main([
         "--scale", str(SCALE), "--suite", "spec", "--jobs", "1",
         "--trace-out", str(out),
     ]) == 0
-    pooled, in_process = read_trace(trace_dir), read_trace(out)
-    assert ({row["stage"] for row in stage_summary(in_process)}
-            == {row["stage"] for row in stage_summary(pooled)})
-    assert _workload_spans(in_process) == _workload_spans(pooled)
-    assert {status for _, status, _ in _workload_spans(pooled)} == {"ok"}
+    many, one = read_trace(trace_dir), read_trace(out)
+    assert ({row["stage"] for row in stage_summary(one)}
+            == {row["stage"] for row in stage_summary(many)})
+    assert _workload_spans(one) == _workload_spans(many)
+    assert {status for _, status, _ in _workload_spans(many)} == {"ok"}
 
 
 def test_class_rows_match_table2(trace_dir):

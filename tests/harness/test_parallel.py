@@ -1,12 +1,12 @@
-"""Parallel suite execution must be indistinguishable from sequential.
+"""A suite run on N workers must be indistinguishable from one on 1.
 
-``WorkloadRunner.run_suite(jobs=4)`` runs each workload as one task on a
-pool of forked workers; these tests hold it to the in-process
-contract of ``jobs=1``: identical row fragments,
-identical assembled tables, identical statuses/attempt counts for
-degraded workloads under injected crash/hang/flaky faults, and identical
-result-store entries.  A worker process that dies mid-task is respawned
-and its attempt fails as a ``WorkerCrash``.
+``WorkloadRunner.run_suite`` runs each workload attempt as one task on
+a pool of ``jobs`` forked workers; these tests hold ``jobs=4`` to
+``jobs=1``: identical row fragments, identical assembled tables,
+identical statuses/attempt counts for degraded workloads under
+injected crash/hang/flaky faults, and identical result-store entries.
+A worker process that dies mid-task is respawned and its attempt fails
+as a ``WorkerCrash``.
 """
 
 from __future__ import annotations
@@ -64,16 +64,16 @@ def _comparable(outcomes):
     ]
 
 
-def test_parallel_rows_and_tables_match_sequential(tmp_path):
-    seq, _ = _run_suite(tmp_path, jobs=1)
-    par, _ = _run_suite(tmp_path, jobs=4)
-    assert _comparable(par) == _comparable(seq)
-    assert all(o.status == STATUS_OK for o in par)
+def test_rows_and_tables_match_between_1_and_n_jobs(tmp_path):
+    one, _ = _run_suite(tmp_path, jobs=1)
+    many, _ = _run_suite(tmp_path, jobs=4)
+    assert _comparable(many) == _comparable(one)
+    assert all(o.status == STATUS_OK for o in many)
     for spec in TABLES:
-        assert assemble_table(spec, par) == assemble_table(spec, seq)
+        assert assemble_table(spec, many) == assemble_table(spec, one)
 
 
-def test_parallel_degraded_rows_and_store_entries_match_sequential(
+def test_degraded_rows_and_store_entries_match_between_1_and_n_jobs(
         tmp_path):
     # One deterministic crash (exhausts the retry budget), one
     # transient failure (succeeds on the second attempt), one hang
@@ -84,14 +84,14 @@ def test_parallel_degraded_rows_and_store_entries_match_sequential(
         f"{NAMES[3]}=hang",
     ]
     config = RunnerConfig(timeout=10.0, retries=1, backoff=0.0)
-    seq, seq_entries = _run_suite(
+    one, one_entries = _run_suite(
         tmp_path, jobs=1, inject=inject, config=config, store=True
     )
-    par, par_entries = _run_suite(
+    many, many_entries = _run_suite(
         tmp_path, jobs=4, inject=inject, config=config, store=True
     )
 
-    by_name = {o.name: o for o in par}
+    by_name = {o.name: o for o in many}
     assert by_name[NAMES[0]].status == STATUS_ERROR
     assert by_name[NAMES[0]].attempts == 2  # retries exhausted
     assert by_name[NAMES[1]].status == STATUS_OK
@@ -99,12 +99,12 @@ def test_parallel_degraded_rows_and_store_entries_match_sequential(
     assert by_name[NAMES[3]].status == STATUS_TIMEOUT
     assert by_name[NAMES[3]].attempts == 1  # timeouts are not retried
 
-    assert _comparable(par) == _comparable(seq)
+    assert _comparable(many) == _comparable(one)
     # Only the three OK workloads are stored, identically.
-    assert len(par_entries) == 3
-    assert par_entries == seq_entries
+    assert len(many_entries) == 3
+    assert many_entries == one_entries
     for spec in TABLES:
-        assert assemble_table(spec, par) == assemble_table(spec, seq)
+        assert assemble_table(spec, many) == assemble_table(spec, one)
 
 
 def test_parallel_resume_skips_stored_workloads(tmp_path):
@@ -145,17 +145,17 @@ def _exit_on_first_attempt(monkeypatch, victim):
 
 def test_worker_crash_is_retried_on_a_respawned_worker(
         tmp_path, monkeypatch):
-    seq, _ = _run_suite(tmp_path, jobs=1)
+    clean, _ = _run_suite(tmp_path, jobs=1)
     _exit_on_first_attempt(monkeypatch, NAMES[1])
-    # A timeout at jobs=1 runs the suite on a one-worker pool, so the
-    # workloads after the crash can only run on the respawned worker.
+    # On a one-worker pool the workloads after the crash can only run
+    # on the respawned worker.
     config = RunnerConfig(timeout=60.0, retries=1, backoff=0.0)
     crashed, _ = _run_suite(tmp_path, jobs=1, config=config)
     assert all(o.status == STATUS_OK for o in crashed)
     assert [o.attempts for o in crashed] == [
         2 if name == NAMES[1] else 1 for name in NAMES
     ]
-    assert [o.rows for o in crashed] == [o.rows for o in seq]
+    assert [o.rows for o in crashed] == [o.rows for o in clean]
 
 
 def test_worker_crash_without_retries_degrades_only_its_workload(

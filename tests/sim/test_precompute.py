@@ -31,6 +31,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from repro import obs
 from repro.isa import parse_asm
 from repro.sim import precompute
 from repro.sim.executor import execute
@@ -48,7 +49,6 @@ from repro.sim.precompute import (
     _machine_key,
     get_precompute,
     simulate_many,
-    warm_precompute,
 )
 
 from golden_cases import GOLDEN_PATH, iter_cases, stats_to_record
@@ -189,17 +189,23 @@ def test_warm_run_uses_fast_path_and_matches_inline(trace):
     assert precompute.replay_path_counts() == streamed
 
 
-def test_event_hook_runs_stay_inline(trace):
+def test_run_emits_sim_counters_on_a_configured_tracer(trace, tmp_path):
     machine = MachineConfig().with_earlygen(
         EarlyGenConfig(64, 0, SelectionMode.HARDWARE)
     )
-    warm_precompute(trace, MachineConfig(), [machine.earlygen])
-    payloads = []
-    stats = TimingSimulator(
-        trace, machine, event_hook=payloads.append
-    ).run()
-    assert payloads, "event hook did not fire"
-    assert payloads[-1]["cycles"] == stats.cycles
+    try:
+        obs.configure(tmp_path, command="test")
+        stats = TimingSimulator(trace, machine).run()
+    finally:
+        obs.disable()
+    records = [
+        json.loads(line)
+        for path in tmp_path.glob("*.jsonl")
+        for line in path.read_text().splitlines()
+    ]
+    (event,) = [r for r in records if r["kind"] == "event"
+                and r["name"] == "sim.counters"]
+    assert event["counters"]["cycles"] == stats.cycles
 
 
 def test_hw_dual_configs_fall_back_to_inline(trace):
