@@ -11,7 +11,6 @@ The hierarchy::
     ReproError
     ├── EmulationError          illegal execution in the functional emulator
     │   └── StepLimitExceeded   emulator hit its dynamic step budget
-    ├── SimulationHang          timing simulator stopped making progress
     ├── IRVerificationError     structural IR invariant violated after a pass
     ├── OutputMismatchError     emulated output != pure-Python reference
     └── InjectedFault           deliberately raised by the FaultInjector
@@ -92,28 +91,6 @@ class StepLimitExceeded(EmulationError):
         self.limit = limit
         self.last_pc = last_pc
         self.steps = steps
-
-
-class SimulationHang(ReproError):
-    """The timing simulator stopped retiring instructions.
-
-    ``dump`` is a pipeline-state snapshot (cycle, instruction index,
-    uid, opcode, pending stores, ...) taken at detection time.
-    """
-
-    def __init__(self, message: str, dump: Optional[Dict[str, Any]] = None,
-                 **context: Any):
-        super().__init__(message, **context)
-        self.dump: Dict[str, Any] = dump or {}
-
-    def __str__(self) -> str:
-        base = super().__str__()
-        if not self.dump:
-            return base
-        state = ", ".join(
-            f"{key}={value}" for key, value in sorted(self.dump.items())
-        )
-        return f"{base} | pipeline state: {state}"
 
 
 class IRVerificationError(ReproError):

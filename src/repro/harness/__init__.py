@@ -18,7 +18,6 @@ from repro.harness.experiments import (
 from repro.harness.faults import FaultInjector
 from repro.harness.reporting import format_table
 from repro.harness.runner import (
-    RunnerConfig,
     WorkloadOutcome,
     WorkloadRunner,
     assemble_table,
@@ -27,7 +26,6 @@ from repro.harness.runner import (
 __all__ = [
     "ExperimentContext",
     "FaultInjector",
-    "RunnerConfig",
     "TABLES",
     "TableSpec",
     "WorkloadOutcome",

@@ -2,10 +2,9 @@
 
 :func:`artifact_key` hashes the facts that determine an artifact —
 workload name, scale, machine configuration, verifier switches,
-injected-fault mode, attempt — into a key that is identical in every
-process.  The result store (:class:`~repro.harness.store.ResultStore`)
-keys its entries with it, and the run manifest records one per
-workload.
+injected-fault mode — into a key that is identical in every process.
+The result store (:class:`~repro.harness.store.ResultStore`) keys its
+entries with it, and the run manifest records one per workload.
 """
 
 from __future__ import annotations
@@ -79,12 +78,10 @@ def artifact_key(*parts) -> str:
 
     Callers pass everything that can change the compiled output —
     workload name, scale, machine configuration, verifier switches,
-    the injected-fault mode, and the attempt number (a retried attempt
-    must not reuse a bundle written by the failed one).  Parts are
-    canonicalized recursively (primitives, enums, containers,
-    dataclasses); a part whose repr falls back to ``object.__repr__``
-    raises :class:`TypeError` instead of silently keying on a memory
-    address.
+    and the injected-fault mode.  Parts are canonicalized recursively
+    (primitives, enums, containers, dataclasses); a part whose repr
+    falls back to ``object.__repr__`` raises :class:`TypeError` instead
+    of silently keying on a memory address.
     """
     tokens: List[str] = []
     for part in parts:

@@ -1,21 +1,19 @@
 """Deterministic fault injection for the robustness layer.
 
-The :class:`FaultInjector` makes a chosen workload crash, hang, fail
-transiently, corrupt its IR mid-compilation, or corrupt its emulated
-output — so the runner's timeout/retry/degradation machinery and the IR
-verifier can be exercised end to end, from unit tests and from the CLI
-(``--inject WORKLOAD=MODE``).
+The :class:`FaultInjector` makes a chosen workload crash, hang, corrupt
+its IR mid-compilation, or corrupt its emulated output — so the
+runner's timeout and degradation machinery, the result-store resume and
+the IR verifier can be exercised end to end, from unit tests and from
+the CLI (``--inject WORKLOAD=MODE``).
 
 Supported modes:
 
 ==================  ====================================================
-``crash``           raise :class:`~repro.errors.InjectedFault` at the
-                    start of every attempt (a deterministic failure)
-``flaky:N``         raise on the first *N* attempts, then succeed
-                    (a transient failure; exercises retry/backoff)
-``hang``            block at the start of the attempt until the
+``crash``           raise :class:`~repro.errors.InjectedFault` when the
+                    workload's task starts
+``hang``            block when the workload's task starts until the
                     runner's deadline kills the worker running it
-                    (exercises the wall-clock timeout)
+                    (exercises the wall-clock timeout; needs one)
 ``corrupt-ir``      corrupt the virtual-register IR after a chosen
                     optimization pass (default ``constant_propagation``;
                     ``corrupt-ir:PASSNAME`` picks another) so the IR
@@ -41,7 +39,7 @@ DEFAULT_CORRUPT_PASS = "constant_propagation"
 #: far above anything the IR generator allocates.
 _BOGUS_VREG = 0x6_0000
 
-_MODES = ("crash", "flaky", "hang", "corrupt-ir", "corrupt-output")
+_MODES = ("crash", "hang", "corrupt-ir", "corrupt-output")
 
 
 class _Fault:
@@ -88,13 +86,7 @@ class FaultInjector:
             raise ValueError(
                 f"unknown fault mode {mode!r}; known: {', '.join(_MODES)}"
             )
-        if base == "flaky":
-            times = int(arg) if arg else 1
-            if times < 1:
-                raise ValueError("flaky:N requires N >= 1")
-            self._faults[workload] = _Fault(base, str(times))
-        else:
-            self._faults[workload] = _Fault(base, arg or None)
+        self._faults[workload] = _Fault(base, arg or None)
         return self
 
     def __bool__(self) -> bool:
@@ -104,17 +96,11 @@ class FaultInjector:
         fault = self._faults.get(workload)
         return fault.mode if fault else None
 
-    # -- attempt-start faults ---------------------------------------------
+    # -- task-start faults ------------------------------------------------
 
-    def fire(self, workload: str, attempt: int) -> None:
-        """The start hook of attempt *attempt* (1-based) at *workload*.
-
-        Raises for crash/flaky faults and blocks for ``hang``.  The
-        worker running the attempt holds its own copy of the injector,
-        which may have seen any earlier attempt or none, so the attempt
-        number alone sets ``corrupt-ir``'s sticky flag: only the first
-        attempt corrupts its compile, and retries recompile cleanly.
-        """
+    def fire(self, workload: str) -> None:
+        """The start hook of *workload*'s task: raises for ``crash``
+        and blocks for ``hang``."""
         fault = self._faults.get(workload)
         if fault is None:
             return
@@ -122,17 +108,9 @@ class FaultInjector:
             raise InjectedFault(
                 "injected crash", workload=workload
             )
-        if fault.mode == "flaky":
-            if attempt <= int(fault.arg):
-                raise InjectedFault(
-                    f"injected transient failure (attempt {attempt})",
-                    workload=workload,
-                )
-        elif fault.mode == "hang":
+        if fault.mode == "hang":
             while True:  # until the runner's deadline kills the worker
                 time.sleep(3600)
-        elif fault.mode == "corrupt-ir":
-            fault.fired = attempt > 1
 
     # -- compile-time faults ----------------------------------------------
 

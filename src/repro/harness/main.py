@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.harness.main [--scale 1.0] [--suite all|spec|media]
-                                 [--jobs N] [--timeout SECS] [--retries N]
+                                 [--jobs N] [--timeout SECS]
                                  [--result-cache DIR] [--profile]
                                  [--predictor NAME[,NAME...]]
                                  [--inject WORKLOAD=MODE]...
@@ -14,8 +14,8 @@ configuration recorded in EXPERIMENTS.md.
 Workloads run under the fault-isolated :class:`WorkloadRunner`: a
 crashing or hanging workload degrades to an ERROR/TIMEOUT row instead of
 aborting the run, and the exit status is non-zero whenever any row
-degraded.  Every workload attempt is a task on a pool of ``--jobs``
-forked worker processes (default: the usable cores; ``--jobs 1`` is
+degraded.  Every workload is a task on a pool of ``--jobs`` forked
+worker processes (default: the usable cores; ``--jobs 1`` is
 one worker), with identical output at any ``--jobs``; ``--profile``
 re-runs the slowest workload in this process under cProfile and
 writes the top cumulative entries to the working directory.
@@ -23,8 +23,9 @@ writes the top cumulative entries to the working directory.
 key over everything that determines them, so a re-invocation with the
 same directory skips workloads that already completed and re-runs only
 the failed ones (and any whose flags or code changed).  ``--inject``
-plants deterministic faults (crash, hang, flaky:N, corrupt-ir,
-corrupt-output) for exercising that machinery end to end.
+plants deterministic faults (crash, hang, corrupt-ir, corrupt-output)
+for exercising that machinery end to end; ``hang`` needs a
+``--timeout``, the one guard that ends it.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from repro.harness.reporting import (
 )
 from repro.harness.runner import (
     TABLES,
-    RunnerConfig,
     WorkloadRunner,
     assemble_table,
 )
@@ -184,7 +184,6 @@ def _write_run_manifest(args, argv, ctx, outcomes) -> None:
             "name": outcome.name,
             "suite": outcome.suite,
             "status": outcome.status,
-            "attempts": outcome.attempts,
             "elapsed_s": round(outcome.elapsed, 3),
             "cached": outcome.cached,
             "error_type": outcome.error_type,
@@ -192,7 +191,6 @@ def _write_run_manifest(args, argv, ctx, outcomes) -> None:
                 outcome.name, ctx.scale, ctx.machine, ctx.verify,
                 ctx.verify_ir,
                 injector.mode(outcome.name) if injector else None,
-                outcome.attempts,
             ),
         }
         if "provenance" in outcome.rows:
@@ -236,21 +234,15 @@ def main(argv=None) -> int:
                         "overrides --suite; unmatched patterns are an "
                         "error")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes, one workload attempt "
-                        "per task (default: the usable cores)")
+                        help="worker processes, one workload per task "
+                        "(default: the usable cores)")
     parser.add_argument("--profile", action="store_true",
                         help="after the run, cProfile the slowest "
                         "workload and write the top-25 cumulative "
                         "entries to the working directory")
     parser.add_argument("--timeout", type=float, default=0.0,
-                        help="wall-clock seconds per workload attempt; "
+                        help="wall-clock seconds per workload; "
                         "0 disables (default)")
-    parser.add_argument("--retries", type=int, default=0,
-                        help="retries per workload after a failure "
-                        "(timeouts are not retried; default 0)")
-    parser.add_argument("--backoff", type=float, default=0.5,
-                        help="base seconds of exponential retry backoff "
-                        "(default 0.5)")
     parser.add_argument("--result-cache", default=None, metavar="DIR",
                         help="persistent cross-run result store and the "
                         "resume flag: workloads stored under the same "
@@ -258,8 +250,9 @@ def main(argv=None) -> int:
                         "re-run re-runs only failures")
     parser.add_argument("--inject", action="append", default=[],
                         metavar="WORKLOAD=MODE",
-                        help="inject a fault (crash, hang, flaky:N, "
-                        "corrupt-ir[:PASS], corrupt-output); repeatable")
+                        help="inject a fault (crash, hang, "
+                        "corrupt-ir[:PASS], corrupt-output); repeatable; "
+                        "hang needs --timeout")
     parser.add_argument("--predictor", default=None,
                         metavar="NAME[,NAME...]",
                         help="also print the predictor-backend ablation "
@@ -275,6 +268,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.jobs is not None and args.jobs < 1:
         parser.error("--jobs must be >= 1")
+    if args.timeout < 0:
+        parser.error("--timeout must be >= 0")
     predictor_backends = []
     if args.predictor is not None:
         from repro.sim.predictors import backend_names
@@ -306,6 +301,9 @@ def main(argv=None) -> int:
         entries = []
         for entry in args.inject:
             name, _, mode = entry.partition("=")
+            if mode.partition(":")[0] == "hang" and not args.timeout:
+                parser.error(f"--inject {entry} needs --timeout SECS: "
+                             "nothing else ends a hang")
             try:
                 entries += [f"{n}={mode}" for n in select_workloads([name])]
             except ValueError:
@@ -317,21 +315,13 @@ def main(argv=None) -> int:
         verify_ir=not args.no_verify_ir,
         fault_injector=injector,
     )
-    try:
-        config = RunnerConfig(
-            timeout=args.timeout,
-            retries=args.retries,
-            backoff=args.backoff,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
     result_store = None
     if args.result_cache is not None:
         from repro.harness.store import ResultStore
         result_store = ResultStore(args.result_cache)
     runner = WorkloadRunner(
         ctx,
-        config,
+        args.timeout,
         progress=lambda msg: print(msg, file=sys.stderr, flush=True),
         jobs=args.jobs,
         result_store=result_store,

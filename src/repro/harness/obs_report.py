@@ -142,8 +142,8 @@ def _share(count: int, total: int) -> float:
 def class_rows(records: List[dict]) -> List[dict]:
     """Table 2 rows recomputed from ``profile.classes`` events.
 
-    Uses each workload's latest event (a retried attempt re-emits it)
-    and applies the same arithmetic as
+    Uses each workload's latest event (a re-run into the same trace
+    directory re-emits it) and applies the same arithmetic as
     :func:`repro.harness.experiments.class_columns`: static share =
     static_c / Σstatic, dynamic share = dyn_c / Σdyn, rate =
     correct_c / dyn_c, all × 100.

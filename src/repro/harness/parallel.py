@@ -1,13 +1,13 @@
-"""The fork pool every workload attempt of the harness runs on.
+"""The fork pool every workload of the harness runs on.
 
-One attempt at one workload is one task: compile → emulate → profile
-→ config sweep → row fragments, all inside a single forked worker, so
-nothing of the workload crosses a process boundary except its final
-row dicts.  :meth:`~repro.harness.runner.WorkloadRunner.run_suite`
-schedules the tasks on a :class:`LocalPool` of ``--jobs`` workers and
-applies the retry/backoff/timeout policy; a worker that dies mid-task
-fails that attempt as a ``WorkerCrash``, and :meth:`LocalPool.kill`
-ends an expired attempt by killing its worker for real.
+One workload is one task: compile → emulate → profile → config sweep
+→ row fragments, all inside a single forked worker, so nothing of the
+workload crosses a process boundary except its final row dicts.
+:meth:`~repro.harness.runner.WorkloadRunner.run_suite` schedules the
+tasks on a :class:`LocalPool` of ``--jobs`` workers and applies the
+wall-clock timeout; a worker that dies mid-task fails that workload as
+a ``WorkerCrash``, and :meth:`LocalPool.kill` ends an expired task by
+killing its worker for real.
 """
 
 from __future__ import annotations
@@ -32,22 +32,20 @@ TaskResult = Tuple[str, bool, object]
 # ---------------------------------------------------------------------------
 
 def _run_task(init: dict, payload: dict):
-    """One attempt at one workload's *entire* sweep, prepare through rows.
+    """One workload's *entire* sweep, prepare through rows.
 
     Runs on a fresh child-side context built from *init* (the parent's
     :class:`ExperimentContext` settings) inside a ``workload`` span
-    (``status`` tag, ``attempts`` counter).
+    (``status`` tag).
     """
     from repro.harness.runner import STATUS_ERROR, STATUS_OK, compute_rows
 
     name = payload["name"]
-    attempt = payload["attempt"]
     injector = init["fault_injector"]
     with obs.current().span("workload", workload=name) as span:
-        span.set_counters(attempts=attempt)
         span.set_tag(status=STATUS_ERROR)  # until the rows are in
         if injector is not None:
-            injector.fire(name, attempt)
+            injector.fire(name)
         rows = compute_rows(ExperimentContext(**init), name,
                             payload["backends"])
         span.set_tag(status=STATUS_OK)

@@ -1,23 +1,22 @@
 """Fault-isolated execution of the per-workload experiment pipeline.
 
 The full-scale reproduction executes 25 workloads; before this layer
-existed, one ``EmulationError`` or wedged scoreboard aborted every table
+existed, one ``EmulationError`` or wedged workload aborted every table
 and figure.  The :class:`WorkloadRunner` gives each workload's
 compile→emulate→simulate pipeline:
 
-* a **wall-clock timeout** (the attempt runs in a pooled worker
+* a **wall-clock timeout** (the workload runs in a pooled worker
   *process*; on expiry the process is killed for real and the workload
-  degrades to a ``TIMEOUT`` row),
-* **bounded retries with exponential backoff** for transient failures
-  (timeouts are not retried — a deterministic hang would just double
-  the cost),
+  degrades to a ``TIMEOUT`` row) — the one hang guard,
 * **graceful degradation** — any failure becomes an ``ERROR`` row
   carrying the exception summary instead of killing the run,
 * **resume** — with a result store (the harness's ``--result-cache``),
   each completed workload's row fragments persist under a key over
   everything that determines them, and a re-invocation skips them,
   re-running only failed/timed-out workloads and those whose
-  configuration or code changed.
+  configuration or code changed — the one recovery path: the pipeline
+  is deterministic, so re-running a failure within the run would only
+  fail again.
 
 Per workload, the runner computes the row fragment of every
 :data:`~repro.harness.experiments.TABLES` entry of that workload's
@@ -28,9 +27,9 @@ the surviving fragments — summary rows (geomean/average) are computed
 over successful workloads only, and degraded workloads appear as
 ERROR/TIMEOUT rows.
 
-Every workload the store does not cover runs one task per attempt on
-a pool of forked workers (:class:`~repro.harness.parallel.LocalPool`),
-at any ``jobs``: ``jobs=1`` is one worker.
+Every workload the store does not cover runs as one task on a pool of
+forked workers (:class:`~repro.harness.parallel.LocalPool`), at any
+``jobs``: ``jobs=1`` is one worker.
 """
 
 from __future__ import annotations
@@ -60,23 +59,6 @@ _POLL = 0.05
 
 
 @dataclass
-class RunnerConfig:
-    """Fault-isolation policy for one run."""
-
-    #: Wall-clock seconds per attempt; 0 disables the timeout.  The
-    #: worker process running an expired attempt is killed for real.
-    timeout: float = 0.0
-    #: Extra attempts after the first failure (timeouts not retried).
-    retries: int = 0
-    #: Base of the exponential backoff between attempts, in seconds.
-    backoff: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.timeout < 0 or self.retries < 0 or self.backoff < 0:
-            raise ValueError("timeout/retries/backoff must be >= 0")
-
-
-@dataclass
 class WorkloadOutcome:
     """Result of running one workload under fault isolation."""
 
@@ -86,7 +68,6 @@ class WorkloadOutcome:
     rows: Dict[str, dict] = field(default_factory=dict)
     error: str = ""
     error_type: str = ""
-    attempts: int = 1
     elapsed: float = 0.0
     #: True when the rows were read from this run's result store.
     cached: bool = False
@@ -124,14 +105,15 @@ def compute_rows(
 
 
 class WorkloadRunner:
-    """Runs workloads under timeout/retry policy, resuming from a store.
+    """Runs workloads under a wall-clock timeout, resuming from a store.
 
-    Every attempt at a workload that no result-store entry covers is
-    one task on a :class:`~repro.harness.parallel.LocalPool` of
-    ``jobs`` forked workers, so a wedged attempt is killed for real
-    and rows, statuses, attempt counts and store entries are the same
-    at any ``jobs``.  To step through one workload in this process,
-    call :func:`compute_rows` directly.
+    Every workload that no result-store entry covers is one task on a
+    :class:`~repro.harness.parallel.LocalPool` of ``jobs`` forked
+    workers, so a wedged workload is killed for real and rows,
+    statuses and store entries are the same at any ``jobs``.
+    ``timeout`` is the wall-clock seconds each task may run; 0 (the
+    default) sets no deadline.  To step through one workload in this
+    process, call :func:`compute_rows` directly.
 
     ``result_store`` (a :class:`~repro.harness.store.ResultStore`, the
     harness's ``--result-cache``) persists each OK workload's row
@@ -148,7 +130,7 @@ class WorkloadRunner:
     def __init__(
         self,
         ctx: ExperimentContext,
-        config: Optional[RunnerConfig] = None,
+        timeout: float = 0.0,
         progress: Optional[Callable[[str], None]] = None,
         jobs: int = 1,
         result_store=None,
@@ -156,8 +138,10 @@ class WorkloadRunner:
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if timeout < 0:
+            raise ValueError("timeout must be >= 0")
         self.ctx = ctx
-        self.config = config if config is not None else RunnerConfig()
+        self.timeout = timeout
         self._progress = progress
         self.jobs = jobs
         self.result_store = result_store
@@ -203,7 +187,7 @@ class WorkloadRunner:
     # -- suites ------------------------------------------------------------
 
     def run_workload(self, name: str) -> WorkloadOutcome:
-        """Run one workload, honoring the store and the retry policy."""
+        """Run one workload, honoring the store and the timeout."""
         return self.run_suite([name])[0]
 
     def run_suite(self, names: Sequence[str]) -> List[WorkloadOutcome]:
@@ -222,8 +206,6 @@ class WorkloadRunner:
             note = outcome.status.upper()
             if outcome.cached:
                 note += " (result-cache)"
-            elif outcome.attempts > 1:
-                note += f" ({outcome.attempts} attempts)"
             self._say(
                 f"[{place[outcome.name]}/{len(names)}] {outcome.name}: "
                 f"{note} in {outcome.elapsed:.1f}s"
@@ -242,99 +224,71 @@ class WorkloadRunner:
 
     def _run_on_pool(self, names: Sequence[str],
                      done: Callable[[WorkloadOutcome], None]) -> None:
-        """Run *names* on a pool, one task per attempt, handing each
-        finished outcome to *done* as it lands.
+        """Run *names* on a pool, one task each, handing each finished
+        outcome to *done* as it lands.
 
-        The retry/backoff/timeout policy of :attr:`config` runs here;
-        the pool is stopped on return.
+        A task past its deadline is killed and degrades to ``TIMEOUT``;
+        a failed one degrades to ``ERROR``.  The pool is stopped on
+        return.
         """
         # Deferred: the fork pool is imported only on a store miss.
         from repro.harness.parallel import LocalPool
 
-        timeout = self.config.timeout
-        pending = deque(_Workload(name) for name in names)
-        running: Dict[str, _Workload] = {}  # name -> submitted workload
+        timeout = self.timeout
+        pending = deque(names)
+        running: Dict[str, _Task] = {}
         pool = LocalPool(self.ctx, min(self.jobs, len(names)))
         try:
             while pending or running:
                 now = time.monotonic()
-                for work in [w for w in running.values()
-                             if now >= w.deadline]:
-                    pool.kill(work.name)
-                    del running[work.name]
-                    done(work.outcome(
+                for task in [t for t in running.values()
+                             if now >= t.deadline]:
+                    pool.kill(task.name)
+                    del running[task.name]
+                    done(task.outcome(
                         STATUS_TIMEOUT, now, error_type="Timeout",
                         error=f"no result within {timeout:g}s",
                     ))
 
-                # Submit ready workloads while the pool has room.
-                backing_off = []
                 while pending and pool.idle():
-                    work = pending.popleft()
-                    if work.not_before > now:
-                        backing_off.append(work)
-                        continue
-                    work.attempt += 1
-                    if work.started is None:
-                        work.started = now
-                    work.deadline = now + timeout if timeout else math.inf
-                    running[work.name] = work
-                    pool.submit(work.name, {
-                        "name": work.name,
-                        "attempt": work.attempt,
-                        "backends": self.backends,
+                    name = pending.popleft()
+                    running[name] = _Task(name, now, timeout)
+                    pool.submit(name, {
+                        "name": name, "backends": self.backends,
                     })
-                pending.extend(backing_off)
-
-                if not running:
-                    if pending:  # every one is backing off
-                        time.sleep(max(0.0, min(
-                            w.not_before for w in pending) - now))
+                if not running:  # the last ones just timed out
                     continue
 
-                wait = min([_POLL] + [w.deadline - now
-                                      for w in running.values()])
+                wait = min([_POLL] + [t.deadline - now
+                                      for t in running.values()])
                 for name, ok, result in pool.poll(max(0.0, wait)):
-                    work = running.pop(name)
+                    task = running.pop(name)
                     now = time.monotonic()
                     if ok:
-                        done(work.outcome(STATUS_OK, now, rows=result))
-                        continue
-                    error_type, message = result
-                    if work.attempt > self.config.retries:
-                        done(work.outcome(
+                        done(task.outcome(STATUS_OK, now, rows=result))
+                    else:
+                        error_type, message = result
+                        done(task.outcome(
                             STATUS_ERROR, now, error=message,
                             error_type=error_type,
                         ))
-                        continue
-                    delay = self.config.backoff * (2 ** (work.attempt - 1))
-                    self._say(
-                        f"{name}: attempt {work.attempt} failed "
-                        f"({error_type}); retrying in {delay:g}s"
-                    )
-                    work.not_before = now + delay
-                    pending.append(work)
         finally:
             pool.stop()
 
 
-class _Workload:
-    """One unfinished workload: its attempt count, clock and deadline."""
+class _Task:
+    """One workload running on the pool: its start and deadline."""
 
-    __slots__ = ("name", "suite", "attempt", "started", "deadline",
-                 "not_before")
+    __slots__ = ("name", "started", "deadline")
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, now: float, timeout: float):
         self.name = name
-        self.suite = workload_suite(name)
-        self.attempt = 0
-        self.started: Optional[float] = None
-        self.deadline = math.inf
-        self.not_before = 0.0
+        self.started = now
+        self.deadline = now + timeout if timeout else math.inf
 
     def outcome(self, status: str, now: float, **fields) -> WorkloadOutcome:
         return WorkloadOutcome(
-            self.name, self.suite, status, attempts=self.attempt,
+            self.name, workload_suite(self.name), status,
             elapsed=now - self.started, **fields,
         )
 

@@ -24,8 +24,8 @@ Record kinds (every record carries ``schema``, ``kind``, ``pid``,
 Tags flow three ways: tracer-wide base tags (``worker=w3``), tags of
 every enclosing open span (``workload=li``), and the record's own tags —
 later sources win.  That is how the harness stamps workload / config /
-attempt / worker onto compiler and simulator records without threading
-arguments through every layer.
+worker onto compiler and simulator records without threading arguments
+through every layer.
 
 The module-level :func:`current` tracer defaults to a shared
 :class:`NullTracer` whose ``enabled`` flag is ``False``; instrumented
@@ -96,7 +96,7 @@ class Span:
     """One timed region; use as a context manager via ``Tracer.span``."""
 
     __slots__ = ("_tracer", "name", "tags", "counters", "span_id",
-                 "parent_id", "_t0", "_ts")
+                 "parent_id", "_pid", "_t0", "_ts")
 
     def __init__(self, tracer: "Tracer", name: str, tags: dict):
         self._tracer = tracer
@@ -105,6 +105,7 @@ class Span:
         self.counters: Dict[str, float] = {}
         self.span_id: Optional[int] = None
         self.parent_id: Optional[int] = None
+        self._pid = 0
         self._t0 = 0.0
         self._ts = 0.0
 
@@ -184,7 +185,14 @@ class Tracer:
         self._write(record)
 
     def _open(self, span: Span) -> None:
-        span.parent_id = self._stack[-1].span_id if self._stack else None
+        # A forked worker inherits the parent's open spans and their
+        # tags, but links only to spans it opened itself: its outermost
+        # spans are top-level in its own file.
+        span._pid = pid = os.getpid()
+        top = self._stack[-1] if self._stack else None
+        span.parent_id = (
+            top.span_id if top is not None and top._pid == pid else None
+        )
         span.span_id = self._next_id
         self._next_id += 1
         self._stack.append(span)

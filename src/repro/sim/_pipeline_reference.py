@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.errors import SimulationHang
 from repro.isa.instruction import Reg as _REG_TYPE
 from repro.isa.opcodes import (
     COND_BRANCH_OPS,
@@ -115,14 +114,11 @@ def reference_run(sim) -> SimStats:
     t_last = 0
     fp_ops = FP_ALU_OPS
     cond_ops = COND_BRANCH_OPS
-    max_cycles = sim.max_cycles
-    stall_limit = sim.stall_limit
 
     for i in range(n):
         uid = uids[i]
         inst = flat[uid]
         op = inst.opcode
-        t_enter = t_next
 
         # ---- instruction fetch -------------------------------------
         iblock = inst.addr >> 6
@@ -392,17 +388,6 @@ def reference_run(sim) -> SimStats:
 
         if t_next > t_last:
             t_last = t_next
-        if stall_limit and t_next - t_enter > stall_limit:
-            raise SimulationHang(
-                f"no retirement for {t_next - t_enter} cycles "
-                f"(stall limit {stall_limit})",
-                dump=sim._hang_dump(i, uid, op, t_next, store_q),
-            )
-        if max_cycles and t_next > max_cycles:
-            raise SimulationHang(
-                f"cycle budget exceeded ({max_cycles})",
-                dump=sim._hang_dump(i, uid, op, t_next, store_q),
-            )
 
     stats.cycles = t_last + 1 + _DRAIN
     stats.scheme_counts = scheme_counts

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.errors import SimulationHang
 from repro.isa.instruction import Reg as _REG_TYPE
 from repro.isa.opcodes import (
     COND_BRANCH_OPS,
@@ -74,10 +73,10 @@ _DRAIN = 3
 # the scheduler records of :mod:`repro.sim.precompute`.  Three kinds
 # exist only in records: loads and stores whose outcomes the scheduler
 # computes as they issue, and the watch mark that follows every record
-# of a run with a timeline or tight watchdogs.  Branch kinds come last
-# so the scheduler tests for them with one comparison.  The scheduler
-# spells these values as literals (cheaper than a global lookup in its
-# loop): renumber both together.
+# of a run that collects a timeline.  Branch kinds come last so the
+# scheduler tests for them with one comparison.  The scheduler spells
+# these values as literals (cheaper than a global lookup in its loop):
+# renumber both together.
 _K_LOAD = 0
 _K_STORE = 1
 _K_ALU = 2
@@ -287,16 +286,6 @@ def _precompute_frontend(program: Program, trace, cfg, dec):
 #: Bound on cached front-end variants per (program, trace) identity.
 _FRONTEND_CACHE_LIMIT = 8
 
-#: Watchdog default: no single instruction may wait this many cycles to
-#: issue.  Legitimate stalls are bounded by a few cache-miss penalties
-#: (tens of cycles); anything near this bound means a wedged scoreboard.
-DEFAULT_STALL_LIMIT = 100_000
-
-#: Watchdog default cycle budget per dynamic instruction (plus a fixed
-#: grace amount); the worst legitimate CPI in this model is ~30.
-_CYCLES_PER_INSTRUCTION_BOUND = 1_000
-_CYCLE_BUDGET_GRACE = 100_000
-
 
 class TimingSimulator:
     """Replays a trace against one machine configuration.
@@ -312,21 +301,6 @@ class TimingSimulator:
     randomized parity suite, and the ``python -m repro.sim.precompute``
     CI gate enforce that).
 
-    Two watchdogs guard against a wedged scoreboard (which, before this
-    layer existed, surfaced as an apparently-hung full-scale run):
-
-    * ``max_cycles`` — total cycle budget; ``None`` derives a generous
-      bound from the trace length (1000 cycles per instruction), and
-      ``0`` disables the check.
-    * ``stall_limit`` — the most cycles a single instruction may wait
-      between becoming the oldest unissued instruction and issuing;
-      ``0`` disables the check.
-
-    Both raise :class:`~repro.errors.SimulationHang` carrying a
-    pipeline-state dump (cycle, trace index, uid, opcode, queue depths).
-    The loop checks them only when a limit is tighter than the most any
-    run of this trace could need.
-
     With a :mod:`repro.obs` tracer configured, each simulation emits a
     ``sim.counters`` event carrying a flat dict of event counters
     (ld_p hits/misses, ``R_addr`` interlocks, dcache/BTB outcomes, and
@@ -341,8 +315,6 @@ class TimingSimulator:
         config: MachineConfig,
         spec_override: Optional[Dict[int, LoadSpec]] = None,
         collect_timeline: bool = False,
-        max_cycles: Optional[int] = None,
-        stall_limit: int = DEFAULT_STALL_LIMIT,
     ):
         self.trace = trace
         self.config = config
@@ -354,42 +326,6 @@ class TimingSimulator:
         #: tuple per dynamic instruction in ``SimStats.timeline`` —
         #: useful for the debug view, too heavy for experiments.
         self.collect_timeline = collect_timeline
-        if max_cycles is None:
-            max_cycles = (
-                len(trace.uids) * _CYCLES_PER_INSTRUCTION_BOUND
-                + _CYCLE_BUDGET_GRACE
-            )
-        self.max_cycles = max_cycles
-        self.stall_limit = stall_limit
-
-    def _hang_dump(self, i: int, uid: int, op, t_next: int,
-                   store_q) -> dict:
-        """Pipeline-state snapshot embedded in SimulationHang."""
-        return {
-            "cycle": t_next,
-            "trace_index": i,
-            "trace_length": len(self.trace.uids),
-            "uid": uid,
-            "opcode": getattr(op, "name", str(op)),
-            "pending_stores": len(store_q),
-        }
-
-    def _hang(self, i: int, t_enter: int, t_next: int,
-              store_q) -> SimulationHang:
-        """The watchdog error for trace index *i* (stall limit first)."""
-        uid = self.trace.uids[i]
-        dump = self._hang_dump(
-            i, uid, self.trace.program.flat[uid].opcode, t_next, store_q
-        )
-        if self.stall_limit and t_next - t_enter > self.stall_limit:
-            return SimulationHang(
-                f"no retirement for {t_next - t_enter} cycles "
-                f"(stall limit {self.stall_limit})",
-                dump=dump,
-            )
-        return SimulationHang(
-            f"cycle budget exceeded ({self.max_cycles})", dump=dump
-        )
 
     def run(self) -> SimStats:
         """Simulate the whole trace; returns the collected statistics.

@@ -193,7 +193,6 @@ class TracePrecompute:
         "imiss_total", "misp_total",
         "mseq_kind", "mseq_ea", "lpc", "lword", "lbase", "lro", "ldisp",
         "dyn_load_uids", "sword", "static_load_uids",
-        "per_entry_bound", "total_cycle_bound",
         "_routes", "_dstreams", "_estreams", "_patches",
         "_stats_memo",
     )
@@ -230,7 +229,6 @@ class TracePrecompute:
         ldisp = bytearray()
         dyn_load_uids = array("q")
         sword = array("q")
-        max_lat = 1
 
         for i in range(n):
             uid = uids[i]
@@ -247,8 +245,6 @@ class TracePrecompute:
                 dest = d[3]
                 if dest < 0:
                     dest = _NO_DEST
-                if k < _K_CBRANCH and x > max_lat:
-                    max_lat = x
                 rec = intern[key] = (k, pen) + srcs + (dest, x)
             rec_append(rec)
             if k == _K_LOAD:
@@ -283,19 +279,6 @@ class TracePrecompute:
         self.sword = sword
         self.n_loads = len(lword)
         self.n_stores = len(sword)
-
-        # Watchdog-compatibility bound: the most cycles one record can
-        # advance the clock (fetch stall + operand wait + one resource
-        # re-arbitration + branch redirect).  Used to prove the
-        # watchdogs could never fire, so the scheduler may skip them.
-        self.per_entry_bound = (
-            cfg.icache.miss_penalty
-            + max(cfg.load_latency + cfg.dcache.miss_penalty, max_lat)
-            + cfg.mispredict_penalty
-            + cfg.jump_bubble
-            + 8
-        )
-        self.total_cycle_bound = n * self.per_entry_bound + _DRAIN + 16
 
         self._routes: OrderedDict = OrderedDict()
         self._dstreams: OrderedDict = OrderedDict()
@@ -634,16 +617,6 @@ def get_precompute(trace: Trace, cfg: MachineConfig) -> TracePrecompute:
     return pre
 
 
-def _watchdogs_compatible(pre: TracePrecompute, sim: TimingSimulator) -> bool:
-    """True when *sim*'s watchdogs provably cannot fire on this trace,
-    so the scheduler may skip checking them."""
-    if sim.stall_limit and sim.stall_limit < pre.per_entry_bound:
-        return False
-    if sim.max_cycles and sim.max_cycles < pre.total_cycle_bound:
-        return False
-    return True
-
-
 #: Process-wide replay path counters, keyed by the ``sim.replay`` event
 #: ``path`` field (``inline:<reason>`` for configs the stream path
 #: declined and ran on live outcomes).  Exposed for tests and
@@ -694,9 +667,6 @@ def try_fast(sim: TimingSimulator) -> Optional[SimStats]:
         _decline("hw-dual", eg)
         return None
     pre = get_precompute(trace, cfg)
-    if not _watchdogs_compatible(pre, sim):
-        _decline("watchdog", eg)
-        return None
     route = pre.route_for(sb)
     ecodes = pre.estream(eg, route)
     global _divergences, _divergence_fallbacks
@@ -838,9 +808,9 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig,
       predictor backend, the d-cache and ``R_addr`` or the BRIC
       register cache as it issues, and each store write-accesses the
       d-cache.  ``route`` None means hardware dual-path selection,
-      decided per load at decode.  When ``sim`` collects a timeline or
-      has a watchdog tighter than the trace's bounds, a watch mark
-      follows every record; otherwise the loop never tests for them.
+      decided per load at decode.  When ``sim`` collects a timeline, a
+      watch mark follows every record; otherwise the loop never tests
+      for them.
 
     The scoreboard is a handful of locals because the issue cycle is
     monotone: ``iss`` / ``alu`` / ``fpu`` / ``bru`` count units consumed
@@ -911,19 +881,13 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig,
         mi = 0  # memory-op ordinal (loads and stores)
         dmiss = store_miss = poll_miss = 0
         if sim.collect_timeline:
+            # A watch mark after every record, so runs without a
+            # timeline (and the stream path) never test for one.
             timeline = []
-        if timeline is not None or not _watchdogs_compatible(pre, sim):
-            # Timeline and watchdogs: a watch mark after every record,
-            # so runs without them (and the stream path) never test
-            # for them.
             records = _with_watch_marks(records)
-            tl_append = timeline.append if timeline is not None else None
-            # 0 disables a watchdog: an unreachable bound.
-            slim = sim.stall_limit or (1 << 62)
-            mcyc = sim.max_cycles or (1 << 62)
+            tl_append = timeline.append
             uids = pre.uids
             i = 0
-            t_prev = 0
 
     for k, pen, s1, s2, s3, dest, x in records:
         if pen:
@@ -1318,26 +1282,22 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig,
             # The mark has no fetch penalty, sources or destination, so
             # the clock and scoreboard are as that record left them.
             k = x[0]
-            if tl_append is not None:
-                if k >= 8:  # issue cycle, before the redirect
-                    x = x[6]
-                    note = "branch mispredict" if x > 1 else "branch"
-                    tl_append((uids[i], cur - x, note))
-                else:
-                    if k == 5:
-                        ch = "npe"[r]
-                        if success:
-                            note = f"{ch}-hit lat={lat}"
-                        elif r:
-                            note = f"{ch}-miss lat={lat}"
-                        else:
-                            note = f"load lat={lat}"
+            if k >= 8:  # issue cycle, before the redirect
+                x = x[6]
+                note = "branch mispredict" if x > 1 else "branch"
+                tl_append((uids[i], cur - x, note))
+            else:
+                if k == 5:
+                    ch = "npe"[r]
+                    if success:
+                        note = f"{ch}-hit lat={lat}"
+                    elif r:
+                        note = f"{ch}-miss lat={lat}"
                     else:
-                        note = "store" if k == 6 else ""
-                    tl_append((uids[i], cur, note))
-            if cur - t_prev > slim or cur > mcyc:
-                raise sim._hang(i, t_prev, cur, sq)
-            t_prev = cur
+                        note = f"load lat={lat}"
+                else:
+                    note = "store" if k == 6 else ""
+                tl_append((uids[i], cur, note))
             i += 1
 
     if sim is not None:
@@ -1430,7 +1390,7 @@ def simulate_many(
     for a ``sim`` span on the ambient tracer.  Results are in input
     order and byte-identical to independent ``TimingSimulator`` runs —
     configs the streams cannot express (hardware dual-path, diverging
-    pollution, tight watchdogs) run the same loop on live outcomes.
+    pollution) run the same loop on live outcomes.
     """
     base = machine if machine is not None else MachineConfig()
     tracer = obs.current()

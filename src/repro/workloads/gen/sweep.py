@@ -21,12 +21,8 @@ from pathlib import Path
 from typing import Callable, List, Optional
 
 from repro import obs
-from repro.harness.experiments import ExperimentContext
-from repro.harness.runner import (
-    STATUS_OK,
-    RunnerConfig,
-    WorkloadRunner,
-)
+from repro.harness.experiments import ExperimentContext, _geomean
+from repro.harness.runner import STATUS_OK, WorkloadRunner
 from repro.workloads.gen import format_fingerprint, parse_gen_name
 
 #: Grid pitch (percentage points) of the default simplex sweep.
@@ -98,7 +94,7 @@ def run_sweep(
         ctx = ExperimentContext(scale=scale)
         runner = WorkloadRunner(
             ctx,
-            RunnerConfig(timeout=timeout),
+            timeout,
             progress=progress,
             jobs=jobs,
             result_store=result_store,
@@ -128,10 +124,6 @@ def run_sweep(
                 row[key] = marker
         rows.append(row)
     if speedups:
-        geomean = 1.0
-        for value in speedups:
-            geomean *= value
-        geomean **= 1.0 / len(speedups)
         rows.append({
             "fingerprint": "geomean",
             "seed": "",
@@ -139,7 +131,7 @@ def run_sweep(
             "ach_pd": "",
             "ach_ec": "",
             "dyn_loads": "",
-            "speedup": geomean,
+            "speedup": _geomean(speedups),
         })
     return {
         "rows": rows,

@@ -1,12 +1,11 @@
 """A suite run on N workers must be indistinguishable from one on 1.
 
-``WorkloadRunner.run_suite`` runs each workload attempt as one task on
-a pool of ``jobs`` forked workers; these tests hold ``jobs=4`` to
-``jobs=1``: identical row fragments, identical assembled tables,
-identical statuses/attempt counts for degraded workloads under
-injected crash/hang/flaky faults, and identical result-store entries.
-A worker process that dies mid-task is respawned and its attempt fails
-as a ``WorkerCrash``.
+``WorkloadRunner.run_suite`` runs each workload as one task on a pool
+of ``jobs`` forked workers; these tests hold ``jobs=4`` to ``jobs=1``:
+identical row fragments, identical assembled tables, identical
+statuses for degraded workloads under injected crash/hang faults, and
+identical result-store entries.  A worker process that dies mid-task is
+respawned and its workload fails as a ``WorkerCrash``.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from repro.harness.runner import (
     STATUS_OK,
     STATUS_TIMEOUT,
     TABLES,
-    RunnerConfig,
     WorkloadRunner,
     assemble_table,
 )
@@ -38,14 +36,13 @@ SCALE = 0.02
 
 
 def _run_suite(tmp_path: Path, jobs: int, *, inject=None,
-               config: RunnerConfig = None, store: bool = False):
+               timeout: float = 0.0, store: bool = False):
     injector = FaultInjector.parse(inject) if inject else None
     ctx = ExperimentContext(scale=SCALE, fault_injector=injector)
     result_store = ResultStore(tmp_path / f"store-jobs{jobs}") if store \
         else None
     runner = WorkloadRunner(
-        ctx, config if config is not None else RunnerConfig(), jobs=jobs,
-        result_store=result_store,
+        ctx, timeout, jobs=jobs, result_store=result_store,
     )
     outcomes = runner.run_suite(NAMES)
     entries = {}
@@ -58,8 +55,7 @@ def _run_suite(tmp_path: Path, jobs: int, *, inject=None,
 def _comparable(outcomes):
     """Outcome fields that must match across schedulers (not elapsed)."""
     return [
-        (o.name, o.suite, o.status, o.rows, o.error, o.error_type,
-         o.attempts)
+        (o.name, o.suite, o.status, o.rows, o.error, o.error_type)
         for o in outcomes
     ]
 
@@ -75,29 +71,21 @@ def test_rows_and_tables_match_between_1_and_n_jobs(tmp_path):
 
 def test_degraded_rows_and_store_entries_match_between_1_and_n_jobs(
         tmp_path):
-    # One deterministic crash (exhausts the retry budget), one
-    # transient failure (succeeds on the second attempt), one hang
-    # (degrades to TIMEOUT, never retried).
-    inject = [
-        f"{NAMES[0]}=crash",
-        f"{NAMES[1]}=flaky:1",
-        f"{NAMES[3]}=hang",
-    ]
-    config = RunnerConfig(timeout=10.0, retries=1, backoff=0.0)
+    # One deterministic crash (degrades to ERROR) and one hang
+    # (degrades to TIMEOUT).
+    inject = [f"{NAMES[0]}=crash", f"{NAMES[3]}=hang"]
     one, one_entries = _run_suite(
-        tmp_path, jobs=1, inject=inject, config=config, store=True
+        tmp_path, jobs=1, inject=inject, timeout=10.0, store=True
     )
     many, many_entries = _run_suite(
-        tmp_path, jobs=4, inject=inject, config=config, store=True
+        tmp_path, jobs=4, inject=inject, timeout=10.0, store=True
     )
 
     by_name = {o.name: o for o in many}
     assert by_name[NAMES[0]].status == STATUS_ERROR
-    assert by_name[NAMES[0]].attempts == 2  # retries exhausted
-    assert by_name[NAMES[1]].status == STATUS_OK
-    assert by_name[NAMES[1]].attempts == 2  # transient, then recovered
     assert by_name[NAMES[3]].status == STATUS_TIMEOUT
-    assert by_name[NAMES[3]].attempts == 1  # timeouts are not retried
+    assert all(by_name[name].status == STATUS_OK
+               for name in (NAMES[1], NAMES[2], NAMES[4]))
 
     assert _comparable(many) == _comparable(one)
     # Only the three OK workloads are stored, identically.
@@ -108,16 +96,15 @@ def test_degraded_rows_and_store_entries_match_between_1_and_n_jobs(
 
 
 def test_parallel_resume_skips_stored_workloads(tmp_path):
-    config = RunnerConfig(timeout=20.0)
     inject = [f"{NAMES[0]}=crash"]
     first, _ = _run_suite(
-        tmp_path, jobs=4, inject=inject, config=config, store=True
+        tmp_path, jobs=4, inject=inject, timeout=20.0, store=True
     )
     assert {o.name for o in first if o.status == STATUS_ERROR} == {NAMES[0]}
 
     # Re-running against the same store recomputes only the failed
     # workload; completed ones come back cached.
-    second, _ = _run_suite(tmp_path, jobs=4, config=config, store=True)
+    second, _ = _run_suite(tmp_path, jobs=4, timeout=20.0, store=True)
     by_name = {o.name: o for o in second}
     assert by_name[NAMES[0]].status == STATUS_OK
     assert not by_name[NAMES[0]].cached
@@ -126,8 +113,8 @@ def test_parallel_resume_skips_stored_workloads(tmp_path):
         assert by_name[name].status == STATUS_OK
 
 
-def _exit_on_first_attempt(monkeypatch, victim):
-    """Make the pooled worker die outright on *victim*'s first attempt.
+def _exit_on(monkeypatch, victim):
+    """Make the pooled worker die outright on *victim*'s task.
 
     Patched before the pool forks, so every worker inherits it; unlike
     the ``crash`` inject mode (an exception the worker reports), this
@@ -136,36 +123,24 @@ def _exit_on_first_attempt(monkeypatch, victim):
     run_task = parallel._run_task
 
     def dying_run_task(init, payload):
-        if payload["name"] == victim and payload["attempt"] == 1:
+        if payload["name"] == victim:
             os._exit(1)
         return run_task(init, payload)
 
     monkeypatch.setattr(parallel, "_run_task", dying_run_task)
 
 
-def test_worker_crash_is_retried_on_a_respawned_worker(
-        tmp_path, monkeypatch):
-    clean, _ = _run_suite(tmp_path, jobs=1)
-    _exit_on_first_attempt(monkeypatch, NAMES[1])
-    # On a one-worker pool the workloads after the crash can only run
-    # on the respawned worker.
-    config = RunnerConfig(timeout=60.0, retries=1, backoff=0.0)
-    crashed, _ = _run_suite(tmp_path, jobs=1, config=config)
-    assert all(o.status == STATUS_OK for o in crashed)
-    assert [o.attempts for o in crashed] == [
-        2 if name == NAMES[1] else 1 for name in NAMES
-    ]
-    assert [o.rows for o in crashed] == [o.rows for o in clean]
-
-
 def test_worker_crash_without_retries_degrades_only_its_workload(
         tmp_path, monkeypatch):
-    _exit_on_first_attempt(monkeypatch, NAMES[1])
-    config = RunnerConfig(timeout=60.0, retries=0)
-    outcomes, _ = _run_suite(tmp_path, jobs=1, config=config)
+    clean, _ = _run_suite(tmp_path, jobs=1)
+    _exit_on(monkeypatch, NAMES[1])
+    # On a one-worker pool the workloads after the crash can only run
+    # on the respawned worker.
+    outcomes, _ = _run_suite(tmp_path, jobs=1, timeout=60.0)
     by_name = {o.name: o for o in outcomes}
     assert by_name[NAMES[1]].status == STATUS_ERROR
     assert by_name[NAMES[1]].error_type == "WorkerCrash"
-    assert by_name[NAMES[1]].attempts == 1
-    assert all(by_name[name].status == STATUS_OK
-               for name in NAMES if name != NAMES[1])
+    survivors = [i for i, name in enumerate(NAMES) if name != NAMES[1]]
+    assert all(outcomes[i].status == STATUS_OK for i in survivors)
+    assert ([outcomes[i].rows for i in survivors]
+            == [clean[i].rows for i in survivors])

@@ -1,4 +1,4 @@
-"""Fault-isolated runner: degradation, retries, timeout, resume."""
+"""Fault-isolated runner: degradation, timeout, resume."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.harness.runner import (
     STATUS_OK,
     STATUS_TIMEOUT,
     TABLES,
-    RunnerConfig,
     WorkloadOutcome,
     WorkloadRunner,
     assemble_table,
@@ -23,10 +22,10 @@ MEDIA = "adpcm_decode"
 SCALE = 0.05
 
 
-def make_runner(tmp_path=None, injector=None, scale=SCALE, **cfg):
+def make_runner(tmp_path=None, injector=None, scale=SCALE, timeout=0.0):
     ctx = ExperimentContext(scale=scale, fault_injector=injector)
     store = ResultStore(tmp_path) if tmp_path is not None else None
-    return WorkloadRunner(ctx, RunnerConfig(**cfg), result_store=store)
+    return WorkloadRunner(ctx, timeout, result_store=store)
 
 
 # -- FaultInjector ---------------------------------------------------------
@@ -41,34 +40,20 @@ def test_unknown_mode_rejected():
         FaultInjector.parse([f"{SPEC}=explode"])
 
 
-def test_flaky_requires_positive_count():
-    with pytest.raises(ValueError, match="N >= 1"):
-        FaultInjector().add(SPEC, "flaky:0")
-
-
 def test_crash_fires_every_attempt():
     injector = FaultInjector.parse([f"{SPEC}=crash"])
-    for attempt in (1, 2, 3):
+    for _ in range(2):
         with pytest.raises(InjectedFault, match="injected crash"):
-            injector.fire(SPEC, attempt)
-    injector.fire("other", 1)  # unconfigured workloads are untouched
+            injector.fire(SPEC)
+    injector.fire("other")  # unconfigured workloads are untouched
 
 
-def test_flaky_succeeds_after_n_failures():
-    injector = FaultInjector().add(SPEC, "flaky:2")
-    for attempt in (1, 2):
-        with pytest.raises(InjectedFault):
-            injector.fire(SPEC, attempt)
-    injector.fire(SPEC, 3)  # third attempt passes
-
-
-# -- degradation and retries ----------------------------------------------
+# -- degradation -----------------------------------------------------------
 
 def test_successful_workload():
     outcome = make_runner().run_workload(MEDIA)
     assert outcome.status == STATUS_OK
     assert outcome.suite == "mediabench"
-    assert outcome.attempts == 1
     assert not outcome.degraded
     assert outcome.rows["table4"]["benchmark"] == MEDIA
     assert outcome.rows["table4"]["speedup"] > 0
@@ -90,28 +75,12 @@ def test_crash_degrades_to_error_row():
     assert MEDIA in outcome.error  # workload context attached
 
 
-def test_flaky_workload_recovers_with_retries():
-    injector = FaultInjector().add(MEDIA, "flaky:2")
-    runner = make_runner(injector=injector, retries=2, backoff=0.0)
-    outcome = runner.run_workload(MEDIA)
-    assert outcome.status == STATUS_OK
-    assert outcome.attempts == 3
-
-
-def test_retries_exhausted_degrades():
-    injector = FaultInjector().add(MEDIA, "flaky:5")
-    runner = make_runner(injector=injector, retries=1, backoff=0.0)
-    outcome = runner.run_workload(MEDIA)
-    assert outcome.status == STATUS_ERROR
-    assert outcome.attempts == 2
-
-
 def test_hang_degrades_to_timeout_without_retry():
     injector = FaultInjector().add(MEDIA, "hang")
-    runner = make_runner(injector=injector, timeout=0.2, retries=3)
+    runner = make_runner(injector=injector, timeout=0.2)
     outcome = runner.run_workload(MEDIA)
     assert outcome.status == STATUS_TIMEOUT
-    assert outcome.attempts == 1  # timeouts are not retried
+    assert outcome.error_type == "Timeout"
 
 
 def test_corrupt_output_degrades_with_mismatch():
@@ -130,8 +99,8 @@ def test_corrupt_ir_degrades_naming_the_pass():
 
 
 def test_bad_config_rejected():
-    with pytest.raises(ValueError):
-        RunnerConfig(timeout=-1)
+    with pytest.raises(ValueError, match="timeout"):
+        make_runner(timeout=-1)
 
 
 # -- resume through the result store ---------------------------------------

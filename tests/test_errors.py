@@ -8,7 +8,6 @@ from repro.errors import (
     InjectedFault,
     OutputMismatchError,
     ReproError,
-    SimulationHang,
     StepLimitExceeded,
 )
 
@@ -41,7 +40,6 @@ def test_add_context_after_raise():
 def test_hierarchy():
     assert issubclass(EmulationError, ReproError)
     assert issubclass(StepLimitExceeded, EmulationError)
-    assert issubclass(SimulationHang, ReproError)
     assert issubclass(IRVerificationError, ReproError)
     assert issubclass(OutputMismatchError, ReproError)
     assert issubclass(InjectedFault, ReproError)
@@ -53,14 +51,6 @@ def test_step_limit_attributes():
     assert err.last_pc == 42
     assert err.steps == 1000
     assert "1000" in str(err)
-
-
-def test_simulation_hang_carries_dump():
-    dump = {"cycle": 99, "uid": 7}
-    err = SimulationHang("stuck", dump=dump)
-    assert err.dump == dump
-    assert "pipeline state" in str(err)
-    assert "cycle" in str(err)
 
 
 def test_ir_verification_error_names_pass_and_func():
