@@ -6,11 +6,10 @@ the load latency being hidden, the dual-path combination, and the
 profiling threshold.
 """
 
-import math
-
 from benchmarks.conftest import SCALE, emit
 from repro.compiler.driver import compile_source
 from repro.compiler.profile_feedback import profile_overrides
+from repro.harness.experiments import _geomean
 from repro.harness.reporting import format_table
 from repro.sim.executor import Executor
 from repro.sim.machine import BASELINE, EarlyGenConfig, MachineConfig, SelectionMode
@@ -20,10 +19,6 @@ from repro.workloads import get_workload
 SUBSET = ["023.eqntott", "147.vortex", "134.perl", "072.sc"]
 
 PROPOSED = EarlyGenConfig(256, 1, SelectionMode.COMPILER)
-
-
-def _geomean(values):
-    return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
 def _speedup(trace, machine, earlygen, overrides=None):

@@ -41,15 +41,7 @@ from repro import obs
 from repro.harness.artifacts import artifact_key
 from repro.harness.experiments import ExperimentContext
 from repro.harness.faults import FaultInjector
-from repro.harness.reporting import (
-    FIG5A_HEADERS,
-    FIG5B_HEADERS,
-    FIG5C_HEADERS,
-    TABLE2_HEADERS,
-    TABLE3_HEADERS,
-    TABLE4_HEADERS,
-    format_table,
-)
+from repro.harness.reporting import format_table
 from repro.harness.runner import (
     TABLES,
     WorkloadRunner,
@@ -57,15 +49,7 @@ from repro.harness.runner import (
 )
 from repro.workloads import workload_names, workload_suite
 
-__all__ = [
-    "FIG5A_HEADERS",
-    "FIG5B_HEADERS",
-    "FIG5C_HEADERS",
-    "TABLE2_HEADERS",
-    "TABLE3_HEADERS",
-    "TABLE4_HEADERS",
-    "main",
-]
+__all__ = ["main"]
 
 _SUITES = {
     "all": ("spec", "mediabench"),
@@ -257,7 +241,7 @@ def main(argv=None) -> int:
                         metavar="NAME[,NAME...]",
                         help="also print the predictor-backend ablation "
                         "table comparing these prediction backends "
-                        "('all' = every registered backend) on the "
+                        "('all' = every backend) on the "
                         "proposed configuration")
     parser.add_argument("--no-verify-ir", action="store_true",
                         help="skip the per-pass IR verifier")
@@ -273,18 +257,18 @@ def main(argv=None) -> int:
     predictor_backends = []
     if args.predictor is not None:
         from repro.sim.predictors import backend_names
-        registered = backend_names()
+        known = backend_names()
         requested = [b.strip() for b in args.predictor.split(",")
                      if b.strip()]
         if not requested:
             parser.error("--predictor needs at least one backend name")
         if requested == ["all"]:
-            requested = list(registered)
+            requested = list(known)
         for backend in requested:
-            if backend not in registered:
+            if backend not in known:
                 parser.error(
                     f"--predictor: unknown backend {backend!r} "
-                    f"(registered: {', '.join(registered)})"
+                    f"(known: {', '.join(known)})"
                 )
             if backend not in predictor_backends:
                 predictor_backends.append(backend)

@@ -71,7 +71,7 @@ def reference_run(sim) -> SimStats:
     dcache = DirectMappedCache(cfg.dcache)
     btb = BranchTargetBuffer(cfg.btb_entries)
 
-    # The registry returns the paper's AddressPredictionTable for the
+    # The factory returns the paper's AddressPredictionTable for the
     # default (stride) backend; other backends drop in behind the same
     # probe/update surface.
     table = _create_predictor(eg)

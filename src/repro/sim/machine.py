@@ -27,6 +27,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro.sim.predictors import BACKENDS
+
 
 class SelectionMode(enum.Enum):
     """Who selects the early-generation path for each load."""
@@ -65,14 +67,11 @@ class EarlyGenConfig:
     #: Extension (Gonzalez-style): saturating confidence counters on the
     #: prediction table; 0 reproduces the paper's design.
     table_confidence_bits: int = 0
-    #: Speculation backend filling the prediction path: a name from the
-    #: :mod:`repro.sim.predictors` registry.  ``"stride"`` is the
+    #: Speculation backend filling the prediction path: a name from
+    #: :data:`repro.sim.predictors.BACKENDS`.  ``"stride"`` is the
     #: paper's Fig. 3 table; ``"perceptron"`` and ``"cache-level"``
     #: reproduce its descendants (Hermes, Jalili & Erez).
     predictor: str = "stride"
-    #: Backend tuning knobs as canonical sorted ``(name, value)`` pairs
-    #: (a dict is accepted and canonicalized); () takes every default.
-    predictor_params: tuple = ()
 
     def __post_init__(self) -> None:
         if self.table_entries < 0 or self.cached_regs < 0:
@@ -81,16 +80,14 @@ class EarlyGenConfig:
             raise ValueError("table_entries must be a power of two")
         if not 0 <= self.table_confidence_bits <= 8:
             raise ValueError("table_confidence_bits must be in [0, 8]")
-        if (self.predictor == "stride" and self.predictor_params == ()):
-            # The default backend takes no parameters; skipping the
-            # registry here keeps module import (BASELINE/PROPOSED
-            # below) free of the circular sim.predictors import.
-            return
-        from repro.sim.predictors import normalize_params, validate_backend
-        object.__setattr__(self, "predictor_params",
-                           normalize_params(self.predictor_params))
-        validate_backend(self.predictor, self.table_entries,
-                         self.table_confidence_bits, self.predictor_params)
+        if self.predictor not in BACKENDS:
+            raise ValueError(
+                f"unknown predictor backend {self.predictor!r} "
+                f"(known: {', '.join(sorted(BACKENDS))})")
+        if self.predictor != "stride" and self.table_confidence_bits:
+            raise ValueError(
+                f"the {self.predictor} backend carries its own dispatch "
+                "gate; table_confidence_bits must be 0")
 
     @property
     def enabled(self) -> bool:

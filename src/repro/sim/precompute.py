@@ -25,7 +25,7 @@ order:
 * **Predictor outcomes** — the backend is probed and updated
   unconditionally for every load routed to the prediction path, so the
   outcome stream depends only on the backend's canonical
-  ``predictor_key`` (backend name, capacity, confidence, params) and
+  ``predictor_key`` (backend name, capacity, confidence) and
   on *which* loads are routed there (the routing mask), never on
   ports, latencies, or the calc path.  Backends that train on demand
   d-cache outcomes additionally see the demand-hit stream, which is
@@ -395,7 +395,7 @@ class TracePrecompute:
         im = dc._index_mask
         ts = dc._tag_shift
 
-        # The backend comes from the same registry factory as the live
+        # The backend comes from the same factory as the live
         # source, so the stream replays the identical state machine.
         table = (_create_predictor(eg)
                  if eg is not None and pmask is not None else None)
@@ -1471,7 +1471,7 @@ def _parity_main(argv: Optional[Sequence[str]] = None) -> int:
         if args.predictor not in backend_names():
             parser.error(
                 f"unknown predictor backend {args.predictor!r} "
-                f"(registered: {', '.join(backend_names())})"
+                f"(known: {', '.join(backend_names())})"
             )
 
     suites = ("spec", "mediabench") if args.suite == "all" else (args.suite,)

@@ -1,27 +1,26 @@
-"""Pluggable speculation backends (the predictor zoo).
+"""The three speculation backends behind the ``ld_p`` prediction path.
 
-The paper's Fig. 3 stride table is one backend among several behind the
-:class:`~repro.sim.predictors.base.Predictor` protocol; see
-``base.py`` for the contract and DESIGN.md ("Predictor backends") for
-how the registry feeds the pipeline and the precompute stream factory.
-Importing this package registers every built-in backend:
+The paper's Fig. 3 stride table is the design; the other two exist for
+the ``--predictor`` ablation.  Each implements the
+:class:`~repro.sim.predictors.base.Predictor` protocol (see ``base.py``
+for the contract) and is named in :data:`BACKENDS`:
 
 * ``stride`` — the paper's PC-indexed stride table (reference backend),
 * ``perceptron`` — Hermes-style hashed-perceptron dispatch gate,
 * ``cache-level`` — Jalili–Erez serving-level gate trained on demand
   d-cache outcomes.
+
+:func:`create` is the one construction point for the timing pipeline,
+the reference pipeline and the precompute stream builders, so all three
+replay identical backend state machines; :func:`predictor_key` is the
+key their outcome streams and patch memos are cached under.
 """
 
-from repro.sim.predictors.base import (
-    Predictor,
-    backend_names,
-    create,
-    get_backend,
-    normalize_params,
-    predictor_key,
-    register,
-    validate_backend,
-)
+from __future__ import annotations
+
+from typing import Dict, Optional, Tuple, Type
+
+from repro.sim.predictors.base import Predictor
 from repro.sim.predictors.stride import (
     FUNCTIONING,
     LEARNING,
@@ -34,6 +33,7 @@ from repro.sim.predictors.perceptron import PerceptronPredictor
 
 __all__ = [
     "AddressPredictionTable",
+    "BACKENDS",
     "CacheLevelPredictor",
     "FUNCTIONING",
     "LEARNING",
@@ -43,9 +43,45 @@ __all__ = [
     "UnboundedPredictor",
     "backend_names",
     "create",
-    "get_backend",
-    "normalize_params",
     "predictor_key",
-    "register",
-    "validate_backend",
 ]
+
+#: Backend name -> class.  Only ``stride`` takes confidence bits; the
+#: other two carry their own dispatch gate over a confidence-free table.
+BACKENDS: Dict[str, Type[Predictor]] = {
+    cls.name: cls
+    for cls in (AddressPredictionTable, PerceptronPredictor,
+                CacheLevelPredictor)
+}
+
+
+def backend_names() -> Tuple[str, ...]:
+    """Every backend name, sorted."""
+    return tuple(sorted(BACKENDS))
+
+
+def create(eg) -> Optional[Predictor]:
+    """A fresh backend instance for an ``EarlyGenConfig``-shaped *eg*.
+
+    Returns ``None`` when the prediction path is disabled
+    (``table_entries == 0``).  ``EarlyGenConfig`` has already rejected
+    unknown names and confidence bits on the gated backends.
+    """
+    if not eg.table_entries:
+        return None
+    if eg.predictor == "stride":
+        return AddressPredictionTable(eg.table_entries,
+                                      eg.table_confidence_bits)
+    return BACKENDS[eg.predictor](eg.table_entries)
+
+
+def predictor_key(eg) -> tuple:
+    """Canonical cache key of *eg*'s prediction configuration.
+
+    Outcome streams and divergence-patch memos are keyed by this tuple;
+    two configs with equal keys drive byte-identical backend state
+    machines.
+    """
+    if not eg.table_entries:
+        return ("none",)
+    return (eg.predictor, eg.table_entries, eg.table_confidence_bits)

@@ -28,68 +28,44 @@ models per config, including pollution from wrong-address speculative
 fills; the divergence-patching loop (``excluded`` sets) makes the
 assumed-dispatch stream exact before any timing replay is accepted.
 
-Parameters (``EarlyGenConfig.predictor_params``): ``counter_bits``
-(level-counter width, default 2, range [1, 4]).
+The level counters are 2 bits wide (:data:`COUNTER_BITS`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
-from repro.sim.predictors.base import Predictor, register
+from repro.sim.predictors.base import Predictor
 from repro.sim.predictors.stride import AddressPredictionTable
 
 __all__ = ["CacheLevelPredictor"]
 
+#: Width of each saturating level counter.
+COUNTER_BITS = 2
 
-@register
+_LEVEL_MAX = (1 << COUNTER_BITS) - 1
+_LEVEL_MID = _LEVEL_MAX // 2
+#: A (re)allocated entry starts weakly trusted, one above the midpoint.
+_LEVEL_INIT = _LEVEL_MID + 1
+
+
 class CacheLevelPredictor(Predictor):
     """Stride address generation gated by a predicted serving level."""
 
     name = "cache-level"
     trains_on_demand = True
-    PARAM_DEFAULTS: Dict[str, int] = {"counter_bits": 2}
 
-    __slots__ = ("entries", "confidence_bits", "_params", "_table",
-                 "_level", "_level_max", "_level_mid", "_level_init",
-                 "probes", "tag_hits", "predictions", "correct",
-                 "suppressed")
+    __slots__ = ("entries", "_table", "_level", "probes", "tag_hits",
+                 "predictions", "correct", "suppressed")
 
-    def __init__(self, entries: int, counter_bits: int = 2):
+    def __init__(self, entries: int):
         self.entries = entries
-        self.confidence_bits = 0
-        self._params = (("counter_bits", counter_bits),)
         self._table = AddressPredictionTable(entries, 0)
-        self._level_max = (1 << counter_bits) - 1
-        self._level_mid = self._level_max // 2
-        self._level_init = self._level_mid + 1
         self.reset()
-
-    @classmethod
-    def validate_config(cls, table_entries: int, confidence_bits: int,
-                        params: Tuple[Tuple[str, int], ...]) -> None:
-        if confidence_bits:
-            raise ValueError(
-                "the cache-level backend carries its own dispatch gate; "
-                "table_confidence_bits must be 0")
-        resolved = cls.resolved_params(params)
-        if not 1 <= resolved["counter_bits"] <= 4:
-            raise ValueError("cache-level counter_bits must be in [1, 4]")
-
-    @classmethod
-    def from_config(cls, table_entries: int, confidence_bits: int,
-                    params: Tuple[Tuple[str, int], ...]
-                    ) -> "CacheLevelPredictor":
-        cls.validate_config(table_entries, confidence_bits, params)
-        resolved = cls.resolved_params(params)
-        return cls(table_entries, counter_bits=resolved["counter_bits"])
-
-    def params_key(self) -> tuple:
-        return (self.name, self.entries, 0, self._params)
 
     def reset(self) -> None:
         self._table.reset()
-        self._level = [self._level_init] * self.entries
+        self._level = [_LEVEL_INIT] * self.entries
         self.probes = 0
         self.tag_hits = 0
         self.predictions = 0
@@ -110,7 +86,7 @@ class CacheLevelPredictor(Predictor):
         candidate = entry.predict()
         if candidate is None:
             return None
-        if self._level[index] <= self._level_mid:
+        if self._level[index] <= _LEVEL_MID:
             self.suppressed += 1
             return None
         self.predictions += 1
@@ -131,10 +107,10 @@ class CacheLevelPredictor(Predictor):
         realloc = entry is None or entry.tag != tag
         self._table.update(pc, ca)
         if realloc:
-            self._level[index] = self._level_init
+            self._level[index] = _LEVEL_INIT
         elif demand_hit is not None:
             if demand_hit:
-                if self._level[index] < self._level_max:
+                if self._level[index] < _LEVEL_MAX:
                     self._level[index] += 1
             elif self._level[index] > 0:
                 self._level[index] -= 1

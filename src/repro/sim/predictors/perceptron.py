@@ -16,9 +16,9 @@ confidence counter:
   ``suppressed``, like the stride counter extension);
 * training follows the standard perceptron rule (Jiménez & Lin): on
   every routed load whose entry produced a candidate, if the sign
-  disagrees with the observed outcome or ``|sum| <= theta``, each
+  disagrees with the observed outcome or ``|sum| <= THETA``, each
   weight moves toward the outcome along its history bit, saturating at
-  ``weight_bits`` signed bits.
+  :data:`WEIGHT_BITS` signed bits.
 
 The outcome fed to both training and the history register is "the
 stride candidate matched the computed address", which depends only on
@@ -26,95 +26,51 @@ the PC/address sequence of routed loads — never on whether the dispatch
 actually happened — so the backend keeps the timing-independence
 contract the precompute fast path relies on.
 
-Parameters (``EarlyGenConfig.predictor_params``): ``history`` (register
-length, default 8), ``weights`` (rows in the weight table, default 64),
-``theta`` (training threshold; 0, the default, derives the classic
-``floor(1.93 * history + 14)``), ``weight_bits`` (signed weight width,
-default 6).
+The sizes are fixed at the classic configuration: an 8-outcome history
+register, 64 weight rows, 6-bit signed weights and the training
+threshold ``floor(1.93 * 8 + 14) = 29``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
-from repro.sim.predictors.base import Predictor, register
+from repro.sim.predictors.base import Predictor
 from repro.sim.predictors.stride import AddressPredictionTable
 
 __all__ = ["PerceptronPredictor"]
 
+#: Global history register length (prediction outcomes).
+HISTORY = 8
+#: Rows in the hashed-PC weight table (a power of two).
+WEIGHT_ROWS = 64
+#: Training threshold: the classic ``floor(1.93 * HISTORY + 14)``.
+THETA = 29
+#: Signed weight width.
+WEIGHT_BITS = 6
 
-@register
+_HIST_MASK = (1 << HISTORY) - 1
+_ROW_MASK = WEIGHT_ROWS - 1
+_ROW_BITS = WEIGHT_ROWS.bit_length() - 1
+_W_MAX = (1 << (WEIGHT_BITS - 1)) - 1
+
+
 class PerceptronPredictor(Predictor):
     """Stride address generation gated by a hashed perceptron."""
 
     name = "perceptron"
     trains_on_demand = False
-    PARAM_DEFAULTS: Dict[str, int] = {
-        "history": 8,
-        "weights": 64,
-        "theta": 0,
-        "weight_bits": 6,
-    }
 
-    __slots__ = ("entries", "confidence_bits", "_params", "_table",
-                 "_history_len", "_hist_mask", "_rows", "_row_mask",
-                 "_row_bits", "_theta", "_w_max", "_weights", "_history",
-                 "probes", "tag_hits", "predictions", "correct",
-                 "suppressed")
+    __slots__ = ("_table", "_weights", "_history", "probes", "tag_hits",
+                 "predictions", "correct", "suppressed")
 
-    def __init__(self, entries: int, history: int = 8, weights: int = 64,
-                 theta: int = 0, weight_bits: int = 6):
-        self.entries = entries
-        self.confidence_bits = 0
-        self._params = (("history", history), ("theta", theta),
-                        ("weight_bits", weight_bits), ("weights", weights))
+    def __init__(self, entries: int):
         self._table = AddressPredictionTable(entries, 0)
-        self._history_len = history
-        self._hist_mask = (1 << history) - 1
-        self._rows = weights
-        self._row_mask = weights - 1
-        self._row_bits = weights.bit_length() - 1
-        self._theta = theta if theta > 0 else int(1.93 * history + 14)
-        self._w_max = (1 << (weight_bits - 1)) - 1
         self.reset()
-
-    @classmethod
-    def validate_config(cls, table_entries: int, confidence_bits: int,
-                        params: Tuple[Tuple[str, int], ...]) -> None:
-        if confidence_bits:
-            raise ValueError(
-                "the perceptron backend carries its own dispatch gate; "
-                "table_confidence_bits must be 0")
-        resolved = cls.resolved_params(params)
-        if not 1 <= resolved["history"] <= 24:
-            raise ValueError("perceptron history must be in [1, 24]")
-        rows = resolved["weights"]
-        if rows <= 0 or rows & (rows - 1) or rows > 4096:
-            raise ValueError(
-                "perceptron weights must be a power of two in [1, 4096]")
-        if resolved["theta"] < 0:
-            raise ValueError("perceptron theta must be >= 0 (0 derives "
-                             "the classic 1.93*history + 14)")
-        if not 2 <= resolved["weight_bits"] <= 8:
-            raise ValueError("perceptron weight_bits must be in [2, 8]")
-
-    @classmethod
-    def from_config(cls, table_entries: int, confidence_bits: int,
-                    params: Tuple[Tuple[str, int], ...]
-                    ) -> "PerceptronPredictor":
-        cls.validate_config(table_entries, confidence_bits, params)
-        resolved = cls.resolved_params(params)
-        return cls(table_entries, history=resolved["history"],
-                   weights=resolved["weights"], theta=resolved["theta"],
-                   weight_bits=resolved["weight_bits"])
-
-    def params_key(self) -> tuple:
-        return (self.name, self.entries, 0, self._params)
 
     def reset(self) -> None:
         self._table.reset()
-        self._weights = [[0] * (self._history_len + 1)
-                         for _ in range(self._rows)]
+        self._weights = [[0] * (HISTORY + 1) for _ in range(WEIGHT_ROWS)]
         self._history = 0
         self.probes = 0
         self.tag_hits = 0
@@ -136,11 +92,11 @@ class PerceptronPredictor(Predictor):
     def _dot(self, pc: int):
         """(row index, perceptron sum) for *pc* and the current history."""
         word = pc >> 2
-        row = (word ^ (word >> self._row_bits)) & self._row_mask
+        row = (word ^ (word >> _ROW_BITS)) & _ROW_MASK
         weights = self._weights[row]
         total = weights[0]
         hist = self._history
-        for i in range(1, self._history_len + 1):
+        for i in range(1, HISTORY + 1):
             if hist & 1:
                 total += weights[i]
             else:
@@ -181,18 +137,18 @@ class PerceptronPredictor(Predictor):
         if hit and candidate is not None:
             taken = candidate == ca
             row, total = self._dot(pc)
-            if (total >= 0) != taken or abs(total) <= self._theta:
+            if (total >= 0) != taken or abs(total) <= THETA:
                 weights = self._weights[row]
-                w_max = self._w_max
+                w_max = _W_MAX
                 step = 1 if taken else -1
                 value = weights[0] + step
                 weights[0] = max(-w_max, min(w_max, value))
                 hist = self._history
-                for i in range(1, self._history_len + 1):
+                for i in range(1, HISTORY + 1):
                     agree = bool(hist & 1) == taken
                     value = weights[i] + (1 if agree else -1)
                     weights[i] = max(-w_max, min(w_max, value))
                     hist >>= 1
             self._history = (((self._history << 1) | int(taken))
-                             & self._hist_mask)
+                             & _HIST_MASK)
         self._table.update(pc, ca)

@@ -42,9 +42,9 @@ machine outside the timing loop, and pinned by
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.sim.predictors.base import Predictor, register
+from repro.sim.predictors.base import Predictor
 
 FUNCTIONING = 0
 LEARNING = 1
@@ -92,12 +92,11 @@ class TableEntry:
                 self.pa = ca
 
 
-@register
 class AddressPredictionTable(Predictor):
     """Direct-mapped, PC-indexed table of :class:`TableEntry`.
 
-    This is the reference backend of the predictor registry
-    (``name="stride"``) — the paper's own design.
+    This is the reference backend (``name="stride"``) — the paper's
+    own design.
 
     ``confidence_bits`` is an *extension* beyond the paper: Gonzalez and
     Gonzalez [5] add saturating counters "to prevent predictions for
@@ -127,7 +126,6 @@ class AddressPredictionTable(Predictor):
 
     name = "stride"
     trains_on_demand = False
-    PARAM_DEFAULTS: Dict[str, int] = {}
 
     __slots__ = ("entries", "confidence_bits", "_conf_max", "_conf_init",
                  "_index_mask", "_index_bits", "_table", "_conf",
@@ -153,21 +151,6 @@ class AddressPredictionTable(Predictor):
         self.correct = 0
         #: Predictions withheld by a low confidence counter.
         self.suppressed = 0
-
-    @classmethod
-    def validate_config(cls, table_entries: int, confidence_bits: int,
-                        params: Tuple[Tuple[str, int], ...]) -> None:
-        super().validate_config(table_entries, confidence_bits, params)
-
-    @classmethod
-    def from_config(cls, table_entries: int, confidence_bits: int,
-                    params: Tuple[Tuple[str, int], ...]
-                    ) -> "AddressPredictionTable":
-        cls.resolved_params(params)  # rejects unknown keys
-        return cls(table_entries, confidence_bits)
-
-    def params_key(self) -> tuple:
-        return (self.name, self.entries, self.confidence_bits, ())
 
     def reset(self) -> None:
         self._table = [None] * self.entries

@@ -6,9 +6,6 @@ Usage::
     python -m repro.workloads.gen diff [--fingerprints T[,T...]]
                                        [--seeds N] [--seed-base N]
                                        [--scale F] [--opt-levels 0,1,2]
-                                       [--no-sim-paths]
-    python -m repro.workloads.gen stress [--backends B[,B...]]
-                                         [--seeds N] [--scale F]
     python -m repro.workloads.gen sweep [--step PCT] [--seeds N]
                                         [--scale F] [--jobs N]
                                         [--result-cache DIR]
@@ -18,8 +15,10 @@ Usage::
 
 ``emit`` prints a generated program (or its reference output);
 ``diff`` runs the differential driver (exit 1 on any mismatch);
-``stress`` runs the per-backend adversarial suites; ``sweep`` is the
-synthetic-SPEC tier over the class-mix simplex.
+``sweep`` is the synthetic-SPEC tier over the class-mix simplex.
+To compare predictor backends on generated programs, give their names
+to the harness: ``python -m repro.harness.main --workloads
+gen:n25p5e70:0,gen:n80p10e10:0 --predictor all``.
 """
 
 from __future__ import annotations
@@ -72,7 +71,6 @@ def _cmd_diff(args) -> int:
         names,
         scale=args.scale,
         opt_levels=opt_levels,
-        sim_paths=not args.no_sim_paths,
         progress=_progress if args.verbose else None,
     )
     print(
@@ -83,33 +81,6 @@ def _cmd_diff(args) -> int:
         print(f"MISMATCH {mismatch.name} [{mismatch.check}]: "
               f"{mismatch.detail}")
     return 1 if report.mismatches else 0
-
-
-def _cmd_stress(args) -> int:
-    from repro.harness.reporting import (
-        format_table,
-        predictor_ablation_headers,
-    )
-    from repro.workloads.gen.stress import STRESS_FINGERPRINTS, run_stress
-
-    backends = (
-        [b.strip() for b in args.backends.split(",") if b.strip()]
-        if args.backends else sorted(STRESS_FINGERPRINTS)
-    )
-    results = run_stress(
-        backends, seeds=args.seeds, scale=args.scale, progress=_progress
-    )
-    headers = predictor_ablation_headers(backends)
-    for backend in backends:
-        print()
-        print(format_table(
-            results[backend],
-            columns=list(headers),
-            headers=headers,
-            title=f"Stress suite targeting {backend!r} "
-                  "(speedup vs no early generation)",
-        ))
-    return 0
 
 
 def _cmd_sweep(args) -> int:
@@ -157,8 +128,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.workloads.gen",
         description="seeded mini-C program generation: emit, "
-        "differential-test, stress predictors, sweep the class-mix "
-        "simplex",
+        "differential-test, sweep the class-mix simplex",
     )
     parser.add_argument("--trace-out", default=None, metavar="DIR",
                         help="write a JSONL span/event trace under DIR")
@@ -180,15 +150,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     diff.add_argument("--seed-base", type=int, default=0)
     diff.add_argument("--scale", type=float, default=1.0)
     diff.add_argument("--opt-levels", default="0,1,2")
-    diff.add_argument("--no-sim-paths", action="store_true",
-                      help="skip the run()-vs-simulate_many parity check")
     diff.add_argument("--verbose", action="store_true")
-
-    stress = sub.add_parser("stress", help="per-backend hostile suites")
-    stress.add_argument("--backends", default=None,
-                        metavar="B[,B...]")
-    stress.add_argument("--seeds", type=int, default=2)
-    stress.add_argument("--scale", type=float, default=1.0)
 
     sweep = sub.add_parser("sweep", help="synthetic-SPEC simplex sweep")
     sweep.add_argument("--step", type=int, default=20,
@@ -210,8 +172,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_emit(args)
         if args.cmd == "diff":
             return _cmd_diff(args)
-        if args.cmd == "stress":
-            return _cmd_stress(args)
         return _cmd_sweep(args)
     except (GenerationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

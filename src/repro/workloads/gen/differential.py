@@ -64,7 +64,6 @@ def check_program(
     name: str,
     scale: float = 1.0,
     opt_levels: Sequence[int] = OPT_LEVELS,
-    sim_paths: bool = True,
 ) -> DifferentialReport:
     """Run every differential invariant for one generated workload."""
     report = DifferentialReport(programs=1)
@@ -98,7 +97,7 @@ def check_program(
                     f"opt_level={levels[0]}",
                 ))
 
-    if sim_paths and 2 in outputs:
+    if 2 in outputs:
         trace = outputs[2][1]
         machine = MachineConfig().with_earlygen(PROPOSED)
         live = asdict(TimingSimulator(trace, machine).run())
@@ -117,7 +116,6 @@ def run_differential(
     names: Sequence[str],
     scale: float = 1.0,
     opt_levels: Sequence[int] = OPT_LEVELS,
-    sim_paths: bool = True,
     progress: Optional[Callable[[str], None]] = None,
 ) -> DifferentialReport:
     """Differentially test every workload in *names*; aggregate report."""
@@ -125,10 +123,7 @@ def run_differential(
     total = DifferentialReport()
     with tracer.span("gen.differential", programs=len(names)):
         for i, name in enumerate(names, 1):
-            report = check_program(
-                name, scale=scale, opt_levels=opt_levels,
-                sim_paths=sim_paths,
-            )
+            report = check_program(name, scale=scale, opt_levels=opt_levels)
             total.programs += report.programs
             total.checks += report.checks
             total.mismatches.extend(report.mismatches)

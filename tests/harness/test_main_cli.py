@@ -31,6 +31,13 @@ def test_cli_rejects_bad_suite():
         main(["--suite", "nope"])
 
 
+def test_cli_rejects_unknown_predictor(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--predictor", "nope"])
+    assert excinfo.value.code == 2
+    assert "unknown backend 'nope'" in capsys.readouterr().err
+
+
 def test_ablation_run_compiles_each_program_once(tmp_path, capsys):
     """The ablation row is a fragment of the workload's own task, so
     neither the parent nor a second task recompiles the program."""

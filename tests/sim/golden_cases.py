@@ -100,6 +100,10 @@ def iter_cases() -> Iterator[
         ("t4_hw", EarlyGenConfig(4, 0, _HW)),
         ("t4_cc", EarlyGenConfig(4, 0, _CC)),
         ("t256_r1_cc", EarlyGenConfig(256, 1, _CC)),
+        ("t256_r1_cc_perceptron",
+         EarlyGenConfig(256, 1, _CC, predictor="perceptron")),
+        ("t256_r1_cc_cache-level",
+         EarlyGenConfig(256, 1, _CC, predictor="cache-level")),
     ):
         yield (f"strided_prediction/{name}", trace,
                default.with_earlygen(cfg), None, False)
@@ -122,17 +126,32 @@ def iter_cases() -> Iterator[
         workload.source(max(1, workload.default_scale // 10))
     )
     proposed = EarlyGenConfig(256, 1, _CC)
+    narrow_small = MachineConfig(
+        issue_width=2, int_alus=2, mem_ports=1, fp_alus=1,
+        dcache=CacheConfig(size=4 * 1024),
+        icache=CacheConfig(size=4 * 1024))
     variants = (
         ("default", default),
         ("ras8", MachineConfig(ras_entries=8)),
-        ("narrow_small$", MachineConfig(
-            issue_width=2, int_alus=2, mem_ports=1, fp_alus=1,
-            dcache=CacheConfig(size=4 * 1024),
-            icache=CacheConfig(size=4 * 1024))),
+        ("narrow_small$", narrow_small),
     )
     for name, machine in variants:
         yield (f"ghostscript/{name}", trace,
                machine.with_earlygen(proposed), None, False)
+    # The two gated backends of the --predictor ablation, on the same
+    # trace: their gates (perceptron sign, demand-trained level counter)
+    # are locked here as the stride table is above.  The 16-entry table
+    # on the small-cache machine is the case that moves when the
+    # perceptron threshold or the level-counter width is off by one.
+    for backend in ("perceptron", "cache-level"):
+        yield (f"ghostscript/default_{backend}", trace,
+               default.with_earlygen(
+                   EarlyGenConfig(256, 1, _CC, predictor=backend)),
+               None, False)
+        yield (f"ghostscript/narrow_small_t16_hw_{backend}", trace,
+               narrow_small.with_earlygen(
+                   EarlyGenConfig(16, 0, _HW, predictor=backend)),
+               None, False)
 
     # assembly_debug.py — hand-written kernels, with the timeline
     # recorder on so per-instruction issue cycles are locked too.

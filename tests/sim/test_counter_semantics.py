@@ -155,7 +155,7 @@ def test_both_paths_report_identical_cache_counters(mem_ports):
 
 
 # ---------------------------------------------------------------------------
-# Backend-generic contract suite: every registered predictor backend
+# Backend-generic contract suite: every predictor backend
 # must satisfy the same probe/update semantics the precompute fast path
 # assumes (one probe per routed load, at most one of
 # prediction/suppressed, update unconditional, timing-independence).
@@ -258,18 +258,42 @@ def test_backend_timing_independence_and_reset(backend):
     )
 
 
+def test_backend_names_are_the_three_fixed_backends():
+    assert BACKENDS == ("cache-level", "perceptron", "stride")
+    for backend in BACKENDS:
+        assert create_predictor(_eg(backend)).name == backend
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_backend_params_key_matches_registry(backend):
-    eg = _eg(backend)
-    p = create_predictor(eg)
-    assert p.params_key() == predictor_key(eg)
-    assert predictor_key(eg) == predictor_key(_eg(backend))  # stable
+def test_predictor_key_names_backend_capacity_and_confidence(backend):
+    assert predictor_key(_eg(backend)) == (backend, 16, 0)
+    assert predictor_key(_eg(backend, entries=32)) == (backend, 32, 0)
+    assert predictor_key(EarlyGenConfig(0, 1, predictor=backend)) == (
+        "none",)
+    assert create_predictor(EarlyGenConfig(0, 1, predictor=backend)) is None
+
+
+def test_stride_key_carries_confidence_bits():
+    eg = EarlyGenConfig(16, 0, table_confidence_bits=2)
+    assert predictor_key(eg) == ("stride", 16, 2)
+    assert create_predictor(eg).confidence_bits == 2
+
+
+def test_unknown_backend_is_rejected():
+    with pytest.raises(ValueError, match="unknown predictor backend"):
+        EarlyGenConfig(64, 0, predictor="nope")
+
+
+@pytest.mark.parametrize("backend", ["perceptron", "cache-level"])
+def test_gated_backends_reject_confidence_bits(backend):
+    with pytest.raises(ValueError, match="table_confidence_bits must be 0"):
+        EarlyGenConfig(64, 0, predictor=backend, table_confidence_bits=2)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_both_paths_identical_counters_per_backend(backend):
     """The stream path must reproduce live outcomes byte-identically
-    for every registered backend, not just stride."""
+    for every backend, not just stride."""
     rng = random.Random(0xBEEF)
     trace = execute(parse_asm(_random_asm(rng))).trace
     machine = MachineConfig(mem_ports=1).with_earlygen(_eg(backend))
