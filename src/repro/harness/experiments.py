@@ -69,6 +69,7 @@ from repro.sim.precompute import simulate_many
 from repro.sim.stats import SimStats
 from repro.sim.trace import Trace
 from repro.workloads import get_workload, workload_names
+from repro.workloads.registry import take_prepared
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +290,13 @@ class ExperimentContext:
     :func:`~repro.sim.precompute.simulate_many` sweep per call of
     :meth:`prefetch_sims` (or per cache miss), which shares one trace
     precompute across the configs it replays.
+
+    :meth:`run` serves a run already prepared from the same source with
+    the same compile options (a generated program's accepted planner
+    probe, see :func:`~repro.workloads.registry.take_prepared`) instead
+    of compiling, emulating and profiling it again; a fault hook makes
+    the options differ, so an injected ``corrupt-ir`` always compiles
+    afresh.  The output check and ``corrupt-output`` apply to either.
     """
 
     def __init__(
@@ -323,13 +331,22 @@ class ExperimentContext:
                 injector.post_pass_hook(name) if injector else None
             ),
         )
+        source = workload.source(scale)
         tracer = obs.current()
         with tracer.span("prepare", workload=name):
-            result = compile_source(workload.source(scale), options)
-            with tracer.span("emulate", workload=name) as span:
-                exec_result = Executor(result.program).run()
+            prepared = take_prepared(source)
+            # Equal options mean a verified compile and no fault hook.
+            if prepared is not None and prepared[0].options == options:
+                result, exec_result, profile = prepared
                 if tracer.enabled:
-                    span.set_counters(steps=exec_result.steps)
+                    emit_profile_event(tracer, name, profile)
+            else:
+                profile = None
+                result = compile_source(source, options)
+                with tracer.span("emulate", workload=name) as span:
+                    exec_result = Executor(result.program).run()
+                    if tracer.enabled:
+                        span.set_counters(steps=exec_result.steps)
             output = exec_result.output
             if injector:
                 output = injector.corrupt_output(name, output)
@@ -341,7 +358,7 @@ class ExperimentContext:
                         workload=name,
                     )
         run = WorkloadRun(
-            name, result, exec_result.trace, exec_result.steps
+            name, result, exec_result.trace, exec_result.steps, profile
         )
         self._runs[name] = run
         return run

@@ -298,7 +298,7 @@ class TimingSimulator:
     loop precomputed outcome streams where it can.  Both are
     byte-identical to the seed implementation kept in
     :mod:`repro.sim._pipeline_reference` (golden snapshots, the
-    randomized parity suite, and the ``python -m repro.sim.precompute``
+    randomized parity suite, and the ``python -m repro.sim.parity``
     CI gate enforce that).
 
     With a :mod:`repro.obs` tracer configured, each simulation emits a

@@ -24,6 +24,16 @@ Probing at the workload's *default* scale matters: constant overheads
 different scales, so a mix tuned at a probe-only scale would drift at
 the scale the harness actually runs.
 
+A probe prepares a run exactly as the harness does: it compiles with
+``CompileOptions(verify=True)`` (the IR verifier runs between passes),
+emulates, and profiles.  The accepted probe's ``(CompileResult,
+ExecResult, AddressProfile)`` is offered to the harness through
+:func:`repro.workloads.registry.offer_prepared`, keyed by its exact
+source text; ``ExperimentContext.run`` at scale 1.0 serves it instead
+of building the same run again, so each generated program is compiled,
+emulated and profiled once per process.  The offer holds one run at
+most (the latest plan's) and is consumed on first use.
+
 Everything is deterministic per (fingerprint, seed): the RNG is seeded
 from the canonical fingerprint token and the seed string — never from
 ``hash()`` or set order — so the same name materializes byte-identical
@@ -34,10 +44,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro import obs
-from repro.compiler.driver import compile_source
+from repro.compiler.driver import CompileOptions, compile_source
 from repro.errors import ReproError
 from repro.profiling import profile_trace
 from repro.sim.executor import execute
@@ -48,6 +58,7 @@ from repro.workloads.gen.recipes import (
     make_recipes,
     reference_output,
 )
+from repro.workloads.registry import offer_prepared
 
 #: Default harness scale of generated workloads (reps of the main loop).
 GEN_DEFAULT_SCALE = 4
@@ -147,16 +158,20 @@ def _initial_weights(
 
 def _probe(
     recipes: List[Recipe], weights: Dict[str, int]
-) -> Tuple[str, Dict[str, float], List[int]]:
-    """Compile + emulate at default scale; return (template, shares,
-    emulator output)."""
+) -> Dict[str, object]:
+    """Compile + emulate + profile at default scale, as the harness
+    prepares a run; return the template, class shares and artifacts."""
     template = build_source(recipes, weights)
     source = template.replace("__SCALE__", str(GEN_DEFAULT_SCALE))
-    result = compile_source(source)
+    result = compile_source(source, CompileOptions(verify=True))
     exec_result = execute(result.program)
     profile = profile_trace(result.program, exec_result.trace)
-    return (template, profile.dynamic_class_shares(),
-            list(exec_result.output))
+    return {
+        "template": template,
+        "shares": profile.dynamic_class_shares(),
+        "weights": dict(weights),
+        "prepared": (result, exec_result, profile),
+    }
 
 
 def plan_program(fp: Fingerprint, seed: int) -> GenPlan:
@@ -178,16 +193,12 @@ def plan_program(fp: Fingerprint, seed: int) -> GenPlan:
     iterations = 0
     for _ in range(_MAX_ITERS):
         iterations += 1
-        template, shares, output = _probe(recipes, weights)
+        probe = _probe(recipes, weights)
+        shares = probe["shares"]
         err = max(abs(shares[cls] - target[cls]) for cls in ("n", "p", "e"))
         if err < best_err:
             best_err = err
-            best = {
-                "template": template,
-                "shares": shares,
-                "weights": dict(weights),
-                "output": output,
-            }
+            best = probe
         if err <= _INNER_TOL:
             break
         for cls, role in _CLASS_ROLE.items():
@@ -228,12 +239,14 @@ def plan_program(fp: Fingerprint, seed: int) -> GenPlan:
     # The accepted probe compiled and emulated exactly this source, so
     # its output is the emulator's.
     expected = plan.reference(GEN_DEFAULT_SCALE)
-    if best["output"] != expected:
+    output = best["prepared"][1].output
+    if output != expected:
         raise GenerationError(
             f"generated program {token!r} seed {seed} failed its reference "
-            f"self-check: emulator {best['output']!r} != "
-            f"reference {expected!r}"
+            f"self-check: emulator {output!r} != reference {expected!r}"
         )
+    # The harness runs this source at scale 1.0: hand it the probe.
+    offer_prepared(best["prepared"][0].source, best["prepared"])
 
     tracer = obs.current()
     if tracer.enabled:

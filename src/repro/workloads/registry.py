@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import difflib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,29 @@ class Workload:
 
 
 REGISTRY: Dict[str, Workload] = {}
+
+#: The one run prepared while a workload was built (a generated
+#: program's accepted planner probe): ``(source, artifacts)``, or None.
+_PREPARED: Optional[Tuple[str, tuple]] = None
+
+
+def offer_prepared(source: str, artifacts: tuple) -> None:
+    """Hand over *artifacts* already built from *source*, replacing any
+    earlier offer, so a process holds at most one."""
+    global _PREPARED
+    _PREPARED = (source, artifacts)
+
+
+def take_prepared(source: str) -> Optional[tuple]:
+    """The artifacts offered for exactly *source*, or None.
+
+    The first call consumes the offer whether or not *source* matches.
+    """
+    global _PREPARED
+    offer, _PREPARED = _PREPARED, None
+    if offer is not None and offer[0] == source:
+        return offer[1]
+    return None
 
 
 def register(workload: Workload) -> Workload:
