@@ -22,8 +22,8 @@ merges the files and prints:
   per early-generation config,
 * **replay path coverage** — the ``sim.replay`` events grouped by
   chosen path (stats memo, scalar stream replay, or
-  ``inline:<reason>``), with divergence patches, so a sweep's
-  fast-path coverage is visible at a glance.
+  ``inline:<reason>``), with divergence patches and the segment memo's
+  hit rate, so a sweep's fast-path coverage is visible at a glance.
 
 ``--validate`` instead checks the manifest and every trace record
 against the schema and exits non-zero on any problem; CI runs this
@@ -78,6 +78,8 @@ REPLAY_HEADERS = {
     "path": "Path",
     "runs": "Runs",
     "patches": "Patches",
+    "segments": "Segments",
+    "hit_pct": "Seg hit %",
 }
 
 
@@ -203,7 +205,8 @@ def replay_paths(records: List[dict]) -> List[dict]:
 
     Declined configs report ``inline:<reason>`` so the rows show *why*
     the stream path was skipped; stream rows accumulate the divergence
-    patches their replays needed.
+    patches their replays needed and the loop segments they walked,
+    with the share the segment memo served.
     """
     rows: Dict[str, Dict[str, int]] = {}
     for rec in records:
@@ -214,14 +217,20 @@ def replay_paths(records: List[dict]) -> List[dict]:
         reason = tags.get("reason")
         if reason and path == "inline":
             path = f"inline:{reason}"
-        row = rows.setdefault(path, {"runs": 0, "patches": 0})
+        row = rows.setdefault(path, {"runs": 0, "patches": 0,
+                                     "segments": 0, "segment_hits": 0})
         row["runs"] += 1
-        patches = tags.get("patches")
-        if isinstance(patches, int):
-            row["patches"] += patches
-    return [
-        dict(rows[path], path=path) for path in sorted(rows)
-    ]
+        for key in ("patches", "segments", "segment_hits"):
+            value = tags.get(key)
+            if isinstance(value, int):
+                row[key] += value
+    out = []
+    for path in sorted(rows):
+        row = dict(rows[path], path=path)
+        if row["segments"]:
+            row["hit_pct"] = 100.0 * row["segment_hits"] / row["segments"]
+        out.append(row)
+    return out
 
 
 def validate(trace_dir) -> List[str]:

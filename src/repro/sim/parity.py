@@ -24,6 +24,7 @@ from repro.sim.precompute import (
     divergence_count,
     divergence_fallback_count,
     replay_path_counts,
+    segment_counts,
     simulate_many,
 )
 from repro.sim.predictors import backend_names
@@ -143,6 +144,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print("paths: " + ", ".join(
         f"{k}={v}" for k, v in sorted(paths.items())
     ))
+    segments, hits = segment_counts()
+    print(f"segments: {segments} walked, {hits} from the segment memo")
     if args.require_stream:
         fallbacks = {
             k: v for k, v in paths.items()

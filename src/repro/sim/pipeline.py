@@ -49,6 +49,7 @@ instruction facts, the trace-static front end (i-cache, BTB, RAS) and
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, Optional
 
 from repro.isa.instruction import Reg as _REG_TYPE
@@ -174,6 +175,12 @@ def _decode_program(program: Program):
     return dec, load_uids
 
 
+def _penalty_array(top: int, n: int) -> array:
+    """*n* zeros in the narrowest typed array that holds *top*."""
+    code = "B" if top < 1 << 8 else "H" if top < 1 << 16 else "q"
+    return array(code, [0]) * n
+
+
 def _precompute_frontend(program: Program, trace, cfg, dec):
     """Trace-static front-end penalties, shared across config replays.
 
@@ -188,6 +195,9 @@ def _precompute_frontend(program: Program, trace, cfg, dec):
     * ``imiss_total`` — i-cache miss count (penalty may be zero),
     * ``br_extra[i]`` — ``t_next - t_issue`` for the branch at *i*,
     * ``misp_total`` — BTB/RAS mispredict count.
+
+    Both per-instruction sequences are typed arrays one or two bytes
+    wide (wider only for penalties past 65535 cycles).
 
     The cache lives on the Program, keyed by trace identity plus the
     front-end parameters, exactly mirroring the seed per-run logic in
@@ -206,22 +216,22 @@ def _precompute_frontend(program: Program, trace, cfg, dec):
         return hit
 
     n = len(uids)
-    ifetch = [0] * n
+    i_miss = cfg.icache.miss_penalty
+    mp1 = 1 + cfg.mispredict_penalty
+    jb1 = 1 + cfg.jump_bubble
+    ifetch = _penalty_array(i_miss, n)
     imiss_total = 0
     icache = DirectMappedCache(cfg.icache)
     ic_access = icache.access
-    i_miss = cfg.icache.miss_penalty
     last_iblock = -1
 
-    br_extra = [0] * n
+    br_extra = _penalty_array(max(mp1, jb1), n)
     misp_total = 0
     btb = BranchTargetBuffer(cfg.btb_entries)
     btb_predict = btb.predict
     btb_update = btb.update
     ras: list = []
     ras_depth = cfg.ras_entries
-    mp1 = 1 + cfg.mispredict_penalty
-    jb1 = 1 + cfg.jump_bubble
 
     for i in range(n):
         uid = uids[i]

@@ -55,6 +55,18 @@ Two effects cannot be precomputed and are handled explicitly:
   current interlock state (timing-dependent), so those configs always
   run on live outcomes.
 
+On the streams, the loop itself is memoized per loop segment (after
+FastSim, Schnarr & Larus, ASPLOS 1998).  The trace splits into segments
+at taken backward branches; at each segment start the scheduler's
+future depends only on a small state (register ready times relative to
+the clock, clipped at two cycles back; the port window and issue
+counters; the stores that can still interlock), the segment's records
+and store aliases, and the config's stream bytes for its loads.  The
+first replay of a ``(state, segment, inputs)`` runs the records and
+stores the transition; every later one applies it.  The memo lives on
+the precompute, so all configs of a sweep share it; DESIGN.md §6 gives
+the exactness argument.
+
 :func:`simulate_many` is the one entry point into the streams: it
 builds and shares one precompute across a sweep (a one-shot
 ``TimingSimulator.run`` never takes the stream path).  Both sources
@@ -128,6 +140,16 @@ _MAX_PATCH_RETRIES = 6
 #: pure function of them), so sweeps memoize per-tuple results.
 _STATS_MEMO_LIMIT = 64
 
+#: Segment length (in records) past which the stream source's walk
+#: ends a segment at its next branch, backward or not.
+_SEGMENT_CAP = 64
+#: Bound on memoized segment transitions per precompute; a full memo
+#: starts over.
+_SEGMENT_MEMO_LIMIT = 1 << 14
+#: Bit width of one counter in a :func:`_pack`-ed int.
+_FIELD = 40
+_FIELD_MASK = (1 << _FIELD) - 1
+
 #: Process-wide divergence counters (exposed for tests and the parity
 #: CLI): patched = resolved by a stream rebuild, fallbacks = rerun on
 #: live outcomes.
@@ -153,6 +175,39 @@ def _machine_key(cfg: MachineConfig) -> tuple:
     )
 
 
+class _SegmentMemo:
+    """Segment transitions of the stream replay, shared across a sweep.
+
+    ``transitions`` maps ``(state, segment id, inputs)`` to
+    ``(next state, cycles advanced, counter deltas, wrongs)``, the
+    deltas in one :func:`_pack`-ed int.
+    A state is an interned :func:`_snapshot` of the scheduler;
+    ``inputs`` packs each load's stream codes and route into a byte;
+    ``wrongs`` lists ``(load offset, dispatched)`` per wrong-address
+    prediction.  Past ``_SEGMENT_MEMO_LIMIT`` transitions the memo is
+    cleared and refills.
+    """
+
+    __slots__ = ("transitions", "ids", "snapshots")
+
+    def __init__(self):
+        self.transitions: dict = {}
+        self.ids: dict = {}
+        self.snapshots: list = []
+
+    def intern(self, snap: bytes) -> int:
+        state = self.ids.get(snap)
+        if state is None:
+            state = self.ids[snap] = len(self.snapshots)
+            self.snapshots.append(snap)
+        return state
+
+    def reset(self) -> None:
+        self.transitions.clear()
+        self.ids.clear()
+        self.snapshots.clear()
+
+
 class TracePrecompute:
     """One trace's config-invariant replay state for one machine shape.
 
@@ -167,7 +222,19 @@ class TracePrecompute:
     * the interleaved memory-op sequence plus per-load static facts
       (PC, word index, base/displacement slots, addressing mode) that
       the per-config stream builders replay, and
-    * the *neutral* demand D-cache stream (no prediction path routed).
+    * the *neutral* demand D-cache stream (no prediction path routed),
+    * the segment walk of the stream replay: ``seg_ids`` names each
+      segment instance (a run of records up to a taken backward
+      branch, or up to its first branch once it holds ``_SEGMENT_CAP``
+      records) by its record identity sequence plus the store alias of
+      each of its loads, and ``seg_rstart`` / ``seg_lstart`` /
+      ``seg_sstart`` hold each instance's first record, load and store
+      ordinal (plus one end entry).  A load's store alias is the
+      distance back to the most recent earlier store to the same word,
+      or 0 when that store is more than ``2 * mem_ports`` stores back
+      and so can no longer interlock it.  ``segment_memo`` holds the
+      transitions :func:`_replay` learned on these segments, shared by
+      every config of a sweep.
 
     Per-config streams are derived lazily and cached with an LRU bound:
 
@@ -193,6 +260,8 @@ class TracePrecompute:
         "imiss_total", "misp_total",
         "mseq_kind", "mseq_ea", "lpc", "lword", "lbase", "lro", "ldisp",
         "dyn_load_uids", "sword", "static_load_uids",
+        "seg_ids", "seg_rstart", "seg_lstart", "seg_sstart",
+        "segment_memo",
         "_routes", "_dstreams", "_estreams", "_patches",
         "_stats_memo",
     )
@@ -230,14 +299,35 @@ class TracePrecompute:
         dyn_load_uids = array("q")
         sword = array("q")
 
+        # Store aliases: each stored word maps to its newest store
+        # ordinal, and the map is cut back to the last `window` stores
+        # every 4096 stores.  (The replay uses no aliases past a byte.)
+        window = min(2 * max(cfg.mem_ports, 1), 255)
+        last_store: dict = {}
+        never = -window - 1
+        ns = 0
+        lalias = bytearray()
+        seg_rstart = array("I", [0])
+        seg_lstart = array("I", [0])
+        seg_sstart = array("I", [0])
+        last = n - 1
+        r_cap = _SEGMENT_CAP - 1
         for i in range(n):
             uid = uids[i]
             d = dec[uid]
             k = d[0]
             pen = ifetch[i]
-            # Branch redirect cycles, or the ALU/FP latency (0 for
-            # memory operations).
-            x = br_extra[i] if k >= _K_CBRANCH else d[7]
+            if k >= _K_CBRANCH:
+                x = br_extra[i]  # redirect cycles, nonzero when taken
+                # A segment ends at a taken branch back, or at its
+                # first branch once it holds _SEGMENT_CAP records.
+                if i < last and (i >= r_cap or x and uids[i + 1] <= uid):
+                    seg_rstart.append(i + 1)
+                    seg_lstart.append(len(lword))
+                    seg_sstart.append(ns)
+                    r_cap = i + _SEGMENT_CAP
+            else:
+                x = d[7]  # the ALU/FP latency (0 for memory operations)
             key = (uid, pen, x)
             rec = intern.get(key)
             if rec is None:
@@ -249,19 +339,42 @@ class TracePrecompute:
             rec_append(rec)
             if k == _K_LOAD:
                 ea = eas[i]
+                w = ea >> 2
                 mk_append(0)
                 me_append(ea)
                 lpc.append(d[8])
-                lword.append(ea >> 2)
+                lword.append(w)
                 lbase.append(d[4])
                 lro.append(d[5])
                 ldisp.append(d[6] if d[6] >= 0 else 0)
                 dyn_load_uids.append(uid)
+                j = ns - last_store.get(w, never)
+                lalias.append(j if j <= window else 0)
             elif k == _K_STORE:
                 ea = eas[i]
+                w = ea >> 2
                 mk_append(1)
                 me_append(ea)
-                sword.append(ea >> 2)
+                sword.append(w)
+                last_store[w] = ns
+                ns += 1
+                if not ns & 4095:
+                    last_store = {
+                        sword[j]: j for j in range(ns - window, ns)
+                    }
+        seg_rstart.append(n)
+        seg_lstart.append(len(lword))
+        seg_sstart.append(ns)
+        # Segment ids: instances with the same records and store
+        # aliases share one.
+        lalias = bytes(lalias)
+        seg_keys: dict = {}
+        new_id = seg_keys.setdefault
+        self.seg_ids = array("I", [
+            new_id((tuple(records[r0:r1]), lalias[l0:l1]), len(seg_keys))
+            for r0, r1, l0, l1 in zip(seg_rstart, seg_rstart[1:],
+                                      seg_lstart, seg_lstart[1:])
+        ])
 
         self.records = records
         self._mem_records = [
@@ -279,6 +392,10 @@ class TracePrecompute:
         self.sword = sword
         self.n_loads = len(lword)
         self.n_stores = len(sword)
+        self.seg_rstart = seg_rstart
+        self.seg_lstart = seg_lstart
+        self.seg_sstart = seg_sstart
+        self.segment_memo = _SegmentMemo()
 
         self._routes: OrderedDict = OrderedDict()
         self._dstreams: OrderedDict = OrderedDict()
@@ -628,6 +745,15 @@ def replay_path_counts() -> Dict[str, int]:
     return dict(_replay_paths)
 
 
+#: Process-wide ``[segments walked, segment memo hits]`` of the stream
+#: replays (exposed for tests and the parity CLI).
+_segment_totals = [0, 0]
+
+
+def segment_counts() -> tuple:
+    return tuple(_segment_totals)
+
+
 def _count_path(path: str) -> None:
     _replay_paths[path] = _replay_paths.get(path, 0) + 1
 
@@ -672,6 +798,7 @@ def try_fast(sim: TimingSimulator) -> Optional[SimStats]:
     global _divergences, _divergence_fallbacks
     excluded = pre.known_exclusions(eg, route)
     patched = 0
+    segments = segment_hits = 0
     for _ in range(_MAX_PATCH_RETRIES + 1):
         dcodes, dmiss, store_miss, poll_miss = pre.dstream(
             eg, route, excluded
@@ -690,10 +817,14 @@ def try_fast(sim: TimingSimulator) -> Optional[SimStats]:
             path = "memo"
         else:
             path = "scalar"
-            stats, ra_interlock = _replay(
+            stats, ra_interlock, walked = _replay(
                 pre, cfg, route, dcodes, dtotals, ecodes,
                 excluded, diverged,
             )
+            segments += walked[0]
+            segment_hits += walked[1]
+            _segment_totals[0] += walked[0]
+            _segment_totals[1] += walked[1]
         if not diverged:
             pre.remember_exclusions(eg, route, excluded)
             if path == "scalar":
@@ -712,6 +843,8 @@ def try_fast(sim: TimingSimulator) -> Optional[SimStats]:
                     selection=eg.selection.value,
                     predictor=eg.predictor,
                     path=path,
+                    segments=segments,
+                    segment_hits=segment_hits,
                 )
             _emit_counters(eg, stats, ra_interlock)
             return stats
@@ -739,7 +872,7 @@ def run_live(sim: TimingSimulator) -> SimStats:
     pre = get_precompute(trace, cfg)
     sb = _scheme_bytes(trace.program, cfg.earlygen, sim.spec_override)
     route = pre.route_for(sb) if sb is not None else None
-    stats, ra_interlock = _replay(pre, cfg, route, sim=sim)
+    stats, ra_interlock, _ = _replay(pre, cfg, route, sim=sim)
     _emit_counters(cfg.earlygen, stats, ra_interlock)
     return stats
 
@@ -789,6 +922,72 @@ def _with_watch_marks(records: list) -> list:
     return out
 
 
+def _snapshot(rr: list, cur: int, ports: tuple, spec_any: bool,
+              sq: deque) -> bytes:
+    """The scheduler state a segment's outcome depends on, as bytes.
+
+    Register ready times are kept relative to ``cur`` and clipped at
+    ``cur - 2`` (the loop only tests ``rr > cur`` and
+    ``rr > cur - 2``), then the port window and issue counters, the
+    ``spec_any`` flag, and the issue cycles of the stores that can
+    still interlock (``s >= cur - 1``).  Register and store times are
+    stored plus 2, so the clip reads 0.
+    """
+    base = cur - 2
+    regs = bytes([v - base if v > base else 0 for v in rr[:128]])
+    stores = bytes([s - base for s, _ in sq if s > base])
+    return regs + bytes(ports) + (b"\x01" if spec_any else b"\x00") + stores
+
+
+def _restore(snap: bytes, cur: int, rr: list, sq: deque, sword,
+             si: int) -> bytes:
+    """Rebuild the scoreboard of :func:`_snapshot` *snap* at *cur*.
+
+    Clipped registers come back as ``cur - 2``, which every test reads
+    like any older time.  The queued stores are the last ones before
+    store ordinal *si*.  Returns the port window and issue counters.
+    """
+    base = cur - 2
+    rr[:128] = [base + b for b in snap[:128]]
+    stores = snap[136:]
+    sq.clear()
+    if stores:
+        sq.extend(zip([base + b for b in stores],
+                      sword[si - len(stores):si]))
+    return snap[128:135]
+
+
+def _pack(*counters: int) -> int:
+    """Non-negative counters in one int, ``_FIELD`` bits each, so that
+    adding packed values adds the counters field by field."""
+    packed = 0
+    for c in reversed(counters):
+        packed = packed << _FIELD | c
+    return packed
+
+
+def _unpack(packed: int, n: int) -> list:
+    return [packed >> (i * _FIELD) & _FIELD_MASK for i in range(n)]
+
+
+def _wrong_dispatches(inputs: bytes, l0: int, excluded: frozenset,
+                      diverged: list) -> tuple:
+    """``(load offset, dispatched)`` of each wrong-address prediction.
+
+    A segment's replay flagged a wrong-address load as diverged exactly
+    when its dispatch disagreed with its membership of ``excluded``, so
+    the dispatch bit is recovered from the two.
+    """
+    flagged = set(diverged)
+    out = []
+    for rel, b in enumerate(inputs):
+        # route 1, a functioning prediction, the wrong address
+        if b & 0x1E == 0x0A:
+            li = l0 + rel
+            out.append((rel, (li in excluded) == (li in flagged)))
+    return tuple(out)
+
+
 def _replay(pre: TracePrecompute, cfg: MachineConfig,
             route: Optional[bytes], dcodes: bytes = b"",
             dtotals: tuple = (0, 0, 0), ecodes: bytes = b"",
@@ -818,7 +1017,18 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig,
     ``pc`` tracks memory ports at cycles ``cur-1`` / ``cur`` / ``cur+1``
     (speculative accesses charge ``pp``, normal MEM accesses charge
     ``pc``).  Every clock advance shifts the window by the advance
-    distance.  Returns ``(stats, raddr_interlocks)``.
+    distance.
+
+    The stream source walks the trace segment by segment
+    (:class:`TracePrecompute`'s segment walk).  At each segment start
+    it looks up ``(state, segment, inputs)`` in the precompute's
+    :class:`_SegmentMemo`: a hit advances the clock and counters by the
+    stored transition and replays its wrong-address dispatch
+    bookkeeping; a miss rebuilds the scoreboard from the state if the
+    last segment was a hit, runs the segment's records through the
+    loop below and stores the transition.  The live source runs the
+    whole trace as one segment without the memo.  Returns ``(stats,
+    raddr_interlocks, (segments, segment_hits))``.
     """
     records = pre.records
     lword = pre.lword
@@ -850,6 +1060,28 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig,
     ra_interlock = 0
 
     timeline = None
+    walk = (0,)  # the whole trace as one segment
+    memo = None
+    misses = 0
+    if sim is None and max(miss_lat + 2, width, 2 * n_ports) < 256:
+        # Snapshots and store aliases hold every value in a byte.
+        memo = pre.segment_memo
+        transitions = memo.transitions
+        memo_get = transitions.get
+        walk = pre.seg_ids
+        seg_rstart = pre.seg_rstart
+        seg_lstart = pre.seg_lstart
+        seg_sstart = pre.seg_sstart
+        # One byte per load: demand/prediction code, route, calc code.
+        inputs = (
+            int.from_bytes(dcodes, "little")
+            | int.from_bytes(route, "little") << 3
+            | int.from_bytes(ecodes, "little") << 5
+        ).to_bytes(pre.n_loads, "little")
+        state = memo.intern(_snapshot(
+            rr, cur, (pp, pm, pc, iss, alu, fpu, bru), spec_any, sq))
+        acc = 0  # packed counter deltas of the memo hits
+        concrete = True  # the locals hold the state at `cur`
     if sim is not None:
         records = pre.live_records()
         eg = cfg.earlygen
@@ -889,195 +1121,46 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig,
             uids = pre.uids
             i = 0
 
-    for k, pen, s1, s2, s3, dest, x in records:
-        if pen:
-            if pen == 1:
-                pp = pm
-                pm = pc
-            elif pen == 2:
-                pp = pc
-                pm = 0
-            else:
-                pp = 0
-                pm = 0
-            pc = 0
-            iss = alu = fpu = bru = 0
-            cur += pen
+    seg = records
+    for j, sid in enumerate(walk):
+        if memo is not None:
+            l1 = seg_lstart[j + 1]
+            key = (state, sid, inputs[li:l1])
+            hit = memo_get(key)
+            if hit is not None:
+                state, dcur, dacc, wrongs = hit
+                cur += dcur
+                acc += dacc
+                for rel, dispatched in wrongs:
+                    if (li + rel in excluded) == dispatched:
+                        diverged.append(li + rel)
+                li = l1
+                concrete = False
+                continue
+            misses += 1
+            if len(transitions) >= _SEGMENT_MEMO_LIMIT:
+                snap = memo.snapshots[state]
+                memo.reset()
+                state = memo.intern(snap)
+                key = (state, sid, key[2])
+            if not concrete:
+                si = seg_sstart[j]
+                pp, pm, pc, iss, alu, fpu, bru = _restore(
+                    memo.snapshots[state], cur, rr, sq, sword, si)
+            cur0 = cur
+            l0 = li
+            before = _pack(pred_disp, pred_succ, pred_wrong, calc_disp,
+                           calc_succ, calc_part, sp_noport, sp_interlock,
+                           sp_dmiss, ra_interlock)
+            n_div = len(diverged)
+            seg = records[seg_rstart[j]:seg_rstart[j + 1]]
 
-        t = rr[s1]
-        r2 = rr[s2]
-        if r2 > t:
-            t = r2
-        r3 = rr[s3]
-        if r3 > t:
-            t = r3
-        if t > cur:
-            d = t - cur
-            if d == 1:
-                pp = pm
-                pm = pc
-            elif d == 2:
-                pp = pc
-                pm = 0
-            else:
-                pp = 0
-                pm = 0
-            pc = 0
-            iss = alu = fpu = bru = 0
-            cur = t
-
-        # Kind codes are repro.sim.pipeline's _K_* constants.
-        if k == 2:  # int ALU
-            if iss >= width or alu >= n_alus:
-                cur += 1
-                pp = pm
-                pm = pc
-                pc = 0
-                iss = alu = fpu = bru = 0
-            iss += 1
-            alu += 1
-            rr[dest] = cur + x
-
-        elif k == 0:  # load, precomputed outcomes
-            code = dcodes[li]
-            r = route[li]
-            if r == 0:
-                if iss >= width or pc >= n_ports:
-                    cur += 1
+        for k, pen, s1, s2, s3, dest, x in seg:
+            if pen:
+                if pen == 1:
                     pp = pm
                     pm = pc
-                    pc = 0
-                    iss = alu = fpu = bru = 0
-                iss += 1
-                pc += 1
-                rr[dest] = cur + (ld_lat if code else miss_lat)
-            elif r == 1:
-                success = False
-                if code & 2:  # functioning prediction
-                    if pp < n_ports:
-                        pp += 1
-                        pred_disp += 1
-                        if code & 4:  # predicted address was right
-                            c = cur - 1
-                            ilk = False
-                            if sq:
-                                while sq and sq[0][0] + 1 <= c:
-                                    sq_popleft()
-                                w = lword[li]
-                                for _, s_w in sq:
-                                    if s_w == w:
-                                        ilk = True
-                                        break
-                            if ilk:
-                                sp_interlock += 1
-                            elif code & 1:
-                                success = True
-                                pred_succ += 1
-                            else:
-                                sp_dmiss += 1
-                        else:
-                            if li in excluded:
-                                # The stream assumed this wrong-address
-                                # access would NOT fill the cache, yet
-                                # it found a free port and dispatched.
-                                diverged.append(li)
-                            pred_wrong += 1
-                    else:
-                        if not code & 4 and li not in excluded:
-                            # The stream assumed this wrong-address
-                            # access filled the cache; it had no port.
-                            diverged.append(li)
-                        sp_noport += 1
-                if success:
-                    if iss >= width:
-                        cur += 1
-                        pp = pm
-                        pm = pc
-                        pc = 0
-                        iss = alu = fpu = bru = 0
-                    iss += 1
-                    rr[dest] = cur + ld_hit_lat
-                else:
-                    if iss >= width or pc >= n_ports:
-                        cur += 1
-                        pp = pm
-                        pm = pc
-                        pc = 0
-                        iss = alu = fpu = bru = 0
-                    iss += 1
-                    pc += 1
-                    rr[dest] = cur + (ld_lat if code & 1 else miss_lat)
-            else:  # r == 2: early calculation
-                success = False
-                lat = 0
-                ec = ecodes[li]
-                if ec:
-                    if pp < n_ports:
-                        pp += 1
-                        calc_disp += 1
-                        if rr[lbase[li]] > cur - 2:
-                            # base not written back by ID1
-                            ra_interlock += 1
-                        else:
-                            c = cur - 1
-                            ilk = False
-                            if sq:
-                                while sq and sq[0][0] + 1 <= c:
-                                    sq_popleft()
-                                w = lword[li]
-                                for _, s_w in sq:
-                                    if s_w == w:
-                                        ilk = True
-                                        break
-                            if ilk:
-                                sp_interlock += 1
-                            elif code & 1:
-                                success = True
-                                calc_succ += 1
-                                if ec & 2:
-                                    calc_part += 1
-                                    lat = 1
-                            else:
-                                sp_dmiss += 1
-                    else:
-                        sp_noport += 1
-                if success:
-                    if iss >= width:
-                        cur += 1
-                        pp = pm
-                        pm = pc
-                        pc = 0
-                        iss = alu = fpu = bru = 0
-                    iss += 1
-                    rr[dest] = cur + lat
-                else:
-                    if iss >= width or pc >= n_ports:
-                        cur += 1
-                        pp = pm
-                        pm = pc
-                        pc = 0
-                        iss = alu = fpu = bru = 0
-                    iss += 1
-                    pc += 1
-                    rr[dest] = cur + (ld_lat if code & 1 else miss_lat)
-            li += 1
-
-        elif k >= 8:  # branch, jump, return, call
-            if iss >= width or bru >= n_brus:
-                cur += 1
-                pp = pm
-                pm = pc
-                pc = 0
-                iss = alu = fpu = bru = 0
-            iss += 1
-            bru += 1
-            if k == 11:  # call writes the link register
-                rr[63] = cur + 1
-            if x:  # precomputed redirect cycles
-                if x == 1:
-                    pp = pm
-                    pm = pc
-                elif x == 2:
+                elif pen == 2:
                     pp = pc
                     pm = 0
                 else:
@@ -1085,53 +1168,8 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig,
                     pm = 0
                 pc = 0
                 iss = alu = fpu = bru = 0
-                cur += x
+                cur += pen
 
-        elif k == 1:  # store
-            if iss >= width or pc >= n_ports:
-                cur += 1
-                pp = pm
-                pm = pc
-                pc = 0
-                iss = alu = fpu = bru = 0
-            iss += 1
-            pc += 1
-            if spec_any:
-                sq_append((cur, sword[si]))
-                if len(sq) > 32:
-                    c = cur - 1
-                    while sq[0][0] + 1 <= c:
-                        sq_popleft()
-            si += 1
-
-        elif k == 3:  # FP
-            if iss >= width or fpu >= n_fpus:
-                cur += 1
-                pp = pm
-                pm = pc
-                pc = 0
-                iss = alu = fpu = bru = 0
-            iss += 1
-            fpu += 1
-            rr[dest] = cur + x
-
-        elif k == 4:  # HALT/NOP, issue-width bound only
-            if iss >= width:
-                cur += 1
-                pp = pm
-                pm = pc
-                pc = 0
-                iss = alu = fpu = bru = 0
-            iss += 1
-            rr[dest] = cur + x
-
-        elif k == 5:  # load, live outcomes
-            # The record's operand slots are empty, so the clock is
-            # still the decode cycle: dual-path selection reads the
-            # base register's interlock here, then the load waits on
-            # its own sources.
-            t_dec = cur
-            s1, s2, s3 = x
             t = rr[s1]
             r2 = rr[s2]
             if r2 > t:
@@ -1153,96 +1191,169 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig,
                 pc = 0
                 iss = alu = fpu = bru = 0
                 cur = t
-            ea = mseq_ea[mi]
-            mi += 1
-            base = lbase[li]
-            if hw_dual:
-                # Eickemeyer-Vassiliadis: prediction only for loads
-                # whose base register is interlocked at decode.
-                r = 1 if rr[base] > t_dec - 2 else 2
-                route[li] = r
-            else:
-                r = route[li]
-            success = False
-            lat = ld_lat
-            if r == 1:
-                pc_addr = lpc[li]
-                predicted = tb_probe(pc_addr)
-                if predicted is not None:
-                    if pp < n_ports:
-                        pp += 1
-                        pred_disp += 1
-                        if predicted == ea:
-                            if sq and _store_interlock(sq, cur - 1,
-                                                       lword[li]):
-                                sp_interlock += 1
-                            elif dc_probe(ea):
-                                success = True
-                                lat = ld_hit_lat
-                                pred_succ += 1
-                            else:
-                                sp_dmiss += 1
-                        else:
-                            pred_wrong += 1
-                            # The wrong-address access still fetches
-                            # its block (the paper's "extra load").
-                            if not dc_access(predicted):
-                                poll_miss += 1
-                    else:
-                        sp_noport += 1
-                if tb_demand:
-                    tb_update(pc_addr, ea, predicted, dc_probe(ea))
-                else:
-                    tb_update(pc_addr, ea, predicted)
-            elif r == 2:
-                # ec: 1 = may dispatch, 3 = reg+reg partial case.  Every
-                # load on this path then rebinds R_addr / fills the
-                # register cache (neither touches ports or the d-cache).
-                if use_raddr:
-                    # A load that just switched the binding reads a
-                    # stale value; reg+reg cannot use R_addr at all.
-                    ec = 1 if bound == base and lro[li] else 0
-                    bound = base
-                else:
-                    ec = 0
-                    if rc_probe(base):
-                        if lro[li]:
-                            ec = 1
-                        elif rc_probe(ldisp[li]):
-                            ec = 3
-                    rc_insert(base)
-                if ec:
-                    if pp < n_ports:
-                        pp += 1
-                        calc_disp += 1
-                        if rr[base] > cur - 2:
-                            # base not written back by ID1
-                            ra_interlock += 1
-                        elif sq and _store_interlock(sq, cur - 1,
-                                                     lword[li]):
-                            sp_interlock += 1
-                        elif dc_probe(ea):
-                            success = True
-                            calc_succ += 1
-                            if ec & 2:
-                                calc_part += 1
-                                lat = 1
-                            else:
-                                lat = 0
-                        else:
-                            sp_dmiss += 1
-                    else:
-                        sp_noport += 1
-            if success:
-                if iss >= width:
+
+            # Kind codes are repro.sim.pipeline's _K_* constants.
+            if k == 2:  # int ALU
+                if iss >= width or alu >= n_alus:
                     cur += 1
                     pp = pm
                     pm = pc
                     pc = 0
                     iss = alu = fpu = bru = 0
                 iss += 1
-                dc_access(ea)  # the probed block is present: a hit
-            else:
+                alu += 1
+                rr[dest] = cur + x
+
+            elif k == 0:  # load, precomputed outcomes
+                code = dcodes[li]
+                r = route[li]
+                if r == 0:
+                    if iss >= width or pc >= n_ports:
+                        cur += 1
+                        pp = pm
+                        pm = pc
+                        pc = 0
+                        iss = alu = fpu = bru = 0
+                    iss += 1
+                    pc += 1
+                    rr[dest] = cur + (ld_lat if code else miss_lat)
+                elif r == 1:
+                    success = False
+                    if code & 2:  # functioning prediction
+                        if pp < n_ports:
+                            pp += 1
+                            pred_disp += 1
+                            if code & 4:  # predicted address was right
+                                c = cur - 1
+                                ilk = False
+                                if sq:
+                                    while sq and sq[0][0] + 1 <= c:
+                                        sq_popleft()
+                                    w = lword[li]
+                                    for _, s_w in sq:
+                                        if s_w == w:
+                                            ilk = True
+                                            break
+                                if ilk:
+                                    sp_interlock += 1
+                                elif code & 1:
+                                    success = True
+                                    pred_succ += 1
+                                else:
+                                    sp_dmiss += 1
+                            else:
+                                if li in excluded:
+                                    # The stream assumed this wrong-address
+                                    # access would NOT fill the cache, yet
+                                    # it found a free port and dispatched.
+                                    diverged.append(li)
+                                pred_wrong += 1
+                        else:
+                            if not code & 4 and li not in excluded:
+                                # The stream assumed this wrong-address
+                                # access filled the cache; it had no port.
+                                diverged.append(li)
+                            sp_noport += 1
+                    if success:
+                        if iss >= width:
+                            cur += 1
+                            pp = pm
+                            pm = pc
+                            pc = 0
+                            iss = alu = fpu = bru = 0
+                        iss += 1
+                        rr[dest] = cur + ld_hit_lat
+                    else:
+                        if iss >= width or pc >= n_ports:
+                            cur += 1
+                            pp = pm
+                            pm = pc
+                            pc = 0
+                            iss = alu = fpu = bru = 0
+                        iss += 1
+                        pc += 1
+                        rr[dest] = cur + (ld_lat if code & 1 else miss_lat)
+                else:  # r == 2: early calculation
+                    success = False
+                    lat = 0
+                    ec = ecodes[li]
+                    if ec:
+                        if pp < n_ports:
+                            pp += 1
+                            calc_disp += 1
+                            if rr[lbase[li]] > cur - 2:
+                                # base not written back by ID1
+                                ra_interlock += 1
+                            else:
+                                c = cur - 1
+                                ilk = False
+                                if sq:
+                                    while sq and sq[0][0] + 1 <= c:
+                                        sq_popleft()
+                                    w = lword[li]
+                                    for _, s_w in sq:
+                                        if s_w == w:
+                                            ilk = True
+                                            break
+                                if ilk:
+                                    sp_interlock += 1
+                                elif code & 1:
+                                    success = True
+                                    calc_succ += 1
+                                    if ec & 2:
+                                        calc_part += 1
+                                        lat = 1
+                                else:
+                                    sp_dmiss += 1
+                        else:
+                            sp_noport += 1
+                    if success:
+                        if iss >= width:
+                            cur += 1
+                            pp = pm
+                            pm = pc
+                            pc = 0
+                            iss = alu = fpu = bru = 0
+                        iss += 1
+                        rr[dest] = cur + lat
+                    else:
+                        if iss >= width or pc >= n_ports:
+                            cur += 1
+                            pp = pm
+                            pm = pc
+                            pc = 0
+                            iss = alu = fpu = bru = 0
+                        iss += 1
+                        pc += 1
+                        rr[dest] = cur + (ld_lat if code & 1 else miss_lat)
+                li += 1
+
+            elif k >= 8:  # branch, jump, return, call
+                if iss >= width or bru >= n_brus:
+                    cur += 1
+                    pp = pm
+                    pm = pc
+                    pc = 0
+                    iss = alu = fpu = bru = 0
+                iss += 1
+                bru += 1
+                if k == 11:  # call writes the link register
+                    rr[63] = cur + 1
+                if x:  # precomputed redirect cycles
+                    if x == 1:
+                        pp = pm
+                        pm = pc
+                    elif x == 2:
+                        pp = pc
+                        pm = 0
+                    else:
+                        pp = 0
+                        pm = 0
+                    pc = 0
+                    iss = alu = fpu = bru = 0
+                    cur += x
+
+            elif k == 1:  # store
                 if iss >= width or pc >= n_ports:
                     cur += 1
                     pp = pm
@@ -1251,54 +1362,231 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig,
                     iss = alu = fpu = bru = 0
                 iss += 1
                 pc += 1
-                if not dc_access(ea):
-                    dmiss += 1
-                    lat = miss_lat
-            rr[dest] = cur + lat
-            li += 1
+                if spec_any:
+                    sq_append((cur, sword[si]))
+                    if len(sq) > 32:
+                        c = cur - 1
+                        while sq[0][0] + 1 <= c:
+                            sq_popleft()
+                si += 1
 
-        elif k == 6:  # store, live outcomes
-            if iss >= width or pc >= n_ports:
-                cur += 1
-                pp = pm
-                pm = pc
-                pc = 0
-                iss = alu = fpu = bru = 0
-            iss += 1
-            pc += 1
-            # Write-through, no-allocate: misses count, nothing fills.
-            if not dc_write(mseq_ea[mi]):
-                store_miss += 1
-            mi += 1
-            if spec_any:
-                sq_append((cur, sword[si]))
-                if len(sq) > 32:
-                    c = cur - 1
-                    while sq[0][0] + 1 <= c:
-                        sq_popleft()
-            si += 1
+            elif k == 3:  # FP
+                if iss >= width or fpu >= n_fpus:
+                    cur += 1
+                    pp = pm
+                    pm = pc
+                    pc = 0
+                    iss = alu = fpu = bru = 0
+                iss += 1
+                fpu += 1
+                rr[dest] = cur + x
 
-        else:  # k == 7: watch mark for the record just issued
-            # The mark has no fetch penalty, sources or destination, so
-            # the clock and scoreboard are as that record left them.
-            k = x[0]
-            if k >= 8:  # issue cycle, before the redirect
-                x = x[6]
-                note = "branch mispredict" if x > 1 else "branch"
-                tl_append((uids[i], cur - x, note))
-            else:
-                if k == 5:
-                    ch = "npe"[r]
-                    if success:
-                        note = f"{ch}-hit lat={lat}"
-                    elif r:
-                        note = f"{ch}-miss lat={lat}"
+            elif k == 4:  # HALT/NOP, issue-width bound only
+                if iss >= width:
+                    cur += 1
+                    pp = pm
+                    pm = pc
+                    pc = 0
+                    iss = alu = fpu = bru = 0
+                iss += 1
+                rr[dest] = cur + x
+
+            elif k == 5:  # load, live outcomes
+                # The record's operand slots are empty, so the clock is
+                # still the decode cycle: dual-path selection reads the
+                # base register's interlock here, then the load waits on
+                # its own sources.
+                t_dec = cur
+                s1, s2, s3 = x
+                t = rr[s1]
+                r2 = rr[s2]
+                if r2 > t:
+                    t = r2
+                r3 = rr[s3]
+                if r3 > t:
+                    t = r3
+                if t > cur:
+                    d = t - cur
+                    if d == 1:
+                        pp = pm
+                        pm = pc
+                    elif d == 2:
+                        pp = pc
+                        pm = 0
                     else:
-                        note = f"load lat={lat}"
+                        pp = 0
+                        pm = 0
+                    pc = 0
+                    iss = alu = fpu = bru = 0
+                    cur = t
+                ea = mseq_ea[mi]
+                mi += 1
+                base = lbase[li]
+                if hw_dual:
+                    # Eickemeyer-Vassiliadis: prediction only for loads
+                    # whose base register is interlocked at decode.
+                    r = 1 if rr[base] > t_dec - 2 else 2
+                    route[li] = r
                 else:
-                    note = "store" if k == 6 else ""
-                tl_append((uids[i], cur, note))
-            i += 1
+                    r = route[li]
+                success = False
+                lat = ld_lat
+                if r == 1:
+                    pc_addr = lpc[li]
+                    predicted = tb_probe(pc_addr)
+                    if predicted is not None:
+                        if pp < n_ports:
+                            pp += 1
+                            pred_disp += 1
+                            if predicted == ea:
+                                if sq and _store_interlock(sq, cur - 1,
+                                                           lword[li]):
+                                    sp_interlock += 1
+                                elif dc_probe(ea):
+                                    success = True
+                                    lat = ld_hit_lat
+                                    pred_succ += 1
+                                else:
+                                    sp_dmiss += 1
+                            else:
+                                pred_wrong += 1
+                                # The wrong-address access still fetches
+                                # its block (the paper's "extra load").
+                                if not dc_access(predicted):
+                                    poll_miss += 1
+                        else:
+                            sp_noport += 1
+                    if tb_demand:
+                        tb_update(pc_addr, ea, predicted, dc_probe(ea))
+                    else:
+                        tb_update(pc_addr, ea, predicted)
+                elif r == 2:
+                    # ec: 1 = may dispatch, 3 = reg+reg partial case.  Every
+                    # load on this path then rebinds R_addr / fills the
+                    # register cache (neither touches ports or the d-cache).
+                    if use_raddr:
+                        # A load that just switched the binding reads a
+                        # stale value; reg+reg cannot use R_addr at all.
+                        ec = 1 if bound == base and lro[li] else 0
+                        bound = base
+                    else:
+                        ec = 0
+                        if rc_probe(base):
+                            if lro[li]:
+                                ec = 1
+                            elif rc_probe(ldisp[li]):
+                                ec = 3
+                        rc_insert(base)
+                    if ec:
+                        if pp < n_ports:
+                            pp += 1
+                            calc_disp += 1
+                            if rr[base] > cur - 2:
+                                # base not written back by ID1
+                                ra_interlock += 1
+                            elif sq and _store_interlock(sq, cur - 1,
+                                                         lword[li]):
+                                sp_interlock += 1
+                            elif dc_probe(ea):
+                                success = True
+                                calc_succ += 1
+                                if ec & 2:
+                                    calc_part += 1
+                                    lat = 1
+                                else:
+                                    lat = 0
+                            else:
+                                sp_dmiss += 1
+                        else:
+                            sp_noport += 1
+                if success:
+                    if iss >= width:
+                        cur += 1
+                        pp = pm
+                        pm = pc
+                        pc = 0
+                        iss = alu = fpu = bru = 0
+                    iss += 1
+                    dc_access(ea)  # the probed block is present: a hit
+                else:
+                    if iss >= width or pc >= n_ports:
+                        cur += 1
+                        pp = pm
+                        pm = pc
+                        pc = 0
+                        iss = alu = fpu = bru = 0
+                    iss += 1
+                    pc += 1
+                    if not dc_access(ea):
+                        dmiss += 1
+                        lat = miss_lat
+                rr[dest] = cur + lat
+                li += 1
+
+            elif k == 6:  # store, live outcomes
+                if iss >= width or pc >= n_ports:
+                    cur += 1
+                    pp = pm
+                    pm = pc
+                    pc = 0
+                    iss = alu = fpu = bru = 0
+                iss += 1
+                pc += 1
+                # Write-through, no-allocate: misses count, nothing fills.
+                if not dc_write(mseq_ea[mi]):
+                    store_miss += 1
+                mi += 1
+                if spec_any:
+                    sq_append((cur, sword[si]))
+                    if len(sq) > 32:
+                        c = cur - 1
+                        while sq[0][0] + 1 <= c:
+                            sq_popleft()
+                si += 1
+
+            else:  # k == 7: watch mark for the record just issued
+                # The mark has no fetch penalty, sources or destination, so
+                # the clock and scoreboard are as that record left them.
+                k = x[0]
+                if k >= 8:  # issue cycle, before the redirect
+                    x = x[6]
+                    note = "branch mispredict" if x > 1 else "branch"
+                    tl_append((uids[i], cur - x, note))
+                else:
+                    if k == 5:
+                        ch = "npe"[r]
+                        if success:
+                            note = f"{ch}-hit lat={lat}"
+                        elif r:
+                            note = f"{ch}-miss lat={lat}"
+                        else:
+                            note = f"load lat={lat}"
+                    else:
+                        note = "store" if k == 6 else ""
+                    tl_append((uids[i], cur, note))
+                i += 1
+
+        if memo is not None:
+            state = memo.intern(_snapshot(
+                rr, cur, (pp, pm, pc, iss, alu, fpu, bru), spec_any, sq))
+            transitions[key] = (
+                state,
+                cur - cur0,
+                _pack(pred_disp, pred_succ, pred_wrong, calc_disp,
+                      calc_succ, calc_part, sp_noport, sp_interlock,
+                      sp_dmiss, ra_interlock) - before,
+                _wrong_dispatches(key[2], l0, excluded, diverged[n_div:]),
+            )
+            concrete = True
+
+    if memo is not None:
+        # Fold the memo hits' counter deltas into the counters.
+        (pred_disp, pred_succ, pred_wrong, calc_disp, calc_succ,
+         calc_part, sp_noport, sp_interlock, sp_dmiss,
+         ra_interlock) = _unpack(acc + _pack(
+            pred_disp, pred_succ, pred_wrong, calc_disp, calc_succ,
+            calc_part, sp_noport, sp_interlock, sp_dmiss, ra_interlock,
+        ), 10)
 
     if sim is not None:
         dtotals = (dmiss, store_miss, poll_miss)
@@ -1309,7 +1597,8 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig,
         sp_noport, sp_interlock, sp_dmiss,
     )
     stats.timeline = timeline
-    return stats, ra_interlock
+    segments = len(walk) if memo is not None else 0
+    return stats, ra_interlock, (segments, segments - misses)
 
 
 def _assemble_stats(pre: TracePrecompute, route: bytes, dtotals: tuple,

@@ -157,15 +157,24 @@ def _initial_weights(
 
 
 def _probe(
-    recipes: List[Recipe], weights: Dict[str, int]
+    name: str, recipes: List[Recipe], weights: Dict[str, int]
 ) -> Dict[str, object]:
     """Compile + emulate + profile at default scale, as the harness
-    prepares a run; return the template, class shares and artifacts."""
+    prepares a run; return the template, class shares and artifacts.
+
+    The emulation and the profile run in ``emulate`` and ``profile``
+    spans tagged with the workload *name*, as the harness's own do.
+    """
     template = build_source(recipes, weights)
     source = template.replace("__SCALE__", str(GEN_DEFAULT_SCALE))
     result = compile_source(source, CompileOptions(verify=True))
-    exec_result = execute(result.program)
-    profile = profile_trace(result.program, exec_result.trace)
+    tracer = obs.current()
+    with tracer.span("emulate", workload=name) as span:
+        exec_result = execute(result.program)
+        if tracer.enabled:
+            span.set_counters(steps=exec_result.steps)
+    with tracer.span("profile", workload=name):
+        profile = profile_trace(result.program, exec_result.trace)
     return {
         "template": template,
         "shares": profile.dynamic_class_shares(),
@@ -182,6 +191,7 @@ def plan_program(fp: Fingerprint, seed: int) -> GenPlan:
     accepted program fails its own reference self-check.
     """
     token = format_fingerprint(fp)
+    name = f"gen:{token}:{seed}"
     rng = random.Random(f"repro.gen:{token}:{seed}")
     recipes = make_recipes(rng, fp.ws, fp.depth)
     budget = rng.randint(900, 1400)
@@ -193,7 +203,7 @@ def plan_program(fp: Fingerprint, seed: int) -> GenPlan:
     iterations = 0
     for _ in range(_MAX_ITERS):
         iterations += 1
-        probe = _probe(recipes, weights)
+        probe = _probe(name, recipes, weights)
         shares = probe["shares"]
         err = max(abs(shares[cls] - target[cls]) for cls in ("n", "p", "e"))
         if err < best_err:

@@ -123,3 +123,24 @@ def test_planning_without_running_keeps_at_most_one_pending_set(
     del alive, prepared
     gc.collect()
     assert all(ref() is None for ref in compiled)
+
+
+def test_served_programs_keep_their_emulate_and_profile_spans(tmp_path):
+    """A served program's emulation and profile ran in the planner's
+    probe; the trace still shows both stages under its name."""
+    names = ["gen:n40p20e40:0", "gen:n34p33e33:0", "gen:n20p70e10:1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.harness.main",
+         "--workloads", ",".join(names), "--scale", "1.0", "--jobs", "1",
+         "--trace-out", str(tmp_path)],
+        capture_output=True, text=True, env=_ENV, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    spans: dict = {}
+    for path in tmp_path.glob("*.jsonl"):
+        for record in map(json.loads, path.read_text().splitlines()):
+            if record["kind"] == "span":
+                workload = record.get("tags", {}).get("workload")
+                spans.setdefault(record["name"], set()).add(workload)
+    for stage in ("emulate", "profile"):
+        assert spans.get(stage, set()) >= set(names), stage
