@@ -1,10 +1,10 @@
 """Deterministic content keys for per-workload artifacts.
 
 :func:`artifact_key` hashes the facts that determine an artifact —
-workload name, scale, machine configuration, verifier switches,
-injected-fault mode — into a key that is identical in every process.
-The result store (:class:`~repro.harness.store.ResultStore`) keys its
-entries with it, and the run manifest records one per workload.
+workload name, scale, machine configuration, injected-fault mode —
+into a key that is identical in every process.  The result store
+(:class:`~repro.harness.store.ResultStore`) keys its entries with it,
+and the run manifest records one per workload.
 """
 
 from __future__ import annotations
@@ -77,11 +77,11 @@ def artifact_key(*parts) -> str:
     """Deterministic key from the facts that determine an artifact.
 
     Callers pass everything that can change the compiled output —
-    workload name, scale, machine configuration, verifier switches,
-    and the injected-fault mode.  Parts are canonicalized recursively
-    (primitives, enums, containers, dataclasses); a part whose repr
-    falls back to ``object.__repr__`` raises :class:`TypeError` instead
-    of silently keying on a memory address.
+    workload name, scale, machine configuration and the injected-fault
+    mode.  Parts are canonicalized recursively (primitives, enums,
+    containers, dataclasses); a part whose repr falls back to
+    ``object.__repr__`` raises :class:`TypeError` instead of silently
+    keying on a memory address.
     """
     tokens: List[str] = []
     for part in parts:

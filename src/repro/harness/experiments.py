@@ -281,10 +281,10 @@ def emit_profile_event(tracer, name: str, profile: AddressProfile) -> None:
 class ExperimentContext:
     """Compiles, emulates, and simulates workloads with caching.
 
-    ``verify`` checks emulated output against the pure-Python reference;
-    ``verify_ir`` additionally runs the structural IR verifier between
-    compiler passes.  ``fault_injector`` is the test seam that lets a
-    chosen workload crash, hang, or corrupt its IR/output.
+    Every run compiles with the structural IR verifier between compiler
+    passes and checks its emulated output against the pure-Python
+    reference.  ``fault_injector`` is the test seam that lets a chosen
+    workload crash, hang, or corrupt its IR/output.
 
     Every simulation goes through one
     :func:`~repro.sim.precompute.simulate_many` sweep per call of
@@ -303,14 +303,10 @@ class ExperimentContext:
         self,
         scale: float = 1.0,
         machine: Optional[MachineConfig] = None,
-        verify: bool = True,
-        verify_ir: bool = True,
         fault_injector=None,
     ):
         self.scale = scale
         self.machine = machine if machine is not None else MachineConfig()
-        self.verify = verify
-        self.verify_ir = verify_ir
         self.fault_injector = fault_injector
         self._runs: Dict[str, WorkloadRun] = {}
 
@@ -326,7 +322,7 @@ class ExperimentContext:
         scale = self._scaled(name)
         injector = self.fault_injector
         options = CompileOptions(
-            verify=self.verify_ir,
+            verify=True,
             post_pass_hook=(
                 injector.post_pass_hook(name) if injector else None
             ),
@@ -350,13 +346,12 @@ class ExperimentContext:
             output = exec_result.output
             if injector:
                 output = injector.corrupt_output(name, output)
-            if self.verify:
-                expected = workload.expected_output(scale)
-                if output != expected:
-                    raise OutputMismatchError(
-                        f"emulated output {output} != reference {expected}",
-                        workload=name,
-                    )
+            expected = workload.expected_output(scale)
+            if output != expected:
+                raise OutputMismatchError(
+                    f"emulated output {output} != reference {expected}",
+                    workload=name,
+                )
         run = WorkloadRun(
             name, result, exec_result.trace, exec_result.steps, profile
         )

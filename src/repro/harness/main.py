@@ -134,9 +134,7 @@ def _write_profile(args, outcomes, backends) -> None:
               file=sys.stderr)
         return
     slowest = max(fresh, key=lambda o: o.elapsed)
-    ctx = ExperimentContext(
-        scale=args.scale, verify_ir=not args.no_verify_ir
-    )
+    ctx = ExperimentContext(scale=args.scale)
     profiler = cProfile.Profile()
     profiler.enable()
     compute_rows(ctx, slowest.name, backends)
@@ -172,8 +170,7 @@ def _write_run_manifest(args, argv, ctx, outcomes) -> None:
             "cached": outcome.cached,
             "error_type": outcome.error_type,
             "artifact_key": artifact_key(
-                outcome.name, ctx.scale, ctx.machine, ctx.verify,
-                ctx.verify_ir,
+                outcome.name, ctx.scale, ctx.machine,
                 injector.mode(outcome.name) if injector else None,
             ),
         }
@@ -243,8 +240,6 @@ def main(argv=None) -> int:
                         "table comparing these prediction backends "
                         "('all' = every backend) on the "
                         "proposed configuration")
-    parser.add_argument("--no-verify-ir", action="store_true",
-                        help="skip the per-pass IR verifier")
     parser.add_argument("--trace-out", default=None, metavar="DIR",
                         help="write a JSONL span/event trace and a run "
                         "manifest.json under DIR (see README: "
@@ -296,7 +291,6 @@ def main(argv=None) -> int:
 
     ctx = ExperimentContext(
         scale=args.scale,
-        verify_ir=not args.no_verify_ir,
         fault_injector=injector,
     )
     result_store = None

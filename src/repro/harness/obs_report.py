@@ -21,9 +21,9 @@ merges the files and prints:
 * **simulator totals** — the ``sim.counters`` event counters summed
   per early-generation config,
 * **replay path coverage** — the ``sim.replay`` events grouped by
-  chosen path (stats memo, scalar stream replay, or
-  ``inline:<reason>``), with divergence patches and the segment memo's
-  hit rate, so a sweep's fast-path coverage is visible at a glance.
+  chosen path (``scalar`` stream replay or ``inline:<reason>``), with
+  divergence patches and the segment memo's hit rate, so a sweep's
+  fast-path coverage is visible at a glance.
 
 ``--validate`` instead checks the manifest and every trace record
 against the schema and exits non-zero on any problem; CI runs this

@@ -87,8 +87,6 @@ class LocalPool:
         self._init = {
             "scale": ctx.scale,
             "machine": ctx.machine,
-            "verify": ctx.verify,
-            "verify_ir": ctx.verify_ir,
             "fault_injector": ctx.fault_injector,
         }
         self._procs: list = [None] * size

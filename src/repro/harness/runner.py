@@ -118,8 +118,8 @@ class WorkloadRunner:
     ``result_store`` (a :class:`~repro.harness.store.ResultStore`, the
     harness's ``--result-cache``) persists each OK workload's row
     fragments across *runs*, keyed on everything that determines them
-    (name, scale, machine, verifier switches, injected-fault mode,
-    ablation backends, code version): a warm store skips the workload's
+    (name, scale, machine, injected-fault mode, ablation backends, code
+    version): a warm store skips the workload's
     compile+simulate entirely and reproduces byte-identical tables, so
     resuming a partly failed run re-runs only its failures.
 
@@ -157,9 +157,8 @@ class WorkloadRunner:
         ctx = self.ctx
         injector = ctx.fault_injector
         return self.result_store.key(
-            "harness-rows", name, ctx.scale, ctx.machine, ctx.verify,
-            ctx.verify_ir, injector.mode(name) if injector else None,
-            self.backends,
+            "harness-rows", name, ctx.scale, ctx.machine,
+            injector.mode(name) if injector else None, self.backends,
         )
 
     def load_cached_rows(self, name: str) -> Optional[WorkloadOutcome]:

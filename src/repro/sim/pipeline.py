@@ -181,14 +181,16 @@ def _penalty_array(top: int, n: int) -> array:
     return array(code, [0]) * n
 
 
-def _precompute_frontend(program: Program, trace, cfg, dec):
+def _precompute_frontend(trace, cfg, dec):
     """Trace-static front-end penalties, shared across config replays.
 
     I-cache fetch stalls and branch redirects (BTB training, RAS)
     depend only on the instruction-address sequence and the branch
     outcomes in the trace plus the front-end configuration — never on
-    the early-generation config.  Replaying the same trace under many
-    ``EarlyGenConfig`` sweeps therefore reuses one precomputed pass:
+    the early-generation config.  One pass per trace and machine
+    shape therefore serves every ``EarlyGenConfig`` of a sweep (the
+    :class:`~repro.sim.precompute.TracePrecompute` that calls it is
+    cached on that key):
 
     * ``ifetch[i]`` — cycles added before decode of instruction *i*
       (the i-cache miss penalty, 0 on a hit or a same-block fetch),
@@ -197,24 +199,11 @@ def _precompute_frontend(program: Program, trace, cfg, dec):
     * ``misp_total`` — BTB/RAS mispredict count.
 
     Both per-instruction sequences are typed arrays one or two bytes
-    wide (wider only for penalties past 65535 cycles).
-
-    The cache lives on the Program, keyed by trace identity plus the
-    front-end parameters, exactly mirroring the seed per-run logic in
+    wide (wider only for penalties past 65535 cycles).  The logic
+    mirrors the seed per-run logic in
     :mod:`repro.sim._pipeline_reference`.
     """
     uids = trace.uids
-    cached = getattr(program, "_frontend_pre", None)
-    if cached is None or cached[0] is not uids:
-        cached = (uids, {})
-        program._frontend_pre = cached
-    key = (cfg.icache, cfg.btb_entries, cfg.ras_entries,
-           cfg.mispredict_penalty, cfg.jump_bubble)
-    inner = cached[1]
-    hit = inner.get(key)
-    if hit is not None:
-        return hit
-
     n = len(uids)
     i_miss = cfg.icache.miss_penalty
     mp1 = 1 + cfg.mispredict_penalty
@@ -284,17 +273,7 @@ def _precompute_frontend(program: Program, trace, cfg, dec):
                         ras.pop(0)
                     ras.append(addr + 4)
 
-    result = (ifetch, imiss_total, br_extra, misp_total)
-    # Bounded (FIFO) so a sweep over many front-end variants of one
-    # trace cannot grow the Program-attached cache without limit; a
-    # fresh trace identity already resets the dict.
-    while len(inner) >= _FRONTEND_CACHE_LIMIT:
-        del inner[next(iter(inner))]
-    inner[key] = result
-    return result
-
-#: Bound on cached front-end variants per (program, trace) identity.
-_FRONTEND_CACHE_LIMIT = 8
+    return ifetch, imiss_total, br_extra, misp_total
 
 
 class TimingSimulator:

@@ -33,11 +33,11 @@ order:
 * **Early-calc cache outcomes** — ``R_addr`` bindings and BRIC probes
   likewise evolve only with the sequence of calc-routed loads.
 
-This module precomputes those streams once per trace (cached on the
-Program the same way ``_precompute_frontend`` caches front-end
-outcomes), and the loop then only does timing accounting.  What is
-*not* config-invariant stays in the loop: port arbitration, store
-interlocks, the ``R_addr`` writeback interlock, and issue scheduling.
+This module precomputes those streams once per trace and machine shape
+(:func:`get_precompute` caches them on the Program), and the loop then
+only does timing accounting.  What is *not* config-invariant stays in
+the loop: port arbitration, store interlocks, the ``R_addr`` writeback
+interlock, and issue scheduling.
 
 Two effects cannot be precomputed and are handled explicitly:
 
@@ -64,8 +64,10 @@ counters; the stores that can still interlock), the segment's records
 and store aliases, and the config's stream bytes for its loads.  The
 first replay of a ``(state, segment, inputs)`` runs the records and
 stores the transition; every later one applies it.  The memo lives on
-the precompute, so all configs of a sweep share it; DESIGN.md §6 gives
-the exactness argument.
+the precompute, so all configs of a sweep share it.  It is the stream
+path's one reuse layer across configs: every config starts from an
+empty exclusion set and walks the trace.  DESIGN.md §6 gives the
+exactness argument.
 
 :func:`simulate_many` is the one entry point into the streams: it
 builds and shares one precompute across a sweep (a one-shot
@@ -135,10 +137,6 @@ _EMASK_TAB = bytes(1 if b == 2 else 0 for b in range(256))
 #: (one replay records every disagreement it sees), so convergence
 #: normally takes one or two rebuilds.
 _MAX_PATCH_RETRIES = 6
-
-#: Identical stream tuples produce identical stats (the replay is a
-#: pure function of them), so sweeps memoize per-tuple results.
-_STATS_MEMO_LIMIT = 64
 
 #: Segment length (in records) past which the stream source's walk
 #: ends a segment at its next branch, backward or not.
@@ -262,14 +260,13 @@ class TracePrecompute:
         "dyn_load_uids", "sword", "static_load_uids",
         "seg_ids", "seg_rstart", "seg_lstart", "seg_sstart",
         "segment_memo",
-        "_routes", "_dstreams", "_estreams", "_patches",
-        "_stats_memo",
+        "_routes", "_dstreams", "_estreams",
     )
 
     def __init__(self, program, trace: Trace, cfg: MachineConfig):
         dec, load_uids = _decode_program(program)
         ifetch, imiss_total, br_extra, misp_total = _precompute_frontend(
-            program, trace, cfg, dec
+            trace, cfg, dec
         )
         self.flat = program.flat
         self.uids = trace.uids
@@ -400,8 +397,6 @@ class TracePrecompute:
         self._routes: OrderedDict = OrderedDict()
         self._dstreams: OrderedDict = OrderedDict()
         self._estreams: OrderedDict = OrderedDict()
-        self._patches: OrderedDict = OrderedDict()
-        self._stats_memo: OrderedDict = OrderedDict()
 
     def live_records(self) -> list:
         """``records`` with loads and stores re-kinded for the live source.
@@ -445,29 +440,6 @@ class TracePrecompute:
             routes.popitem(last=False)
         routes[scheme_bytes] = route
         return route
-
-    def _patch_key(self, eg: EarlyGenConfig, route: bytes):
-        if not eg.table_entries or 1 not in route:
-            return None
-        return (
-            _predictor_key(eg),
-            route.translate(_PMASK_TAB),
-        )
-
-    def known_exclusions(self, eg: EarlyGenConfig,
-                         route: bytes) -> frozenset:
-        """The exclusion set a prior replay of this config converged to."""
-        return self._patches.get(self._patch_key(eg, route), frozenset())
-
-    def remember_exclusions(self, eg: EarlyGenConfig, route: bytes,
-                            excluded: frozenset) -> None:
-        key = self._patch_key(eg, route)
-        if key is None:
-            return
-        patches = self._patches
-        while len(patches) >= _STREAM_LIMIT:
-            patches.popitem(last=False)
-        patches[key] = excluded
 
     def dstream(self, eg: EarlyGenConfig, route: bytes,
                 excluded: frozenset = frozenset()) -> tuple:
@@ -713,8 +685,9 @@ def _scheme_bytes(program, eg: EarlyGenConfig,
 def get_precompute(trace: Trace, cfg: MachineConfig) -> TracePrecompute:
     """The trace's precompute for *cfg*'s machine shape, built on a miss.
 
-    Cached on the Program keyed by trace identity (like the front-end
-    cache) with an LRU bound of ``_PRECOMPUTE_LIMIT`` machine shapes.
+    Cached on the Program keyed by trace identity, with an LRU bound of
+    ``_PRECOMPUTE_LIMIT`` machine shapes.  The key holds every
+    front-end field, so the front-end pass runs once per entry.
     """
     program = trace.program
     cached = getattr(program, "_sim_precompute", None)
@@ -769,20 +742,14 @@ def _decline(reason: str, eg=None) -> None:
         tracer.event("sim.replay", **tags)
 
 
-def _copy_stats(stats: SimStats) -> SimStats:
-    from dataclasses import replace
-
-    return replace(stats, scheme_counts=dict(stats.scheme_counts))
-
-
 def try_fast(sim: TimingSimulator) -> Optional[SimStats]:
     """Run *sim* on the precomputed-stream path (building the trace's
     precompute on first use), or return None when the config needs
-    live outcomes or the replay diverged (wrong-address pollution that
-    did not dispatch).
+    live outcomes or the replay kept diverging (wrong-address pollution
+    that did not dispatch).
 
-    Within the stream path a stats memo hit for an identical stream
-    tuple short-circuits the scalar replay.
+    Every config starts from an empty exclusion set; the segment memo
+    on the precompute is the stream path's one reuse layer.
     """
     cfg = sim.config
     eg = cfg.earlygen
@@ -796,43 +763,24 @@ def try_fast(sim: TimingSimulator) -> Optional[SimStats]:
     route = pre.route_for(sb)
     ecodes = pre.estream(eg, route)
     global _divergences, _divergence_fallbacks
-    excluded = pre.known_exclusions(eg, route)
+    excluded = frozenset()
     patched = 0
     segments = segment_hits = 0
     for _ in range(_MAX_PATCH_RETRIES + 1):
         dcodes, dmiss, store_miss, poll_miss = pre.dstream(
             eg, route, excluded
         )
-        dtotals = (dmiss, store_miss, poll_miss)
-        memo_key = (route, dcodes, dtotals, ecodes, excluded)
-        memo = pre._stats_memo.get(memo_key)
         diverged: list = []
-        if memo is not None:
-            # The replay is a pure function of the stream tuple (the
-            # machine shape is fixed per precompute), so an identical
-            # tuple short-circuits to the memoized result.
-            pre._stats_memo.move_to_end(memo_key)
-            stats, ra_interlock = memo
-            stats = _copy_stats(stats)
-            path = "memo"
-        else:
-            path = "scalar"
-            stats, ra_interlock, walked = _replay(
-                pre, cfg, route, dcodes, dtotals, ecodes,
-                excluded, diverged,
-            )
-            segments += walked[0]
-            segment_hits += walked[1]
-            _segment_totals[0] += walked[0]
-            _segment_totals[1] += walked[1]
+        stats, ra_interlock, walked = _replay(
+            pre, cfg, route, dcodes, (dmiss, store_miss, poll_miss),
+            ecodes, excluded, diverged,
+        )
+        segments += walked[0]
+        segment_hits += walked[1]
+        _segment_totals[0] += walked[0]
+        _segment_totals[1] += walked[1]
         if not diverged:
-            pre.remember_exclusions(eg, route, excluded)
-            if path == "scalar":
-                memo_store = pre._stats_memo
-                while len(memo_store) >= _STATS_MEMO_LIMIT:
-                    memo_store.popitem(last=False)
-                memo_store[memo_key] = (_copy_stats(stats), ra_interlock)
-            _count_path(path)
+            _count_path("scalar")
             tracer = obs.current()
             if tracer.enabled:
                 tracer.event(
@@ -842,7 +790,7 @@ def try_fast(sim: TimingSimulator) -> Optional[SimStats]:
                     regs=eg.cached_regs,
                     selection=eg.selection.value,
                     predictor=eg.predictor,
-                    path=path,
+                    path="scalar",
                     segments=segments,
                     segment_hits=segment_hits,
                 )

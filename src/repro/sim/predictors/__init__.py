@@ -13,7 +13,7 @@ for the contract) and is named in :data:`BACKENDS`:
 :func:`create` is the one construction point for the timing pipeline,
 the reference pipeline and the precompute stream builders, so all three
 replay identical backend state machines; :func:`predictor_key` is the
-key their outcome streams and patch memos are cached under.
+key their outcome streams are cached under.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def create(eg) -> Optional[Predictor]:
 def predictor_key(eg) -> tuple:
     """Canonical cache key of *eg*'s prediction configuration.
 
-    Outcome streams and divergence-patch memos are keyed by this tuple;
+    Outcome streams are keyed by this tuple;
     two configs with equal keys drive byte-identical backend state
     machines.
     """

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.compiler.driver import CompileOptions, compile_source
+from tests.compiler.corpus import WORKLOAD_NAMES, corpus_source
 
 SRC = """
 int helper(int x) { return x * 2; }
@@ -70,3 +71,15 @@ def test_opt_level_reduces_code_size():
     naive = compile_source(SRC, opt_level=0)
     optimized = compile_source(SRC, opt_level=2)
     assert len(optimized.program.flat) < len(naive.program.flat)
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_ir_verifier_leaves_the_listing_unchanged(name):
+    """The verifier only checks the IR between passes: every workload at
+    the harness's tables scale compiles to the same listing with it on
+    (as the harness runs it) and off (the driver's default)."""
+    source = corpus_source(name)
+    verified = compile_source(source, CompileOptions(verify=True))
+    assert verified.listing() == compile_source(
+        source, CompileOptions()
+    ).listing()

