@@ -21,9 +21,9 @@ merges the files and prints:
 * **simulator totals** — the ``sim.counters`` event counters summed
   per early-generation config,
 * **replay path coverage** — the ``sim.replay`` events grouped by
-  chosen path (``scalar`` stream replay or ``inline:<reason>``), with
-  divergence patches and the segment memo's hit rate, so a sweep's
-  fast-path coverage is visible at a glance.
+  path (``scalar`` for a config routed before the run, ``hw-fixed``
+  for a hardware dual-path route fixed point), with replay rounds,
+  divergence patches and the segment memo's hit rate.
 
 ``--validate`` instead checks the manifest and every trace record
 against the schema and exits non-zero on any problem; CI runs this
@@ -77,6 +77,7 @@ SIM_HEADERS = {
 REPLAY_HEADERS = {
     "path": "Path",
     "runs": "Runs",
+    "rounds": "Rounds",
     "patches": "Patches",
     "segments": "Segments",
     "hit_pct": "Seg hit %",
@@ -201,11 +202,10 @@ def sim_totals(records: List[dict]) -> List[dict]:
 
 
 def replay_paths(records: List[dict]) -> List[dict]:
-    """``sim.replay`` events grouped by chosen replay path.
+    """``sim.replay`` events grouped by replay path.
 
-    Declined configs report ``inline:<reason>`` so the rows show *why*
-    the stream path was skipped; stream rows accumulate the divergence
-    patches their replays needed and the loop segments they walked,
+    Each row accumulates the replay rounds its configs took, the
+    divergence patches they needed and the loop segments they walked,
     with the share the segment memo served.
     """
     rows: Dict[str, Dict[str, int]] = {}
@@ -214,13 +214,10 @@ def replay_paths(records: List[dict]) -> List[dict]:
             continue
         tags = rec.get("tags", {})
         path = str(tags.get("path", "?"))
-        reason = tags.get("reason")
-        if reason and path == "inline":
-            path = f"inline:{reason}"
-        row = rows.setdefault(path, {"runs": 0, "patches": 0,
+        row = rows.setdefault(path, {"runs": 0, "rounds": 0, "patches": 0,
                                      "segments": 0, "segment_hits": 0})
         row["runs"] += 1
-        for key in ("patches", "segments", "segment_hits"):
+        for key in ("rounds", "patches", "segments", "segment_hits"):
             value = tags.get(key)
             if isinstance(value, int):
                 row[key] += value

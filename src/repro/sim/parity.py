@@ -1,11 +1,12 @@
-"""Three-way parity gate: ``python -m repro.sim.parity``.
+"""Simulator parity gate: ``python -m repro.sim.parity``.
 
 Replays every harness sim request of the chosen suites through the
-seed oracle, a plain :meth:`TimingSimulator.run` and one
-:func:`~repro.sim.precompute.simulate_many` sweep, and diffs the
-:class:`~repro.sim.stats.SimStats`.  It is its own entry module so that
-running it as ``__main__`` loads :mod:`repro.sim.precompute` once: the
-counters it reports are the ones the sweeps and ``run()`` updated.
+seed oracle, one :func:`~repro.sim.precompute.simulate_many` sweep and
+a plain :meth:`TimingSimulator.run`, and diffs both against the
+oracle's :class:`~repro.sim.stats.SimStats`.  It is its own entry
+module so that running it as ``__main__`` loads
+:mod:`repro.sim.precompute` once: the counters it reports are the ones
+the sweeps updated.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from repro.sim.machine import BASELINE
 from repro.sim.pipeline import TimingSimulator
 from repro.sim.precompute import (
     divergence_count,
-    divergence_fallback_count,
     replay_path_counts,
     segment_counts,
     simulate_many,
@@ -31,20 +31,28 @@ from repro.sim.predictors import backend_names
 from repro.workloads import workload_names
 
 
+def _counters() -> tuple:
+    """``(divergences, paths, (segments, memo hits))`` so far."""
+    return divergence_count(), replay_path_counts(), segment_counts()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run every harness sim request three ways and diff the stats.
+    """Run every harness sim request and diff the stats with the oracle.
 
     Each config runs through the seed oracle
-    (:func:`~repro.sim._pipeline_reference.reference_run`), a plain
-    :meth:`TimingSimulator.run` (live outcomes), and one
-    :func:`simulate_many` sweep (precomputed streams where they apply).
-    CI runs this at a small scale as a standing parity gate; exit
-    status 1 means at least one config produced non-identical
-    :class:`SimStats` on either diff.
+    (:func:`~repro.sim._pipeline_reference.reference_run`), one
+    :func:`simulate_many` sweep per workload, and a plain
+    :meth:`TimingSimulator.run`.  "mismatches" counts sweep results and
+    "reference mismatches" ``run()`` results that differ from the
+    oracle's.  The divergence, path and segment figures are the
+    sweeps' own: each ``run()`` follows its workload's sweep, so it
+    replays from a warm segment memo.  CI runs this at a small scale
+    as a standing parity gate; exit status 1 means at least one
+    config produced non-identical :class:`SimStats`.
     """
     parser = argparse.ArgumentParser(
         prog="python -m repro.sim.parity",
-        description="reference vs run() vs simulate_many SimStats "
+        description="simulate_many and run() vs reference SimStats "
         "parity check",
     )
     parser.add_argument("--scale", type=float, default=0.02)
@@ -59,13 +67,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--predictor", default=None, metavar="NAME",
         help="run every table-bearing config with this prediction "
         "backend instead of the default stride table",
-    )
-    parser.add_argument(
-        "--require-stream", action="store_true",
-        help="fail if any table-bearing config fell back to live "
-        "outcomes (CI predictor-parity job: proves the backend "
-        "streams through the precompute fast path; dual-predictor "
-        "hardware configs are exempt — they never stream)",
     )
     args = parser.parse_args(argv)
     if args.predictor is not None:
@@ -86,6 +87,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     mismatches = 0
     ref_mismatches = 0
     checked = 0
+    divergences = 0
+    paths: dict = {}
+    segments = hits = 0
     for suite in suites:
         requests = sim_requests(suite)
         names = [
@@ -113,50 +117,45 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 for eg, ov in zip(configs, overrides)
             ]
             reference = [asdict(reference_run(sim)) for sim in sims]
-            live = [asdict(sim.run()) for sim in sims]
-            fast = simulate_many(
+            div0, paths0, (seg0, hit0) = _counters()
+            swept = simulate_many(
                 run.trace, configs, machine=ctx.machine, overrides=overrides
             )
+            div1, paths1, (seg1, hit1) = _counters()
+            divergences += div1 - div0
+            for path, count in paths1.items():
+                paths[path] = (paths.get(path, 0) + count
+                               - paths0.get(path, 0))
+            segments += seg1 - seg0
+            hits += hit1 - hit0
             bad = [
-                tag for tag, a, b in zip(tags, live, fast) if a != asdict(b)
+                tag for tag, ref, stats in zip(tags, reference, swept)
+                if asdict(stats) != ref
             ]
-            bad_ref = [
-                tag for tag, a, b in zip(tags, reference, live) if a != b
+            bad_run = [
+                tag for tag, ref, sim in zip(tags, reference, sims)
+                if asdict(sim.run()) != ref
             ]
             checked += len(configs)
             mismatches += len(bad)
-            ref_mismatches += len(bad_ref)
+            ref_mismatches += len(bad_run)
             if bad:
-                print(f"MISMATCH {name} run() vs simulate_many: "
+                print(f"MISMATCH {name} simulate_many vs reference: "
                       f"{', '.join(bad)}")
-            if bad_ref:
-                print(f"MISMATCH {name} reference vs run(): "
-                      f"{', '.join(bad_ref)}")
-            if not bad and not bad_ref:
+            if bad_run:
+                print(f"MISMATCH {name} run() vs reference: "
+                      f"{', '.join(bad_run)}")
+            if not bad and not bad_run:
                 print(f"ok {name} ({len(configs)} configs)")
-    paths = replay_path_counts()
     print(
         f"parity: {checked} configs checked, {mismatches} mismatches, "
         f"{ref_mismatches} reference mismatches, "
-        f"{divergence_count()} divergences patched, "
-        f"{divergence_fallback_count()} live fallbacks"
+        f"{divergences} divergences patched"
     )
     print("paths: " + ", ".join(
         f"{k}={v}" for k, v in sorted(paths.items())
     ))
-    segments, hits = segment_counts()
     print(f"segments: {segments} walked, {hits} from the segment memo")
-    if args.require_stream:
-        fallbacks = {
-            k: v for k, v in paths.items()
-            if k.startswith("inline:") and k != "inline:hw-dual"
-        }
-        if fallbacks:
-            print("require-stream: configs fell back to live "
-                  "outcomes: " + ", ".join(
-                      f"{k}={v}" for k, v in sorted(fallbacks.items())
-                  ))
-            return 1
     return 1 if mismatches or ref_mismatches else 0
 
 

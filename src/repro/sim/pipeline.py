@@ -71,25 +71,22 @@ from repro.sim.trace import Trace
 _DRAIN = 3
 
 # Instruction kinds: produced by :func:`_decode_program` and carried by
-# the scheduler records of :mod:`repro.sim.precompute`.  Three kinds
-# exist only in records: loads and stores whose outcomes the scheduler
-# computes as they issue, and the watch mark that follows every record
-# of a run that collects a timeline.  Branch kinds come last so the
-# scheduler tests for them with one comparison.  The scheduler spells
-# these values as literals (cheaper than a global lookup in its loop):
-# renumber both together.
+# the scheduler records of :mod:`repro.sim.precompute`.  The watch mark
+# exists only in records: it follows every record of a run that
+# collects a timeline.  Branch kinds come last so the scheduler tests
+# for them with one comparison.  The scheduler spells these values as
+# literals (cheaper than a global lookup in its loop): renumber both
+# together.
 _K_LOAD = 0
 _K_STORE = 1
 _K_ALU = 2
 _K_FP = 3
 _K_FREE = 4  # HALT/NOP: issue-width bound only
-_K_LIVE_LOAD = 5
-_K_LIVE_STORE = 6
-_K_WATCH = 7
-_K_CBRANCH = 8
-_K_JUMP = 9
-_K_RET = 10
-_K_CALL = 11
+_K_WATCH = 5
+_K_CBRANCH = 6
+_K_JUMP = 7
+_K_RET = 8
+_K_CALL = 9
 
 
 def _decode_program(program: Program):
@@ -279,13 +276,12 @@ def _precompute_frontend(trace, cfg, dec):
 class TimingSimulator:
     """Replays a trace against one machine configuration.
 
-    :meth:`run` is the live outcome source of the one timing loop,
-    :func:`repro.sim.precompute._replay`: each load probes and updates
-    the predictor backend, the d-cache and ``R_addr`` (or the BRIC
-    register cache) as it issues.  Config sweeps go through
-    :func:`repro.sim.precompute.simulate_many`, which feeds the same
-    loop precomputed outcome streams where it can.  Both are
-    byte-identical to the seed implementation kept in
+    :meth:`run` feeds the one timing loop,
+    :func:`repro.sim.precompute._replay`, the trace's precomputed
+    outcome streams through :func:`repro.sim.precompute.run_streams`,
+    the same path every config of a
+    :func:`repro.sim.precompute.simulate_many` sweep takes.  Its
+    results are byte-identical to the seed implementation kept in
     :mod:`repro.sim._pipeline_reference` (golden snapshots, the
     randomized parity suite, and the ``python -m repro.sim.parity``
     CI gate enforce that).
@@ -319,14 +315,14 @@ class TimingSimulator:
     def run(self) -> SimStats:
         """Simulate the whole trace; returns the collected statistics.
 
-        Runs the timing loop on live outcomes over the trace's shared
-        precompute (built on first use, cached on the Program).  A
-        plain run never takes the precomputed-stream path.
+        Replays the precomputed streams of the trace's shared precompute
+        (built on first use, cached on the Program), as one config of a
+        :func:`~repro.sim.precompute.simulate_many` sweep would.
         """
         # Deferred: repro.sim.precompute imports this module.
-        from repro.sim.precompute import run_live
+        from repro.sim.precompute import run_streams
 
-        return run_live(self)
+        return run_streams(self)
 
     @staticmethod
     def _event_counters(stats: SimStats, ra_interlock: int) -> dict:

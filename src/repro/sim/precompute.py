@@ -1,14 +1,10 @@
 """The timing loop, its trace precompute, and batched multi-config replay.
 
 :func:`_replay` is the one fast timing loop of the Section 5.1 machine:
-a window scoreboard over per-trace decode-once records.  It takes its
-load and store outcomes from one of two sources:
-
-* **live** — each load probes and updates the predictor backend, the
-  d-cache and ``R_addr`` or the BRIC register cache as it issues.  This
-  is :meth:`TimingSimulator.run <repro.sim.pipeline.TimingSimulator.run>`
-  and the fallback for every config the streams decline;
-* **precomputed streams** — the outcomes below, shared across a sweep.
+a window scoreboard over per-trace decode-once records, fed load
+outcomes from precomputed streams.  :meth:`TimingSimulator.run
+<repro.sim.pipeline.TimingSimulator.run>`, timelines and
+:func:`simulate_many` all go through :func:`run_streams`.
 
 A config sweep replays one :class:`~repro.sim.trace.Trace` under many
 :class:`~repro.sim.machine.EarlyGenConfig` variants (the harness runs
@@ -39,21 +35,27 @@ only does timing accounting.  What is *not* config-invariant stays in
 the loop: port arbitration, store interlocks, the ``R_addr`` writeback
 interlock, and issue scheduling.
 
-Two effects cannot be precomputed and are handled explicitly:
+Two timing-dependent facts are assumed when the streams are built and
+checked by the replay:
 
 * **Wrong-address pollution** is gated on a port being free one cycle
   early.  The streams are built assuming every wrong-address access
-  dispatches; the replay records every load ordinal where that
-  assumption disagreed with the ports it actually saw, and the caller
-  rebuilds the stream with those ordinals excluded and replays again.
-  A replay that records *no* disagreement is exact — its stream's fill
-  assumptions matched the observed dispatch behavior at every
-  wrong-prediction point — so only a zero-divergence replay is ever
-  accepted; after :data:`_MAX_PATCH_RETRIES` rebuilds the config falls
-  back to live outcomes.
-* **Hardware dual-path selection** routes each load at decode using the
-  current interlock state (timing-dependent), so those configs always
-  run on live outcomes.
+  dispatches except the loads in an exclusion set; the replay records
+  every load where that assumption disagreed with the ports it saw.
+* **Hardware dual-path selection** (Eickemeyer–Vassiliadis) routes each
+  load at decode by its base register's interlock.  Those configs
+  replay under a guessed route, starting from all-calc, and the replay
+  records every routed load whose decode-time decision disagrees with
+  its guess.
+
+:func:`run_streams` flips every recorded load (exclusion membership
+or route) and replays until nothing disagrees — a route fixed point.
+A replay with no disagreement is exact: each load's outcome depends
+only on the state before it, so by induction the replay is the run.
+The same causality bounds the rounds: a replay is exact up to its first
+disagreement, and the flip settles that load, so the first disagreeing
+load moves strictly later every round (:func:`run_streams` raises if it
+does not).  DESIGN.md §6 gives the argument in full.
 
 On the streams, the loop itself is memoized per loop segment (after
 FastSim, Schnarr & Larus, ASPLOS 1998).  The trace splits into segments
@@ -66,15 +68,11 @@ first replay of a ``(state, segment, inputs)`` runs the records and
 stores the transition; every later one applies it.  The memo lives on
 the precompute, so all configs of a sweep share it.  It is the stream
 path's one reuse layer across configs: every config starts from an
-empty exclusion set and walks the trace.  DESIGN.md §6 gives the
-exactness argument.
+empty exclusion set and walks the trace.
 
-:func:`simulate_many` is the one entry point into the streams: it
-builds and shares one precompute across a sweep (a one-shot
-``TimingSimulator.run`` never takes the stream path).  Both sources
-produce byte-identical :class:`~repro.sim.stats.SimStats`, and so does
-the seed oracle :mod:`repro.sim._pipeline_reference` — enforced by the
-golden snapshots, the parity tests, and the three-way parity gate
+The results are byte-identical to the seed oracle
+:mod:`repro.sim._pipeline_reference` — enforced by the golden
+snapshots, the parity tests, and the parity gate
 ``python -m repro.sim.parity`` run in CI.
 """
 
@@ -86,6 +84,7 @@ from contextlib import nullcontext
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro import obs
+from repro.errors import ReproError
 from repro.isa.opcodes import LoadSpec
 from repro.sim.addr_reg import RegisterCache
 from repro.sim.cache import DirectMappedCache
@@ -97,8 +96,6 @@ from repro.sim.machine import (
 from repro.sim.pipeline import (
     _DRAIN,
     _K_CBRANCH,
-    _K_LIVE_LOAD,
-    _K_LIVE_STORE,
     _K_LOAD,
     _K_STORE,
     _K_WATCH,
@@ -132,12 +129,6 @@ _PMASK_TAB = bytes(1 if b == 1 else 0 for b in range(256))
 _EMASK_TAB = bytes(1 if b == 2 else 0 for b in range(256))
 
 
-#: Bound on stream-patching rebuilds before a diverging config reruns
-#: on live outcomes.  Divergent ordinals are discovered in batches
-#: (one replay records every disagreement it sees), so convergence
-#: normally takes one or two rebuilds.
-_MAX_PATCH_RETRIES = 6
-
 #: Segment length (in records) past which the stream source's walk
 #: ends a segment at its next branch, backward or not.
 _SEGMENT_CAP = 64
@@ -148,19 +139,13 @@ _SEGMENT_MEMO_LIMIT = 1 << 14
 _FIELD = 40
 _FIELD_MASK = (1 << _FIELD) - 1
 
-#: Process-wide divergence counters (exposed for tests and the parity
-#: CLI): patched = resolved by a stream rebuild, fallbacks = rerun on
-#: live outcomes.
+#: Process-wide count of wrong-address divergences resolved by a
+#: stream rebuild (exposed for tests and the parity CLI).
 _divergences = 0
-_divergence_fallbacks = 0
 
 
 def divergence_count() -> int:
     return _divergences
-
-
-def divergence_fallback_count() -> int:
-    return _divergence_fallbacks
 
 
 def _machine_key(cfg: MachineConfig) -> tuple:
@@ -177,13 +162,17 @@ class _SegmentMemo:
     """Segment transitions of the stream replay, shared across a sweep.
 
     ``transitions`` maps ``(state, segment id, inputs)`` to
-    ``(next state, cycles advanced, counter deltas, wrongs)``, the
-    deltas in one :func:`_pack`-ed int.
+    ``(next state, cycles advanced, counter deltas, wrongs, turns)``,
+    the deltas in one :func:`_pack`-ed int.
     A state is an interned :func:`_snapshot` of the scheduler;
     ``inputs`` packs each load's stream codes and route into a byte;
     ``wrongs`` lists ``(load offset, dispatched)`` per wrong-address
-    prediction.  Past ``_SEGMENT_MEMO_LIMIT`` transitions the memo is
-    cleared and refills.
+    prediction, and ``turns`` the offsets of the routed loads whose
+    hardware dual-path decision disagrees with their route.  Every
+    miss records ``turns``, whatever the config, because any later
+    config with the same inputs may be a dual-path one.  Past
+    ``_SEGMENT_MEMO_LIMIT`` transitions the memo is cleared and
+    refills.
     """
 
     __slots__ = ("transitions", "ids", "snapshots")
@@ -215,8 +204,7 @@ class TracePrecompute:
       ``(kind, fetch_penalty, src1, src2, src3, dest, extra)`` with the
       front-end outcomes (i-cache stall, branch redirect cycles) baked
       in.  Tuples are interned on ``(uid, penalty, extra)`` so the list
-      costs one pointer per position.  :meth:`live_records` derives
-      the live source's copy on first use.
+      costs one pointer per position.
     * the interleaved memory-op sequence plus per-load static facts
       (PC, word index, base/displacement slots, addressing mode) that
       the per-config stream builders replay, and
@@ -254,7 +242,7 @@ class TracePrecompute:
     __slots__ = (
         "flat", "uids", "machine_key", "dcache_cfg",
         "n", "n_loads", "n_stores",
-        "records", "_mem_records", "_live_records",
+        "records",
         "imiss_total", "misp_total",
         "mseq_kind", "mseq_ea", "lpc", "lword", "lbase", "lro", "ldisp",
         "dyn_load_uids", "sword", "static_load_uids",
@@ -374,10 +362,6 @@ class TracePrecompute:
         ])
 
         self.records = records
-        self._mem_records = [
-            rec for rec in intern.values() if rec[0] <= _K_STORE
-        ]
-        self._live_records = None
         self.mseq_kind = bytes(mseq_kind)
         self.mseq_ea = mseq_ea
         self.lpc = lpc
@@ -397,31 +381,6 @@ class TracePrecompute:
         self._routes: OrderedDict = OrderedDict()
         self._dstreams: OrderedDict = OrderedDict()
         self._estreams: OrderedDict = OrderedDict()
-
-    def live_records(self) -> list:
-        """``records`` with loads and stores re-kinded for the live source.
-
-        A live load carries no sources in the shared operand-wait slots
-        (its sources move to ``extra``) because it waits on its own: it
-        needs the clock from before the wait for hardware dual-path
-        selection.  Built on first use and kept; the stream path never
-        pays for it.
-        """
-        live = self._live_records
-        if live is None:
-            swap = {}
-            for rec in self._mem_records:
-                k, pen, s1, s2, s3, dest, x = rec
-                if k == _K_LOAD:
-                    swap[id(rec)] = (_K_LIVE_LOAD, pen, _NO_SRC, _NO_SRC,
-                                     _NO_SRC, dest, (s1, s2, s3))
-                else:
-                    swap[id(rec)] = (_K_LIVE_STORE,) + rec[1:]
-            records = self.records
-            live = self._live_records = list(
-                map(swap.get, map(id, records), records)
-            )
-        return live
 
     # -- derived per-config streams --------------------------------------
 
@@ -484,18 +443,18 @@ class TracePrecompute:
         im = dc._index_mask
         ts = dc._tag_shift
 
-        # The backend comes from the same factory as the live
-        # source, so the stream replays the identical state machine.
+        # The backend comes from the same factory as the seed
+        # oracle's, so the stream replays the identical state machine.
         table = (_create_predictor(eg)
                  if eg is not None and pmask is not None else None)
-        tb_inline = (table is not None and eg.predictor == "stride"
+        tb_stride = (table is not None and eg.predictor == "stride"
                      and not eg.table_confidence_bits)
         # Demand-trained backends consume the demand outcome, so their
         # update is deferred until after the demand access below (the
         # update itself never touches the cache — same outcome as the
-        # live source's probe-before-access).
+        # seed oracle's probe-before-access).
         tb_demand = table is not None and table.trains_on_demand
-        if tb_inline:
+        if tb_stride:
             tbl = table._table
             t_im = table._index_mask
             t_ib = table._index_bits
@@ -516,7 +475,7 @@ class TracePrecompute:
                 probed = pmask is not None and pmask[li]
                 if probed:
                     pc_addr = lpc[li]
-                    if tb_inline:
+                    if tb_stride:
                         tword = pc_addr >> 2
                         t_idx = tword & t_im
                         t_tag = tword >> t_ib
@@ -549,7 +508,7 @@ class TracePrecompute:
                                 if tags[cidx] != ctag:
                                     tags[cidx] = ctag
                                     poll_miss += 1
-                    if tb_inline:
+                    if tb_stride:
                         # The state-machine arcs of
                         # AddressPredictionTable.update (Figure 3):
                         # Replace / Correct / New_Stride /
@@ -708,9 +667,9 @@ def get_precompute(trace: Trace, cfg: MachineConfig) -> TracePrecompute:
 
 
 #: Process-wide replay path counters, keyed by the ``sim.replay`` event
-#: ``path`` field (``inline:<reason>`` for configs the stream path
-#: declined and ran on live outcomes).  Exposed for tests and
-#: ``obs_report``.
+#: ``path`` field: ``scalar`` for a config routed before the run,
+#: ``hw-fixed`` for a hardware dual-path config's route fixed point.
+#: Exposed for tests and ``obs_report``.
 _replay_paths: Dict[str, int] = {}
 
 
@@ -727,131 +686,106 @@ def segment_counts() -> tuple:
     return tuple(_segment_totals)
 
 
-def _count_path(path: str) -> None:
-    _replay_paths[path] = _replay_paths.get(path, 0) + 1
+def _first_route(pre: TracePrecompute, sb: Optional[bytes]) -> bytes:
+    """The route of a config's first replay: its own, or all-calc for
+    hardware dual-path selection (*sb* None)."""
+    if sb is None:
+        sb = b"\x02" * len(pre.static_load_uids)
+    return pre.route_for(sb)
 
 
-def _decline(reason: str, eg=None) -> None:
-    """Record that the stream path handed this run to the live source."""
-    _count_path("inline:" + reason)
-    tracer = obs.current()
-    if tracer.enabled:
-        tags = {"path": "inline", "reason": reason}
-        if eg is not None:
-            tags["predictor"] = eg.predictor
-        tracer.event("sim.replay", **tags)
+def run_streams(sim: TimingSimulator) -> SimStats:
+    """Run *sim* on the precomputed streams, building the trace's
+    precompute on first use.
 
-
-def try_fast(sim: TimingSimulator) -> Optional[SimStats]:
-    """Run *sim* on the precomputed-stream path (building the trace's
-    precompute on first use), or return None when the config needs
-    live outcomes or the replay kept diverging (wrong-address pollution
-    that did not dispatch).
-
-    Every config starts from an empty exclusion set; the segment memo
-    on the precompute is the stream path's one reuse layer.
+    Replays until nothing the streams assumed disagrees with the
+    replay: each round flips the exclusion membership of every
+    diverged wrong-address load and, under hardware dual-path
+    selection, the route of every load whose decode-time decision
+    disagreed with it.  Every config starts from an empty exclusion
+    set; the segment memo on the precompute is the stream path's one
+    reuse layer.  Raises :class:`~repro.errors.ReproError` if the first
+    disagreement fails to move later, which the module docstring's
+    causality argument rules out.
     """
     cfg = sim.config
     eg = cfg.earlygen
     trace = sim.trace
     sb = _scheme_bytes(trace.program, eg, sim.spec_override)
-    if sb is None:
-        # Run-time (dual-path) selection is timing-dependent.
-        _decline("hw-dual", eg)
-        return None
     pre = get_precompute(trace, cfg)
-    route = pre.route_for(sb)
-    ecodes = pre.estream(eg, route)
-    global _divergences, _divergence_fallbacks
+    route = _first_route(pre, sb)
+    # Routed loads whose dual-path decision disagrees with the route;
+    # only dual-path configs act on them.
+    flips = [] if sb is None else None
+    global _divergences
     excluded = frozenset()
-    patched = 0
+    patched = rounds = 0
     segments = segment_hits = 0
-    for _ in range(_MAX_PATCH_RETRIES + 1):
+    # The first disagreement of the last round, keyed 2 * load for a
+    # route flip and 2 * load + 1 for a divergence.
+    settled = -1
+    while True:
+        rounds += 1
         dcodes, dmiss, store_miss, poll_miss = pre.dstream(
             eg, route, excluded
         )
         diverged: list = []
         stats, ra_interlock, walked = _replay(
             pre, cfg, route, dcodes, (dmiss, store_miss, poll_miss),
-            ecodes, excluded, diverged,
+            pre.estream(eg, route), excluded, diverged, flips,
+            sim.collect_timeline,
         )
         segments += walked[0]
         segment_hits += walked[1]
         _segment_totals[0] += walked[0]
         _segment_totals[1] += walked[1]
-        if not diverged:
-            _count_path("scalar")
-            tracer = obs.current()
-            if tracer.enabled:
-                tracer.event(
-                    "sim.replay",
-                    patches=patched,
-                    table=eg.table_entries,
-                    regs=eg.cached_regs,
-                    selection=eg.selection.value,
-                    predictor=eg.predictor,
-                    path="scalar",
-                    segments=segments,
-                    segment_hits=segment_hits,
-                )
-            _emit_counters(eg, stats, ra_interlock)
-            return stats
-        # The stream's fill assumptions disagreed with the ports the
-        # replay actually saw: flip every recorded ordinal and rebuild.
-        # Only a zero-divergence replay is accepted, so patching can
-        # never return inexact stats; stats from this attempt are
-        # discarded.
+        if not diverged and not flips:
+            break
+        # The replay is exact up to its first disagreement.  A route
+        # flip there settles the route; a divergence there (the route
+        # being right) settles the load.  Either moves `settled` on.
+        first = min(([2 * flips[0]] if flips else [])
+                    + ([2 * diverged[0] + 1] if diverged else []))
+        if first <= settled:
+            raise ReproError(
+                "stream replay did not converge",
+                config=eg, rounds=rounds, load=first // 2,
+            )
+        settled = first
+        # Stats from this round are discarded.
         _divergences += len(diverged)
         patched += len(diverged)
         excluded = excluded.symmetric_difference(diverged)
-    _divergence_fallbacks += 1
-    _decline("divergence-fallback", eg)
-    return None
-
-
-def run_live(sim: TimingSimulator) -> SimStats:
-    """Run *sim* through the scheduler on live outcomes.
-
-    This is :meth:`TimingSimulator.run`, and what :func:`simulate_many`
-    falls back to for every config :func:`try_fast` declines.
-    """
-    cfg = sim.config
-    trace = sim.trace
-    pre = get_precompute(trace, cfg)
-    sb = _scheme_bytes(trace.program, cfg.earlygen, sim.spec_override)
-    route = pre.route_for(sb) if sb is not None else None
-    stats, ra_interlock, _ = _replay(pre, cfg, route, sim=sim)
-    _emit_counters(cfg.earlygen, stats, ra_interlock)
-    return stats
-
-
-def _emit_counters(eg: EarlyGenConfig, stats: SimStats,
-                   ra_interlock: int) -> None:
-    """Post-run observability seam: the ``sim.counters`` event."""
+        if flips:
+            turned = bytearray(route)
+            for li in flips:
+                turned[li] ^= 3  # 1 <-> 2
+            route = bytes(turned)
+            flips = []
+    path = "hw-fixed" if sb is None else "scalar"
+    _replay_paths[path] = _replay_paths.get(path, 0) + 1
     tracer = obs.current()
-    if not tracer.enabled:
-        return
-    tracer.event(
-        "sim.counters",
-        counters=TimingSimulator._event_counters(stats, ra_interlock),
-        table=eg.table_entries,
-        regs=eg.cached_regs,
-        selection=eg.selection.value,
-    )
-
-
-def _store_interlock(sq: deque, c: int, word: int) -> bool:
-    """Mem_Interlock for a speculative access at cycle *c*: an in-flight
-    store (issued at ``s``, writing at ``s + 1``) to *word* writes after
-    *c*.  Stores that can no longer interlock any later access leave
-    the queue.  The live source calls this; the stream loads, the hot
-    path of config sweeps, spell it out in place."""
-    while sq and sq[0][0] + 1 <= c:
-        sq.popleft()
-    for _, s_word in sq:
-        if s_word == word:
-            return True
-    return False
+    if tracer.enabled:
+        tracer.event(
+            "sim.replay",
+            patches=patched,
+            rounds=rounds,
+            table=eg.table_entries,
+            regs=eg.cached_regs,
+            selection=eg.selection.value,
+            predictor=eg.predictor,
+            path=path,
+            segments=segments,
+            segment_hits=segment_hits,
+        )
+        tracer.event(
+            "sim.counters",
+            counters=TimingSimulator._event_counters(stats, ra_interlock),
+            table=eg.table_entries,
+            regs=eg.cached_regs,
+            selection=eg.selection.value,
+        )
+    return stats
 
 
 def _with_watch_marks(records: list) -> list:
@@ -936,28 +870,22 @@ def _wrong_dispatches(inputs: bytes, l0: int, excluded: frozenset,
     return tuple(out)
 
 
-def _replay(pre: TracePrecompute, cfg: MachineConfig,
-            route: Optional[bytes], dcodes: bytes = b"",
-            dtotals: tuple = (0, 0, 0), ecodes: bytes = b"",
-            excluded: frozenset = frozenset(),
-            diverged: Optional[list] = None,
-            sim: Optional[TimingSimulator] = None):
+def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
+            dcodes: bytes, dtotals: tuple, ecodes: bytes,
+            excluded: frozenset, diverged: list,
+            flips: Optional[list] = None, watch: bool = False):
     """The timing loop: one pass over the trace's scheduler records.
 
-    Outcomes come from one of two sources:
-
-    * **precomputed streams** (``sim`` None): ``dcodes``/``dtotals``
-      and ``ecodes`` from :meth:`TracePrecompute.dstream` and
-      :meth:`TracePrecompute.estream` under ``route``; wrong-address
-      dispatches that disagree with the stream are appended to
-      ``diverged``;
-    * **live** (``sim`` set): each load probes and updates the
-      predictor backend, the d-cache and ``R_addr`` or the BRIC
-      register cache as it issues, and each store write-accesses the
-      d-cache.  ``route`` None means hardware dual-path selection,
-      decided per load at decode.  When ``sim`` collects a timeline, a
-      watch mark follows every record; otherwise the loop never tests
-      for them.
+    Load outcomes come from ``dcodes``/``dtotals`` and ``ecodes``, the
+    streams of :meth:`TracePrecompute.dstream` and
+    :meth:`TracePrecompute.estream` under ``route``.  Wrong-address
+    dispatches that disagree with ``excluded`` are appended to
+    ``diverged``; with ``flips`` given (hardware dual-path selection),
+    routed loads whose decode-time decision — prediction if the base
+    register is interlocked at decode, calculation otherwise —
+    disagrees with ``route`` are appended to it.  With ``watch``, a
+    watch mark follows every record and the stats carry a timeline;
+    otherwise the loop never tests for them.
 
     The scoreboard is a handful of locals because the issue cycle is
     monotone: ``iss`` / ``alu`` / ``fpu`` / ``bru`` count units consumed
@@ -967,16 +895,17 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig,
     ``pc``).  Every clock advance shifts the window by the advance
     distance.
 
-    The stream source walks the trace segment by segment
+    The loop walks the trace segment by segment
     (:class:`TracePrecompute`'s segment walk).  At each segment start
     it looks up ``(state, segment, inputs)`` in the precompute's
     :class:`_SegmentMemo`: a hit advances the clock and counters by the
-    stored transition and replays its wrong-address dispatch
-    bookkeeping; a miss rebuilds the scoreboard from the state if the
-    last segment was a hit, runs the segment's records through the
-    loop below and stores the transition.  The live source runs the
-    whole trace as one segment without the memo.  Returns ``(stats,
-    raddr_interlocks, (segments, segment_hits))``.
+    stored transition and replays its wrong-address dispatch and
+    dual-path bookkeeping; a miss rebuilds the scoreboard from the
+    state if the last segment was a hit, runs the segment's records
+    through the loop below and stores the transition.  A watched
+    replay, or a machine whose latencies do not fit a snapshot byte,
+    runs the whole trace as one segment without the memo.  Returns
+    ``(stats, raddr_interlocks, (segments, segment_hits))``.
     """
     records = pre.records
     lword = pre.lword
@@ -995,7 +924,7 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig,
     iss = alu = fpu = bru = 0
     pp = pm = pc = 0
 
-    spec_any = route is None or 1 in route or 2 in route
+    spec_any = 1 in route or 2 in route
     sq: deque = deque()
     sq_append = sq.append
     sq_popleft = sq.popleft
@@ -1006,12 +935,21 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig,
     calc_disp = calc_succ = calc_part = 0
     sp_noport = sp_interlock = sp_dmiss = 0
     ra_interlock = 0
+    hw_dual = flips is not None
+    if not hw_dual:
+        flips = []  # recorded on memo misses only, for the transitions
 
     timeline = None
     walk = (0,)  # the whole trace as one segment
     memo = None
     misses = 0
-    if sim is None and max(miss_lat + 2, width, 2 * n_ports) < 256:
+    if watch:
+        timeline = []
+        records = _with_watch_marks(records)
+        tl_append = timeline.append
+        uids = pre.uids
+        i = 0
+    elif max(miss_lat + 2, width, 2 * n_ports) < 256:
         # Snapshots and store aliases hold every value in a byte.
         memo = pre.segment_memo
         transitions = memo.transitions
@@ -1030,44 +968,6 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig,
             rr, cur, (pp, pm, pc, iss, alu, fpu, bru), spec_any, sq))
         acc = 0  # packed counter deltas of the memo hits
         concrete = True  # the locals hold the state at `cur`
-    if sim is not None:
-        records = pre.live_records()
-        eg = cfg.earlygen
-        dcache = DirectMappedCache(cfg.dcache)
-        dc_probe = dcache.probe
-        dc_access = dcache.access
-        dc_write = dcache.write_access
-        table = _create_predictor(eg)
-        if table is not None:
-            tb_probe = table.probe
-            tb_update = table.update
-            # Backends that train on the demand d-cache outcome get it
-            # as an extra update argument, probed before the demand
-            # access (nothing touches the cache in between).
-            tb_demand = table.trains_on_demand
-        use_raddr = eg.selection is SelectionMode.COMPILER
-        bound = -1  # R_addr binding (a register slot)
-        if eg.cached_regs and not use_raddr:
-            regcache = RegisterCache(eg.cached_regs)
-            rc_probe = regcache.probe
-            rc_insert = regcache.insert
-        hw_dual = route is None
-        if hw_dual:
-            route = bytearray(pre.n_loads)
-        mseq_ea = pre.mseq_ea
-        lpc = pre.lpc
-        lro = pre.lro
-        ldisp = pre.ldisp
-        mi = 0  # memory-op ordinal (loads and stores)
-        dmiss = store_miss = poll_miss = 0
-        if sim.collect_timeline:
-            # A watch mark after every record, so runs without a
-            # timeline (and the stream path) never test for one.
-            timeline = []
-            records = _with_watch_marks(records)
-            tl_append = timeline.append
-            uids = pre.uids
-            i = 0
 
     seg = records
     for j, sid in enumerate(walk):
@@ -1076,12 +976,14 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig,
             key = (state, sid, inputs[li:l1])
             hit = memo_get(key)
             if hit is not None:
-                state, dcur, dacc, wrongs = hit
+                state, dcur, dacc, wrongs, turns = hit
                 cur += dcur
                 acc += dacc
                 for rel, dispatched in wrongs:
                     if (li + rel in excluded) == dispatched:
                         diverged.append(li + rel)
+                if turns and hw_dual:
+                    flips.extend([li + rel for rel in turns])
                 li = l1
                 concrete = False
                 continue
@@ -1101,6 +1003,7 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig,
                            calc_succ, calc_part, sp_noport, sp_interlock,
                            sp_dmiss, ra_interlock)
             n_div = len(diverged)
+            n_flip = len(flips)
             seg = records[seg_rstart[j]:seg_rstart[j + 1]]
 
         for k, pen, s1, s2, s3, dest, x in seg:
@@ -1117,6 +1020,7 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig,
                 pc = 0
                 iss = alu = fpu = bru = 0
                 cur += pen
+            t_dec = cur  # the decode cycle, for dual-path selection
 
             t = rr[s1]
             r2 = rr[s2]
@@ -1166,6 +1070,9 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig,
                     pc += 1
                     rr[dest] = cur + (ld_lat if code else miss_lat)
                 elif r == 1:
+                    if rr[lbase[li]] <= t_dec - 2:
+                        # dual-path selection would calculate
+                        flips.append(li)
                     success = False
                     if code & 2:  # functioning prediction
                         if pp < n_ports:
@@ -1222,6 +1129,10 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig,
                         pc += 1
                         rr[dest] = cur + (ld_lat if code & 1 else miss_lat)
                 else:  # r == 2: early calculation
+                    rb = rr[lbase[li]]
+                    if rb > t_dec - 2:
+                        # dual-path selection would predict
+                        flips.append(li)
                     success = False
                     lat = 0
                     ec = ecodes[li]
@@ -1229,7 +1140,7 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig,
                         if pp < n_ports:
                             pp += 1
                             calc_disp += 1
-                            if rr[lbase[li]] > cur - 2:
+                            if rb > cur - 2:
                                 # base not written back by ID1
                                 ra_interlock += 1
                             else:
@@ -1276,7 +1187,7 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig,
                         rr[dest] = cur + (ld_lat if code & 1 else miss_lat)
                 li += 1
 
-            elif k >= 8:  # branch, jump, return, call
+            elif k >= 6:  # branch, jump, return, call
                 if iss >= width or bru >= n_brus:
                     cur += 1
                     pp = pm
@@ -1285,7 +1196,7 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig,
                     iss = alu = fpu = bru = 0
                 iss += 1
                 bru += 1
-                if k == 11:  # call writes the link register
+                if k == 9:  # call writes the link register
                     rr[63] = cur + 1
                 if x:  # precomputed redirect cycles
                     if x == 1:
@@ -1339,178 +1250,27 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig,
                 iss += 1
                 rr[dest] = cur + x
 
-            elif k == 5:  # load, live outcomes
-                # The record's operand slots are empty, so the clock is
-                # still the decode cycle: dual-path selection reads the
-                # base register's interlock here, then the load waits on
-                # its own sources.
-                t_dec = cur
-                s1, s2, s3 = x
-                t = rr[s1]
-                r2 = rr[s2]
-                if r2 > t:
-                    t = r2
-                r3 = rr[s3]
-                if r3 > t:
-                    t = r3
-                if t > cur:
-                    d = t - cur
-                    if d == 1:
-                        pp = pm
-                        pm = pc
-                    elif d == 2:
-                        pp = pc
-                        pm = 0
-                    else:
-                        pp = 0
-                        pm = 0
-                    pc = 0
-                    iss = alu = fpu = bru = 0
-                    cur = t
-                ea = mseq_ea[mi]
-                mi += 1
-                base = lbase[li]
-                if hw_dual:
-                    # Eickemeyer-Vassiliadis: prediction only for loads
-                    # whose base register is interlocked at decode.
-                    r = 1 if rr[base] > t_dec - 2 else 2
-                    route[li] = r
-                else:
-                    r = route[li]
-                success = False
-                lat = ld_lat
-                if r == 1:
-                    pc_addr = lpc[li]
-                    predicted = tb_probe(pc_addr)
-                    if predicted is not None:
-                        if pp < n_ports:
-                            pp += 1
-                            pred_disp += 1
-                            if predicted == ea:
-                                if sq and _store_interlock(sq, cur - 1,
-                                                           lword[li]):
-                                    sp_interlock += 1
-                                elif dc_probe(ea):
-                                    success = True
-                                    lat = ld_hit_lat
-                                    pred_succ += 1
-                                else:
-                                    sp_dmiss += 1
-                            else:
-                                pred_wrong += 1
-                                # The wrong-address access still fetches
-                                # its block (the paper's "extra load").
-                                if not dc_access(predicted):
-                                    poll_miss += 1
-                        else:
-                            sp_noport += 1
-                    if tb_demand:
-                        tb_update(pc_addr, ea, predicted, dc_probe(ea))
-                    else:
-                        tb_update(pc_addr, ea, predicted)
-                elif r == 2:
-                    # ec: 1 = may dispatch, 3 = reg+reg partial case.  Every
-                    # load on this path then rebinds R_addr / fills the
-                    # register cache (neither touches ports or the d-cache).
-                    if use_raddr:
-                        # A load that just switched the binding reads a
-                        # stale value; reg+reg cannot use R_addr at all.
-                        ec = 1 if bound == base and lro[li] else 0
-                        bound = base
-                    else:
-                        ec = 0
-                        if rc_probe(base):
-                            if lro[li]:
-                                ec = 1
-                            elif rc_probe(ldisp[li]):
-                                ec = 3
-                        rc_insert(base)
-                    if ec:
-                        if pp < n_ports:
-                            pp += 1
-                            calc_disp += 1
-                            if rr[base] > cur - 2:
-                                # base not written back by ID1
-                                ra_interlock += 1
-                            elif sq and _store_interlock(sq, cur - 1,
-                                                         lword[li]):
-                                sp_interlock += 1
-                            elif dc_probe(ea):
-                                success = True
-                                calc_succ += 1
-                                if ec & 2:
-                                    calc_part += 1
-                                    lat = 1
-                                else:
-                                    lat = 0
-                            else:
-                                sp_dmiss += 1
-                        else:
-                            sp_noport += 1
-                if success:
-                    if iss >= width:
-                        cur += 1
-                        pp = pm
-                        pm = pc
-                        pc = 0
-                        iss = alu = fpu = bru = 0
-                    iss += 1
-                    dc_access(ea)  # the probed block is present: a hit
-                else:
-                    if iss >= width or pc >= n_ports:
-                        cur += 1
-                        pp = pm
-                        pm = pc
-                        pc = 0
-                        iss = alu = fpu = bru = 0
-                    iss += 1
-                    pc += 1
-                    if not dc_access(ea):
-                        dmiss += 1
-                        lat = miss_lat
-                rr[dest] = cur + lat
-                li += 1
-
-            elif k == 6:  # store, live outcomes
-                if iss >= width or pc >= n_ports:
-                    cur += 1
-                    pp = pm
-                    pm = pc
-                    pc = 0
-                    iss = alu = fpu = bru = 0
-                iss += 1
-                pc += 1
-                # Write-through, no-allocate: misses count, nothing fills.
-                if not dc_write(mseq_ea[mi]):
-                    store_miss += 1
-                mi += 1
-                if spec_any:
-                    sq_append((cur, sword[si]))
-                    if len(sq) > 32:
-                        c = cur - 1
-                        while sq[0][0] + 1 <= c:
-                            sq_popleft()
-                si += 1
-
-            else:  # k == 7: watch mark for the record just issued
+            else:  # k == 5: watch mark for the record just issued
                 # The mark has no fetch penalty, sources or destination, so
                 # the clock and scoreboard are as that record left them.
                 k = x[0]
-                if k >= 8:  # issue cycle, before the redirect
+                if k >= 6:  # issue cycle, before the redirect
                     x = x[6]
                     note = "branch mispredict" if x > 1 else "branch"
                     tl_append((uids[i], cur - x, note))
                 else:
-                    if k == 5:
-                        ch = "npe"[r]
-                        if success:
-                            note = f"{ch}-hit lat={lat}"
-                        elif r:
-                            note = f"{ch}-miss lat={lat}"
-                        else:
+                    if k == 0:
+                        # The load just wrote its destination.  Test `r`
+                        # first: the r == 0 branch leaves `success` stale.
+                        lat = rr[x[5]] - cur
+                        if not r:
                             note = f"load lat={lat}"
+                        elif success:
+                            note = f"{'npe'[r]}-hit lat={lat}"
+                        else:
+                            note = f"{'npe'[r]}-miss lat={lat}"
                     else:
-                        note = "store" if k == 6 else ""
+                        note = "store" if k == 1 else ""
                     tl_append((uids[i], cur, note))
                 i += 1
 
@@ -1524,7 +1284,10 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig,
                       calc_succ, calc_part, sp_noport, sp_interlock,
                       sp_dmiss, ra_interlock) - before,
                 _wrong_dispatches(key[2], l0, excluded, diverged[n_div:]),
+                tuple([f - l0 for f in flips[n_flip:]]),
             )
+            if not hw_dual:
+                del flips[n_flip:]
             concrete = True
 
     if memo is not None:
@@ -1536,8 +1299,6 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig,
             calc_part, sp_noport, sp_interlock, sp_dmiss, ra_interlock,
         ), 10)
 
-    if sim is not None:
-        dtotals = (dmiss, store_miss, poll_miss)
     stats = _assemble_stats(
         pre, route, dtotals, cur,
         pred_disp, pred_succ, pred_wrong,
@@ -1602,10 +1363,7 @@ def warm_precompute(
     pre = get_precompute(trace, machine)
     for idx, eg in enumerate(configs):
         ov = overrides[idx] if overrides is not None else None
-        sb = _scheme_bytes(trace.program, eg, ov)
-        if sb is None:  # hardware dual-path: live outcomes only
-            continue
-        route = pre.route_for(sb)
+        route = _first_route(pre, _scheme_bytes(trace.program, eg, ov))
         pre.dstream(eg, route)
         pre.estream(eg, route)
     return pre
@@ -1625,9 +1383,7 @@ def simulate_many(
     objects.  ``overrides`` optionally carries a per-config
     ``spec_override`` map; ``span_tags`` optional per-config tag dicts
     for a ``sim`` span on the ambient tracer.  Results are in input
-    order and byte-identical to independent ``TimingSimulator`` runs —
-    configs the streams cannot express (hardware dual-path, diverging
-    pollution) run the same loop on live outcomes.
+    order and byte-identical to independent ``TimingSimulator`` runs.
     """
     base = machine if machine is not None else MachineConfig()
     tracer = obs.current()
@@ -1642,8 +1398,5 @@ def simulate_many(
         tags = span_tags[idx] if span_tags is not None else None
         with (tracer.span("sim", **tags) if tags is not None
               else nullcontext()):
-            stats = try_fast(sim)
-            if stats is None:
-                stats = run_live(sim)
-        results.append(stats)
+            results.append(run_streams(sim))
     return results

@@ -10,8 +10,8 @@ whole stack.  For each program the driver asserts three invariants:
   that same stream (a miscompiling pass shows up as a diff between
   levels even if both are internally consistent);
 * **sim-path parity** — the timing stats of the proposed configuration
-  are byte-identical between a plain ``TimingSimulator.run()`` (live
-  outcomes) and ``simulate_many`` (precomputed streams).
+  are byte-identical between ``simulate_many`` (precomputed streams)
+  and the seed oracle :func:`~repro.sim._pipeline_reference.reference_run`.
 
 Any violated invariant becomes a :class:`Mismatch` in the report rather
 than an exception, so one bad seed doesn't hide the rest of the batch.
@@ -24,6 +24,7 @@ from typing import Callable, List, Optional, Sequence
 
 from repro import obs
 from repro.compiler.driver import compile_source
+from repro.sim._pipeline_reference import reference_run
 from repro.sim.executor import execute
 from repro.sim.machine import MachineConfig, PROPOSED
 from repro.sim.pipeline import TimingSimulator
@@ -100,14 +101,15 @@ def check_program(
     if 2 in outputs:
         trace = outputs[2][1]
         machine = MachineConfig().with_earlygen(PROPOSED)
-        live = asdict(TimingSimulator(trace, machine).run())
+        reference = asdict(reference_run(TimingSimulator(trace, machine)))
         fast = asdict(simulate_many(trace, [PROPOSED])[0])
         report.checks += 1
-        if live != fast:
-            diffs = [key for key in live if live[key] != fast[key]]
+        if reference != fast:
+            diffs = [key for key in reference
+                     if reference[key] != fast[key]]
             report.mismatches.append(Mismatch(
                 name, "sim-parity",
-                f"run() != simulate_many SimStats (fields: {diffs})",
+                f"reference != simulate_many SimStats (fields: {diffs})",
             ))
     return report
 

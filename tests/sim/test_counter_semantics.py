@@ -14,9 +14,9 @@ sound under the documented counter semantics of
   prediction/suppressed; ``update`` advances the state machine
   unconditionally per routed load, independent of dispatch timing.
 
-These tests pin the semantics at the unit level and then pin that both
-outcome sources of the timing loop (live and precomputed streams)
-report identical access/hit counters on a real trace.
+These tests pin the semantics at the unit level and then pin that the
+precomputed streams report the seed oracle's access/hit counters on a
+real trace (the oracle drives live cache and table models).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro.isa import parse_asm
-from repro.sim import precompute
+from repro.sim._pipeline_reference import reference_run
 from repro.sim.cache import DirectMappedCache
 from repro.sim.executor import execute
 from repro.sim.machine import (
@@ -134,9 +134,10 @@ def test_suppressed_predictions_still_count_probes():
 
 @pytest.mark.parametrize("mem_ports", (1, 2))
 def test_both_paths_report_identical_cache_counters(mem_ports):
-    """Regression: precomputed streams and live outcomes must report
-    identical ``dcache_hits``/``dcache_misses`` (and every other
-    counter), with wrong-address pollution port-starved or not."""
+    """Regression: the precomputed streams and the seed oracle's live
+    models must report identical ``dcache_hits``/``dcache_misses`` (and
+    every other counter), with wrong-address pollution port-starved or
+    not."""
     rng = random.Random(0xCAFE)
     trace = execute(parse_asm(_random_asm(rng))).trace
     machine = MachineConfig(
@@ -144,9 +145,8 @@ def test_both_paths_report_identical_cache_counters(mem_ports):
         dcache=CacheConfig(size=1024),
     ).with_earlygen(EarlyGenConfig(16, 0, SelectionMode.HARDWARE))
 
-    live = TimingSimulator(trace, machine).run()
-    fast = precompute.try_fast(TimingSimulator(trace, machine))
-    assert fast is not None, "config unexpectedly ineligible for fast path"
+    live = reference_run(TimingSimulator(trace, machine))
+    fast = TimingSimulator(trace, machine).run()
 
     assert fast.dcache_hits == live.dcache_hits
     assert fast.dcache_misses == live.dcache_misses
@@ -292,14 +292,13 @@ def test_gated_backends_reject_confidence_bits(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_both_paths_identical_counters_per_backend(backend):
-    """The stream path must reproduce live outcomes byte-identically
-    for every backend, not just stride."""
+    """The stream path must reproduce the seed oracle's live outcomes
+    byte-identically for every backend, not just stride."""
     rng = random.Random(0xBEEF)
     trace = execute(parse_asm(_random_asm(rng))).trace
     machine = MachineConfig(mem_ports=1).with_earlygen(_eg(backend))
-    live = TimingSimulator(trace, machine).run()
-    fast = precompute.try_fast(TimingSimulator(trace, machine))
-    assert fast is not None, "config unexpectedly ineligible for fast path"
+    live = reference_run(TimingSimulator(trace, machine))
+    fast = TimingSimulator(trace, machine).run()
     assert stats_to_record(fast) == stats_to_record(live)
 
 

@@ -6,14 +6,16 @@ Covers what the parity suites do not:
   per-config streams/routes) stay bounded no matter how many machines
   or configs a long service session replays;
 * one timing loop — ``run()`` and every ``simulate_many`` config,
-  streamed or declined, go through the one scheduler on the shared
-  precompute, and ``simulate_many`` results land byte-identical to
-  independent runs;
+  hardware dual-path included, go through the one scheduler on the
+  shared precompute's streams and land byte-identical to the seed
+  oracle;
 * golden lock — every eligible golden case replayed through
   ``simulate_many`` reproduces its recorded snapshot exactly;
-* divergence patching — wrong-address pollution that cannot dispatch is
-  resolved by stream rebuilds, not by silently wrong stats, and an
-  identical config replays from the segment memo;
+* divergence patching and the route fixed point — wrong-address
+  pollution that cannot dispatch and dual-path routes the first replay
+  guessed wrong are resolved by stream rebuilds, not by silently wrong
+  stats, also on a segment memo other configs warmed, and an identical
+  config replays from the segment memo;
 * dependencies — a harness run through the stream path imports nothing
   beyond the standard library.
 """
@@ -33,7 +35,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro import obs
 from repro.isa import parse_asm
+from repro.isa.opcodes import LoadSpec
 from repro.sim import precompute
+from repro.sim._pipeline_reference import reference_run
 from repro.sim.executor import execute
 from repro.sim.machine import (
     CacheConfig,
@@ -41,7 +45,7 @@ from repro.sim.machine import (
     MachineConfig,
     SelectionMode,
 )
-from repro.sim.pipeline import TimingSimulator
+from repro.sim.pipeline import TimingSimulator, _decode_program
 from repro.sim.precompute import (
     _PRECOMPUTE_LIMIT,
     _ROUTE_LIMIT,
@@ -127,20 +131,27 @@ def test_precompute_invalidated_when_program_recompiled(trace):
 # One timing loop
 # ---------------------------------------------------------------------------
 
+def _reference(trace, machine, **kwargs) -> dict:
+    return stats_to_record(
+        reference_run(TimingSimulator(trace, machine, **kwargs))
+    )
+
+
 def test_one_shot_run_builds_the_shared_precompute(trace):
     machine = MachineConfig().with_earlygen(
         EarlyGenConfig(64, 0, SelectionMode.HARDWARE)
     )
     before = precompute.replay_path_counts()
-    TimingSimulator(trace, machine).run()
+    stats = TimingSimulator(trace, machine).run()
     uids, store = trace.program._sim_precompute
     assert uids is trace.uids
     pre = store[_machine_key(machine)]
     assert get_precompute(trace, machine) is pre
-    # Live outcomes only: no stream was derived and no path counted.
-    assert pre._live_records is not None
-    assert not pre._dstreams and not pre._estreams
-    assert precompute.replay_path_counts() == before
+    # run() streams: its outcome stream is cached for later sweeps.
+    assert pre._dstreams
+    after = precompute.replay_path_counts()
+    assert after.get("scalar", 0) == before.get("scalar", 0) + 1
+    assert stats_to_record(stats) == _reference(trace, machine)
 
 
 def test_run_and_every_sweep_config_call_the_one_scheduler(
@@ -149,35 +160,41 @@ def test_run_and_every_sweep_config_call_the_one_scheduler(
     real_replay = precompute._replay
 
     def counting_replay(*args, **kwargs):
-        calls.append(kwargs.get("sim") is not None)
+        # The ninth argument collects dual-path decisions, and only a
+        # hardware dual-path config passes it.
+        calls.append(args[8] is not None)
         return real_replay(*args, **kwargs)
 
     monkeypatch.setattr(precompute, "_replay", counting_replay)
     hw_dual = EarlyGenConfig(256, 1, SelectionMode.HARDWARE)
     TimingSimulator(trace, MachineConfig().with_earlygen(hw_dual)).run()
-    assert calls == [True]
+    assert calls and all(calls)
+    ran = len(calls)
     simulate_many(trace, [EarlyGenConfig(64, 1), hw_dual])
-    # One streamed config, one declined to live outcomes.
-    assert calls == [True, False, True]
+    # The compiler config's rounds come first, then the dual-path
+    # config's fixed point again.
+    swept = calls[ran:]
+    assert swept[0] is False and swept[-1] is True
+    assert swept == sorted(swept)
+    assert swept.count(True) == ran
 
 
-def test_warm_run_uses_fast_path_and_matches_inline(trace):
+def test_warm_runs_and_sweeps_stream_and_match_the_reference(trace):
     machine = MachineConfig().with_earlygen(
         EarlyGenConfig(64, 0, SelectionMode.HARDWARE)
     )
-    live = stats_to_record(TimingSimulator(trace, machine).run())
+    reference = _reference(trace, machine)
+    before = precompute.replay_path_counts().get("scalar", 0)
     (batched,) = simulate_many(trace, [machine])
-    assert stats_to_record(batched) == live
-    # The precompute is now warm: a second sweep streams again and
-    # agrees, while a plain run() takes no stream path.
+    assert stats_to_record(batched) == reference
+    # The precompute is now warm: a second sweep and a plain run()
+    # stream again and agree.
     assert getattr(trace.program, "_sim_precompute", None) is not None
-    before = precompute.replay_path_counts()
     (again,) = simulate_many(trace, [machine])
-    assert stats_to_record(again) == live
-    streamed = precompute.replay_path_counts()
-    assert streamed.get("scalar", 0) == before.get("scalar", 0) + 1
-    assert stats_to_record(TimingSimulator(trace, machine).run()) == live
-    assert precompute.replay_path_counts() == streamed
+    assert stats_to_record(again) == reference
+    assert stats_to_record(TimingSimulator(trace, machine).run()) == \
+        reference
+    assert precompute.replay_path_counts()["scalar"] == before + 3
 
 
 def test_run_emits_sim_counters_on_a_configured_tracer(trace, tmp_path):
@@ -199,16 +216,18 @@ def test_run_emits_sim_counters_on_a_configured_tracer(trace, tmp_path):
     assert event["counters"]["cycles"] == stats.cycles
 
 
-def test_hw_dual_configs_fall_back_to_inline(trace):
+def test_hw_dual_configs_stream_and_match_the_reference(trace):
     machine = MachineConfig().with_earlygen(
         EarlyGenConfig(16, 2, SelectionMode.HARDWARE)
     )
-    assert precompute.try_fast(
-        TimingSimulator(trace, machine)
-    ) is None
-    live = stats_to_record(TimingSimulator(trace, machine).run())
+    before = precompute.replay_path_counts()
     (batched,) = simulate_many(trace, [machine])
-    assert stats_to_record(batched) == live
+    after = precompute.replay_path_counts()
+    assert after.get("hw-fixed", 0) == before.get("hw-fixed", 0) + 1
+    assert after.get("scalar", 0) == before.get("scalar", 0)
+    assert stats_to_record(batched) == _reference(trace, machine)
+    # The fixed point settled on a route that uses both paths.
+    assert batched.scheme_counts["p"] and batched.scheme_counts["e"]
 
 
 def test_simulate_many_accepts_earlygen_and_machine_items(trace):
@@ -228,7 +247,6 @@ def test_divergence_patching_converges_without_fallback():
     """Port-starved machines (mem_ports=1) produce wrong-address
     pollution that cannot dispatch; patching must resolve it exactly."""
     rng = random.Random(0xD1CE)
-    fallbacks_before = precompute.divergence_fallback_count()
     diverged = False
     for _ in range(8):
         trace = execute(parse_asm(_random_asm(rng))).trace
@@ -236,27 +254,55 @@ def test_divergence_patching_converges_without_fallback():
             EarlyGenConfig(16, 0, SelectionMode.HARDWARE)
         )
         before = precompute.divergence_count()
-        live = stats_to_record(
-            TimingSimulator(trace, machine).run()
-        )
-        fast = precompute.try_fast(
-            TimingSimulator(trace, machine)
-        )
-        assert fast is not None
-        assert stats_to_record(fast) == live
+        reference = _reference(trace, machine)
+        fast = precompute.run_streams(TimingSimulator(trace, machine))
+        assert stats_to_record(fast) == reference
         patched = precompute.divergence_count() - before
         if patched:
             diverged = True
             # Every run starts from an empty exclusion set, so a rerun
             # re-converges along the same path to the same stats.
             again = precompute.divergence_count()
-            rerun = precompute.try_fast(
+            rerun = precompute.run_streams(
                 TimingSimulator(trace, machine)
             )
-            assert stats_to_record(rerun) == live
+            assert stats_to_record(rerun) == reference
             assert precompute.divergence_count() - again == patched
     assert diverged, "seeds no longer produce divergence; rotate them"
-    assert precompute.divergence_fallback_count() == fallbacks_before
+
+
+def test_hw_dual_fixed_point_on_a_memo_warmed_by_compiler_configs():
+    """Hardware dual-path on a port-starved machine, where route flips
+    and wrong-address divergences interleave, replayed on a segment
+    memo that compiler-mode configs of the same trace warmed first: the
+    transitions those configs learned must carry the dual-path
+    decisions too."""
+    rng = random.Random(0xF1A7)
+    cc = _starved_machine(EarlyGenConfig(16, 2, SelectionMode.COMPILER))
+    hw = _starved_machine(EarlyGenConfig(16, 2, SelectionMode.HARDWARE))
+    interleaved = 0
+    for _ in range(8):
+        trace = execute(parse_asm(_random_asm(rng))).trace
+        _, load_uids = _decode_program(trace.program)
+        # As compiled, then every load calculated (the inputs of the
+        # fixed point's all-calc first round), then every load predicted.
+        warm = [None] + [
+            {uid: spec for uid in load_uids}
+            for spec in (LoadSpec.E, LoadSpec.P)
+        ]
+        simulate_many(trace, [cc] * len(warm), overrides=warm)
+        before = precompute.divergence_count()
+        (stats,) = simulate_many(trace, [hw])
+        reference = _reference(trace, hw, collect_timeline=True)
+        record = stats_to_record(stats)
+        record["timeline"] = reference["timeline"]
+        assert record == reference
+        timed = TimingSimulator(trace, hw, collect_timeline=True).run()
+        assert stats_to_record(timed) == reference
+        # Starting from all-calc, every predicted load is a route flip.
+        if stats.scheme_counts["p"] and precompute.divergence_count() > before:
+            interleaved += 1
+    assert interleaved, "seeds no longer interleave flips and divergences"
 
 
 def test_identical_configs_replay_from_the_segment_memo(
@@ -295,7 +341,7 @@ def test_simulate_many_reproduces_golden_stats_exactly():
     groups: dict = {}
     for case_id, trace, machine, overrides, collect_timeline in iter_cases():
         if collect_timeline:
-            continue  # timelines run on live outcomes only
+            continue  # simulate_many collects no timeline
         entry = groups.setdefault(id(trace), (trace, []))
         entry[1].append((case_id, machine, overrides))
     checked = 0

@@ -15,7 +15,7 @@ segment boundary or bypass the per-record loop on a hit:
   the same stats from an empty memo and from a shared warm one;
 * the whole-trace walk — on a machine whose latencies do not fit a
   snapshot byte the memo stays off, and every harness config still
-  agrees with ``run()`` and the seed oracle;
+  agrees with the seed oracle;
 * engagement — on a loop workload the memo serves most segments, and
   the ``sim.replay`` events and ``obs_report`` show the count.
 """
@@ -121,10 +121,8 @@ def test_store_interlocks_survive_memo_hits(asm):
     (fast,) = simulate_many(trace, [machine])
     segments, hits = _walked(before)
     assert hits > segments // 2
-    live = TimingSimulator(trace, machine).run()
-    assert stats_to_record(fast) == stats_to_record(live)
     assert asdict(reference_run(TimingSimulator(trace, machine))) == \
-        asdict(live)
+        asdict(fast)
     assert 0 < fast.spec_mem_interlock < fast.loads
 
 
@@ -136,7 +134,7 @@ def _diverging(rng: random.Random, eg: EarlyGenConfig):
             mem_ports=1, dcache=CacheConfig(size=1024)
         ).with_earlygen(eg)
         before = precompute.divergence_count()
-        assert precompute.try_fast(TimingSimulator(trace, machine))
+        precompute.run_streams(TimingSimulator(trace, machine))
         if precompute.divergence_count() > before:
             return trace, machine
     raise AssertionError("seeds no longer produce divergence; rotate them")
@@ -148,13 +146,13 @@ def test_wrong_address_dispatches_replay_from_memo_hits():
     cold replay's exactly."""
     eg = EarlyGenConfig(16, 0, SelectionMode.HARDWARE)
     trace, machine = _diverging(random.Random(0x5E6), eg)
-    live = stats_to_record(TimingSimulator(trace, machine).run())
+    live = stats_to_record(reference_run(TimingSimulator(trace, machine)))
     pre = get_precompute(trace, machine)
 
     def replay() -> tuple:
         div = precompute.divergence_count()
         walked = segment_counts()
-        stats = precompute.try_fast(TimingSimulator(trace, machine))
+        stats = precompute.run_streams(TimingSimulator(trace, machine))
         return (stats_to_record(stats), precompute.divergence_count() - div,
                 _walked(walked))
 
@@ -166,7 +164,8 @@ def test_wrong_address_dispatches_replay_from_memo_hits():
     assert warm_segments == cold_segments
     assert warm_hits == warm_segments > cold_hits
     assert any(
-        wrongs for _, _, _, wrongs in pre.segment_memo.transitions.values()
+        wrongs
+        for _, _, _, wrongs, _ in pre.segment_memo.transitions.values()
     )
 
 
@@ -194,18 +193,18 @@ def test_cold_and_warm_memo_agree_on_every_harness_config():
     warm = simulate_many(trace, configs, machine=machine,
                          overrides=overrides)
     assert [stats_to_record(s) for s in warm] == cold
-    live = [
-        stats_to_record(TimingSimulator(
-            trace, machine.with_earlygen(eg), ov).run())
+    reference = [
+        stats_to_record(reference_run(TimingSimulator(
+            trace, machine.with_earlygen(eg), ov)))
         for eg, ov in zip(configs, overrides)
     ]
-    assert cold == live
+    assert cold == reference
 
 
 def test_a_machine_past_the_snapshot_range_walks_the_whole_trace():
     """A 300-cycle miss does not fit a snapshot byte, so the stream
     source walks each trace as one segment, without the memo, and must
-    still agree with ``run()`` and the seed oracle on every config."""
+    still agree with the seed oracle on every config."""
     trace, _, configs, overrides = _harness_sweep("022.li", 0.05)
     machine = MachineConfig(dcache=CacheConfig(miss_penalty=300))
     before_segments = segment_counts()
@@ -217,9 +216,7 @@ def test_a_machine_past_the_snapshot_range_walks_the_whole_trace():
         before_paths.get("scalar", 0)
     for eg, ov, fast in zip(configs, overrides, swept):
         sim = TimingSimulator(trace, machine.with_earlygen(eg), ov)
-        live = sim.run()
-        assert stats_to_record(fast) == stats_to_record(live)
-        assert asdict(reference_run(sim)) == asdict(live)
+        assert asdict(reference_run(sim)) == asdict(fast)
 
 
 def test_memo_serves_most_segments_of_a_loop_workload(tmp_path):
@@ -240,10 +237,13 @@ def test_memo_serves_most_segments_of_a_loop_workload(tmp_path):
               if r["kind"] == "event" and r["name"] == "sim.replay"]
     assert sum(e.get("segments", 0) for e in events) == segments
     assert sum(e.get("segment_hits", 0) for e in events) == hits
-    (scalar,) = [row for row in replay_paths(records)
-                 if row["path"] == "scalar"]
-    assert scalar["segments"] == segments
-    assert scalar["hit_pct"] == 100.0 * hits / segments
+    rows = replay_paths(records)
+    assert {row["path"] for row in rows} == {"scalar", "hw-fixed"}
+    assert sum(row["segments"] for row in rows) == segments
+    assert sum(row["segment_hits"] for row in rows) == hits
+    for row in rows:
+        assert row["hit_pct"] == \
+            100.0 * row["segment_hits"] / row["segments"]
 
 
 def test_a_full_memo_starts_over_and_stays_exact(monkeypatch):
@@ -255,9 +255,9 @@ def test_a_full_memo_starts_over_and_stays_exact(monkeypatch):
                           overrides=overrides)
     assert len(pre.segment_memo.transitions) <= 8
     assert len(pre.segment_memo.snapshots) <= 2 * 8 + 1
-    live = [
-        TimingSimulator(trace, machine.with_earlygen(eg), ov).run()
+    reference = [
+        reference_run(TimingSimulator(trace, machine.with_earlygen(eg), ov))
         for eg, ov in zip(configs, overrides)
     ]
     assert [stats_to_record(s) for s in swept] == \
-        [stats_to_record(s) for s in live]
+        [stats_to_record(s) for s in reference]

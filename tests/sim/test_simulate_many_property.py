@@ -1,11 +1,12 @@
-"""Property test: ``simulate_many`` equals independent simulator runs.
+"""Property test: ``simulate_many`` equals the seed oracle.
 
 For random programs, machine shapes, table sizes, selection modes
-(including hardware dual-path run-time selection, which runs on live
-outcomes only) and random ``spec_override`` maps, a batched
-``simulate_many`` sweep must produce :class:`~repro.sim.stats.SimStats`
-bit-identical to running each config through its own
-``TimingSimulator`` — the batched path shares one precompute across the
+(including hardware dual-path run-time selection, whose route the
+stream replay finds by fixed point) and random ``spec_override`` maps,
+a batched ``simulate_many`` sweep must produce
+:class:`~repro.sim.stats.SimStats` bit-identical to running each config
+through :func:`~repro.sim._pipeline_reference.reference_run` — the
+batched path shares one precompute and its segment memo across the
 sweep, so this pins that sharing (and the divergence patching behind
 it) never leaks between configs.
 
@@ -26,6 +27,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro.isa import parse_asm
 from repro.isa.opcodes import LoadSpec
+from repro.sim._pipeline_reference import reference_run
 from repro.sim.executor import execute
 from repro.sim.machine import EarlyGenConfig, SelectionMode
 from repro.sim.pipeline import TimingSimulator, _decode_program
@@ -63,7 +65,7 @@ def test_simulate_many_equals_independent_runs(seed):
 
     expected = [
         stats_to_record(
-            TimingSimulator(trace, machine, override).run()
+            reference_run(TimingSimulator(trace, machine, override))
         )
         for machine, override in zip(machines, overrides)
     ]
