@@ -137,11 +137,6 @@ def classify_program(program: Program) -> None:
         classify_function(func)
 
 
-def classify_module(module) -> None:
-    """Convenience wrapper over a :class:`~repro.compiler.ir.ModuleIR`."""
-    classify_program(module.program)
-
-
 def classify_late_loads(
     func: Function, created: List[Instruction]
 ) -> None:

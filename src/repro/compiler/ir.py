@@ -67,12 +67,6 @@ class FuncIR:
         self._analyses: Dict[str, object] = {}
         self._analyses_body: Optional[list] = None
 
-    def slot_by_offset(self, offset: int) -> Optional[FrameSlot]:
-        for slot in self.slots:
-            if slot.offset == offset:
-                return slot
-        return None
-
     def new_vreg_index(self) -> int:
         index = self.next_vreg
         self.next_vreg += 1

@@ -15,20 +15,12 @@ from typing import Dict, Optional
 
 from repro.isa.opcodes import LoadSpec
 from repro.isa.program import Program
+from repro.profiling.address_profile import profile_trace
 from repro.sim.predictors import UnboundedPredictor
 from repro.sim.trace import Trace
 
 #: The paper's reclassification threshold.
 DEFAULT_THRESHOLD = 0.60
-
-
-def profile_loads(trace: Trace) -> UnboundedPredictor:
-    """Run the per-load stride state machines over a trace."""
-    predictor = UnboundedPredictor()
-    observe = predictor.observe
-    for uid, ea in trace.load_addresses():
-        observe(uid, ea)
-    return predictor
 
 
 def profile_overrides(
@@ -45,7 +37,7 @@ def profile_overrides(
     ``spec_override`` or applied with :func:`apply_overrides`.
     """
     if predictor is None:
-        predictor = profile_loads(trace)
+        predictor = profile_trace(program, trace).predictor
     overrides: Dict[int, LoadSpec] = {}
     for inst in program.static_loads():
         if inst.lspec is not LoadSpec.N:

@@ -93,10 +93,6 @@ class EarlyGenConfig:
     def enabled(self) -> bool:
         return bool(self.table_entries or self.cached_regs)
 
-    @property
-    def dual_path(self) -> bool:
-        return bool(self.table_entries and self.cached_regs)
-
 
 #: No early generation hardware at all (the speedup baseline).
 BASELINE = EarlyGenConfig(0, 0)
@@ -135,10 +131,10 @@ class MachineConfig:
     def load_latencies(self) -> tuple:
         """``(ld_lat, ld_hit_lat, miss_lat)`` writeback latencies.
 
-        Read by both outcome sources of the timing loop in
-        :mod:`repro.sim.precompute`.  ``ld_hit_lat`` is the early-generated hit latency (the paper's
-        single-cycle use of a predicted/calculated address), capped by
-        the demand latency for degenerate sub-cycle configs.
+        Read by the timing loop in :mod:`repro.sim.precompute`.
+        ``ld_hit_lat`` is the ``ld_p`` forwarded latency (the paper's
+        single-cycle use of a predicted address), capped by the demand
+        latency for degenerate sub-cycle configs.
         """
         ld = self.load_latency
         return ld, min(1, ld), ld + self.dcache.miss_penalty

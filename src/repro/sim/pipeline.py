@@ -71,22 +71,17 @@ from repro.sim.trace import Trace
 _DRAIN = 3
 
 # Instruction kinds: produced by :func:`_decode_program` and carried by
-# the scheduler records of :mod:`repro.sim.precompute`.  The watch mark
-# exists only in records: it follows every record of a run that
-# collects a timeline.  Branch kinds come last so the scheduler tests
-# for them with one comparison.  The scheduler spells these values as
-# literals (cheaper than a global lookup in its loop): renumber both
-# together.
+# the scheduler records of :mod:`repro.sim.precompute`.  Branch kinds
+# come last so the scheduler tests for them with one comparison.
 _K_LOAD = 0
 _K_STORE = 1
 _K_ALU = 2
 _K_FP = 3
 _K_FREE = 4  # HALT/NOP: issue-width bound only
-_K_WATCH = 5
-_K_CBRANCH = 6
-_K_JUMP = 7
-_K_RET = 8
-_K_CALL = 9
+_K_CBRANCH = 5
+_K_JUMP = 6
+_K_RET = 7
+_K_CALL = 8
 
 
 def _decode_program(program: Program):

@@ -2,7 +2,10 @@
 
 :func:`_replay` is the one fast timing loop of the Section 5.1 machine:
 a window scoreboard over per-trace decode-once records, fed load
-outcomes from precomputed streams.  :meth:`TimingSimulator.run
+outcomes from precomputed streams.  It writes each pipeline rule once:
+one clock advance per record, one issue rule that the normal,
+prediction and early-calculation load routes share, and the timeline
+appended by the same body.  :meth:`TimingSimulator.run
 <repro.sim.pipeline.TimingSimulator.run>`, timelines and
 :func:`simulate_many` all go through :func:`run_streams`.
 
@@ -95,10 +98,12 @@ from repro.sim.machine import (
 )
 from repro.sim.pipeline import (
     _DRAIN,
+    _K_ALU,
+    _K_CALL,
     _K_CBRANCH,
+    _K_FP,
     _K_LOAD,
     _K_STORE,
-    _K_WATCH,
     TimingSimulator,
     _decode_program,
     _precompute_frontend,
@@ -208,7 +213,6 @@ class TracePrecompute:
     * the interleaved memory-op sequence plus per-load static facts
       (PC, word index, base/displacement slots, addressing mode) that
       the per-config stream builders replay, and
-    * the *neutral* demand D-cache stream (no prediction path routed),
     * the segment walk of the stream replay: ``seg_ids`` names each
       segment instance (a run of records up to a taken backward
       branch, or up to its first branch once it holds ``_SEGMENT_CAP``
@@ -788,22 +792,6 @@ def run_streams(sim: TimingSimulator) -> SimStats:
     return stats
 
 
-def _with_watch_marks(records: list) -> list:
-    """*records* with a watch mark after each one; the mark's ``extra``
-    is the record it follows."""
-    marks: dict = {}
-    out: list = []
-    append = out.append
-    for rec in records:
-        mark = marks.get(id(rec))
-        if mark is None:
-            mark = marks[id(rec)] = (_K_WATCH, 0, _NO_SRC, _NO_SRC,
-                                     _NO_SRC, _NO_DEST, rec)
-        append(rec)
-        append(mark)
-    return out
-
-
 def _snapshot(rr: list, cur: int, ports: tuple, spec_any: bool,
               sq: deque) -> bytes:
     """The scheduler state a segment's outcome depends on, as bytes.
@@ -883,9 +871,9 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
     ``diverged``; with ``flips`` given (hardware dual-path selection),
     routed loads whose decode-time decision — prediction if the base
     register is interlocked at decode, calculation otherwise —
-    disagrees with ``route`` are appended to it.  With ``watch``, a
-    watch mark follows every record and the stats carry a timeline;
-    otherwise the loop never tests for them.
+    disagrees with ``route`` are appended to it.  With ``watch``, each
+    record appends its issue cycle and outcome note to a timeline the
+    stats carry.
 
     The scoreboard is a handful of locals because the issue cycle is
     monotone: ``iss`` / ``alu`` / ``fpu`` / ``bru`` count units consumed
@@ -893,7 +881,16 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
     ``pc`` tracks memory ports at cycles ``cur-1`` / ``cur`` / ``cur+1``
     (speculative accesses charge ``pp``, normal MEM accesses charge
     ``pc``).  Every clock advance shifts the window by the advance
-    distance.
+    distance; a record's fetch penalty and operand wait are one advance.
+
+    Loads of all three routes share one rule (Section 3.2).  The route
+    only says whether an early access is ready (a functioning
+    prediction, or an ``R_addr``/BRIC hit), which counter its dispatch
+    charges, and what disqualifies it (a wrong predicted address, or
+    the ``R_addr`` interlock).  A dispatched, qualified access then
+    forwards if no store interlocks it and the d-cache hits (latency
+    ``ld_hit_lat`` for ``ld_p``, 0 or 1 for ``ld_e``); any other load
+    issues its normal MEM access.
 
     The loop walks the trace segment by segment
     (:class:`TracePrecompute`'s segment walk).  At each segment start
@@ -939,13 +936,16 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
     if not hw_dual:
         flips = []  # recorded on memo misses only, for the transitions
 
+    # The kinds of repro.sim.pipeline, bound once as locals.
+    K_LOAD, K_STORE, K_ALU, K_FP, K_CBRANCH, K_CALL = (
+        _K_LOAD, _K_STORE, _K_ALU, _K_FP, _K_CBRANCH, _K_CALL)
+
     timeline = None
     walk = (0,)  # the whole trace as one segment
     memo = None
     misses = 0
     if watch:
         timeline = []
-        records = _with_watch_marks(records)
         tl_append = timeline.append
         uids = pre.uids
         i = 0
@@ -1007,22 +1007,13 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
             seg = records[seg_rstart[j]:seg_rstart[j + 1]]
 
         for k, pen, s1, s2, s3, dest, x in seg:
-            if pen:
-                if pen == 1:
-                    pp = pm
-                    pm = pc
-                elif pen == 2:
-                    pp = pc
-                    pm = 0
-                else:
-                    pp = 0
-                    pm = 0
-                pc = 0
-                iss = alu = fpu = bru = 0
-                cur += pen
-            t_dec = cur  # the decode cycle, for dual-path selection
-
-            t = rr[s1]
+            # The fetch penalty and the operand wait: one clock advance,
+            # to the latest of the decode cycle (kept for dual-path
+            # selection) and the operands' ready times.
+            t = t_dec = cur + pen
+            r1 = rr[s1]
+            if r1 > t:
+                t = r1
             r2 = rr[s2]
             if r2 > t:
                 t = r2
@@ -1044,8 +1035,7 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
                 iss = alu = fpu = bru = 0
                 cur = t
 
-            # Kind codes are repro.sim.pipeline's _K_* constants.
-            if k == 2:  # int ALU
+            if k == K_ALU:
                 if iss >= width or alu >= n_alus:
                     cur += 1
                     pp = pm
@@ -1056,10 +1046,72 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
                 alu += 1
                 rr[dest] = cur + x
 
-            elif k == 0:  # load, precomputed outcomes
+            elif k == K_LOAD:
                 code = dcodes[li]
                 r = route[li]
-                if r == 0:
+                early = False  # the early access forwards the data
+                if r:
+                    rb = rr[lbase[li]]
+                    if (rb > t_dec - 2) != (r == 1):
+                        # dual-path selection would take the other route
+                        flips.append(li)
+                    if r == 1:
+                        ready = code & 2  # a functioning prediction
+                        fwd = ld_hit_lat
+                    else:
+                        # R_addr/BRIC holds the operands; bit 1 marks
+                        # the reg+reg partial case, forwarded in 1 cycle.
+                        ready = ecodes[li]
+                        fwd = ready >> 1
+                    if ready and pp >= n_ports:
+                        sp_noport += 1
+                        if r == 1 and not code & 4 and li not in excluded:
+                            # The stream assumed this wrong-address
+                            # access filled the cache; it had no port.
+                            diverged.append(li)
+                    elif ready:
+                        pp += 1
+                        if r == 1:
+                            pred_disp += 1
+                            ok = code & 4  # the predicted address is right
+                            if not ok:
+                                pred_wrong += 1
+                                if li in excluded:
+                                    # The stream assumed this wrong-address
+                                    # access would NOT fill the cache, yet
+                                    # it found a free port and dispatched.
+                                    diverged.append(li)
+                        else:
+                            calc_disp += 1
+                            ok = rb <= cur - 2  # base written back by ID1
+                            if not ok:
+                                ra_interlock += 1
+                        if ok:
+                            c = cur - 1
+                            while sq and sq[0][0] + 1 <= c:
+                                sq_popleft()  # too old to interlock
+                            w = lword[li]
+                            if any(s_w == w for _, s_w in sq):
+                                sp_interlock += 1
+                            elif code & 1:
+                                early = True
+                                if r == 1:
+                                    pred_succ += 1
+                                else:
+                                    calc_succ += 1
+                                    calc_part += fwd
+                            else:
+                                sp_dmiss += 1
+                if early:
+                    if iss >= width:
+                        cur += 1
+                        pp = pm
+                        pm = pc
+                        pc = 0
+                        iss = alu = fpu = bru = 0
+                    iss += 1
+                    rr[dest] = cur + fwd
+                else:
                     if iss >= width or pc >= n_ports:
                         cur += 1
                         pp = pm
@@ -1068,126 +1120,10 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
                         iss = alu = fpu = bru = 0
                     iss += 1
                     pc += 1
-                    rr[dest] = cur + (ld_lat if code else miss_lat)
-                elif r == 1:
-                    if rr[lbase[li]] <= t_dec - 2:
-                        # dual-path selection would calculate
-                        flips.append(li)
-                    success = False
-                    if code & 2:  # functioning prediction
-                        if pp < n_ports:
-                            pp += 1
-                            pred_disp += 1
-                            if code & 4:  # predicted address was right
-                                c = cur - 1
-                                ilk = False
-                                if sq:
-                                    while sq and sq[0][0] + 1 <= c:
-                                        sq_popleft()
-                                    w = lword[li]
-                                    for _, s_w in sq:
-                                        if s_w == w:
-                                            ilk = True
-                                            break
-                                if ilk:
-                                    sp_interlock += 1
-                                elif code & 1:
-                                    success = True
-                                    pred_succ += 1
-                                else:
-                                    sp_dmiss += 1
-                            else:
-                                if li in excluded:
-                                    # The stream assumed this wrong-address
-                                    # access would NOT fill the cache, yet
-                                    # it found a free port and dispatched.
-                                    diverged.append(li)
-                                pred_wrong += 1
-                        else:
-                            if not code & 4 and li not in excluded:
-                                # The stream assumed this wrong-address
-                                # access filled the cache; it had no port.
-                                diverged.append(li)
-                            sp_noport += 1
-                    if success:
-                        if iss >= width:
-                            cur += 1
-                            pp = pm
-                            pm = pc
-                            pc = 0
-                            iss = alu = fpu = bru = 0
-                        iss += 1
-                        rr[dest] = cur + ld_hit_lat
-                    else:
-                        if iss >= width or pc >= n_ports:
-                            cur += 1
-                            pp = pm
-                            pm = pc
-                            pc = 0
-                            iss = alu = fpu = bru = 0
-                        iss += 1
-                        pc += 1
-                        rr[dest] = cur + (ld_lat if code & 1 else miss_lat)
-                else:  # r == 2: early calculation
-                    rb = rr[lbase[li]]
-                    if rb > t_dec - 2:
-                        # dual-path selection would predict
-                        flips.append(li)
-                    success = False
-                    lat = 0
-                    ec = ecodes[li]
-                    if ec:
-                        if pp < n_ports:
-                            pp += 1
-                            calc_disp += 1
-                            if rb > cur - 2:
-                                # base not written back by ID1
-                                ra_interlock += 1
-                            else:
-                                c = cur - 1
-                                ilk = False
-                                if sq:
-                                    while sq and sq[0][0] + 1 <= c:
-                                        sq_popleft()
-                                    w = lword[li]
-                                    for _, s_w in sq:
-                                        if s_w == w:
-                                            ilk = True
-                                            break
-                                if ilk:
-                                    sp_interlock += 1
-                                elif code & 1:
-                                    success = True
-                                    calc_succ += 1
-                                    if ec & 2:
-                                        calc_part += 1
-                                        lat = 1
-                                else:
-                                    sp_dmiss += 1
-                        else:
-                            sp_noport += 1
-                    if success:
-                        if iss >= width:
-                            cur += 1
-                            pp = pm
-                            pm = pc
-                            pc = 0
-                            iss = alu = fpu = bru = 0
-                        iss += 1
-                        rr[dest] = cur + lat
-                    else:
-                        if iss >= width or pc >= n_ports:
-                            cur += 1
-                            pp = pm
-                            pm = pc
-                            pc = 0
-                            iss = alu = fpu = bru = 0
-                        iss += 1
-                        pc += 1
-                        rr[dest] = cur + (ld_lat if code & 1 else miss_lat)
+                    rr[dest] = cur + (ld_lat if code & 1 else miss_lat)
                 li += 1
 
-            elif k >= 6:  # branch, jump, return, call
+            elif k >= K_CBRANCH:  # branch, jump, return, call
                 if iss >= width or bru >= n_brus:
                     cur += 1
                     pp = pm
@@ -1196,7 +1132,7 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
                     iss = alu = fpu = bru = 0
                 iss += 1
                 bru += 1
-                if k == 9:  # call writes the link register
+                if k == K_CALL:  # call writes the link register
                     rr[63] = cur + 1
                 if x:  # precomputed redirect cycles
                     if x == 1:
@@ -1212,7 +1148,7 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
                     iss = alu = fpu = bru = 0
                     cur += x
 
-            elif k == 1:  # store
+            elif k == K_STORE:
                 if iss >= width or pc >= n_ports:
                     cur += 1
                     pp = pm
@@ -1229,7 +1165,7 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
                             sq_popleft()
                 si += 1
 
-            elif k == 3:  # FP
+            elif k == K_FP:
                 if iss >= width or fpu >= n_fpus:
                     cur += 1
                     pp = pm
@@ -1240,7 +1176,7 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
                 fpu += 1
                 rr[dest] = cur + x
 
-            elif k == 4:  # HALT/NOP, issue-width bound only
+            else:  # K_FREE: HALT/NOP, issue-width bound only
                 if iss >= width:
                     cur += 1
                     pp = pm
@@ -1250,28 +1186,21 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
                 iss += 1
                 rr[dest] = cur + x
 
-            else:  # k == 5: watch mark for the record just issued
-                # The mark has no fetch penalty, sources or destination, so
-                # the clock and scoreboard are as that record left them.
-                k = x[0]
-                if k >= 6:  # issue cycle, before the redirect
-                    x = x[6]
+            if timeline is not None:
+                if k == K_LOAD:
+                    lat = rr[dest] - cur
+                    if not r:
+                        note = f"load lat={lat}"
+                    elif early:
+                        note = f"{'npe'[r]}-hit lat={lat}"
+                    else:
+                        note = f"{'npe'[r]}-miss lat={lat}"
+                    tl_append((uids[i], cur, note))
+                elif k >= K_CBRANCH:  # the issue cycle, before the redirect
                     note = "branch mispredict" if x > 1 else "branch"
                     tl_append((uids[i], cur - x, note))
                 else:
-                    if k == 0:
-                        # The load just wrote its destination.  Test `r`
-                        # first: the r == 0 branch leaves `success` stale.
-                        lat = rr[x[5]] - cur
-                        if not r:
-                            note = f"load lat={lat}"
-                        elif success:
-                            note = f"{'npe'[r]}-hit lat={lat}"
-                        else:
-                            note = f"{'npe'[r]}-miss lat={lat}"
-                    else:
-                        note = "store" if k == 1 else ""
-                    tl_append((uids[i], cur, note))
+                    tl_append((uids[i], cur, "store" if k == K_STORE else ""))
                 i += 1
 
         if memo is not None:

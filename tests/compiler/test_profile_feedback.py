@@ -3,10 +3,10 @@
 from repro.compiler.driver import compile_source
 from repro.compiler.profile_feedback import (
     apply_overrides,
-    profile_loads,
     profile_overrides,
 )
 from repro.isa.opcodes import LoadSpec
+from repro.profiling import profile_trace
 from repro.sim.executor import execute
 from repro.sim.predictors import UnboundedPredictor
 
@@ -100,9 +100,9 @@ def test_apply_overrides_mutates():
     assert apply_overrides(result.program, overrides) == 0
 
 
-def test_profile_loads_counts_every_dynamic_load():
+def test_profile_trace_counts_every_dynamic_load():
     result, trace = compiled_and_traced(PREDICTABLE_NT)
-    predictor = profile_loads(trace)
+    predictor = profile_trace(result.program, trace).predictor
     assert predictor.accesses == trace.dynamic_load_count()
 
 

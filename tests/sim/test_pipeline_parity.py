@@ -1,14 +1,14 @@
 """Parity: the one timing loop matches the seed implementation.
 
-``TimingSimulator.run`` is the scheduler of :mod:`repro.sim.precompute`
-(a window scoreboard over decode-once records) fed live outcomes, and
-``simulate_many`` is the same scheduler fed precomputed streams.  The
-original dict-scoreboard implementation is kept verbatim in
-:mod:`repro.sim._pipeline_reference` as an executable specification;
-these tests replay programs under machine and early-generation configs
-through it and require bit-identical :class:`~repro.sim.stats.SimStats`
-— every counter, every scheme count, and (when enabled) every timeline
-entry.
+``TimingSimulator.run`` and every ``simulate_many`` config replay the
+trace's precomputed outcome streams through the one scheduler of
+:mod:`repro.sim.precompute` (a window scoreboard over decode-once
+records).  The original dict-scoreboard implementation is kept
+verbatim in :mod:`repro.sim._pipeline_reference` as an executable
+specification; these tests replay programs under machine and
+early-generation configs through both and require bit-identical
+:class:`~repro.sim.stats.SimStats` — every counter, every scheme count,
+and (when enabled) every timeline entry.
 
 Programs come three ways:
 
@@ -22,8 +22,9 @@ Programs come three ways:
   full compiler (classification included) and adds FP-free but
   branch-heavy traces with compiler-chosen load specs;
 * two real workloads at a small scale, under every config the harness
-  tables and the backend ablation replay, checked three ways
-  (reference, ``run()``, ``simulate_many``).
+  tables and the backend ablation replay: the reference against the
+  stream replay, entered through a plain ``run()`` and through one
+  ``simulate_many`` sweep, with and without a timeline.
 
 Seeds are fixed, so failures reproduce deterministically.
 """
@@ -198,7 +199,7 @@ def test_random_compiled_programs_match_reference(seed):
         _assert_parity(trace, _random_machine(rng), rng.random() < 0.3)
 
 
-#: The real workloads of the three-way check, with their table suite.
+#: The real workloads of the reference check, with their table suite.
 _REAL_WORKLOADS = {"023.eqntott": "spec", "adpcm_decode": "mediabench"}
 
 
@@ -207,12 +208,10 @@ def real_ctx():
     return ExperimentContext(scale=0.02)
 
 
-@pytest.mark.parametrize("name", sorted(_REAL_WORKLOADS))
-def test_real_workloads_match_reference_three_ways(real_ctx, name):
-    """Every table config and every backend's ablation config: the
-    reference, a plain ``run()`` and one ``simulate_many`` sweep give
-    identical stats."""
-    run = real_ctx.run(name)
+def _real_configs(ctx, name):
+    """The workload's run plus the baseline, every table config (with
+    its profile overrides) and every backend's ablation config."""
+    run = ctx.run(name)
     requests = sim_requests(_REAL_WORKLOADS[name])
     ablation = [ablation_config(b) for b in backend_names()]
     configs = ([BASELINE] + [r.earlygen for r in requests] + ablation)
@@ -222,30 +221,44 @@ def test_real_workloads_match_reference_three_ways(real_ctx, name):
            for r in requests]
         + [None] * len(ablation)
     )
+    return run, configs, overrides
+
+
+@pytest.mark.parametrize("name", sorted(_REAL_WORKLOADS))
+def test_real_workloads_match_reference(real_ctx, name):
+    """Every table config and every backend's ablation config: the
+    reference, a plain ``run()`` and one ``simulate_many`` sweep give
+    identical stats."""
+    run, configs, overrides = _real_configs(real_ctx, name)
     sims = [
         TimingSimulator(run.trace, real_ctx.machine.with_earlygen(eg), ov)
         for eg, ov in zip(configs, overrides)
     ]
     reference = [stats_to_record(reference_run(sim)) for sim in sims]
-    live = [stats_to_record(sim.run()) for sim in sims]
+    ran = [stats_to_record(sim.run()) for sim in sims]
     swept = simulate_many(
         run.trace, configs, machine=real_ctx.machine, overrides=overrides
     )
-    assert live == reference
+    assert ran == reference
     assert [stats_to_record(s) for s in swept] == reference
 
 
-def test_real_workload_hw_dual_timeline_matches_reference(real_ctx):
-    """Hardware dual-path selection reads the decode-stage clock; the
-    per-instruction issue cycles and notes must match the reference."""
-    run = real_ctx.run("023.eqntott")
-    machine = real_ctx.machine.with_earlygen(
-        EarlyGenConfig(256, 1, SelectionMode.HARDWARE)
-    )
-    reference = reference_run(
-        TimingSimulator(run.trace, machine, collect_timeline=True)
-    )
-    live = TimingSimulator(run.trace, machine, collect_timeline=True).run()
-    assert len(live.timeline) == len(run.trace.uids)
-    assert live.timeline == reference.timeline
-    assert stats_to_record(live) == stats_to_record(reference)
+@pytest.mark.parametrize("name", sorted(_REAL_WORKLOADS))
+def test_real_workload_timelines_match_reference(real_ctx, name):
+    """Every config of :func:`test_real_workloads_match_reference`
+    with a timeline: the per-instruction issue cycles and notes (each
+    load's route, early-access outcome and latency) and the stats must
+    match the reference.  Hardware dual-path selection reads the
+    decode-stage clock, so its config checks that clock too."""
+    run, configs, overrides = _real_configs(real_ctx, name)
+    for eg, ov in zip(configs, overrides):
+        machine = real_ctx.machine.with_earlygen(eg)
+        reference = reference_run(
+            TimingSimulator(run.trace, machine, ov, collect_timeline=True)
+        )
+        ran = TimingSimulator(
+            run.trace, machine, ov, collect_timeline=True
+        ).run()
+        assert len(ran.timeline) == len(run.trace.uids), eg
+        assert ran.timeline == reference.timeline, eg
+        assert stats_to_record(ran) == stats_to_record(reference), eg
