@@ -45,61 +45,24 @@ class AddressProfile:
         dynamic executions of the loads in that class, mirroring the
         paper's NT / PD "Prediction Rate" columns.
         """
-        totals = {"n": [0, 0], "p": [0, 0], "e": [0, 0]}
-        for inst in self.program.static_loads():
-            counters = self.predictor.per_load.get(inst.uid)
-            if not counters:
-                continue
-            spec = (
-                overrides.get(inst.uid, inst.lspec)
-                if overrides is not None
-                else inst.lspec
-            )
-            bucket = totals[spec.value]
-            bucket[0] += counters[0]
-            bucket[1] += counters[1]
+        counts = self.per_class_counts(overrides)
+        correct = counts["correct"]
         return {
-            cls: (correct / total if total else 0.0)
-            for cls, (total, correct) in totals.items()
+            cls: (correct[cls] / total if total else 0.0)
+            for cls, total in counts["dynamic"].items()
         }
 
     def dynamic_class_shares(
         self, overrides: Optional[Dict[int, LoadSpec]] = None
     ) -> Dict[str, float]:
         """Fraction of dynamic loads per class (Table 2's "% Dynamic")."""
-        counts = {"n": 0, "p": 0, "e": 0}
-        for inst in self.program.static_loads():
-            counters = self.predictor.per_load.get(inst.uid)
-            if not counters:
-                continue
-            spec = (
-                overrides.get(inst.uid, inst.lspec)
-                if overrides is not None
-                else inst.lspec
-            )
-            counts[spec.value] += counters[0]
-        total = sum(counts.values())
-        if total == 0:
-            return {cls: 0.0 for cls in counts}
-        return {cls: count / total for cls, count in counts.items()}
+        return _shares(self.per_class_counts(overrides)["dynamic"])
 
     def static_class_shares(
         self, overrides: Optional[Dict[int, LoadSpec]] = None
     ) -> Dict[str, float]:
         """Fraction of static loads per class (Table 2's "% Static")."""
-        counts = {"n": 0, "p": 0, "e": 0}
-        total = 0
-        for inst in self.program.static_loads():
-            spec = (
-                overrides.get(inst.uid, inst.lspec)
-                if overrides is not None
-                else inst.lspec
-            )
-            counts[spec.value] += 1
-            total += 1
-        if total == 0:
-            return {cls: 0.0 for cls in counts}
-        return {cls: count / total for cls, count in counts.items()}
+        return _shares(self.per_class_counts(overrides)["static"])
 
     def per_class_counts(
         self, overrides: Optional[Dict[int, LoadSpec]] = None
@@ -132,6 +95,13 @@ class AddressProfile:
     @property
     def dynamic_loads(self) -> int:
         return self.predictor.accesses
+
+
+def _shares(counts: Dict[str, int]) -> Dict[str, float]:
+    total = sum(counts.values())
+    if total == 0:
+        return {cls: 0.0 for cls in counts}
+    return {cls: count / total for cls, count in counts.items()}
 
 
 def profile_trace(program: Program, trace: Trace) -> AddressProfile:

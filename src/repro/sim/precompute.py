@@ -28,7 +28,7 @@ order:
   on *which* loads are routed there (the routing mask), never on
   ports, latencies, or the calc path.  Backends that train on demand
   d-cache outcomes additionally see the demand-hit stream, which is
-  itself a pure function of the routing mask and the exclusion set.
+  itself a pure function of the routing mask.
 * **Early-calc cache outcomes** — ``R_addr`` bindings and BRIC probes
   likewise evolve only with the sequence of calc-routed loads.
 
@@ -42,17 +42,19 @@ Two timing-dependent facts are assumed when the streams are built and
 checked by the replay:
 
 * **Wrong-address pollution** is gated on a port being free one cycle
-  early.  The streams are built assuming every wrong-address access
-  dispatches except the loads in an exclusion set; the replay records
-  every load where that assumption disagreed with the ports it saw.
+  early.  A prediction-routed load's route byte carries the guess: 1
+  assumes its wrong-address access dispatches and fills the cache, 3
+  that it does not.  The replay records every load where the guess
+  disagreed with the ports it saw.
 * **Hardware dual-path selection** (Eickemeyer–Vassiliadis) routes each
   load at decode by its base register's interlock.  Those configs
   replay under a guessed route, starting from all-calc, and the replay
   records every routed load whose decode-time decision disagrees with
   its guess.
 
-:func:`run_streams` flips every recorded load (exclusion membership
-or route) and replays until nothing disagrees — a route fixed point.
+:func:`run_streams` flips every recorded load's route byte (1 <-> 3
+for a dispatch, the prediction/calculation route for a dual-path
+decision) and replays until nothing disagrees — a route fixed point.
 A replay with no disagreement is exact: each load's outcome depends
 only on the state before it, so by induction the replay is the run.
 The same causality bounds the rounds: a replay is exact up to its first
@@ -70,8 +72,8 @@ and store aliases, and the config's stream bytes for its loads.  The
 first replay of a ``(state, segment, inputs)`` runs the records and
 stores the transition; every later one applies it.  The memo lives on
 the precompute, so all configs of a sweep share it.  It is the stream
-path's one reuse layer across configs: every config starts from an
-empty exclusion set and walks the trace.
+path's one reuse layer across configs: every config starts from its
+own route and walks the trace.
 
 The results are byte-identical to the seed oracle
 :mod:`repro.sim._pipeline_reference` — enforced by the golden
@@ -129,8 +131,10 @@ _ROUTE_LIMIT = 32
 _NO_SRC = 128
 _NO_DEST = 129
 
-# route byte -> membership masks, applied with bytes.translate.
-_PMASK_TAB = bytes(1 if b == 1 else 0 for b in range(256))
+# Route bytes: 0 normal, 1 ``ld_p`` (a wrong-address access assumed to
+# dispatch and fill), 2 ``ld_e``, 3 ``ld_p`` (that fill assumed withheld).
+# Route byte -> stream masks, applied with bytes.translate.
+_PMASK_TAB = bytes(b if b in (1, 3) else 0 for b in range(256))
 _EMASK_TAB = bytes(1 if b == 2 else 0 for b in range(256))
 
 
@@ -167,13 +171,14 @@ class _SegmentMemo:
     """Segment transitions of the stream replay, shared across a sweep.
 
     ``transitions`` maps ``(state, segment id, inputs)`` to
-    ``(next state, cycles advanced, counter deltas, wrongs, turns)``,
+    ``(next state, cycles advanced, counter deltas, slips, turns)``,
     the deltas in one :func:`_pack`-ed int.
     A state is an interned :func:`_snapshot` of the scheduler;
     ``inputs`` packs each load's stream codes and route into a byte;
-    ``wrongs`` lists ``(load offset, dispatched)`` per wrong-address
-    prediction, and ``turns`` the offsets of the routed loads whose
-    hardware dual-path decision disagrees with their route.  Every
+    ``slips`` lists the offsets of the wrong-address loads whose
+    dispatch disagrees with their route byte, and ``turns`` those of
+    the routed loads whose hardware dual-path decision disagrees with
+    their route.  Every
     miss records ``turns``, whatever the config, because any later
     config with the same inputs may be a dual-path one.  Past
     ``_SEGMENT_MEMO_LIMIT`` transitions the memo is cleared and
@@ -404,42 +409,35 @@ class TracePrecompute:
         routes[scheme_bytes] = route
         return route
 
-    def dstream(self, eg: EarlyGenConfig, route: bytes,
-                excluded: frozenset = frozenset()) -> tuple:
+    def dstream(self, eg: EarlyGenConfig, route: bytes) -> tuple:
         """Demand/prediction outcome stream for *eg* under *route*.
 
         Returns ``(codes, demand_misses, store_misses, pollution_misses)``
         where ``codes[li]`` has bit 0 = demand access hit, bit 1 = a
         functioning prediction was made, bit 2 = the prediction matched
-        the computed address.  ``excluded`` lists load ordinals whose
-        wrong-address pollution is known (from a prior replay attempt)
-        not to have dispatched.
+        the computed address.  Loads routed 1 or 3 probe the backend; a
+        wrong-address prediction fills the cache only under route 1.
         """
-        if not eg.table_entries or 1 not in route:
+        if not eg.table_entries or (1 not in route and 3 not in route):
             key = None
         else:
-            key = (
-                _predictor_key(eg),
-                route.translate(_PMASK_TAB),
-                excluded,
-            )
+            key = (_predictor_key(eg), route.translate(_PMASK_TAB))
         streams = self._dstreams
         hit = streams.get(key)
         if hit is not None:
             streams.move_to_end(key)
             return hit
         if key is None:
-            built = self._build_dstream(None, None, excluded)
+            built = self._build_dstream(None, None)
         else:
-            built = self._build_dstream(eg, key[1], excluded)
+            built = self._build_dstream(eg, key[1])
         while len(streams) >= _STREAM_LIMIT:
             streams.popitem(last=False)
         streams[key] = built
         return built
 
     def _build_dstream(self, eg: Optional[EarlyGenConfig],
-                       pmask: Optional[bytes],
-                       excluded: frozenset) -> tuple:
+                       pmask: Optional[bytes]) -> tuple:
         # The d-cache tag array, driven in place.
         dc = DirectMappedCache(self.dcache_cfg)
         tags = dc._tags
@@ -498,14 +496,13 @@ class TracePrecompute:
                         if predicted == ea:
                             code = 6
                         else:
-                            # Assumed-dispatched wrong-address access:
-                            # counts and fills under the predicted
-                            # address (the replay records the ordinal
-                            # as diverged if the dispatch did not
-                            # actually happen, and it lands in
-                            # `excluded` on the rebuild).
+                            # Under route 1 the wrong-address access is
+                            # assumed to dispatch: it counts and fills
+                            # under the predicted address (the replay
+                            # records the load as diverged if it found
+                            # no port, and the rebuild routes it 3).
                             code = 2
-                            if li not in excluded:
+                            if probed == 1:
                                 cblk = predicted >> bs
                                 cidx = cblk & im
                                 ctag = cblk >> ts
@@ -703,14 +700,15 @@ def run_streams(sim: TimingSimulator) -> SimStats:
     precompute on first use.
 
     Replays until nothing the streams assumed disagrees with the
-    replay: each round flips the exclusion membership of every
-    diverged wrong-address load and, under hardware dual-path
-    selection, the route of every load whose decode-time decision
-    disagreed with it.  Every config starts from an empty exclusion
-    set; the segment memo on the precompute is the stream path's one
-    reuse layer.  Raises :class:`~repro.errors.ReproError` if the first
-    disagreement fails to move later, which the module docstring's
-    causality argument rules out.
+    replay: each round flips the route byte of every diverged
+    wrong-address load (1 <-> 3) and, under hardware dual-path
+    selection, turns every load whose decode-time decision disagreed
+    with its route (1 or 3 -> 2, 2 -> 1).  Every config starts from
+    its own route with every wrong-address fill assumed; the segment
+    memo on the precompute is the stream path's one reuse layer.
+    Raises :class:`~repro.errors.ReproError` if the first disagreement
+    fails to move later, which the module docstring's causality
+    argument rules out.
     """
     cfg = sim.config
     eg = cfg.earlygen
@@ -722,7 +720,6 @@ def run_streams(sim: TimingSimulator) -> SimStats:
     # only dual-path configs act on them.
     flips = [] if sb is None else None
     global _divergences
-    excluded = frozenset()
     patched = rounds = 0
     segments = segment_hits = 0
     # The first disagreement of the last round, keyed 2 * load for a
@@ -730,14 +727,11 @@ def run_streams(sim: TimingSimulator) -> SimStats:
     settled = -1
     while True:
         rounds += 1
-        dcodes, dmiss, store_miss, poll_miss = pre.dstream(
-            eg, route, excluded
-        )
+        dcodes, dmiss, store_miss, poll_miss = pre.dstream(eg, route)
         diverged: list = []
         stats, ra_interlock, walked = _replay(
             pre, cfg, route, dcodes, (dmiss, store_miss, poll_miss),
-            pre.estream(eg, route), excluded, diverged, flips,
-            sim.collect_timeline,
+            pre.estream(eg, route), diverged, flips, sim.collect_timeline,
         )
         segments += walked[0]
         segment_hits += walked[1]
@@ -759,13 +753,14 @@ def run_streams(sim: TimingSimulator) -> SimStats:
         # Stats from this round are discarded.
         _divergences += len(diverged)
         patched += len(diverged)
-        excluded = excluded.symmetric_difference(diverged)
+        turned = bytearray(route)
+        for li in diverged:
+            turned[li] ^= 2  # fill assumed: 1 <-> 3
         if flips:
-            turned = bytearray(route)
             for li in flips:
-                turned[li] ^= 3  # 1 <-> 2
-            route = bytes(turned)
+                turned[li] = 1 if turned[li] == 2 else 2
             flips = []
+        route = bytes(turned)
     path = "hw-fixed" if sb is None else "scalar"
     _replay_paths[path] = _replay_paths.get(path, 0) + 1
     tracer = obs.current()
@@ -840,35 +835,17 @@ def _unpack(packed: int, n: int) -> list:
     return [packed >> (i * _FIELD) & _FIELD_MASK for i in range(n)]
 
 
-def _wrong_dispatches(inputs: bytes, l0: int, excluded: frozenset,
-                      diverged: list) -> tuple:
-    """``(load offset, dispatched)`` of each wrong-address prediction.
-
-    A segment's replay flagged a wrong-address load as diverged exactly
-    when its dispatch disagreed with its membership of ``excluded``, so
-    the dispatch bit is recovered from the two.
-    """
-    flagged = set(diverged)
-    out = []
-    for rel, b in enumerate(inputs):
-        # route 1, a functioning prediction, the wrong address
-        if b & 0x1E == 0x0A:
-            li = l0 + rel
-            out.append((rel, (li in excluded) == (li in flagged)))
-    return tuple(out)
-
-
 def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
-            dcodes: bytes, dtotals: tuple, ecodes: bytes,
-            excluded: frozenset, diverged: list,
+            dcodes: bytes, dtotals: tuple, ecodes: bytes, diverged: list,
             flips: Optional[list] = None, watch: bool = False):
     """The timing loop: one pass over the trace's scheduler records.
 
     Load outcomes come from ``dcodes``/``dtotals`` and ``ecodes``, the
     streams of :meth:`TracePrecompute.dstream` and
     :meth:`TracePrecompute.estream` under ``route``.  Wrong-address
-    dispatches that disagree with ``excluded`` are appended to
-    ``diverged``; with ``flips`` given (hardware dual-path selection),
+    predictions whose dispatch disagrees with their route byte (1
+    assumes the fill, 3 withholds it) are appended to ``diverged``;
+    with ``flips`` given (hardware dual-path selection),
     routed loads whose decode-time decision — prediction if the base
     register is interlocked at decode, calculation otherwise —
     disagrees with ``route`` are appended to it.  With ``watch``, each
@@ -896,8 +873,8 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
     (:class:`TracePrecompute`'s segment walk).  At each segment start
     it looks up ``(state, segment, inputs)`` in the precompute's
     :class:`_SegmentMemo`: a hit advances the clock and counters by the
-    stored transition and replays its wrong-address dispatch and
-    dual-path bookkeeping; a miss rebuilds the scoreboard from the
+    stored transition and replays its divergences and dual-path
+    flips; a miss rebuilds the scoreboard from the
     state if the last segment was a hit, runs the segment's records
     through the loop below and stores the transition.  A watched
     replay, or a machine whose latencies do not fit a snapshot byte,
@@ -921,7 +898,7 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
     iss = alu = fpu = bru = 0
     pp = pm = pc = 0
 
-    spec_any = 1 in route or 2 in route
+    spec_any = route.count(0) < len(route)
     sq: deque = deque()
     sq_append = sq.append
     sq_popleft = sq.popleft
@@ -976,12 +953,11 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
             key = (state, sid, inputs[li:l1])
             hit = memo_get(key)
             if hit is not None:
-                state, dcur, dacc, wrongs, turns = hit
+                state, dcur, dacc, slips, turns = hit
                 cur += dcur
                 acc += dacc
-                for rel, dispatched in wrongs:
-                    if (li + rel in excluded) == dispatched:
-                        diverged.append(li + rel)
+                if slips:
+                    diverged.extend([li + rel for rel in slips])
                 if turns and hw_dual:
                     flips.extend([li + rel for rel in turns])
                 li = l1
@@ -1052,10 +1028,10 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
                 early = False  # the early access forwards the data
                 if r:
                     rb = rr[lbase[li]]
-                    if (rb > t_dec - 2) != (r == 1):
+                    if (rb > t_dec - 2) != (r != 2):
                         # dual-path selection would take the other route
                         flips.append(li)
-                    if r == 1:
+                    if r != 2:
                         ready = code & 2  # a functioning prediction
                         fwd = ld_hit_lat
                     else:
@@ -1065,18 +1041,18 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
                         fwd = ready >> 1
                     if ready and pp >= n_ports:
                         sp_noport += 1
-                        if r == 1 and not code & 4 and li not in excluded:
+                        if r == 1 and not code & 4:
                             # The stream assumed this wrong-address
                             # access filled the cache; it had no port.
                             diverged.append(li)
                     elif ready:
                         pp += 1
-                        if r == 1:
+                        if r != 2:
                             pred_disp += 1
                             ok = code & 4  # the predicted address is right
                             if not ok:
                                 pred_wrong += 1
-                                if li in excluded:
+                                if r == 3:
                                     # The stream assumed this wrong-address
                                     # access would NOT fill the cache, yet
                                     # it found a free port and dispatched.
@@ -1095,7 +1071,7 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
                                 sp_interlock += 1
                             elif code & 1:
                                 early = True
-                                if r == 1:
+                                if r != 2:
                                     pred_succ += 1
                                 else:
                                     calc_succ += 1
@@ -1192,9 +1168,9 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
                     if not r:
                         note = f"load lat={lat}"
                     elif early:
-                        note = f"{'npe'[r]}-hit lat={lat}"
+                        note = f"{'npep'[r]}-hit lat={lat}"
                     else:
-                        note = f"{'npe'[r]}-miss lat={lat}"
+                        note = f"{'npep'[r]}-miss lat={lat}"
                     tl_append((uids[i], cur, note))
                 elif k >= K_CBRANCH:  # the issue cycle, before the redirect
                     note = "branch mispredict" if x > 1 else "branch"
@@ -1212,7 +1188,7 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
                 _pack(pred_disp, pred_succ, pred_wrong, calc_disp,
                       calc_succ, calc_part, sp_noport, sp_interlock,
                       sp_dmiss, ra_interlock) - before,
-                _wrong_dispatches(key[2], l0, excluded, diverged[n_div:]),
+                tuple([m - l0 for m in diverged[n_div:]]),
                 tuple([f - l0 for f in flips[n_flip:]]),
             )
             if not hw_dual:
@@ -1248,8 +1224,8 @@ def _assemble_stats(pre: TracePrecompute, route: bytes, dtotals: tuple,
     """SimStats from one replay's counters and the precomputed totals."""
     dmiss_total, store_miss_total, poll_miss_total = dtotals
     n_loads = pre.n_loads
-    sc_p = route.count(1)
     sc_e = route.count(2)
+    sc_p = n_loads - route.count(0) - sc_e  # routes 1 and 3
 
     stats = SimStats()
     stats.cycles = cur + 1 + _DRAIN

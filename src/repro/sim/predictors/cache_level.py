@@ -25,8 +25,9 @@ load could have used.  This backend therefore:
 Because training consumes the demand-hit stream, the backend's state
 depends on the d-cache contents — which the precompute layer already
 models per config, including pollution from wrong-address speculative
-fills; the divergence-patching loop (``excluded`` sets) makes the
-assumed-dispatch stream exact before any timing replay is accepted.
+fills; the divergence-patching loop (route byte 1 assumes a
+wrong-address fill, 3 withholds it) makes the stream exact before any
+timing replay is accepted.
 
 The level counters are 2 bits wide (:data:`COUNTER_BITS`).
 """

@@ -22,6 +22,7 @@ Covers what the parity suites do not:
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import random
@@ -72,7 +73,7 @@ def _machine_variant(n: int) -> MachineConfig:
 
 def _starved_machine(eg: EarlyGenConfig) -> MachineConfig:
     """One memory port and a tiny D-cache: wrong-address pollution that
-    cannot dispatch, so replays need exclusion patching."""
+    cannot dispatch, so replays need divergence patching."""
     return MachineConfig(
         mem_ports=1, dcache=CacheConfig(size=1024)
     ).with_earlygen(eg)
@@ -118,6 +119,45 @@ def test_stream_and_route_caches_are_bounded(trace):
     assert len(pre._dstreams) <= _STREAM_LIMIT
 
 
+_RESTRIDE_ASM = """
+.data arr 256
+main:
+    mov r6, 0
+outer:
+    lea r5, arr
+    mov r7, 0
+inner:
+    ld_p r8, r5(0)
+    add r5, r5, 64
+    add r7, r7, 1
+    blt r7, 8, inner
+    add r6, r6, 1
+    blt r6, 4, outer
+    halt
+"""
+
+
+def test_route_three_predicts_without_polluting():
+    """Route byte 3 is ``ld_p`` with the wrong-address fill withheld:
+    its stream probes and trains the backend like route 1 but never
+    fills the predicted block."""
+    trace = execute(parse_asm(_RESTRIDE_ASM)).trace
+    pre = get_precompute(trace, MachineConfig())
+    eg = EarlyGenConfig(16, 0, SelectionMode.HARDWARE)
+    n_static = len(pre.static_load_uids)
+    filled = pre.dstream(eg, pre.route_for(b"\x01" * n_static))
+    withheld = pre.dstream(eg, pre.route_for(b"\x03" * n_static))
+    plain = pre.dstream(eg, bytes(pre.n_loads))
+    # Each inner loop's restart is a wrong-address prediction one
+    # block past the array; under route 1 it fills that block.
+    assert filled[3] > 0
+    assert withheld[3] == 0
+    assert any(code & 2 for code in withheld[0])
+    assert [c & 6 for c in withheld[0]] == [c & 6 for c in filled[0]]
+    assert [c & 1 for c in withheld[0]] == [c & 1 for c in plain[0]]
+    assert withheld[1:3] == plain[1:3]
+
+
 def test_precompute_invalidated_when_program_recompiled(trace):
     pre = get_precompute(trace, MachineConfig())
     assert get_precompute(trace, MachineConfig()) is pre
@@ -158,11 +198,14 @@ def test_run_and_every_sweep_config_call_the_one_scheduler(
         trace, monkeypatch):
     calls = []
     real_replay = precompute._replay
+    signature = inspect.signature(real_replay)
 
     def counting_replay(*args, **kwargs):
-        # The ninth argument collects dual-path decisions, and only a
-        # hardware dual-path config passes it.
-        calls.append(args[8] is not None)
+        # `flips` collects dual-path decisions, and only a hardware
+        # dual-path config passes it.
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments["flips"] is not None)
         return real_replay(*args, **kwargs)
 
     monkeypatch.setattr(precompute, "_replay", counting_replay)
@@ -260,8 +303,9 @@ def test_divergence_patching_converges_without_fallback():
         patched = precompute.divergence_count() - before
         if patched:
             diverged = True
-            # Every run starts from an empty exclusion set, so a rerun
-            # re-converges along the same path to the same stats.
+            # Every run starts from its own route with every fill
+            # assumed, so a rerun re-converges along the same path to
+            # the same stats.
             again = precompute.divergence_count()
             rerun = precompute.run_streams(
                 TimingSimulator(trace, machine)

@@ -9,7 +9,7 @@ segment boundary or bypass the per-record loop on a hit:
   ``ld_p``/``ld_e`` in the next, and a store ``2 * mem_ports`` stores
   back interlocking an ``ld_p`` in its own segment, with the store's
   word alternating so only the store alias tells instances apart;
-* wrong-address dispatch bits — replayed from a hit, they must drive
+* wrong-address divergences — replayed from a hit, they must drive
   divergence patching exactly as the records would;
 * cold and warm memos — every harness config of a SPEC workload gives
   the same stats from an empty memo and from a shared warm one;
@@ -163,9 +163,11 @@ def test_wrong_address_dispatches_replay_from_memo_hits():
     assert cold_div == warm_div > 0
     assert warm_segments == cold_segments
     assert warm_hits == warm_segments > cold_hits
+    # The divergences a hit replays are the offsets its transition
+    # stored.
     assert any(
-        wrongs
-        for _, _, _, wrongs, _ in pre.segment_memo.transitions.values()
+        slips
+        for _, _, _, slips, _ in pre.segment_memo.transitions.values()
     )
 
 
