@@ -192,20 +192,15 @@ class SimRequest:
 
     ``use_profile_override`` marks the profile-guided runs that replay
     with Section 4.3 reclassification (the override map itself is
-    derived from the workload's trace); ``cache_key`` is ``"profile"``
-    for exactly those runs and tags them in traces.
+    derived from the workload's trace); :func:`eg_tag` tags them
+    ``+profile`` in traces.
     """
 
     earlygen: EarlyGenConfig
-    cache_key: Optional[str] = None
     use_profile_override: bool = False
 
 
-def _request(earlygen: EarlyGenConfig, profiled: bool = False) -> SimRequest:
-    return SimRequest(earlygen, "profile" if profiled else None, profiled)
-
-
-_BASELINE_REQUEST = _request(BASELINE)
+_BASELINE_REQUEST = SimRequest(BASELINE)
 
 
 def sim_requests(suite: str) -> List[SimRequest]:
@@ -218,7 +213,7 @@ def sim_requests(suite: str) -> List[SimRequest]:
     specs = [spec for spec in TABLES if spec.suite == suite]
     if not specs:
         raise ValueError(f"unknown suite {suite!r}")
-    requests = [_request(*column) for spec in specs
+    requests = [SimRequest(*column) for spec in specs
                 for column in spec.speedups.values()]
     return list(dict.fromkeys(requests))
 
@@ -370,7 +365,7 @@ class ExperimentContext:
         suite = get_workload(name).suite
         self._sweep(name, [
             *sim_requests(suite),
-            *(_request(ablation_config(b)) for b in backends),
+            *(SimRequest(ablation_config(b)) for b in backends),
         ])
 
     def _sweep(self, name: str, requests: Iterable[SimRequest]) -> None:
@@ -386,7 +381,8 @@ class ExperimentContext:
             overrides=[run.get_overrides() if req.use_profile_override
                        else None for req in todo],
             span_tags=[{"workload": name,
-                        "config": eg_tag(req.earlygen, req.cache_key)}
+                        "config": eg_tag(req.earlygen,
+                                          req.use_profile_override)}
                        for req in todo],
         )
         run.sims.update(zip(todo, stats_list))
@@ -396,7 +392,7 @@ class ExperimentContext:
     ) -> SimStats:
         """Stats of *name* under *earlygen* (with the profile-guided
         overrides when *profiled*); a cache miss runs a sweep."""
-        request = _request(earlygen, profiled)
+        request = SimRequest(earlygen, profiled)
         self._sweep(name, [request])
         return self.run(name).sims[request]
 
@@ -410,8 +406,9 @@ class ExperimentContext:
         return self.baseline_stats(name).cycles / stats.cycles
 
 
-def eg_tag(earlygen: EarlyGenConfig, cache_key: Optional[str] = None) -> str:
-    """Short trace tag for one early-gen config, e.g. ``t256_r1_compiler``."""
+def eg_tag(earlygen: EarlyGenConfig, profiled: bool = False) -> str:
+    """Short trace tag for one early-gen config, e.g. ``t256_r1_compiler``
+    (``t256_r1_compiler+profile`` for a profile-guided run)."""
     if not earlygen.enabled:
         return "baseline"
     tag = (
@@ -420,8 +417,8 @@ def eg_tag(earlygen: EarlyGenConfig, cache_key: Optional[str] = None) -> str:
     )
     if earlygen.table_entries and earlygen.predictor != "stride":
         tag += f"_{earlygen.predictor}"
-    if cache_key:
-        tag += f"+{cache_key}"
+    if profiled:
+        tag += "+profile"
     return tag
 
 
@@ -478,7 +475,7 @@ def class_columns(
 def table_row(ctx: ExperimentContext, spec: TableSpec, name: str) -> dict:
     """Workload *name*'s row of *spec*, keyed in header order."""
     if spec.speedups:
-        ctx._sweep(name, [_request(*column)
+        ctx._sweep(name, [SimRequest(*column)
                           for column in spec.speedups.values()])
     row = {"benchmark": name}
     classes = None
@@ -560,7 +557,7 @@ def ablation_row(
     with each backend driving the prediction path; the uncached backend
     configs replay in one sweep.
     """
-    ctx._sweep(name, [_request(ablation_config(b)) for b in backends])
+    ctx._sweep(name, [SimRequest(ablation_config(b)) for b in backends])
     dynamic = ctx.run(name).get_profile().dynamic_class_shares()
     row = {
         "benchmark": name,

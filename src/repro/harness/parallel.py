@@ -43,11 +43,16 @@ def _run_task(init: dict, payload: dict):
     name = payload["name"]
     injector = init["fault_injector"]
     with obs.current().span("workload", workload=name) as span:
-        span.set_tag(status=STATUS_ERROR)  # until the rows are in
-        if injector is not None:
-            injector.fire(name)
-        rows = compute_rows(ExperimentContext(**init), name,
-                            payload["backends"])
+        # Tagged once the outcome is known: every record opened inside
+        # the span copies its tags.
+        try:
+            if injector is not None:
+                injector.fire(name)
+            rows = compute_rows(ExperimentContext(**init), name,
+                                payload["backends"])
+        except BaseException:
+            span.set_tag(status=STATUS_ERROR)
+            raise
         span.set_tag(status=STATUS_OK)
     return rows
 

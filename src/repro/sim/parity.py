@@ -110,7 +110,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 for r in requests
             ]
             tags = ["baseline"] + [
-                eg_tag(r.earlygen, r.cache_key) for r in requests
+                eg_tag(r.earlygen, r.use_profile_override) for r in requests
             ]
             sims = [
                 TimingSimulator(run.trace, ctx.machine.with_earlygen(eg), ov)

@@ -40,232 +40,23 @@ Neither path requires recovery: forwarding is gated by the verification
 formulas, and the mis-speculation penalty is only the wasted cache port
 (plus cache pollution for wrong-address prediction accesses).
 
-This module holds the machine's static side — the decode-once
-instruction facts, the trace-static front end (i-cache, BTB, RAS) and
-:class:`TimingSimulator` — while the timing loop itself, shared by
-:meth:`TimingSimulator.run` and config sweeps, lives in
-:mod:`repro.sim.precompute`.
+This module holds the timing conventions above, :class:`TimingSimulator`
+and the :func:`simulate` / :func:`speedup` entry points.  Everything the
+trace fixes — the decoded records, the front end (i-cache, BTB, RAS)
+and the demand D-cache stream — is built in one pass by
+:class:`~repro.sim.precompute.TracePrecompute`, and the timing loop
+itself, shared by :meth:`TimingSimulator.run` and config sweeps, lives
+in :mod:`repro.sim.precompute` too.
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import Dict, Optional
 
-from repro.isa.instruction import Reg as _REG_TYPE
-from repro.isa.opcodes import (
-    COND_BRANCH_OPS,
-    FP_ALU_OPS,
-    LoadSpec,
-    Opcode,
-    latency_of,
-)
-from repro.isa.program import Program
-from repro.sim.btb import BranchTargetBuffer
-from repro.sim.cache import DirectMappedCache
+from repro.isa.opcodes import LoadSpec
 from repro.sim.machine import BASELINE, EarlyGenConfig, MachineConfig
 from repro.sim.stats import SimStats
 from repro.sim.trace import Trace
-
-#: Pipeline drain after the last issue (EXE -> MEM -> WB).
-_DRAIN = 3
-
-# Instruction kinds: produced by :func:`_decode_program` and carried by
-# the scheduler records of :mod:`repro.sim.precompute`.  Branch kinds
-# come last so the scheduler tests for them with one comparison.
-_K_LOAD = 0
-_K_STORE = 1
-_K_ALU = 2
-_K_FP = 3
-_K_FREE = 4  # HALT/NOP: issue-width bound only
-_K_CBRANCH = 5
-_K_JUMP = 6
-_K_RET = 7
-_K_CALL = 8
-
-
-def _decode_program(program: Program):
-    """Decode-once static facts per uid, cached on the Program.
-
-    Returns ``(dec, load_uids)`` where ``dec[uid]`` is the tuple
-    ``(kind, iblock, src_slots, dest_slot, base_slot, reg_offset,
-    disp_slot, alu_latency, addr)``; the scheduler reads at most three
-    source slots per instruction.  Everything here is immutable
-    across timing runs — load-scheme specifiers (``lspec``) are
-    deliberately excluded because profile feedback rewrites them in
-    place on laid-out programs; every run resolves them afresh
-    (``_scheme_bytes`` in :mod:`repro.sim.precompute`).  The cache is
-    keyed on the identity of ``program.flat``, which ``Program.layout``
-    replaces wholesale.
-    """
-    cached = getattr(program, "_timing_decode", None)
-    flat = program.flat
-    if cached is not None and cached[0] is flat:
-        return cached[1], cached[2]
-
-    dec = []
-    load_uids = []
-    for uid, inst in enumerate(flat):
-        op = inst.opcode
-        srcs = tuple(
-            s.index if s.bank == "int" else 64 + s.index
-            for s in inst.srcs
-            if type(s) is _REG_TYPE
-        )
-        dest = inst.dest
-        dest_slot = (
-            -1 if dest is None
-            else dest.index if dest.bank == "int" else 64 + dest.index
-        )
-        base_slot = -1
-        reg_offset = 0
-        disp_slot = -1
-        lat = 0
-        if inst.is_load:
-            kind = _K_LOAD
-            base = inst.mem_base
-            base_slot = (
-                base.index if base.bank == "int" else 64 + base.index
-            )
-            if inst.is_reg_offset:
-                reg_offset = 1
-            else:
-                disp = inst.mem_disp
-                disp_slot = (
-                    disp.index if disp.bank == "int" else 64 + disp.index
-                )
-            load_uids.append(uid)
-        elif inst.is_store:
-            kind = _K_STORE
-        elif inst.is_branch:
-            if op in COND_BRANCH_OPS:
-                kind = _K_CBRANCH
-            elif op is Opcode.CALL:
-                kind = _K_CALL
-            elif op is Opcode.RET:
-                kind = _K_RET
-                srcs += (63,)  # RET reads the link register
-            else:
-                kind = _K_JUMP
-        else:
-            if op in FP_ALU_OPS:
-                kind = _K_FP
-            elif op is Opcode.HALT or op is Opcode.NOP:
-                kind = _K_FREE
-            else:
-                kind = _K_ALU
-            if dest is not None:
-                lat = latency_of(op)
-        if len(srcs) > 3:
-            raise AssertionError(
-                f"uid {uid}: {len(srcs)} source registers; the "
-                f"scheduler records hold at most three"
-            )
-        dec.append((kind, inst.addr >> 6, srcs, dest_slot, base_slot,
-                    reg_offset, disp_slot, lat, inst.addr))
-    program._timing_decode = (flat, dec, load_uids)
-    return dec, load_uids
-
-
-def _penalty_array(top: int, n: int) -> array:
-    """*n* zeros in the narrowest typed array that holds *top*."""
-    code = "B" if top < 1 << 8 else "H" if top < 1 << 16 else "q"
-    return array(code, [0]) * n
-
-
-def _precompute_frontend(trace, cfg, dec):
-    """Trace-static front-end penalties, shared across config replays.
-
-    I-cache fetch stalls and branch redirects (BTB training, RAS)
-    depend only on the instruction-address sequence and the branch
-    outcomes in the trace plus the front-end configuration — never on
-    the early-generation config.  One pass per trace and machine
-    shape therefore serves every ``EarlyGenConfig`` of a sweep (the
-    :class:`~repro.sim.precompute.TracePrecompute` that calls it is
-    cached on that key):
-
-    * ``ifetch[i]`` — cycles added before decode of instruction *i*
-      (the i-cache miss penalty, 0 on a hit or a same-block fetch),
-    * ``imiss_total`` — i-cache miss count (penalty may be zero),
-    * ``br_extra[i]`` — ``t_next - t_issue`` for the branch at *i*,
-    * ``misp_total`` — BTB/RAS mispredict count.
-
-    Both per-instruction sequences are typed arrays one or two bytes
-    wide (wider only for penalties past 65535 cycles).  The logic
-    mirrors the seed per-run logic in
-    :mod:`repro.sim._pipeline_reference`.
-    """
-    uids = trace.uids
-    n = len(uids)
-    i_miss = cfg.icache.miss_penalty
-    mp1 = 1 + cfg.mispredict_penalty
-    jb1 = 1 + cfg.jump_bubble
-    ifetch = _penalty_array(i_miss, n)
-    imiss_total = 0
-    icache = DirectMappedCache(cfg.icache)
-    ic_access = icache.access
-    last_iblock = -1
-
-    br_extra = _penalty_array(max(mp1, jb1), n)
-    misp_total = 0
-    btb = BranchTargetBuffer(cfg.btb_entries)
-    btb_predict = btb.predict
-    btb_update = btb.update
-    ras: list = []
-    ras_depth = cfg.ras_entries
-
-    for i in range(n):
-        uid = uids[i]
-        d = dec[uid]
-        iblock = d[1]
-        if iblock != last_iblock:
-            last_iblock = iblock
-            if not ic_access(d[8]):
-                imiss_total += 1
-                ifetch[i] = i_miss
-        kind = d[0]
-        if kind >= _K_CBRANCH:
-            addr = d[8]
-            next_uid = uids[i + 1] if i + 1 < n else uid + 1
-            if kind == _K_CBRANCH:
-                taken = next_uid != uid + 1
-                target = dec[next_uid][8] if taken else 0
-                ptaken, ptarget = btb_predict(addr)
-                wrong = (ptaken != taken) or (taken and ptarget != target)
-                btb_update(addr, taken, target, wrong)
-                if wrong:
-                    misp_total += 1
-                    br_extra[i] = mp1
-                elif taken:
-                    br_extra[i] = 1
-            else:
-                # JMP/CALL/RET: always taken.
-                target = dec[next_uid][8] if i + 1 < n else 0
-                if kind == _K_RET and ras_depth:
-                    predicted = ras.pop() if ras else 0
-                    if predicted == target:
-                        br_extra[i] = 1
-                    else:
-                        misp_total += 1
-                        br_extra[i] = mp1
-                else:
-                    ptaken, ptarget = btb_predict(addr)
-                    correct = ptaken and ptarget == target
-                    btb_update(addr, True, target, not correct)
-                    if correct:
-                        br_extra[i] = 1
-                    elif kind == _K_RET:
-                        misp_total += 1
-                        br_extra[i] = mp1
-                    else:
-                        # Direct target, known at decode: short bubble.
-                        br_extra[i] = jb1
-                if kind == _K_CALL and ras_depth:
-                    if len(ras) >= ras_depth:
-                        ras.pop(0)
-                    ras.append(addr + 4)
-
-    return ifetch, imiss_total, br_extra, misp_total
 
 
 class TimingSimulator:

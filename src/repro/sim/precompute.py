@@ -90,26 +90,23 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro import obs
 from repro.errors import ReproError
-from repro.isa.opcodes import LoadSpec
+from repro.isa.instruction import Reg as _REG_TYPE
+from repro.isa.opcodes import (
+    COND_BRANCH_OPS,
+    FP_ALU_OPS,
+    LoadSpec,
+    Opcode,
+    latency_of,
+)
 from repro.sim.addr_reg import RegisterCache
+from repro.sim.btb import BranchTargetBuffer
 from repro.sim.cache import DirectMappedCache
 from repro.sim.machine import (
     EarlyGenConfig,
     MachineConfig,
     SelectionMode,
 )
-from repro.sim.pipeline import (
-    _DRAIN,
-    _K_ALU,
-    _K_CALL,
-    _K_CBRANCH,
-    _K_FP,
-    _K_LOAD,
-    _K_STORE,
-    TimingSimulator,
-    _decode_program,
-    _precompute_frontend,
-)
+from repro.sim.pipeline import TimingSimulator
 from repro.sim.stats import SimStats
 from repro.sim.predictors import (
     create as _create_predictor,
@@ -118,9 +115,10 @@ from repro.sim.predictors import (
 from repro.sim.predictors.stride import TableEntry
 from repro.sim.trace import Trace
 
-#: Per-program bound on cached machine variants (front-end + dcache
-#: geometry differ per variant; the harness sweeps early-gen configs on
-#: a single machine, so this stays tiny in practice).
+#: Per-program bound on cached machine shapes.  Each entry is one pass
+#: over the trace (decode, front end, demand D-cache and segment walk
+#: for one machine shape); the harness sweeps early-gen configs on a
+#: single machine, so this stays tiny in practice.
 _PRECOMPUTE_LIMIT = 4
 #: Per-precompute bounds on derived per-config streams.
 _STREAM_LIMIT = 32
@@ -137,6 +135,21 @@ _NO_DEST = 129
 _PMASK_TAB = bytes(b if b in (1, 3) else 0 for b in range(256))
 _EMASK_TAB = bytes(1 if b == 2 else 0 for b in range(256))
 
+
+#: Pipeline drain after the last issue (EXE -> MEM -> WB).
+_DRAIN = 3
+
+# Instruction kinds of the scheduler records.  Branch kinds come last
+# so the loops test for them with one comparison.
+_K_LOAD = 0
+_K_STORE = 1
+_K_ALU = 2
+_K_FP = 3
+_K_FREE = 4  # HALT/NOP: issue-width bound only
+_K_CBRANCH = 5
+_K_JUMP = 6
+_K_RET = 7
+_K_CALL = 8
 
 #: Segment length (in records) past which the stream source's walk
 #: ends a segment at its next branch, backward or not.
@@ -165,6 +178,80 @@ def _machine_key(cfg: MachineConfig) -> tuple:
         cfg.load_latency, cfg.mispredict_penalty, cfg.jump_bubble,
         cfg.ras_entries,
     )
+
+
+def _decode_program(program):
+    """Static facts per uid, decoded once per :class:`TracePrecompute`.
+
+    Returns ``(dec, load_uids)`` where ``dec[uid]`` is the tuple
+    ``(kind, iblock, src_slots, dest_slot, base_slot, reg_offset,
+    disp_slot, alu_latency, addr)``; the scheduler reads at most three
+    source slots per instruction.  Load-scheme specifiers (``lspec``)
+    are deliberately excluded because profile feedback rewrites them in
+    place on laid-out programs; every run resolves them afresh
+    (:meth:`TracePrecompute.first_route`).
+    """
+    dec = []
+    load_uids = []
+    for uid, inst in enumerate(program.flat):
+        op = inst.opcode
+        srcs = tuple(
+            s.index if s.bank == "int" else 64 + s.index
+            for s in inst.srcs
+            if type(s) is _REG_TYPE
+        )
+        dest = inst.dest
+        dest_slot = (
+            -1 if dest is None
+            else dest.index if dest.bank == "int" else 64 + dest.index
+        )
+        base_slot = -1
+        reg_offset = 0
+        disp_slot = -1
+        lat = 0
+        if inst.is_load:
+            kind = _K_LOAD
+            base = inst.mem_base
+            base_slot = (
+                base.index if base.bank == "int" else 64 + base.index
+            )
+            if inst.is_reg_offset:
+                reg_offset = 1
+            else:
+                disp = inst.mem_disp
+                disp_slot = (
+                    disp.index if disp.bank == "int" else 64 + disp.index
+                )
+            load_uids.append(uid)
+        elif inst.is_store:
+            kind = _K_STORE
+        elif inst.is_branch:
+            if op in COND_BRANCH_OPS:
+                kind = _K_CBRANCH
+            elif op is Opcode.CALL:
+                kind = _K_CALL
+            elif op is Opcode.RET:
+                kind = _K_RET
+                srcs += (63,)  # RET reads the link register
+            else:
+                kind = _K_JUMP
+        else:
+            if op in FP_ALU_OPS:
+                kind = _K_FP
+            elif op is Opcode.HALT or op is Opcode.NOP:
+                kind = _K_FREE
+            else:
+                kind = _K_ALU
+            if dest is not None:
+                lat = latency_of(op)
+        if len(srcs) > 3:
+            raise AssertionError(
+                f"uid {uid}: {len(srcs)} source registers; the "
+                f"scheduler records hold at most three"
+            )
+        dec.append((kind, inst.addr >> 6, srcs, dest_slot, base_slot,
+                    reg_offset, disp_slot, lat, inst.addr))
+    return dec, load_uids
 
 
 class _SegmentMemo:
@@ -208,13 +295,21 @@ class _SegmentMemo:
 class TracePrecompute:
     """One trace's config-invariant replay state for one machine shape.
 
-    Built in a single pass over the trace:
+    Built in one pass over the trace, which decodes the program and
+    drives everything the trace and the machine shape fix:
 
     * ``records`` — per-dynamic-instruction scheduler tuples
       ``(kind, fetch_penalty, src1, src2, src3, dest, extra)`` with the
-      front-end outcomes (i-cache stall, branch redirect cycles) baked
-      in.  Tuples are interned on ``(uid, penalty, extra)`` so the list
-      costs one pointer per position.
+      front-end outcomes baked in: the i-cache fetch stall, and for a
+      branch the redirect cycles of the BTB (and, with ``ras_entries``,
+      the return-address stack).  Tuples are interned on
+      ``(uid, penalty, extra)`` so the list costs one pointer per
+      position.  ``imiss_total`` / ``misp_total`` count the i-cache
+      misses and BTB/RAS mispredicts.
+    * ``demand`` — the d-cache stream without speculation, the
+      :meth:`dstream` of every config that probes no predictor: one
+      demand access per load (code bit 0 = hit) and a store-miss count
+      that never fills.
     * the interleaved memory-op sequence plus per-load static facts
       (PC, word index, base/displacement slots, addressing mode) that
       the per-config stream builders replay, and
@@ -251,7 +346,7 @@ class TracePrecompute:
     __slots__ = (
         "flat", "uids", "machine_key", "dcache_cfg",
         "n", "n_loads", "n_stores",
-        "records",
+        "records", "demand",
         "imiss_total", "misp_total",
         "mseq_kind", "mseq_ea", "lpc", "lword", "lbase", "lro", "ldisp",
         "dyn_load_uids", "sword", "static_load_uids",
@@ -262,21 +357,41 @@ class TracePrecompute:
 
     def __init__(self, program, trace: Trace, cfg: MachineConfig):
         dec, load_uids = _decode_program(program)
-        ifetch, imiss_total, br_extra, misp_total = _precompute_frontend(
-            trace, cfg, dec
-        )
         self.flat = program.flat
         self.uids = trace.uids
         self.machine_key = _machine_key(cfg)
         self.dcache_cfg = cfg.dcache
-        self.imiss_total = imiss_total
-        self.misp_total = misp_total
         self.static_load_uids = load_uids
 
         uids = trace.uids
         eas = trace.eas
         n = len(uids)
         self.n = n
+
+        # The front end: a fetch stall per i-cache miss, and per branch
+        # the cycles to the next issue (BTB/RAS, as in the seed model).
+        i_miss = cfg.icache.miss_penalty
+        mp1 = 1 + cfg.mispredict_penalty
+        jb1 = 1 + cfg.jump_bubble
+        ic_access = DirectMappedCache(cfg.icache).access
+        last_iblock = -1
+        imiss_total = misp_total = 0
+        btb = BranchTargetBuffer(cfg.btb_entries)
+        btb_predict = btb.predict
+        btb_update = btb.update
+        ras: list = []
+        ras_depth = cfg.ras_entries
+
+        # The demand d-cache without speculation, its tag array driven
+        # in place: loads access and fill, stores count and never fill.
+        dc = DirectMappedCache(cfg.dcache)
+        tags = dc._tags
+        bs = dc._block_shift
+        im = dc._index_mask
+        ts = dc._tag_shift
+        dcodes = bytearray()
+        dc_append = dcodes.append
+        dmiss = store_miss = 0
 
         records: list = []
         rec_append = records.append
@@ -310,12 +425,57 @@ class TracePrecompute:
             uid = uids[i]
             d = dec[uid]
             k = d[0]
-            pen = ifetch[i]
+            pen = 0
+            if d[1] != last_iblock:
+                last_iblock = d[1]
+                if not ic_access(d[8]):
+                    imiss_total += 1
+                    pen = i_miss
             if k >= _K_CBRANCH:
-                x = br_extra[i]  # redirect cycles, nonzero when taken
+                # x: the cycles from this branch's issue to the next,
+                # nonzero when it is taken.
+                addr = d[8]
+                next_uid = uids[i + 1] if i < last else uid + 1
+                if k == _K_CBRANCH:
+                    taken = next_uid != uid + 1
+                    target = dec[next_uid][8] if taken else 0
+                    ptaken, ptarget = btb_predict(addr)
+                    wrong = (ptaken != taken) or (taken and ptarget != target)
+                    btb_update(addr, taken, target, wrong)
+                    if wrong:
+                        misp_total += 1
+                        x = mp1
+                    else:
+                        x = 1 if taken else 0
+                else:
+                    # JMP/CALL/RET: always taken.
+                    target = dec[next_uid][8] if i < last else 0
+                    if k == _K_RET and ras_depth:
+                        predicted = ras.pop() if ras else 0
+                        if predicted == target:
+                            x = 1
+                        else:
+                            misp_total += 1
+                            x = mp1
+                    else:
+                        ptaken, ptarget = btb_predict(addr)
+                        correct = ptaken and ptarget == target
+                        btb_update(addr, True, target, not correct)
+                        if correct:
+                            x = 1
+                        elif k == _K_RET:
+                            misp_total += 1
+                            x = mp1
+                        else:
+                            # Direct target, known at decode: short bubble.
+                            x = jb1
+                    if k == _K_CALL and ras_depth:
+                        if len(ras) >= ras_depth:
+                            ras.pop(0)
+                        ras.append(addr + 4)
                 # A segment ends at a taken branch back, or at its
                 # first branch once it holds _SEGMENT_CAP records.
-                if i < last and (i >= r_cap or x and uids[i + 1] <= uid):
+                if i < last and (i >= r_cap or x and next_uid <= uid):
                     seg_rstart.append(i + 1)
                     seg_lstart.append(len(lword))
                     seg_sstart.append(ns)
@@ -344,6 +504,15 @@ class TracePrecompute:
                 dyn_load_uids.append(uid)
                 j = ns - last_store.get(w, never)
                 lalias.append(j if j <= window else 0)
+                cblk = ea >> bs
+                cidx = cblk & im
+                ctag = cblk >> ts
+                if tags[cidx] == ctag:
+                    dc_append(1)
+                else:
+                    tags[cidx] = ctag
+                    dmiss += 1
+                    dc_append(0)
             elif k == _K_STORE:
                 ea = eas[i]
                 w = ea >> 2
@@ -356,6 +525,9 @@ class TracePrecompute:
                     last_store = {
                         sword[j]: j for j in range(ns - window, ns)
                     }
+                cblk = ea >> bs
+                if tags[cblk & im] != cblk >> ts:
+                    store_miss += 1
         seg_rstart.append(n)
         seg_lstart.append(len(lword))
         seg_sstart.append(ns)
@@ -371,6 +543,9 @@ class TracePrecompute:
         ])
 
         self.records = records
+        self.imiss_total = imiss_total
+        self.misp_total = misp_total
+        self.demand = (bytes(dcodes), dmiss, store_miss, 0)
         self.mseq_kind = bytes(mseq_kind)
         self.mseq_ea = mseq_ea
         self.lpc = lpc
@@ -393,8 +568,48 @@ class TracePrecompute:
 
     # -- derived per-config streams --------------------------------------
 
+    def first_route(self, eg: EarlyGenConfig,
+                    override: Optional[Dict[int, LoadSpec]]) -> tuple:
+        """The route of a config's first replay, and whether it is a
+        guess that the route fixed point refines.
+
+        Returns ``(route, dual)``.  Under compiler selection the route
+        follows each static load's specifier (``lspec``, read afresh
+        because profile feedback rewrites it in place, unless
+        *override* maps the uid); under hardware selection with one
+        path every load takes it.  Hardware dual-path selection
+        (``dual`` true) decides per load at run time, so its first
+        route is all-calc.
+        """
+        nl = len(self.static_load_uids)
+        has_table = eg.table_entries > 0
+        has_reg = eg.cached_regs > 0
+        dual = False
+        if not (has_table or has_reg):
+            sb = bytes(nl)
+        elif eg.selection is SelectionMode.COMPILER:
+            flat = self.flat
+            get_override = override.get if override is not None else None
+            out = bytearray(nl)
+            for j, u in enumerate(self.static_load_uids):
+                lspec = flat[u].lspec
+                if get_override is not None:
+                    lspec = get_override(u, lspec)
+                if lspec is LoadSpec.P:
+                    if has_table:
+                        out[j] = 1
+                elif lspec is LoadSpec.E and has_reg:
+                    out[j] = 2
+            sb = bytes(out)
+        elif has_table and has_reg:
+            dual = True
+            sb = b"\x02" * nl
+        else:
+            sb = (b"\x01" if has_table else b"\x02") * nl
+        return self.route_for(sb), dual
+
     def route_for(self, scheme_bytes: bytes) -> bytes:
-        """Per-dynamic-load routing (0/1/2) from per-static-load bytes."""
+        """Per-dynamic-load routing (0-3) from per-static-load bytes."""
         routes = self._routes
         route = routes.get(scheme_bytes)
         if route is not None:
@@ -417,27 +632,23 @@ class TracePrecompute:
         functioning prediction was made, bit 2 = the prediction matched
         the computed address.  Loads routed 1 or 3 probe the backend; a
         wrong-address prediction fills the cache only under route 1.
+        A config that probes no backend gets :attr:`demand`.
         """
         if not eg.table_entries or (1 not in route and 3 not in route):
-            key = None
-        else:
-            key = (_predictor_key(eg), route.translate(_PMASK_TAB))
+            return self.demand
+        key = (_predictor_key(eg), route.translate(_PMASK_TAB))
         streams = self._dstreams
         hit = streams.get(key)
         if hit is not None:
             streams.move_to_end(key)
             return hit
-        if key is None:
-            built = self._build_dstream(None, None)
-        else:
-            built = self._build_dstream(eg, key[1])
+        built = self._build_dstream(eg, key[1])
         while len(streams) >= _STREAM_LIMIT:
             streams.popitem(last=False)
         streams[key] = built
         return built
 
-    def _build_dstream(self, eg: Optional[EarlyGenConfig],
-                       pmask: Optional[bytes]) -> tuple:
+    def _build_dstream(self, eg: EarlyGenConfig, pmask: bytes) -> tuple:
         # The d-cache tag array, driven in place.
         dc = DirectMappedCache(self.dcache_cfg)
         tags = dc._tags
@@ -447,21 +658,19 @@ class TracePrecompute:
 
         # The backend comes from the same factory as the seed
         # oracle's, so the stream replays the identical state machine.
-        table = (_create_predictor(eg)
-                 if eg is not None and pmask is not None else None)
-        tb_stride = (table is not None and eg.predictor == "stride"
-                     and not eg.table_confidence_bits)
+        table = _create_predictor(eg)
+        tb_stride = eg.predictor == "stride" and not eg.table_confidence_bits
         # Demand-trained backends consume the demand outcome, so their
         # update is deferred until after the demand access below (the
         # update itself never touches the cache — same outcome as the
         # seed oracle's probe-before-access).
-        tb_demand = table is not None and table.trains_on_demand
+        tb_demand = table.trains_on_demand
         if tb_stride:
             tbl = table._table
             t_im = table._index_mask
             t_ib = table._index_bits
-        tb_probe = table.probe if table is not None else None
-        tb_update = table.update if table is not None else None
+        tb_probe = table.probe
+        tb_update = table.update
 
         codes = bytearray(self.n_loads)
         dmiss = store_miss = poll_miss = 0
@@ -474,7 +683,7 @@ class TracePrecompute:
             idx += 1
             if mk == 0:
                 code = 0
-                probed = pmask is not None and pmask[li]
+                probed = pmask[li]
                 if probed:
                     pc_addr = lpc[li]
                     if tb_stride:
@@ -612,42 +821,15 @@ class TracePrecompute:
         return bytes(codes)
 
 
-def _scheme_bytes(program, eg: EarlyGenConfig,
-                  override: Optional[Dict[int, LoadSpec]]) -> Optional[bytes]:
-    """Per-static-load routing (0/1/2), or None when routing is decided
-    at run time (hardware dual-path selection)."""
-    dec, load_uids = _decode_program(program)
-    nl = len(load_uids)
-    if not (eg.table_entries or eg.cached_regs):
-        return bytes(nl)
-    has_table = eg.table_entries > 0
-    has_reg = eg.cached_regs > 0
-    if eg.selection is SelectionMode.COMPILER:
-        flat = program.flat
-        get_override = override.get if override is not None else None
-        out = bytearray(nl)
-        for j in range(nl):
-            u = load_uids[j]
-            lspec = flat[u].lspec
-            if get_override is not None:
-                lspec = get_override(u, lspec)
-            if lspec is LoadSpec.P:
-                if has_table:
-                    out[j] = 1
-            elif lspec is LoadSpec.E and has_reg:
-                out[j] = 2
-        return bytes(out)
-    if has_table and has_reg:
-        return None
-    return (b"\x01" if has_table else b"\x02") * nl
-
-
 def get_precompute(trace: Trace, cfg: MachineConfig) -> TracePrecompute:
     """The trace's precompute for *cfg*'s machine shape, built on a miss.
 
     Cached on the Program keyed by trace identity, with an LRU bound of
-    ``_PRECOMPUTE_LIMIT`` machine shapes.  The key holds every
-    front-end field, so the front-end pass runs once per entry.
+    ``_PRECOMPUTE_LIMIT`` machine shapes.  The key holds every field the
+    one pass over the trace reads (front end, D-cache, ports), so that
+    pass — decode, front end, demand stream and segment walk — runs once
+    per entry, and again only when ``Program.layout`` has replaced
+    ``program.flat``.
     """
     program = trace.program
     cached = getattr(program, "_sim_precompute", None)
@@ -687,14 +869,6 @@ def segment_counts() -> tuple:
     return tuple(_segment_totals)
 
 
-def _first_route(pre: TracePrecompute, sb: Optional[bytes]) -> bytes:
-    """The route of a config's first replay: its own, or all-calc for
-    hardware dual-path selection (*sb* None)."""
-    if sb is None:
-        sb = b"\x02" * len(pre.static_load_uids)
-    return pre.route_for(sb)
-
-
 def run_streams(sim: TimingSimulator) -> SimStats:
     """Run *sim* on the precomputed streams, building the trace's
     precompute on first use.
@@ -713,12 +887,11 @@ def run_streams(sim: TimingSimulator) -> SimStats:
     cfg = sim.config
     eg = cfg.earlygen
     trace = sim.trace
-    sb = _scheme_bytes(trace.program, eg, sim.spec_override)
     pre = get_precompute(trace, cfg)
-    route = _first_route(pre, sb)
+    route, dual = pre.first_route(eg, sim.spec_override)
     # Routed loads whose dual-path decision disagrees with the route;
     # only dual-path configs act on them.
-    flips = [] if sb is None else None
+    flips = [] if dual else None
     global _divergences
     patched = rounds = 0
     segments = segment_hits = 0
@@ -761,7 +934,7 @@ def run_streams(sim: TimingSimulator) -> SimStats:
                 turned[li] = 1 if turned[li] == 2 else 2
             flips = []
         route = bytes(turned)
-    path = "hw-fixed" if sb is None else "scalar"
+    path = "hw-fixed" if dual else "scalar"
     _replay_paths[path] = _replay_paths.get(path, 0) + 1
     tracer = obs.current()
     if tracer.enabled:
@@ -913,7 +1086,7 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
     if not hw_dual:
         flips = []  # recorded on memo misses only, for the transitions
 
-    # The kinds of repro.sim.pipeline, bound once as locals.
+    # The record kinds, bound once as locals.
     K_LOAD, K_STORE, K_ALU, K_FP, K_CBRANCH, K_CALL = (
         _K_LOAD, _K_STORE, _K_ALU, _K_FP, _K_CBRANCH, _K_CALL)
 
@@ -1268,7 +1441,7 @@ def warm_precompute(
     pre = get_precompute(trace, machine)
     for idx, eg in enumerate(configs):
         ov = overrides[idx] if overrides is not None else None
-        route = _first_route(pre, _scheme_bytes(trace.program, eg, ov))
+        route, _ = pre.first_route(eg, ov)
         pre.dstream(eg, route)
         pre.estream(eg, route)
     return pre

@@ -18,6 +18,7 @@ from repro.harness.experiments import (
     TABLES,
     ExperimentContext,
     _geomean,
+    eg_tag,
     experiment_table,
     sim_requests,
     table_spec,
@@ -179,8 +180,9 @@ def test_sim_requests_are_the_tables_speedup_columns():
         assert {(r.earlygen, r.use_profile_override)
                 for r in requests} == declared
         for r in requests:
-            assert r.cache_key == ("profile" if r.use_profile_override
-                                   else None)
+            assert (eg_tag(r.earlygen, r.use_profile_override)
+                    .endswith("+profile")) == r.use_profile_override
+    assert eg_tag(PROPOSED, True) == "t256_r1_compiler+profile"
     assert len(sim_requests("spec")) == 2 * len(FIG5A_TABLE_SIZES) + 6
     assert [r.earlygen for r in sim_requests("mediabench")] == [PROPOSED]
     with pytest.raises(ValueError):

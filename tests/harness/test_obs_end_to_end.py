@@ -89,6 +89,26 @@ def test_trace_shape_same_at_1_and_n_jobs(trace_dir, tmp_path):
     assert {status for _, status in _workload_spans(many)} == {"ok"}
 
 
+def test_healthy_run_traces_no_error_status(trace_dir):
+    """Spans and events opened inside a workload copy its tags, so the
+    ``status`` tag is set only once the outcome is known."""
+    tagged = [(r["kind"], r["name"]) for r in read_trace(trace_dir)
+              if r.get("tags", {}).get("status") == "error"]
+    assert tagged == []
+
+
+def test_failing_task_traces_an_error_workload_span(tmp_path):
+    out = tmp_path / "trace"
+    assert main([
+        "--scale", str(SCALE), "--workloads", "022.li,adpcm_decode",
+        "--inject", "022.li=corrupt-output", "--jobs", "1",
+        "--trace-out", str(out),
+    ]) == 1
+    assert _workload_spans(read_trace(out)) == [
+        ("022.li", "error"), ("adpcm_decode", "ok"),
+    ]
+
+
 def test_class_rows_match_table2(trace_dir):
     rows = {r["benchmark"]: r for r in class_rows(read_trace(trace_dir))}
     expected = experiment_table(ExperimentContext(scale=SCALE), "table2")

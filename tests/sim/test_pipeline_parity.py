@@ -122,6 +122,11 @@ _C_TEMPLATE = """
 int table[{size}];
 int keys[{size}];
 
+int walk(int n) {{
+    if (n <= 0) return 0;
+    return keys[n & {mask}] + walk(n - 1);
+}}
+
 int main() {{
     int i; int total = 0;
     for (i = 0; i < {size}; i++) {{
@@ -131,6 +136,7 @@ int main() {{
     for (i = 0; i < {size}; i += {step}) {{
         total += table[keys[i]];
     }}
+    total += walk({depth});
     print_int(total);
     return 0;
 }}
@@ -145,6 +151,8 @@ def _random_c_source(rng: random.Random) -> str:
         mult=rng.choice((3, 7, 13)),
         scale=rng.randint(1, 9),
         step=rng.choice((1, 2, 4)),
+        # Recursion depth: calls and returns that overflow the RAS.
+        depth=rng.choice((3, 12)),
     )
 
 
@@ -157,7 +165,13 @@ def _random_machine(rng: random.Random) -> MachineConfig:
             int_alus=rng.choice((2, 4)),
             mem_ports=rng.choice((1, 2)),
             dcache=CacheConfig(size=rng.choice((1024, 4096, 16384))),
-            icache=CacheConfig(size=rng.choice((4096, 16384))),
+            icache=CacheConfig(size=rng.choice((4096, 16384)),
+                               miss_penalty=rng.choice((0, 12, 40))),
+            # The front end: BTB, return-address stack and redirects.
+            btb_entries=rng.choice((16, 1024)),
+            ras_entries=rng.choice((0, 2, 8)),
+            mispredict_penalty=rng.choice((0, 3, 7)),
+            jump_bubble=rng.choice((0, 1, 3)),
         )
     earlygen = EarlyGenConfig(
         rng.choice((0, 4, 16, 64, 256)),

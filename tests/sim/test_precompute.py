@@ -46,11 +46,12 @@ from repro.sim.machine import (
     MachineConfig,
     SelectionMode,
 )
-from repro.sim.pipeline import TimingSimulator, _decode_program
+from repro.sim.pipeline import TimingSimulator
 from repro.sim.precompute import (
     _PRECOMPUTE_LIMIT,
     _ROUTE_LIMIT,
     _STREAM_LIMIT,
+    _decode_program,
     _machine_key,
     get_precompute,
     simulate_many,

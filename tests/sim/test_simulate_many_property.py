@@ -30,8 +30,8 @@ from repro.isa.opcodes import LoadSpec
 from repro.sim._pipeline_reference import reference_run
 from repro.sim.executor import execute
 from repro.sim.machine import EarlyGenConfig, SelectionMode
-from repro.sim.pipeline import TimingSimulator, _decode_program
-from repro.sim.precompute import simulate_many
+from repro.sim.pipeline import TimingSimulator
+from repro.sim.precompute import _decode_program, simulate_many
 
 from golden_cases import stats_to_record
 from test_pipeline_parity import _random_asm, _random_machine
