@@ -14,6 +14,7 @@ from typing import Dict, Optional, Tuple
 from repro.isa.opcodes import LoadSpec
 from repro.isa.program import Program
 from repro.sim.predictors import UnboundedPredictor
+from repro.sim.predictors.stride import unbounded_outcomes
 from repro.sim.trace import Trace
 
 
@@ -105,12 +106,14 @@ def _shares(counts: Dict[str, int]) -> Dict[str, float]:
 
 
 def profile_trace(program: Program, trace: Trace) -> AddressProfile:
-    """Profile an existing trace."""
-    predictor = UnboundedPredictor()
-    observe = predictor.observe
-    for uid, ea in trace.load_addresses():
-        observe(uid, ea)
-    return AddressProfile(program, predictor)
+    """Profile an existing trace.
+
+    The counters come from the trace's one unbounded Figure 3 pass,
+    the same pass the precompute's prediction streams copy from.
+    """
+    return AddressProfile(
+        program, UnboundedPredictor.from_outcomes(unbounded_outcomes(trace))
+    )
 
 
 def profile_program(program: Program) -> Tuple[AddressProfile, Trace]:

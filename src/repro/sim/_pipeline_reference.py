@@ -109,6 +109,7 @@ def reference_run(sim) -> SimStats:
     ras_depth = cfg.ras_entries
 
     last_iblock = -1
+    iblock_shift = cfg.icache.block_size.bit_length() - 1
 
     t_next = 0
     t_last = 0
@@ -121,7 +122,7 @@ def reference_run(sim) -> SimStats:
         op = inst.opcode
 
         # ---- instruction fetch -------------------------------------
-        iblock = inst.addr >> 6
+        iblock = inst.addr >> iblock_shift
         if iblock != last_iblock:
             last_iblock = iblock
             if not icache.access(inst.addr):

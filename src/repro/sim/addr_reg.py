@@ -22,7 +22,6 @@ supplies the true effective address.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Optional
 
 
@@ -58,26 +57,48 @@ class RAddr:
 
 
 class RegisterCache:
-    """A BRIC-style LRU cache of N base register identities."""
+    """A BRIC-style LRU cache of N base register identities.
 
-    __slots__ = ("capacity", "_lru", "hits", "misses")
+    ``regs`` lists the cached registers from least to most recently
+    used.  BRIC caches 1–16 registers, so a list scan is the cheapest
+    lookup.  :meth:`touch` is the one LRU rule: the timing model's
+    probes and inserts go through it, and so does the calc-path stream
+    builder of :mod:`repro.sim.precompute`.
+    """
+
+    __slots__ = ("capacity", "regs", "hits", "misses")
 
     def __init__(self, capacity: int):
         if capacity <= 0:
             raise ValueError("register cache capacity must be positive")
         self.capacity = capacity
-        self._lru: "OrderedDict[int, None]" = OrderedDict()
+        self.regs: list = []
         self.hits = 0
         self.misses = 0
 
     def reset(self) -> None:
-        self._lru.clear()
+        self.regs.clear()
         self.hits = self.misses = 0
+
+    def touch(self, reg: int) -> bool:
+        """Make *reg* the most recently used entry; returns whether it
+        was cached.  An uncached *reg* is inserted, evicting the least
+        recently used entry if the cache is full."""
+        regs = self.regs
+        if reg in regs:
+            if regs[-1] != reg:
+                regs.remove(reg)
+                regs.append(reg)
+            return True
+        if len(regs) >= self.capacity:
+            del regs[0]
+        regs.append(reg)
+        return False
 
     def probe(self, reg: int) -> bool:
         """True if *reg* is cached; refreshes its LRU position."""
-        if reg in self._lru:
-            self._lru.move_to_end(reg)
+        if reg in self.regs:
+            self.touch(reg)
             self.hits += 1
             return True
         self.misses += 1
@@ -85,15 +106,10 @@ class RegisterCache:
 
     def insert(self, reg: int) -> None:
         """Cache *reg*, evicting the least recently used entry if full."""
-        if reg in self._lru:
-            self._lru.move_to_end(reg)
-            return
-        if len(self._lru) >= self.capacity:
-            self._lru.popitem(last=False)
-        self._lru[reg] = None
+        self.touch(reg)
 
     def __contains__(self, reg: int) -> bool:
-        return reg in self._lru
+        return reg in self.regs
 
     def __len__(self) -> int:
-        return len(self._lru)
+        return len(self.regs)

@@ -23,6 +23,7 @@ from repro.sim.machine import BASELINE
 from repro.sim.pipeline import TimingSimulator
 from repro.sim.precompute import (
     divergence_count,
+    dstream_counts,
     replay_path_counts,
     segment_counts,
     simulate_many,
@@ -32,8 +33,10 @@ from repro.workloads import workload_names
 
 
 def _counters() -> tuple:
-    """``(divergences, paths, (segments, memo hits))`` so far."""
-    return divergence_count(), replay_path_counts(), segment_counts()
+    """``(divergences, paths, (segments, memo hits), dstream counts)``
+    so far."""
+    return (divergence_count(), replay_path_counts(), segment_counts(),
+            dstream_counts())
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -44,9 +47,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     :func:`simulate_many` sweep per workload, and a plain
     :meth:`TimingSimulator.run`.  "mismatches" counts sweep results and
     "reference mismatches" ``run()`` results that differ from the
-    oracle's.  The divergence, path and segment figures are the
-    sweeps' own: each ``run()`` follows its workload's sweep, so it
-    replays from a warm segment memo.  CI runs this at a small scale
+    oracle's.  The divergence, path, segment and prediction-stream
+    figures are the sweeps' own: each ``run()`` follows its workload's
+    sweep, so it replays from a warm segment memo.  CI runs this at a small scale
     as a standing parity gate; exit status 1 means at least one
     config produced non-identical :class:`SimStats`.
     """
@@ -90,6 +93,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     divergences = 0
     paths: dict = {}
     segments = hits = 0
+    builds = [0, 0, 0, 0]
     for suite in suites:
         requests = sim_requests(suite)
         names = [
@@ -117,17 +121,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 for eg, ov in zip(configs, overrides)
             ]
             reference = [asdict(reference_run(sim)) for sim in sims]
-            div0, paths0, (seg0, hit0) = _counters()
+            div0, paths0, (seg0, hit0), built0 = _counters()
             swept = simulate_many(
                 run.trace, configs, machine=ctx.machine, overrides=overrides
             )
-            div1, paths1, (seg1, hit1) = _counters()
+            div1, paths1, (seg1, hit1), built1 = _counters()
             divergences += div1 - div0
             for path, count in paths1.items():
                 paths[path] = (paths.get(path, 0) + count
                                - paths0.get(path, 0))
             segments += seg1 - seg0
             hits += hit1 - hit0
+            for i, (now, before) in enumerate(zip(built1, built0)):
+                builds[i] += now - before
             bad = [
                 tag for tag, ref, stats in zip(tags, reference, swept)
                 if asdict(stats) != ref
@@ -156,6 +162,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"{k}={v}" for k, v in sorted(paths.items())
     ))
     print(f"segments: {segments} walked, {hits} from the segment memo")
+    print("dstream: {} builds, {} loads copied from the trace pass, "
+          "{} replayed, {} fills patched".format(*builds))
     return 1 if mismatches or ref_mismatches else 0
 
 

@@ -21,14 +21,20 @@ order:
   the hit/miss stream and the fill-state timeline depend only on the
   address stream — *except* for wrong-address prediction accesses,
   which pollute the cache with the mispredicted block (see below).
+  Each such fill changes only what its set holds until the next load
+  to that set, so a config's stream is the trace's demand stream plus
+  a sparse patch of its fills.
 * **Predictor outcomes** — the backend is probed and updated
   unconditionally for every load routed to the prediction path, so the
   outcome stream depends only on the backend's canonical
   ``predictor_key`` (backend name, capacity, confidence) and
   on *which* loads are routed there (the routing mask), never on
-  ports, latencies, or the calc path.  Backends that train on demand
-  d-cache outcomes additionally see the demand-hit stream, which is
-  itself a pure function of the routing mask.
+  ports, latencies, or the calc path.  A PC that is probed at every
+  instance and owns its entry of a per-entry table (``stride`` without
+  confidence bits) gets the outcomes of the trace's one unbounded
+  Figure 3 pass, the pass the address profiler reads; only the other
+  probed loads replay the backend.  Backends that train on demand
+  d-cache outcomes additionally see the patched demand-hit stream.
 * **Early-calc cache outcomes** — ``R_addr`` bindings and BRIC probes
   likewise evolve only with the sequence of calc-routed loads.
 
@@ -84,8 +90,10 @@ snapshots, the parity tests, and the parity gate
 from __future__ import annotations
 
 from array import array
-from collections import OrderedDict, deque
+from bisect import bisect_left
+from collections import Counter, OrderedDict, deque
 from contextlib import nullcontext
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro import obs
@@ -102,6 +110,7 @@ from repro.sim.addr_reg import RegisterCache
 from repro.sim.btb import BranchTargetBuffer
 from repro.sim.cache import DirectMappedCache
 from repro.sim.machine import (
+    CacheConfig,
     EarlyGenConfig,
     MachineConfig,
     SelectionMode,
@@ -112,7 +121,7 @@ from repro.sim.predictors import (
     create as _create_predictor,
     predictor_key as _predictor_key,
 )
-from repro.sim.predictors.stride import TableEntry
+from repro.sim.predictors.stride import unbounded_outcomes
 from repro.sim.trace import Trace
 
 #: Per-program bound on cached machine shapes.  Each entry is one pass
@@ -123,6 +132,7 @@ _PRECOMPUTE_LIMIT = 4
 #: Per-precompute bounds on derived per-config streams.
 _STREAM_LIMIT = 32
 _ROUTE_LIMIT = 32
+_PREDICTION_LIMIT = 2
 
 #: Source-slot sentinel that always reads ready-at-0, and a junk dest
 #: slot, so the replay never branches on "has operand / has dest".
@@ -134,6 +144,11 @@ _NO_DEST = 129
 # Route byte -> stream masks, applied with bytes.translate.
 _PMASK_TAB = bytes(b if b in (1, 3) else 0 for b in range(256))
 _EMASK_TAB = bytes(1 if b == 2 else 0 for b in range(256))
+# A probed load (route 1 or 3) -> 0xff, so ``&`` keeps its code byte.
+_PROBED_TAB = bytes(255 if b in (1, 3) else 0 for b in range(256))
+# Nonzero -> 1, and a wrong prediction's stream code (2) -> 1.
+_ONE_TAB = bytes(1 if b else 0 for b in range(256))
+_WRONG_TAB = bytes(1 if b == 2 else 0 for b in range(256))
 
 
 #: Pipeline drain after the last issue (EXE -> MEM -> WB).
@@ -170,6 +185,15 @@ def divergence_count() -> int:
     return _divergences
 
 
+#: Process-wide ``[builds, loads copied, loads replayed, fills patched]``
+#: of the prediction-stream builds (exposed for obs and the parity CLI).
+_dstream_totals = [0, 0, 0, 0]
+
+
+def dstream_counts() -> tuple:
+    return tuple(_dstream_totals)
+
+
 def _machine_key(cfg: MachineConfig) -> tuple:
     """Everything that shapes the precompute except the early-gen config."""
     return (
@@ -180,17 +204,19 @@ def _machine_key(cfg: MachineConfig) -> tuple:
     )
 
 
-def _decode_program(program):
+def _decode_program(program, icache: CacheConfig = CacheConfig()):
     """Static facts per uid, decoded once per :class:`TracePrecompute`.
 
     Returns ``(dec, load_uids)`` where ``dec[uid]`` is the tuple
     ``(kind, iblock, src_slots, dest_slot, base_slot, reg_offset,
-    disp_slot, alu_latency, addr)``; the scheduler reads at most three
+    disp_slot, alu_latency, addr)``, ``iblock`` being the instruction's
+    block of *icache*; the scheduler reads at most three
     source slots per instruction.  Load-scheme specifiers (``lspec``)
     are deliberately excluded because profile feedback rewrites them in
     place on laid-out programs; every run resolves them afresh
     (:meth:`TracePrecompute.first_route`).
     """
+    block_shift = icache.block_size.bit_length() - 1
     dec = []
     load_uids = []
     for uid, inst in enumerate(program.flat):
@@ -249,8 +275,8 @@ def _decode_program(program):
                 f"uid {uid}: {len(srcs)} source registers; the "
                 f"scheduler records hold at most three"
             )
-        dec.append((kind, inst.addr >> 6, srcs, dest_slot, base_slot,
-                    reg_offset, disp_slot, lat, inst.addr))
+        dec.append((kind, inst.addr >> block_shift, srcs, dest_slot,
+                    base_slot, reg_offset, disp_slot, lat, inst.addr))
     return dec, load_uids
 
 
@@ -309,10 +335,18 @@ class TracePrecompute:
     * ``demand`` — the d-cache stream without speculation, the
       :meth:`dstream` of every config that probes no predictor: one
       demand access per load (code bit 0 = hit) and a store-miss count
-      that never fills.
-    * the interleaved memory-op sequence plus per-load static facts
-      (PC, word index, base/displacement slots, addressing mode) that
-      the per-config stream builders replay, and
+      that never fills.  ``lsets`` / ``ssets`` list, per d-cache set,
+      the ordinals of the loads and stores that access it, ``lsb`` the
+      stores before each load and ``sblk`` each store's block: the
+      index the fill patch of :meth:`dstream` looks up.
+    * per-load facts for the per-config stream builders: the address
+      ``lea``, the static uid (and ``lsidx``, the static ordinal as a
+      byte, which spreads per-static-load bytes with one
+      ``translate`` when there are at most 256 static loads), the
+      base/displacement slots and addressing mode; ``unbounded`` is the trace's unbounded Figure 3
+      pass (:func:`~repro.sim.predictors.stride.unbounded_outcomes`),
+      which also counts each load uid's instances and finds its first,
+      and
     * the segment walk of the stream replay: ``seg_ids`` names each
       segment instance (a run of records up to a taken backward
       branch, or up to its first branch once it holds ``_SEGMENT_CAP``
@@ -330,7 +364,10 @@ class TracePrecompute:
 
     * ``dstream`` — demand-hit / prediction-outcome codes per dynamic
       load, keyed ``(predictor_key, p-mask)``, plus the
-      demand/store/pollution miss totals,
+      demand/store/pollution miss totals.  It is assembled from parts:
+      prediction codes copied from ``unbounded`` or replayed per load,
+      kept per ``(predictor_key, probed loads)`` so that a rebuild for
+      other fill guesses only re-applies the fill patch to ``demand``,
     * ``estream`` — calc-path dispatch-candidate codes, keyed
       ``(cached_regs, use_raddr, e-mask)``.
 
@@ -348,15 +385,16 @@ class TracePrecompute:
         "n", "n_loads", "n_stores",
         "records", "demand",
         "imiss_total", "misp_total",
-        "mseq_kind", "mseq_ea", "lpc", "lword", "lbase", "lro", "ldisp",
-        "dyn_load_uids", "sword", "static_load_uids",
+        "lea", "lsb", "lsets", "ssets", "sblk", "unbounded",
+        "lbase", "lro", "ldisp",
+        "dyn_load_uids", "lsidx", "sword", "static_load_uids",
         "seg_ids", "seg_rstart", "seg_lstart", "seg_sstart",
         "segment_memo",
-        "_routes", "_dstreams", "_estreams",
+        "_routes", "_dstreams", "_predictions", "_estreams",
     )
 
     def __init__(self, program, trace: Trace, cfg: MachineConfig):
-        dec, load_uids = _decode_program(program)
+        dec, load_uids = _decode_program(program, cfg.icache)
         self.flat = program.flat
         self.uids = trace.uids
         self.machine_key = _machine_key(cfg)
@@ -392,21 +430,22 @@ class TracePrecompute:
         dcodes = bytearray()
         dc_append = dcodes.append
         dmiss = store_miss = 0
+        # Per d-cache set, the ordinals of the loads and stores that
+        # access it (for the fill patch).
+        lsets: list = [None] * dc.config.num_blocks
+        ssets: list = [None] * dc.config.num_blocks
 
         records: list = []
         rec_append = records.append
         intern: dict = {}
-        mseq_kind = bytearray()
-        mk_append = mseq_kind.append
-        mseq_ea = array("q")
-        me_append = mseq_ea.append
-        lpc = array("q")
-        lword = array("q")
+        lea = array("q")
+        lsb = array("I")
         lbase = bytearray()
         lro = bytearray()
         ldisp = bytearray()
         dyn_load_uids = array("q")
         sword = array("q")
+        sblk = array("q")
 
         # Store aliases: each stored word maps to its newest store
         # ordinal, and the map is cut back to the last `window` stores
@@ -414,7 +453,7 @@ class TracePrecompute:
         window = min(2 * max(cfg.mem_ports, 1), 255)
         last_store: dict = {}
         never = -window - 1
-        ns = 0
+        ns = nl = 0
         lalias = bytearray()
         seg_rstart = array("I", [0])
         seg_lstart = array("I", [0])
@@ -477,7 +516,7 @@ class TracePrecompute:
                 # first branch once it holds _SEGMENT_CAP records.
                 if i < last and (i >= r_cap or x and next_uid <= uid):
                     seg_rstart.append(i + 1)
-                    seg_lstart.append(len(lword))
+                    seg_lstart.append(nl)
                     seg_sstart.append(ns)
                     r_cap = i + _SEGMENT_CAP
             else:
@@ -494,10 +533,8 @@ class TracePrecompute:
             if k == _K_LOAD:
                 ea = eas[i]
                 w = ea >> 2
-                mk_append(0)
-                me_append(ea)
-                lpc.append(d[8])
-                lword.append(w)
+                lea.append(ea)
+                lsb.append(ns)
                 lbase.append(d[4])
                 lro.append(d[5])
                 ldisp.append(d[6] if d[6] >= 0 else 0)
@@ -513,11 +550,14 @@ class TracePrecompute:
                     tags[cidx] = ctag
                     dmiss += 1
                     dc_append(0)
+                acc = lsets[cidx]
+                if acc is None:
+                    acc = lsets[cidx] = array("I")
+                acc.append(nl)
+                nl += 1
             elif k == _K_STORE:
                 ea = eas[i]
                 w = ea >> 2
-                mk_append(1)
-                me_append(ea)
                 sword.append(w)
                 last_store[w] = ns
                 ns += 1
@@ -526,10 +566,16 @@ class TracePrecompute:
                         sword[j]: j for j in range(ns - window, ns)
                     }
                 cblk = ea >> bs
-                if tags[cblk & im] != cblk >> ts:
+                cidx = cblk & im
+                if tags[cidx] != cblk >> ts:
                     store_miss += 1
+                sblk.append(cblk)
+                acc = ssets[cidx]
+                if acc is None:
+                    acc = ssets[cidx] = array("I")
+                acc.append(ns - 1)
         seg_rstart.append(n)
-        seg_lstart.append(len(lword))
+        seg_lstart.append(nl)
         seg_sstart.append(ns)
         # Segment ids: instances with the same records and store
         # aliases share one.
@@ -546,16 +592,25 @@ class TracePrecompute:
         self.imiss_total = imiss_total
         self.misp_total = misp_total
         self.demand = (bytes(dcodes), dmiss, store_miss, 0)
-        self.mseq_kind = bytes(mseq_kind)
-        self.mseq_ea = mseq_ea
-        self.lpc = lpc
-        self.lword = lword
+        self.lea = lea
+        self.lsb = lsb
+        self.lsets = lsets
+        self.ssets = ssets
+        self.sblk = sblk
+        self.unbounded = unbounded_outcomes(trace)
         self.lbase = bytes(lbase)
         self.lro = bytes(lro)
         self.ldisp = bytes(ldisp)
         self.dyn_load_uids = dyn_load_uids
+        # Each load's static ordinal, when a byte holds them all.
+        self.lsidx = None
+        if len(load_uids) <= 256:
+            sidx = bytearray(len(program.flat))
+            for j, u in enumerate(load_uids):
+                sidx[u] = j
+            self.lsidx = bytes(map(sidx.__getitem__, dyn_load_uids))
         self.sword = sword
-        self.n_loads = len(lword)
+        self.n_loads = nl
         self.n_stores = len(sword)
         self.seg_rstart = seg_rstart
         self.seg_lstart = seg_lstart
@@ -564,6 +619,7 @@ class TracePrecompute:
 
         self._routes: OrderedDict = OrderedDict()
         self._dstreams: OrderedDict = OrderedDict()
+        self._predictions: OrderedDict = OrderedDict()
         self._estreams: OrderedDict = OrderedDict()
 
     # -- derived per-config streams --------------------------------------
@@ -615,14 +671,21 @@ class TracePrecompute:
         if route is not None:
             routes.move_to_end(scheme_bytes)
             return route
-        per_uid = bytearray(len(self.flat))
-        for u, s in zip(self.static_load_uids, scheme_bytes):
-            per_uid[u] = s
-        route = bytes(map(per_uid.__getitem__, self.dyn_load_uids))
+        route = self._per_load(scheme_bytes)
         while len(routes) >= _ROUTE_LIMIT:
             routes.popitem(last=False)
         routes[scheme_bytes] = route
         return route
+
+    def _per_load(self, per_static: bytes) -> bytes:
+        """*per_static* (a byte per static load) spread over the dynamic
+        loads."""
+        if self.lsidx is not None:
+            return self.lsidx.translate(per_static.ljust(256, b"\0"))
+        per_uid = bytearray(len(self.flat))
+        for u, s in zip(self.static_load_uids, per_static):
+            per_uid[u] = s
+        return bytes(map(per_uid.__getitem__, self.dyn_load_uids))
 
     def dstream(self, eg: EarlyGenConfig, route: bytes) -> tuple:
         """Demand/prediction outcome stream for *eg* under *route*.
@@ -633,6 +696,13 @@ class TracePrecompute:
         the computed address.  Loads routed 1 or 3 probe the backend; a
         wrong-address prediction fills the cache only under route 1.
         A config that probes no backend gets :attr:`demand`.
+
+        One builder serves every backend.  The prediction codes come
+        from :meth:`_predict` (copied from the unbounded pass where a
+        PC owns its table entry, replayed through the backend
+        elsewhere), and the route-1 fills patch :attr:`demand` in trace
+        order (:class:`_FillPatch`).  Each build adds to the counters of
+        :func:`dstream_counts`.
         """
         if not eg.table_entries or (1 not in route and 3 not in route):
             return self.demand
@@ -649,123 +719,130 @@ class TracePrecompute:
         return built
 
     def _build_dstream(self, eg: EarlyGenConfig, pmask: bytes) -> tuple:
-        # The d-cache tag array, driven in place.
-        dc = DirectMappedCache(self.dcache_cfg)
-        tags = dc._tags
-        bs = dc._block_shift
-        im = dc._index_mask
-        ts = dc._tag_shift
-
         # The backend comes from the same factory as the seed
         # oracle's, so the stream replays the identical state machine.
         table = _create_predictor(eg)
-        tb_stride = eg.predictor == "stride" and not eg.table_confidence_bits
-        # Demand-trained backends consume the demand outcome, so their
-        # update is deferred until after the demand access below (the
-        # update itself never touches the cache — same outcome as the
-        # seed oracle's probe-before-access).
-        tb_demand = table.trains_on_demand
-        if tb_stride:
-            tbl = table._table
-            t_im = table._index_mask
-            t_ib = table._index_bits
-        tb_probe = table.probe
-        tb_update = table.update
+        probed = pmask.translate(_PROBED_TAB)
+        patch = _FillPatch(self, pmask)
+        # The predictions depend only on which loads probe, except for
+        # a backend that trains on demand outcomes, which the fills
+        # change; the others reuse them across fill guesses.
+        key = (_predictor_key(eg), probed)
+        part = None if table.trains_on_demand else self._predictions.get(key)
+        if part is None:
+            part = self._predict(eg, table, probed, patch)
+            if not table.trains_on_demand:
+                parts = self._predictions
+                while len(parts) >= _PREDICTION_LIMIT:
+                    parts.popitem(last=False)
+                parts[key] = part
+        else:
+            self._predictions.move_to_end(key)
+            for li, predicted in zip(part[1], part[2]):
+                patch.fill(li, predicted)
+        _dstream_totals[0] += 1
+        _dstream_totals[3] += patch.fills
+        codes = (
+            int.from_bytes(patch.codes, "little")
+            | int.from_bytes(part[0], "little")
+        ).to_bytes(self.n_loads, "little")
+        return (codes, patch.dmiss, patch.store_miss, patch.poll_miss)
 
-        codes = bytearray(self.n_loads)
-        dmiss = store_miss = poll_miss = 0
-        mseq_ea = self.mseq_ea
-        lpc = self.lpc
-        li = 0
-        idx = 0
-        for mk in self.mseq_kind:
-            ea = mseq_ea[idx]
-            idx += 1
-            if mk == 0:
-                code = 0
-                probed = pmask[li]
-                if probed:
-                    pc_addr = lpc[li]
-                    if tb_stride:
-                        tword = pc_addr >> 2
-                        t_idx = tword & t_im
-                        t_tag = tword >> t_ib
-                        entry = tbl[t_idx]
-                        if (
-                            entry is None
-                            or entry.tag != t_tag
-                            or entry.state
-                        ):
-                            predicted = None
-                        else:
-                            predicted = entry.pa
-                    else:
-                        predicted = tb_probe(pc_addr)
-                    if predicted is not None:
-                        if predicted == ea:
-                            code = 6
-                        else:
-                            # Under route 1 the wrong-address access is
-                            # assumed to dispatch: it counts and fills
-                            # under the predicted address (the replay
-                            # records the load as diverged if it found
-                            # no port, and the rebuild routes it 3).
-                            code = 2
-                            if probed == 1:
-                                cblk = predicted >> bs
-                                cidx = cblk & im
-                                ctag = cblk >> ts
-                                if tags[cidx] != ctag:
-                                    tags[cidx] = ctag
-                                    poll_miss += 1
-                    if tb_stride:
-                        # The state-machine arcs of
-                        # AddressPredictionTable.update (Figure 3):
-                        # Replace / Correct / New_Stride /
-                        # Verified_Stride.
-                        if entry is None:
-                            tbl[t_idx] = TableEntry(t_tag, ea)
-                        elif entry.tag != t_tag:
-                            entry.allocate(t_tag, ea)
-                        elif entry.state == 0:
-                            if entry.pa == ea:
-                                entry.pa = ea + entry.st
-                            else:
-                                entry.st = ea - entry.pa
-                                entry.stc = 0
-                                entry.pa = ea
-                                entry.state = 1
-                        elif ea - entry.pa == entry.st:
-                            entry.pa = ea + entry.st
-                            entry.stc = 1
-                            entry.state = 0
-                        else:
-                            entry.st = ea - entry.pa
-                            entry.pa = ea
-                    elif not tb_demand:
-                        tb_update(pc_addr, ea, predicted)
-                # The demand access happens for every load, whatever
-                # the speculation outcome: a successful speculative
-                # access probed the same state the demand access sees,
-                # so one access covers both (same result, same fill).
-                cblk = ea >> bs
-                cidx = cblk & im
-                ctag = cblk >> ts
-                if tags[cidx] == ctag:
-                    code |= 1
-                else:
-                    tags[cidx] = ctag
-                    dmiss += 1
-                if probed and tb_demand:
-                    tb_update(pc_addr, ea, predicted, bool(code & 1))
-                codes[li] = code
-                li += 1
+    def _probed_counts(self, probed: bytes) -> dict:
+        """uid -> probed instances, for each load uid *probed* probes."""
+        out = self.unbounded
+        first = out.first
+        # A route made per static load probes each PC at every instance
+        # or at none: when the first instances say so, so does one
+        # comparison with that route.
+        static = bytes([
+            u in first and probed[first[u]] != 0
+            for u in self.static_load_uids
+        ])
+        if self._per_load(static).translate(_PROBED_TAB) == probed:
+            return {
+                u: out.per_load[u][0]
+                for u, f in zip(self.static_load_uids, static) if f
+            }
+        return Counter(compress(self.dyn_load_uids, probed))
+
+    def _predict(self, eg: EarlyGenConfig, table, probed: bytes,
+                 patch: "_FillPatch") -> tuple:
+        """Prediction codes of the loads *probed* marks.
+
+        Returns ``(codes, wrong_at, wrong_pa)``: bits 1–2 of the stream
+        codes, and each wrong prediction's load ordinal and predicted
+        address in trace order.  The wrong predictions fill *patch* as
+        they occur, before the demand access a demand-trained backend
+        reads.
+
+        A PC probed at every instance that is alone on its table entry
+        sees that entry exactly as the trace's unbounded Figure 3 pass
+        does, so its codes are copied from the pass.  That holds for a
+        backend whose state is per entry (``stride`` without confidence
+        bits); every other probed load drives *table*, in trace order.
+        """
+        out = self.unbounded
+        counts = self._probed_counts(probed)
+        flat = self.flat
+        n = self.n_loads
+        # walk: 1 for a load to replay, 2 for a copied wrong prediction.
+        walk = probed.translate(_ONE_TAB)
+        if eg.predictor == "stride" and not eg.table_confidence_bits:
+            mask = eg.table_entries - 1
+            owners = Counter(flat[u].addr >> 2 & mask for u in counts)
+            copied = bytes([
+                counts.get(u) == out.per_load.get(u, (0,))[0]
+                and owners[flat[u].addr >> 2 & mask] == 1
+                for u in self.static_load_uids
+            ])
+            c = int.from_bytes(self._per_load(copied), "little")
+            w = int.from_bytes(out.codes.translate(_WRONG_TAB), "little")
+            walk = (
+                int.from_bytes(walk, "little") & ~c | (c & w) << 1
+            ).to_bytes(n, "little")
+        n_replayed = walk.count(1)
+        _dstream_totals[1] += sum(counts.values()) - n_replayed
+        _dstream_totals[2] += n_replayed
+
+        pred = bytearray((
+            int.from_bytes(out.codes, "little")
+            & int.from_bytes(probed, "little")
+        ).to_bytes(n, "little"))
+        wrong_at = array("I")
+        wrong_pa = array("q")
+        fill = patch.fill
+        dcodes = patch.codes
+        lea = self.lea
+        dyn_uids = self.dyn_load_uids
+        pcs = {u: flat[u].addr for u in counts}
+        probe = table.probe
+        update = table.update
+        tb_demand = table.trains_on_demand
+        for li in compress(range(n), walk):
+            if walk[li] == 2:
+                predicted = out.wrong_pa[bisect_left(out.wrong_at, li)]
+                wrong_at.append(li)
+                wrong_pa.append(predicted)
+                fill(li, predicted)
+                continue
+            ea = lea[li]
+            pc = pcs[dyn_uids[li]]
+            predicted = probe(pc)
+            if predicted is None:
+                pred[li] = 0
+            elif predicted == ea:
+                pred[li] = 6
             else:
-                # Write-through, no-allocate: counts, never fills.
-                cblk = ea >> bs
-                if tags[cblk & im] != cblk >> ts:
-                    store_miss += 1
-        return (bytes(codes), dmiss, store_miss, poll_miss)
+                pred[li] = 2
+                wrong_at.append(li)
+                wrong_pa.append(predicted)
+                fill(li, predicted)
+            # A demand-trained backend reads this load's demand access,
+            # after every fill before it and its own.
+            update(pc, ea, predicted,
+                   bool(dcodes[li] & 1) if tb_demand else None)
+        return bytes(pred), wrong_at, wrong_pa
 
     def estream(self, eg: EarlyGenConfig, route: bytes) -> bytes:
         """Calc-path dispatch-candidate codes for *eg* under *route*.
@@ -791,34 +868,117 @@ class TracePrecompute:
 
     def _build_estream(self, cached_regs: int, use_raddr: bool,
                        emask: bytes) -> bytes:
-        n_loads = self.n_loads
-        codes = bytearray(n_loads)
+        codes = bytearray(self.n_loads)
         lbase = self.lbase
         lro = self.lro
-        ldisp = self.ldisp
+        calc = compress(range(self.n_loads), emask)
         if use_raddr:
             bound = -1
-            for li in range(n_loads):
-                if emask[li]:
-                    base = lbase[li]
-                    # A load that just switched the binding reads a
-                    # stale value; reg+reg cannot use R_addr at all.
-                    if bound == base and lro[li]:
-                        codes[li] = 1
-                    bound = base
+            for li in calc:
+                base = lbase[li]
+                # A load that just switched the binding reads a stale
+                # value; reg+reg cannot use R_addr at all.
+                if bound == base and lro[li]:
+                    codes[li] = 1
+                bound = base
         else:
+            # The timing model probes the base (and for reg+reg the
+            # index) register, then inserts the base.  The base ends
+            # most recently used either way, so one touch of it at the
+            # end gives the same cache.
             rc = RegisterCache(cached_regs)
-            rc_probe = rc.probe
-            rc_insert = rc.insert
-            for li in range(n_loads):
-                if emask[li]:
-                    if rc_probe(lbase[li]):
-                        if lro[li]:
-                            codes[li] = 1
-                        elif rc_probe(ldisp[li]):
-                            codes[li] = 3
-                    rc_insert(lbase[li])
+            regs = rc.regs
+            touch = rc.touch
+            ldisp = self.ldisp
+            for li in calc:
+                base = lbase[li]
+                if base in regs:
+                    if lro[li]:
+                        codes[li] = 1
+                    elif ldisp[li] in regs:
+                        touch(ldisp[li])
+                        codes[li] = 3
+                touch(base)
         return bytes(codes)
+
+
+class _FillPatch:
+    """Wrong-address fills applied to a precompute's demand stream.
+
+    *pmask* is the stream's probe mask (route 1 or 3 per probed load),
+    and :meth:`fill` takes the wrong predictions in trace order.  A
+    fill of block *b* into set *s* before load ``li``'s demand access
+    changes only what *s* holds until the next load to *s* (``li``
+    itself if it maps there): that load's outcome, and the store-miss
+    count of the stores to *s* in between.  A set whose latest fill no
+    load has resolved yet keeps ``(block, next load)`` in ``pending``,
+    so a second fill before that load starts from the first one's
+    block.
+    """
+
+    __slots__ = ("pre", "pmask", "codes", "dmiss", "store_miss",
+                 "poll_miss", "fills", "pending", "block_shift",
+                 "index_mask")
+
+    def __init__(self, pre: TracePrecompute, pmask: bytes):
+        codes, self.dmiss, self.store_miss, self.poll_miss = pre.demand
+        self.pre = pre
+        self.pmask = pmask
+        self.codes = bytearray(codes)
+        self.fills = 0
+        self.pending: dict = {}
+        dc = pre.dcache_cfg
+        self.block_shift = dc.block_size.bit_length() - 1
+        self.index_mask = dc.num_blocks - 1
+
+    def fill(self, li: int, addr: int) -> None:
+        """Load *li*'s wrong prediction *addr*: under route 1 its block
+        fills just before the load's demand access (the replay records
+        the load as diverged if it found no port, and the rebuild routes
+        it 3); under route 3 nothing happens."""
+        if self.pmask[li] != 1:
+            return
+        self.fills += 1
+        pre = self.pre
+        bs = self.block_shift
+        blk = addr >> bs
+        s = blk & self.index_mask
+        loads = pre.lsets[s] or ()
+        k = bisect_left(loads, li)
+        p = self.pending.get(s)
+        if p is not None and p[1] == k:
+            prior = p[0]
+        elif k:
+            prior = pre.lea[loads[k - 1]] >> bs
+        else:
+            prior = -1  # the set is still empty
+        if prior == blk:
+            return  # the block is already there: nothing changes
+        self.poll_miss += 1
+        stores = pre.ssets[s]
+        if stores:
+            lsb = pre.lsb
+            end = lsb[loads[k]] if k < len(loads) else pre.n_stores
+            sblk = pre.sblk
+            delta = 0
+            for q in range(bisect_left(stores, lsb[li]), len(stores)):
+                si = stores[q]
+                if si >= end:
+                    break
+                b = sblk[si]
+                if b == blk:
+                    delta -= 1
+                elif b == prior:
+                    delta += 1
+            self.store_miss += delta
+        if k < len(loads):
+            nxt = loads[k]
+            hit = pre.lea[nxt] >> bs == blk
+            c = self.codes[nxt]
+            if hit != c & 1:
+                self.codes[nxt] = c ^ 1
+                self.dmiss += (c & 1) - hit
+        self.pending[s] = (blk, k)
 
 
 def get_precompute(trace: Trace, cfg: MachineConfig) -> TracePrecompute:
@@ -893,6 +1053,7 @@ def run_streams(sim: TimingSimulator) -> SimStats:
     # only dual-path configs act on them.
     flips = [] if dual else None
     global _divergences
+    built = tuple(_dstream_totals)
     patched = rounds = 0
     segments = segment_hits = 0
     # The first disagreement of the last round, keyed 2 * load for a
@@ -938,8 +1099,13 @@ def run_streams(sim: TimingSimulator) -> SimStats:
     _replay_paths[path] = _replay_paths.get(path, 0) + 1
     tracer = obs.current()
     if tracer.enabled:
+        builds, copied, replayed, fills = (
+            now - before for now, before in zip(_dstream_totals, built)
+        )
         tracer.event(
             "sim.replay",
+            counters={"dstream_builds": builds, "loads_copied": copied,
+                      "loads_replayed": replayed, "fills_patched": fills},
             patches=patched,
             rounds=rounds,
             table=eg.table_entries,
@@ -1055,7 +1221,7 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
     ``(stats, raddr_interlocks, (segments, segment_hits))``.
     """
     records = pre.records
-    lword = pre.lword
+    lea = pre.lea
     lbase = pre.lbase
     sword = pre.sword
 
@@ -1239,7 +1405,7 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
                             c = cur - 1
                             while sq and sq[0][0] + 1 <= c:
                                 sq_popleft()  # too old to interlock
-                            w = lword[li]
+                            w = lea[li] >> 2
                             if any(s_w == w for _, s_w in sq):
                                 sp_interlock += 1
                             elif code & 1:

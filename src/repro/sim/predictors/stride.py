@@ -42,6 +42,8 @@ machine outside the timing loop, and pinned by
 
 from __future__ import annotations
 
+from array import array
+from itertools import compress
 from typing import Dict, Optional
 
 from repro.sim.predictors.base import Predictor
@@ -239,6 +241,21 @@ class UnboundedPredictor:
         #: uid -> [accesses, correct]
         self.per_load: Dict[int, list] = {}
 
+    @classmethod
+    def from_outcomes(cls, outcomes: "UnboundedOutcomes"
+                      ) -> "UnboundedPredictor":
+        """The counters :meth:`observe` would reach over a whole trace,
+        read off its :func:`unbounded_outcomes` (the entries' final
+        state is not kept)."""
+        predictor = cls()
+        predictor.per_load = {
+            uid: [seen, hits] for uid, (seen, hits)
+            in outcomes.per_load.items()
+        }
+        predictor.accesses = len(outcomes.codes)
+        predictor.correct = outcomes.codes.count(6)
+        return predictor
+
     def observe(self, uid: int, ca: int) -> bool:
         """Feed one dynamic access; returns True if it was predicted."""
         self.accesses += 1
@@ -267,3 +284,80 @@ class UnboundedPredictor:
 
     def overall_rate(self) -> float:
         return self.correct / self.accesses if self.accesses else 0.0
+
+
+class UnboundedOutcomes:
+    """The unbounded Figure 3 outcome of every dynamic load of a trace.
+
+    ``codes[li]`` is the outcome of the ``li``-th dynamic load, in the
+    bits of the precompute's prediction stream: 0 no prediction (the
+    load's first instance, or a learning entry), 2 a wrong prediction,
+    6 a correct one.  ``wrong_at`` / ``wrong_pa`` hold the load
+    ordinals and predicted addresses of the wrong predictions, in trace
+    order.  ``per_load`` maps each executed load uid to
+    ``(instances, correct predictions)`` and ``first`` to the ordinal
+    of its first instance.
+    """
+
+    __slots__ = ("codes", "wrong_at", "wrong_pa", "per_load", "first")
+
+    def __init__(self, codes: bytes, wrong_at: array, wrong_pa: array,
+                 per_load: Dict[int, tuple], first: Dict[int, int]):
+        self.codes = codes
+        self.wrong_at = wrong_at
+        self.wrong_pa = wrong_pa
+        self.per_load = per_load
+        self.first = first
+
+
+def unbounded_outcomes(trace) -> UnboundedOutcomes:
+    """One :class:`UnboundedPredictor` pass over *trace*'s loads.
+
+    Each static load gets its own :class:`TableEntry`, fed every
+    instance in trace order, so the codes are what a PC-indexed table
+    gives a load that is probed at every instance and owns its table
+    entry.  The address profiler and the precompute's prediction
+    streams both read this pass; it runs once per trace and lives on
+    the trace (``Trace.unbounded``, never pickled).
+    """
+    out = trace.unbounded
+    if out is not None:
+        return out
+    flat = trace.program.flat
+    is_load = bytes([inst.is_load for inst in flat])
+    uids = trace.uids
+    eas = trace.eas
+    entries: list = [None] * len(flat)
+    seen = [0] * len(flat)
+    hits = [0] * len(flat)
+    first: Dict[int, int] = {}
+    codes = bytearray()
+    put = codes.append
+    wrong_at = array("I")
+    wrong_pa = array("q")
+    positions = compress(range(len(uids)), map(is_load.__getitem__, uids))
+    for li, i in enumerate(positions):
+        uid = uids[i]
+        ea = eas[i]
+        seen[uid] += 1
+        entry = entries[uid]
+        if entry is None:
+            entries[uid] = TableEntry(0, ea)
+            first[uid] = li
+            put(0)
+            continue
+        if entry.state != FUNCTIONING:
+            put(0)  # learning: no prediction
+        elif entry.pa == ea:
+            put(6)
+            hits[uid] += 1
+        else:
+            put(2)
+            wrong_at.append(li)
+            wrong_pa.append(entry.pa)
+        entry.update(ea)
+    out = trace.unbounded = UnboundedOutcomes(
+        bytes(codes), wrong_at, wrong_pa,
+        {uid: (n, hits[uid]) for uid, n in enumerate(seen) if n}, first,
+    )
+    return out

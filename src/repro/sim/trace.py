@@ -11,6 +11,10 @@ next entry, so "taken" is simply ``uids[i + 1] != uids[i] + 1``.  The
 timing simulator and the address profiler both consume this format, which
 lets a single emulation drive every machine configuration (the load
 scheme specifiers change timing, never function).
+
+``unbounded`` holds the trace's unbounded Figure 3 pass once
+:func:`~repro.sim.predictors.stride.unbounded_outcomes` has run it; it
+lives as long as the trace and is not pickled.
 """
 
 from __future__ import annotations
@@ -24,12 +28,13 @@ from repro.isa.program import Program
 class Trace:
     """Dynamic execution trace of one program run."""
 
-    __slots__ = ("program", "uids", "eas")
+    __slots__ = ("program", "uids", "eas", "unbounded")
 
     def __init__(self, program: Program, uids: List[int], eas: List[int]):
         self.program = program
         self.uids = uids
         self.eas = eas
+        self.unbounded = None
 
     def __len__(self) -> int:
         return len(self.uids)
@@ -46,6 +51,7 @@ class Trace:
         self.program = program
         self.uids = uids.tolist()
         self.eas = eas.tolist()
+        self.unbounded = None
 
     def mem_accesses(self) -> Iterator[Tuple[int, int]]:
         """Yield ``(uid, ea)`` for every dynamic load and store."""

@@ -5,6 +5,8 @@ Covers what the parity suites do not:
 * cache bounds — the Program-attached caches (trace precomputes,
   per-config streams/routes) stay bounded no matter how many machines
   or configs a long service session replays;
+* the i-cache — at every block size, an i-cache that holds the whole
+  program misses once per distinct block;
 * one timing loop — ``run()`` and every ``simulate_many`` config,
   hardware dual-path included, go through the one scheduler on the
   shared precompute's streams and land byte-identical to the seed
@@ -157,6 +159,26 @@ def test_route_three_predicts_without_polluting():
     assert [c & 6 for c in withheld[0]] == [c & 6 for c in filled[0]]
     assert [c & 1 for c in withheld[0]] == [c & 1 for c in plain[0]]
     assert withheld[1:3] == plain[1:3]
+
+
+@pytest.fixture(scope="module")
+def li_trace():
+    from repro.harness.experiments import ExperimentContext
+    return ExperimentContext(scale=0.02).run("022.li").trace
+
+
+@pytest.mark.parametrize("block", [16, 32, 64])
+def test_icache_that_holds_the_program_misses_once_per_block(
+        li_trace, block):
+    """An i-cache large enough for every block misses exactly once per
+    distinct block it fetches, at any block size."""
+    machine = MachineConfig(icache=CacheConfig(size=1 << 20,
+                                               block_size=block))
+    flat = li_trace.program.flat
+    blocks = {flat[uid].addr // block for uid in set(li_trace.uids)}
+    assert get_precompute(li_trace, machine).imiss_total == len(blocks)
+    oracle = reference_run(TimingSimulator(li_trace, machine))
+    assert oracle.icache_misses == len(blocks)
 
 
 def test_precompute_invalidated_when_program_recompiled(trace):
