@@ -46,6 +46,11 @@ class CacheConfig:
     miss_penalty: int = 12
 
     def __post_init__(self) -> None:
+        # The tag arrays and the precompute split addresses with a
+        # block shift, which only a power of two gives.
+        b = self.block_size
+        if b <= 0 or b & (b - 1):
+            raise ValueError("block size must be a positive power of two")
         if self.size % self.block_size:
             raise ValueError("cache size must be a multiple of block size")
         num_blocks = self.size // self.block_size

@@ -1,8 +1,9 @@
 """The timing loop, its trace precompute, and batched multi-config replay.
 
 :func:`_replay` is the one fast timing loop of the Section 5.1 machine:
-a window scoreboard over per-trace decode-once records, fed load
-outcomes from precomputed streams.  It writes each pipeline rule once:
+a window scoreboard over decode-once scheduler records, kept once per
+distinct loop segment of the trace, fed load outcomes from precomputed
+streams.  It writes each pipeline rule once:
 one clock advance per record, one issue rule that the normal,
 prediction and early-calculation load routes share, and the timeline
 appended by the same body.  :meth:`TimingSimulator.run
@@ -79,7 +80,8 @@ first replay of a ``(state, segment, inputs)`` runs the records and
 stores the transition; every later one applies it.  The memo lives on
 the precompute, so all configs of a sweep share it.  It is the stream
 path's one reuse layer across configs: every config starts from its
-own route and walks the trace.
+own route and walks the trace's segments.  A timeline walks the same
+segments without the memo.
 
 The results are byte-identical to the seed oracle
 :mod:`repro.sim._pipeline_reference` — enforced by the golden
@@ -131,7 +133,6 @@ from repro.sim.trace import Trace
 _PRECOMPUTE_LIMIT = 4
 #: Per-precompute bounds on derived per-config streams.
 _STREAM_LIMIT = 32
-_ROUTE_LIMIT = 32
 _PREDICTION_LIMIT = 2
 
 #: Source-slot sentinel that always reads ready-at-0, and a junk dest
@@ -324,13 +325,13 @@ class TracePrecompute:
     Built in one pass over the trace, which decodes the program and
     drives everything the trace and the machine shape fix:
 
-    * ``records`` — per-dynamic-instruction scheduler tuples
-      ``(kind, fetch_penalty, src1, src2, src3, dest, extra)`` with the
-      front-end outcomes baked in: the i-cache fetch stall, and for a
-      branch the redirect cycles of the BTB (and, with ``ras_entries``,
-      the return-address stack).  Tuples are interned on
-      ``(uid, penalty, extra)`` so the list costs one pointer per
-      position.  ``imiss_total`` / ``misp_total`` count the i-cache
+    * the scheduler records ``(kind, fetch_penalty, src1, src2, src3,
+      dest, extra)``, one per dynamic instruction, with the front-end
+      outcomes baked in: the i-cache fetch stall, and for a branch the
+      redirect cycles of the BTB (and, with ``ras_entries``, the
+      return-address stack).  They are interned by content and kept
+      per distinct segment (``seg_records``, below), not per
+      instruction.  ``imiss_total`` / ``misp_total`` count the i-cache
       misses and BTB/RAS mispredicts.
     * ``demand`` — the d-cache stream without speculation, the
       :meth:`dstream` of every config that probes no predictor: one
@@ -340,25 +341,27 @@ class TracePrecompute:
       stores before each load and ``sblk`` each store's block: the
       index the fill patch of :meth:`dstream` looks up.
     * per-load facts for the per-config stream builders: the address
-      ``lea``, the static uid (and ``lsidx``, the static ordinal as a
-      byte, which spreads per-static-load bytes with one
-      ``translate`` when there are at most 256 static loads), the
-      base/displacement slots and addressing mode; ``unbounded`` is the trace's unbounded Figure 3
-      pass (:func:`~repro.sim.predictors.stride.unbounded_outcomes`),
-      which also counts each load uid's instances and finds its first,
-      and
-    * the segment walk of the stream replay: ``seg_ids`` names each
-      segment instance (a run of records up to a taken backward
-      branch, or up to its first branch once it holds ``_SEGMENT_CAP``
-      records) by its record identity sequence plus the store alias of
-      each of its loads, and ``seg_rstart`` / ``seg_lstart`` /
-      ``seg_sstart`` hold each instance's first record, load and store
-      ordinal (plus one end entry).  A load's store alias is the
-      distance back to the most recent earlier store to the same word,
-      or 0 when that store is more than ``2 * mem_ports`` stores back
-      and so can no longer interlock it.  ``segment_memo`` holds the
-      transitions :func:`_replay` learned on these segments, shared by
-      every config of a sweep.
+      ``lea`` and the static uid per dynamic load; ``lsidx``, the
+      static ordinal as a byte when there are at most 256 static
+      loads; the base slot ``lbase``, addressing mode ``lro`` and
+      displacement slot ``ldisp``, each spread from per-static-load
+      bytes by :meth:`_per_load`, the spreading that routes use too;
+      ``unbounded`` is the trace's unbounded Figure 3 pass
+      (:func:`~repro.sim.predictors.stride.unbounded_outcomes`), which
+      also counts each load uid's instances and finds its first, and
+    * the segment walk of the replay: ``seg_ids`` names each segment
+      instance (a run of records up to a taken backward branch, or up
+      to its first branch once it holds ``_SEGMENT_CAP`` records) by
+      the contents of its records plus the store alias of each of its
+      loads, so two instances share an id exactly when both match,
+      whatever their uids.  ``seg_records[sid]`` is the tuple of id
+      ``sid``'s records, and ``seg_lstart`` / ``seg_sstart`` hold each
+      instance's first load and store ordinal (plus one end entry).  A
+      load's store alias is the distance back to the most recent
+      earlier store to the same word, or 0 when that store is more
+      than ``2 * mem_ports`` stores back and so can no longer interlock
+      it.  ``segment_memo`` holds the transitions :func:`_replay`
+      learned on these segments, shared by every config of a sweep.
 
     Per-config streams are derived lazily and cached with an LRU bound:
 
@@ -381,23 +384,22 @@ class TracePrecompute:
     """
 
     __slots__ = (
-        "flat", "uids", "machine_key", "dcache_cfg",
+        "flat", "uids", "dcache_cfg",
         "n", "n_loads", "n_stores",
-        "records", "demand",
+        "seg_records", "demand",
         "imiss_total", "misp_total",
         "lea", "lsb", "lsets", "ssets", "sblk", "unbounded",
         "lbase", "lro", "ldisp",
         "dyn_load_uids", "lsidx", "sword", "static_load_uids",
-        "seg_ids", "seg_rstart", "seg_lstart", "seg_sstart",
+        "seg_ids", "seg_lstart", "seg_sstart",
         "segment_memo",
-        "_routes", "_dstreams", "_predictions", "_estreams",
+        "_dstreams", "_predictions", "_estreams",
     )
 
     def __init__(self, program, trace: Trace, cfg: MachineConfig):
         dec, load_uids = _decode_program(program, cfg.icache)
         self.flat = program.flat
         self.uids = trace.uids
-        self.machine_key = _machine_key(cfg)
         self.dcache_cfg = cfg.dcache
         self.static_load_uids = load_uids
 
@@ -435,14 +437,15 @@ class TracePrecompute:
         lsets: list = [None] * dc.config.num_blocks
         ssets: list = [None] * dc.config.num_blocks
 
-        records: list = []
-        rec_append = records.append
-        intern: dict = {}
+        # Records are interned by content; the pass keeps one record id
+        # per instruction, which the segment ids below read.
+        rec_table: list = []
+        rec_ids: dict = {}
+        rid_of: dict = {}  # (uid, penalty, extra) -> record id
+        rids = array("I")
+        rid_append = rids.append
         lea = array("q")
         lsb = array("I")
-        lbase = bytearray()
-        lro = bytearray()
-        ldisp = bytearray()
         dyn_load_uids = array("q")
         sword = array("q")
         sblk = array("q")
@@ -522,22 +525,24 @@ class TracePrecompute:
             else:
                 x = d[7]  # the ALU/FP latency (0 for memory operations)
             key = (uid, pen, x)
-            rec = intern.get(key)
-            if rec is None:
+            rid = rid_of.get(key)
+            if rid is None:
                 srcs = d[2] + (_NO_SRC,) * (3 - len(d[2]))
                 dest = d[3]
                 if dest < 0:
                     dest = _NO_DEST
-                rec = intern[key] = (k, pen) + srcs + (dest, x)
-            rec_append(rec)
+                rec = (k, pen) + srcs + (dest, x)
+                rid = rec_ids.get(rec)
+                if rid is None:
+                    rid = rec_ids[rec] = len(rec_table)
+                    rec_table.append(rec)
+                rid_of[key] = rid
+            rid_append(rid)
             if k == _K_LOAD:
                 ea = eas[i]
                 w = ea >> 2
                 lea.append(ea)
                 lsb.append(ns)
-                lbase.append(d[4])
-                lro.append(d[5])
-                ldisp.append(d[6] if d[6] >= 0 else 0)
                 dyn_load_uids.append(uid)
                 j = ns - last_store.get(w, never)
                 lalias.append(j if j <= window else 0)
@@ -577,18 +582,24 @@ class TracePrecompute:
         seg_rstart.append(n)
         seg_lstart.append(nl)
         seg_sstart.append(ns)
-        # Segment ids: instances with the same records and store
-        # aliases share one.
+        # Segment ids: instances with the same record ids (so the same
+        # record contents) and store aliases share one, and each id's
+        # records are kept once.
         lalias = bytes(lalias)
         seg_keys: dict = {}
-        new_id = seg_keys.setdefault
-        self.seg_ids = array("I", [
-            new_id((tuple(records[r0:r1]), lalias[l0:l1]), len(seg_keys))
-            for r0, r1, l0, l1 in zip(seg_rstart, seg_rstart[1:],
-                                      seg_lstart, seg_lstart[1:])
-        ])
-
-        self.records = records
+        seg_ids = array("I")
+        seg_records: list = []
+        for r0, r1, l0, l1 in zip(seg_rstart, seg_rstart[1:],
+                                  seg_lstart, seg_lstart[1:]):
+            seg = rids[r0:r1]
+            key = (seg.tobytes(), lalias[l0:l1])
+            sid = seg_keys.get(key)
+            if sid is None:
+                sid = seg_keys[key] = len(seg_records)
+                seg_records.append(tuple(map(rec_table.__getitem__, seg)))
+            seg_ids.append(sid)
+        self.seg_ids = seg_ids
+        self.seg_records = seg_records
         self.imiss_total = imiss_total
         self.misp_total = misp_total
         self.demand = (bytes(dcodes), dmiss, store_miss, 0)
@@ -598,9 +609,6 @@ class TracePrecompute:
         self.ssets = ssets
         self.sblk = sblk
         self.unbounded = unbounded_outcomes(trace)
-        self.lbase = bytes(lbase)
-        self.lro = bytes(lro)
-        self.ldisp = bytes(ldisp)
         self.dyn_load_uids = dyn_load_uids
         # Each load's static ordinal, when a byte holds them all.
         self.lsidx = None
@@ -609,15 +617,17 @@ class TracePrecompute:
             for j, u in enumerate(load_uids):
                 sidx[u] = j
             self.lsidx = bytes(map(sidx.__getitem__, dyn_load_uids))
+        static = [dec[u] for u in load_uids]
+        self.lbase = self._per_load(bytes([d[4] for d in static]))
+        self.lro = self._per_load(bytes([d[5] for d in static]))
+        self.ldisp = self._per_load(bytes([max(d[6], 0) for d in static]))
         self.sword = sword
         self.n_loads = nl
         self.n_stores = len(sword)
-        self.seg_rstart = seg_rstart
         self.seg_lstart = seg_lstart
         self.seg_sstart = seg_sstart
         self.segment_memo = _SegmentMemo()
 
-        self._routes: OrderedDict = OrderedDict()
         self._dstreams: OrderedDict = OrderedDict()
         self._predictions: OrderedDict = OrderedDict()
         self._estreams: OrderedDict = OrderedDict()
@@ -662,24 +672,12 @@ class TracePrecompute:
             sb = b"\x02" * nl
         else:
             sb = (b"\x01" if has_table else b"\x02") * nl
-        return self.route_for(sb), dual
-
-    def route_for(self, scheme_bytes: bytes) -> bytes:
-        """Per-dynamic-load routing (0-3) from per-static-load bytes."""
-        routes = self._routes
-        route = routes.get(scheme_bytes)
-        if route is not None:
-            routes.move_to_end(scheme_bytes)
-            return route
-        route = self._per_load(scheme_bytes)
-        while len(routes) >= _ROUTE_LIMIT:
-            routes.popitem(last=False)
-        routes[scheme_bytes] = route
-        return route
+        return self._per_load(sb), dual
 
     def _per_load(self, per_static: bytes) -> bytes:
         """*per_static* (a byte per static load) spread over the dynamic
-        loads."""
+        loads: a route from per-static-load route bytes, and the base,
+        addressing-mode and displacement facts of each load."""
         if self.lsidx is not None:
             return self.lsidx.translate(per_static.ljust(256, b"\0"))
         per_uid = bytearray(len(self.flat))
@@ -1177,7 +1175,7 @@ def _unpack(packed: int, n: int) -> list:
 def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
             dcodes: bytes, dtotals: tuple, ecodes: bytes, diverged: list,
             flips: Optional[list] = None, watch: bool = False):
-    """The timing loop: one pass over the trace's scheduler records.
+    """The timing loop: one walk over the trace's segments.
 
     Load outcomes come from ``dcodes``/``dtotals`` and ``ecodes``, the
     streams of :meth:`TracePrecompute.dstream` and
@@ -1208,19 +1206,20 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
     ``ld_hit_lat`` for ``ld_p``, 0 or 1 for ``ld_e``); any other load
     issues its normal MEM access.
 
-    The loop walks the trace segment by segment
-    (:class:`TracePrecompute`'s segment walk).  At each segment start
-    it looks up ``(state, segment, inputs)`` in the precompute's
-    :class:`_SegmentMemo`: a hit advances the clock and counters by the
-    stored transition and replays its divergences and dual-path
-    flips; a miss rebuilds the scoreboard from the
-    state if the last segment was a hit, runs the segment's records
-    through the loop below and stores the transition.  A watched
-    replay, or a machine whose latencies do not fit a snapshot byte,
-    runs the whole trace as one segment without the memo.  Returns
-    ``(stats, raddr_interlocks, (segments, segment_hits))``.
+    The loop walks ``pre.seg_ids`` and runs ``pre.seg_records[sid]``
+    for each instance, in every mode; the modes differ only in whether
+    the precompute's :class:`_SegmentMemo` is consulted.  With the
+    memo, each segment start looks up ``(state, segment, inputs)``: a
+    hit advances the clock and counters by the stored transition and
+    replays its divergences and dual-path flips; a miss rebuilds the
+    scoreboard from the state if the last segment was a hit, runs the
+    segment's records and stores the transition.  A watched replay, or
+    a machine whose latencies do not fit a snapshot byte, runs every
+    segment's records without the memo.  Returns
+    ``(stats, raddr_interlocks, (segments, segment_hits))``, with no
+    segments counted for a walk without the memo.
     """
-    records = pre.records
+    seg_records = pre.seg_records
     lea = pre.lea
     lbase = pre.lbase
     sword = pre.sword
@@ -1257,7 +1256,6 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
         _K_LOAD, _K_STORE, _K_ALU, _K_FP, _K_CBRANCH, _K_CALL)
 
     timeline = None
-    walk = (0,)  # the whole trace as one segment
     memo = None
     misses = 0
     if watch:
@@ -1270,8 +1268,6 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
         memo = pre.segment_memo
         transitions = memo.transitions
         memo_get = transitions.get
-        walk = pre.seg_ids
-        seg_rstart = pre.seg_rstart
         seg_lstart = pre.seg_lstart
         seg_sstart = pre.seg_sstart
         # One byte per load: demand/prediction code, route, calc code.
@@ -1285,8 +1281,7 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
         acc = 0  # packed counter deltas of the memo hits
         concrete = True  # the locals hold the state at `cur`
 
-    seg = records
-    for j, sid in enumerate(walk):
+    for j, sid in enumerate(pre.seg_ids):
         if memo is not None:
             l1 = seg_lstart[j + 1]
             key = (state, sid, inputs[li:l1])
@@ -1319,9 +1314,8 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
                            sp_dmiss, ra_interlock)
             n_div = len(diverged)
             n_flip = len(flips)
-            seg = records[seg_rstart[j]:seg_rstart[j + 1]]
 
-        for k, pen, s1, s2, s3, dest, x in seg:
+        for k, pen, s1, s2, s3, dest, x in seg_records[sid]:
             # The fetch penalty and the operand wait: one clock advance,
             # to the latest of the decode cycle (kept for dual-path
             # selection) and the operands' ready times.
@@ -1550,7 +1544,7 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
         sp_noport, sp_interlock, sp_dmiss,
     )
     stats.timeline = timeline
-    segments = len(walk) if memo is not None else 0
+    segments = len(pre.seg_ids) if memo is not None else 0
     return stats, ra_interlock, (segments, segments - misses)
 
 

@@ -224,18 +224,19 @@ class AddressPredictionTable(Predictor):
 
 
 class UnboundedPredictor:
-    """Per-static-load state machines with no capacity or conflicts.
+    """Per-static-load prediction counters with no capacity or conflicts.
 
     This is the paper's Table 2 methodology: "a simulation methodology
     that performs individual operation prediction... not affected by the
     limitations of a prediction cache".  Also the engine behind address
-    profiling (Section 4.3).
+    profiling (Section 4.3).  The state machines run once per trace, in
+    :func:`unbounded_outcomes`; :meth:`from_outcomes` reads the counters
+    off that pass.
     """
 
-    __slots__ = ("_entries", "accesses", "correct", "per_load")
+    __slots__ = ("accesses", "correct", "per_load")
 
     def __init__(self):
-        self._entries: Dict[int, TableEntry] = {}
         self.accesses = 0
         self.correct = 0
         #: uid -> [accesses, correct]
@@ -244,9 +245,9 @@ class UnboundedPredictor:
     @classmethod
     def from_outcomes(cls, outcomes: "UnboundedOutcomes"
                       ) -> "UnboundedPredictor":
-        """The counters :meth:`observe` would reach over a whole trace,
-        read off its :func:`unbounded_outcomes` (the entries' final
-        state is not kept)."""
+        """The counters of a whole trace, read off its
+        :func:`unbounded_outcomes` (the entries' final state is not
+        kept)."""
         predictor = cls()
         predictor.per_load = {
             uid: [seen, hits] for uid, (seen, hits)
@@ -256,34 +257,12 @@ class UnboundedPredictor:
         predictor.correct = outcomes.codes.count(6)
         return predictor
 
-    def observe(self, uid: int, ca: int) -> bool:
-        """Feed one dynamic access; returns True if it was predicted."""
-        self.accesses += 1
-        counters = self.per_load.get(uid)
-        if counters is None:
-            counters = self.per_load[uid] = [0, 0]
-        counters[0] += 1
-
-        entry = self._entries.get(uid)
-        if entry is None:
-            self._entries[uid] = TableEntry(0, ca)
-            return False
-        hit = entry.predict() == ca
-        entry.update(ca)
-        if hit:
-            self.correct += 1
-            counters[1] += 1
-        return hit
-
     def rate(self, uid: int) -> float:
         """Prediction rate of one static load (0.0 if never executed)."""
         counters = self.per_load.get(uid)
         if not counters or counters[0] == 0:
             return 0.0
         return counters[1] / counters[0]
-
-    def overall_rate(self) -> float:
-        return self.correct / self.accesses if self.accesses else 0.0
 
 
 class UnboundedOutcomes:
@@ -311,7 +290,7 @@ class UnboundedOutcomes:
 
 
 def unbounded_outcomes(trace) -> UnboundedOutcomes:
-    """One :class:`UnboundedPredictor` pass over *trace*'s loads.
+    """The unbounded Figure 3 pass over *trace*'s loads.
 
     Each static load gets its own :class:`TableEntry`, fed every
     instance in trace order, so the codes are what a PC-indexed table

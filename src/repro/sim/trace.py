@@ -20,7 +20,7 @@ lives as long as the trace and is not pickled.
 from __future__ import annotations
 
 from array import array
-from typing import Iterator, List, Tuple
+from typing import List
 
 from repro.isa.program import Program
 
@@ -52,29 +52,3 @@ class Trace:
         self.uids = uids.tolist()
         self.eas = eas.tolist()
         self.unbounded = None
-
-    def mem_accesses(self) -> Iterator[Tuple[int, int]]:
-        """Yield ``(uid, ea)`` for every dynamic load and store."""
-        uids, eas = self.uids, self.eas
-        for i in range(len(uids)):
-            ea = eas[i]
-            if ea >= 0:
-                yield uids[i], ea
-
-    def load_addresses(self) -> Iterator[Tuple[int, int]]:
-        """Yield ``(uid, ea)`` for every dynamic load, in order."""
-        flat = self.program.flat
-        uids, eas = self.uids, self.eas
-        for i in range(len(uids)):
-            ea = eas[i]
-            if ea >= 0 and flat[uids[i]].is_load:
-                yield uids[i], ea
-
-    def dynamic_load_count(self) -> int:
-        """Number of dynamic load instructions."""
-        flat = self.program.flat
-        return sum(
-            1
-            for i in range(len(self.uids))
-            if self.eas[i] >= 0 and flat[self.uids[i]].is_load
-        )

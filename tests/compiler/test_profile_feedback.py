@@ -9,6 +9,7 @@ from repro.isa.opcodes import LoadSpec
 from repro.profiling import profile_trace
 from repro.sim.executor import execute
 from repro.sim.predictors import UnboundedPredictor
+from repro.sim.predictors.stride import unbounded_outcomes
 
 # A sorted index array makes tbl[idx[i]] highly stride-predictable, yet
 # the heuristics must classify it NT (the index is loaded, reg+reg mode).
@@ -42,6 +43,20 @@ def compiled_and_traced(src):
     result = compile_source(src)
     trace = execute(result.program).trace
     return result, trace
+
+
+def executed_loads(program, trace):
+    """``(uid, address)`` of every dynamic load, in trace order."""
+    flat = program.flat
+    return [(uid, ea) for uid, ea in zip(trace.uids, trace.eas)
+            if ea >= 0 and flat[uid].is_load]
+
+
+def profiled_with(trace, pinned):
+    """The trace's own profile predictor, some loads' counters pinned."""
+    predictor = UnboundedPredictor.from_outcomes(unbounded_outcomes(trace))
+    predictor.per_load.update(pinned)
+    return predictor
 
 
 def nt_loads(program):
@@ -103,7 +118,7 @@ def test_apply_overrides_mutates():
 def test_profile_trace_counts_every_dynamic_load():
     result, trace = compiled_and_traced(PREDICTABLE_NT)
     predictor = profile_trace(result.program, trace).predictor
-    assert predictor.accesses == trace.dynamic_load_count()
+    assert predictor.accesses == len(executed_loads(result.program, trace))
 
 
 def test_rate_exactly_at_threshold_is_not_flipped():
@@ -114,8 +129,8 @@ def test_rate_exactly_at_threshold_is_not_flipped():
     """
     result, trace = compiled_and_traced(PREDICTABLE_NT)
     target = nt_loads(result.program)[0]
-    predictor = UnboundedPredictor()
-    predictor.per_load[target.uid] = [100, 60]  # rate == 0.60 exactly
+    # rate == 0.60 exactly
+    predictor = profiled_with(trace, {target.uid: [100, 60]})
     overrides = profile_overrides(
         result.program, trace, threshold=0.60, predictor=predictor
     )
@@ -125,12 +140,16 @@ def test_rate_exactly_at_threshold_is_not_flipped():
 def test_rate_one_above_threshold_is_flipped():
     result, trace = compiled_and_traced(PREDICTABLE_NT)
     target = nt_loads(result.program)[0]
-    predictor = UnboundedPredictor()
-    predictor.per_load[target.uid] = [100, 61]  # rate == 0.61 > 0.60
+    # rate == 0.61 > 0.60
+    predictor = profiled_with(trace, {target.uid: [100, 61]})
     overrides = profile_overrides(
         result.program, trace, threshold=0.60, predictor=predictor
     )
-    assert overrides == {target.uid: LoadSpec.P}
+    assert overrides.pop(target.uid) is LoadSpec.P
+    # Every other load keeps the trace's own verdict.
+    measured = profile_overrides(result.program, trace, threshold=0.60)
+    measured.pop(target.uid, None)
+    assert overrides == measured
 
 
 def test_perfect_rate_never_overrules_pd_or_ec():
@@ -141,13 +160,12 @@ def test_perfect_rate_never_overrules_pd_or_ec():
         if inst.lspec is not LoadSpec.N
     ]
     assert non_nt  # the source produces PD and EC loads
-    predictor = UnboundedPredictor()
-    for inst in non_nt:
-        predictor.per_load[inst.uid] = [100, 100]
+    predictor = profiled_with(trace, {inst.uid: [100, 100]
+                                      for inst in non_nt})
     overrides = profile_overrides(
         result.program, trace, threshold=0.60, predictor=predictor
     )
-    assert not overrides
+    assert not set(overrides) & {inst.uid for inst in non_nt}
 
 
 def test_never_executed_loads_not_flipped():
@@ -162,5 +180,5 @@ def test_never_executed_loads_not_flipped():
     result = compile_source(src)
     trace = execute(result.program).trace
     overrides = profile_overrides(result.program, trace)
-    executed = {uid for uid, _ in trace.load_addresses()}
+    executed = {uid for uid, _ in executed_loads(result.program, trace)}
     assert set(overrides) <= executed

@@ -3,6 +3,7 @@ the caches, the BTB, the register caches, and the instruction encoding."""
 
 from hypothesis import given, settings, strategies as st
 
+from repro.isa import parse_asm
 from repro.isa.encoding import decode, encode
 from repro.isa.instruction import Imm, Instruction, Reg
 from repro.isa.opcodes import LoadSpec, Opcode
@@ -16,6 +17,10 @@ from repro.sim.predictors import (
     TableEntry,
     UnboundedPredictor,
 )
+from repro.sim.predictors.stride import unbounded_outcomes
+from repro.sim.trace import Trace
+
+_ONE_LOAD = parse_asm("main:\n    ld_n r1, r4(0)\n    halt\n")
 
 
 # --- Figure 3 state machine ---------------------------------------------------
@@ -83,11 +88,10 @@ def test_stride_change_relearns(base, stride_a, delta, length):
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(0, 255), min_size=2, max_size=60))
 def test_unbounded_predictor_rate_bounds(addrs):
-    u = UnboundedPredictor()
-    for a in addrs:
-        u.observe(7, a * 4)
-    assert 0.0 <= u.rate(7) <= 1.0
-    counters = u.per_load[7]
+    trace = Trace(_ONE_LOAD, [0] * len(addrs), [a * 4 for a in addrs])
+    u = UnboundedPredictor.from_outcomes(unbounded_outcomes(trace))
+    assert 0.0 <= u.rate(0) <= 1.0
+    counters = u.per_load[0]
     assert counters[0] == len(addrs)
     assert counters[1] <= counters[0]
 

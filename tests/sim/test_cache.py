@@ -15,6 +15,11 @@ def test_config_validation():
         CacheConfig(size=1000, block_size=64)
     with pytest.raises(ValueError):
         CacheConfig(size=192, block_size=64)  # 3 blocks
+    # 1024 blocks of 48 bytes: a block shift would model 32-byte blocks.
+    with pytest.raises(ValueError, match="power of two"):
+        CacheConfig(size=48 * 1024, block_size=48)
+    with pytest.raises(ValueError, match="power of two"):
+        CacheConfig(size=0, block_size=0)
 
 
 def test_cold_miss_then_hit():

@@ -50,7 +50,9 @@ def reference_dstream(trace, eg, route, dcache):
     cache = DirectMappedCache(dcache)
     codes = bytearray()
     dmiss = store_miss = poll_miss = 0
-    for uid, ea in trace.mem_accesses():
+    for uid, ea in zip(trace.uids, trace.eas):
+        if ea < 0:
+            continue
         inst = flat[uid]
         if not inst.is_load:
             store_miss += not cache.write_access(ea)
@@ -92,7 +94,7 @@ def _static_route(pre, rng):
     selection makes them."""
     scheme = bytes(rng.choice((0, 1, 1, 2))
                    for _ in pre.static_load_uids)
-    return pre.route_for(scheme)
+    return pre._per_load(scheme)
 
 
 def _guess(route, rng):
@@ -188,7 +190,7 @@ def test_routes_spread_each_static_byte_over_its_loads(traces):
         pre = get_precompute(trace, MachineConfig())
         scheme = bytes(rng.randrange(4) for _ in pre.static_load_uids)
         index = {u: j for j, u in enumerate(pre.static_load_uids)}
-        assert pre.route_for(scheme) == bytes(
+        assert pre._per_load(scheme) == bytes(
             scheme[index[u]] for u in pre.dyn_load_uids
         )
 
@@ -245,7 +247,7 @@ def _hand_stream(steps, p_uids):
     trace = _hand_trace(steps)
     machine = MachineConfig(dcache=CacheConfig(size=256, block_size=16))
     pre = get_precompute(trace, machine)
-    route = pre.route_for(bytes(
+    route = pre._per_load(bytes(
         1 if u in p_uids else 0 for u in pre.static_load_uids
     ))
     eg = EarlyGenConfig(16, 0, SelectionMode.COMPILER)

@@ -285,8 +285,9 @@ def test_trace_records_uids_and_eas():
     trace = res.trace
     assert trace.uids == [0, 1, 2, 3]
     assert trace.eas == [-1, 0x2000, 0x2000, -1]
-    assert trace.dynamic_load_count() == 1
-    assert list(trace.load_addresses()) == [(2, 0x2000)]
+    flat = trace.program.flat
+    assert [(uid, ea) for uid, ea in zip(trace.uids, trace.eas)
+            if ea >= 0 and flat[uid].is_load] == [(2, 0x2000)]
 
 
 def test_rerun_is_deterministic():

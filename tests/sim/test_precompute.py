@@ -3,8 +3,10 @@
 Covers what the parity suites do not:
 
 * cache bounds — the Program-attached caches (trace precomputes,
-  per-config streams/routes) stay bounded no matter how many machines
+  per-config streams) stay bounded no matter how many machines
   or configs a long service session replays;
+* the layout — one record table per distinct segment that spells out
+  the trace, and per-load facts spread from per-static-load bytes;
 * the i-cache — at every block size, an i-cache that holds the whole
   program misses once per distinct block;
 * one timing loop — ``run()`` and every ``simulate_many`` config,
@@ -38,7 +40,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro import obs
 from repro.isa import parse_asm
-from repro.isa.opcodes import LoadSpec
+from repro.isa.instruction import Reg
+from repro.isa.opcodes import COND_BRANCH_OPS, FP_ALU_OPS, LoadSpec, Opcode
 from repro.sim import precompute
 from repro.sim._pipeline_reference import reference_run
 from repro.sim.executor import execute
@@ -51,7 +54,17 @@ from repro.sim.machine import (
 from repro.sim.pipeline import TimingSimulator
 from repro.sim.precompute import (
     _PRECOMPUTE_LIMIT,
-    _ROUTE_LIMIT,
+    _K_ALU,
+    _K_CALL,
+    _K_CBRANCH,
+    _K_FP,
+    _K_FREE,
+    _K_JUMP,
+    _K_LOAD,
+    _K_RET,
+    _K_STORE,
+    _NO_DEST,
+    _NO_SRC,
     _STREAM_LIMIT,
     _decode_program,
     _machine_key,
@@ -98,18 +111,11 @@ def test_precompute_store_is_bounded(trace):
     assert get_precompute(trace, latest) is store[_machine_key(latest)]
 
 
-def test_stream_and_route_caches_are_bounded(trace):
+def test_stream_caches_are_bounded(trace):
     pre = get_precompute(trace, MachineConfig())
     n_static = len(pre.static_load_uids)
     assert n_static > 0
-    for n in range(_ROUTE_LIMIT + 5):
-        # Distinct synthetic routings: first n loads prediction-routed.
-        scheme = bytes(1 if i < n % (n_static + 1) else 0
-                       for i in range(n_static))
-        pre.route_for(scheme)
-    assert len(pre._routes) <= _ROUTE_LIMIT
-
-    route = pre.route_for(bytes([1] * n_static))
+    route = pre._per_load(bytes([1] * n_static))
     combos = [
         (entries, conf)
         for entries in (2, 4, 8, 16, 32, 64, 128, 256)
@@ -148,8 +154,8 @@ def test_route_three_predicts_without_polluting():
     pre = get_precompute(trace, MachineConfig())
     eg = EarlyGenConfig(16, 0, SelectionMode.HARDWARE)
     n_static = len(pre.static_load_uids)
-    filled = pre.dstream(eg, pre.route_for(b"\x01" * n_static))
-    withheld = pre.dstream(eg, pre.route_for(b"\x03" * n_static))
+    filled = pre.dstream(eg, pre._per_load(b"\x01" * n_static))
+    withheld = pre.dstream(eg, pre._per_load(b"\x03" * n_static))
     plain = pre.dstream(eg, bytes(pre.n_loads))
     # Each inner loop's restart is a wrong-address prediction one
     # block past the array; under route 1 it fills that block.
@@ -188,6 +194,99 @@ def test_precompute_invalidated_when_program_recompiled(trace):
     rebuilt = get_precompute(trace, MachineConfig())
     assert rebuilt is not pre
     assert rebuilt.flat is trace.program.flat
+
+
+# ---------------------------------------------------------------------------
+# Layout: segment records and per-load facts
+# ---------------------------------------------------------------------------
+
+def _slot(reg) -> int:
+    return reg.index if reg.bank == "int" else 64 + reg.index
+
+
+def _kind_sources_dest(inst) -> tuple:
+    """An instruction's scheduler kind, three source slots and dest
+    slot, decoded straight from the instruction."""
+    srcs = [_slot(s) for s in inst.srcs if isinstance(s, Reg)]
+    op = inst.opcode
+    if inst.is_load:
+        kind = _K_LOAD
+    elif inst.is_store:
+        kind = _K_STORE
+    elif op in COND_BRANCH_OPS:
+        kind = _K_CBRANCH
+    elif op is Opcode.CALL:
+        kind = _K_CALL
+    elif op is Opcode.RET:
+        kind = _K_RET
+        srcs.append(63)
+    elif inst.is_branch:
+        kind = _K_JUMP
+    elif op in FP_ALU_OPS:
+        kind = _K_FP
+    elif op is Opcode.HALT or op is Opcode.NOP:
+        kind = _K_FREE
+    else:
+        kind = _K_ALU
+    dest = _NO_DEST if inst.dest is None else _slot(inst.dest)
+    return kind, tuple(srcs + [_NO_SRC] * (3 - len(srcs))), dest
+
+
+@pytest.mark.parametrize("which", ["random", "022.li"])
+def test_segment_records_spell_out_the_trace(trace, li_trace, which):
+    """The records of the segment ids, in order, are one record per
+    dynamic instruction, each the decode of that instruction."""
+    trace = trace if which == "random" else li_trace
+    pre = get_precompute(trace, MachineConfig())
+    assert all(sid < len(pre.seg_records) for sid in pre.seg_ids)
+    records = [rec for sid in pre.seg_ids for rec in pre.seg_records[sid]]
+    assert len(records) == pre.n == len(trace.uids)
+    flat = trace.program.flat
+    for rec, uid in zip(records, trace.uids):
+        assert (rec[0], rec[2:5], rec[5]) == _kind_sources_dest(flat[uid])
+
+
+def _wide_program_trace():
+    """300 static loads in both addressing modes, on three bases and
+    two index registers: more than a byte can number."""
+    loads = "\n".join(
+        f"    ld_p r{1 + i % 3}, r4({4 * (i % 64)})" if i % 3 else
+        f"    ld_e r{1 + i % 3}, r{5 + i % 2}(r{7 + i % 2})"
+        for i in range(300)
+    )
+    return execute(parse_asm(f"""
+.data arr 1024
+main:
+    lea r4, arr
+    lea r5, arr
+    lea r6, arr
+    mov r7, 4
+    mov r8, 8
+    mov r9, 0
+loop:
+{loads}
+    add r4, r4, 8
+    add r9, r9, 1
+    blt r9, 3, loop
+    halt
+""")).trace
+
+
+def test_per_load_facts_match_each_dynamic_load():
+    """Past 256 static loads, the base, addressing mode and
+    displacement of every dynamic load still read its instruction."""
+    trace = _wide_program_trace()
+    pre = get_precompute(trace, MachineConfig())
+    assert pre.lsidx is None
+    flat = trace.program.flat
+    loads = [flat[u] for u in trace.uids if flat[u].is_load]
+    assert len(loads) == pre.n_loads == 900
+    assert list(pre.lbase) == [_slot(inst.mem_base) for inst in loads]
+    assert list(pre.lro) == [int(inst.is_reg_offset) for inst in loads]
+    assert list(pre.ldisp) == [
+        0 if inst.is_reg_offset else _slot(inst.mem_disp) for inst in loads
+    ]
+    assert set(pre.lro) == {0, 1} and len(set(pre.ldisp)) == 3
 
 
 # ---------------------------------------------------------------------------

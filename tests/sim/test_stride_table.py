@@ -3,6 +3,7 @@ behavioural checks for the bounded table and the unbounded profiler."""
 
 import pytest
 
+from repro.isa import parse_asm
 from repro.sim.predictors import (
     FUNCTIONING,
     LEARNING,
@@ -10,6 +11,8 @@ from repro.sim.predictors import (
     TableEntry,
     UnboundedPredictor,
 )
+from repro.sim.predictors.stride import unbounded_outcomes
+from repro.sim.trace import Trace
 
 
 class TestTableEntry:
@@ -134,33 +137,50 @@ class TestAddressPredictionTable:
         assert t.probes == 1  # counter restarted (this probe)
 
 
+_TWO_LOADS = parse_asm("""
+main:
+    ld_n r1, r4(0)
+    ld_n r2, r4(4)
+    halt
+""")
+A, B = (u for u, inst in enumerate(_TWO_LOADS.flat) if inst.is_load)
+
+
+def unbounded(accesses):
+    """The unbounded pass over a trace of ``(load uid, address)``
+    accesses, and the profiler's predictor read off it."""
+    trace = Trace(_TWO_LOADS, [u for u, _ in accesses],
+                  [ea for _, ea in accesses])
+    outcomes = unbounded_outcomes(trace)
+    return outcomes, UnboundedPredictor.from_outcomes(outcomes)
+
+
 class TestUnboundedPredictor:
     def test_per_load_isolation(self):
-        u = UnboundedPredictor()
         # load A strided, load B address-scrambled
-        for i in range(40):
-            u.observe(1, 0x1000 + i * 4)
-            u.observe(2, (i * i * 2654435761) & 0xFFFC)
-        assert u.rate(1) > 0.9
-        assert u.rate(2) < 0.2
+        _, u = unbounded([
+            access for i in range(40) for access in (
+                (A, 0x1000 + i * 4),
+                (B, (i * i * 2654435761) & 0xFFFC),
+            )
+        ])
+        assert u.rate(A) > 0.9
+        assert u.rate(B) < 0.2
 
     def test_rate_of_unknown_load(self):
         assert UnboundedPredictor().rate(99) == 0.0
 
     def test_constant_address(self):
-        u = UnboundedPredictor()
-        for _ in range(10):
-            u.observe(5, 0x4000)
-        assert u.rate(5) == 0.9  # all but the cold first access
+        _, u = unbounded([(A, 0x4000)] * 10)
+        assert u.rate(A) == 0.9  # all but the cold first access
 
     def test_overall_rate(self):
-        u = UnboundedPredictor()
-        for i in range(10):
-            u.observe(1, i * 8)
-        assert 0 < u.overall_rate() < 1
+        _, u = unbounded([(A, i * 8) for i in range(10)])
+        assert 0 < u.correct / u.accesses < 1
         assert u.accesses == 10
 
-    def test_observe_returns_hit(self):
-        u = UnboundedPredictor()
-        assert not u.observe(1, 100)  # cold
-        assert u.observe(1, 100)  # constant predicted
+    def test_first_instance_is_cold_then_constant_predicted(self):
+        outcomes, u = unbounded([(A, 100), (A, 100)])
+        assert outcomes.codes == bytes([0, 6])  # cold, then predicted
+        assert outcomes.first == {A: 0}
+        assert u.per_load == {A: [2, 1]}
