@@ -23,6 +23,7 @@ from __future__ import annotations
 import struct
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.compiler.opt.fold import fold, wrap
 from repro.isa.instruction import Imm, Instruction, Reg, Sym
 from repro.isa.opcodes import LoadSpec, Opcode
 from repro.isa.program import DataItem, Function, Label, Program
@@ -348,7 +349,9 @@ class _FuncGen:
     def rvalue(self, expr: ast.Expr):
         """Lower *expr* in value context; returns a Reg or Imm."""
         if isinstance(expr, ast.IntLit):
-            return Imm(expr.value)
+            # An int is 32 bits at every opt level, in a register or in
+            # memory: a literal past 2**31 - 1 wraps here.
+            return Imm(wrap(expr.value))
         if isinstance(expr, ast.SizeOf):
             return Imm(expr.target_type.size)
         if isinstance(expr, ast.FloatLit):
@@ -442,7 +445,7 @@ class _FuncGen:
                 return dest
             value = self.rvalue(expr.operand)
             if isinstance(value, Imm):
-                return Imm(-value.value)
+                return Imm(fold(Opcode.SUB, 0, value.value))
             dest = self.vreg()
             self.emit(Opcode.SUB, dest, [Reg(ZERO), value])
             return dest
@@ -554,44 +557,13 @@ class _FuncGen:
         left = self.rvalue(expr.left)
         right = self.rvalue(expr.right)
         if isinstance(left, Imm) and isinstance(right, Imm):
-            folded = self._fold(op, left.value, right.value)
+            folded = fold(_INT_ARITH[op], left.value, right.value)
             if folded is not None:
                 return Imm(folded)
         left = self.as_reg(left)
         dest = self.vreg()
         self.emit(_INT_ARITH[op], dest, [left, right])
         return dest
-
-    @staticmethod
-    def _fold(op: str, a: int, b: int) -> Optional[int]:
-        mask = 0xFFFFFFFF
-        if op == "+":
-            v = a + b
-        elif op == "-":
-            v = a - b
-        elif op == "*":
-            v = a * b
-        elif op == "&":
-            v = a & b
-        elif op == "|":
-            v = a | b
-        elif op == "^":
-            v = a ^ b
-        elif op == "<<":
-            v = a << (b & 31)
-        elif op == ">>":
-            v = a >> (b & 31)
-        elif op == "/" and b != 0:
-            q = abs(a) // abs(b)
-            v = -q if (a < 0) != (b < 0) else q
-        elif op == "%" and b != 0:
-            q = abs(a) // abs(b)
-            q = -q if (a < 0) != (b < 0) else q
-            v = a - q * b
-        else:
-            return None
-        v &= mask
-        return v - (1 << 32) if v >= (1 << 31) else v
 
     def _gen_fp_compare(self, expr: ast.Binary) -> Reg:
         left = self.rvalue(expr.left)

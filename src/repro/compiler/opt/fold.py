@@ -9,7 +9,8 @@ from repro.isa.opcodes import Opcode
 _MASK = 0xFFFFFFFF
 
 
-def _wrap(value: int) -> int:
+def wrap(value: int) -> int:
+    """*value* as a signed 32-bit integer."""
     value &= _MASK
     return value - (1 << 32) if value >= (1 << 31) else value
 
@@ -17,23 +18,23 @@ def _wrap(value: int) -> int:
 def fold(opcode: Opcode, a: int, b: int) -> Optional[int]:
     """Evaluate ``opcode(a, b)`` with 32-bit wraparound, or None."""
     if opcode is Opcode.ADD:
-        return _wrap(a + b)
+        return wrap(a + b)
     if opcode is Opcode.SUB:
-        return _wrap(a - b)
+        return wrap(a - b)
     if opcode is Opcode.MUL:
-        return _wrap(a * b)
+        return wrap(a * b)
     if opcode is Opcode.AND:
         return a & b
     if opcode is Opcode.OR:
         return a | b
     if opcode is Opcode.XOR:
-        return _wrap(a ^ b)
+        return wrap(a ^ b)
     if opcode is Opcode.SLL:
-        return _wrap(a << (b & 31))
+        return wrap(a << (b & 31))
     if opcode is Opcode.SRL:
-        return _wrap((a & _MASK) >> (b & 31))
+        return wrap((a & _MASK) >> (b & 31))
     if opcode is Opcode.SRA:
-        return _wrap(a >> (b & 31))
+        return wrap(a >> (b & 31))
     if opcode is Opcode.CMPEQ:
         return 1 if a == b else 0
     if opcode is Opcode.CMPNE:
@@ -50,11 +51,11 @@ def fold(opcode: Opcode, a: int, b: int) -> Optional[int]:
         return 1 if (a & _MASK) < (b & _MASK) else 0
     if opcode is Opcode.DIV and b != 0:
         q = abs(a) // abs(b)
-        return _wrap(-q if (a < 0) != (b < 0) else q)
+        return wrap(-q if (a < 0) != (b < 0) else q)
     if opcode is Opcode.REM and b != 0:
         q = abs(a) // abs(b)
         q = -q if (a < 0) != (b < 0) else q
-        return _wrap(a - q * b)
+        return wrap(a - q * b)
     return None
 
 

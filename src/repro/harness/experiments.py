@@ -56,7 +56,11 @@ from repro.harness.reporting import (
     TABLE4_HEADERS,
 )
 from repro.isa.opcodes import LoadSpec
-from repro.profiling.address_profile import AddressProfile, profile_trace
+from repro.profiling.address_profile import (
+    AddressProfile,
+    class_columns,
+    profile_trace,
+)
 from repro.sim.executor import Executor
 from repro.sim.machine import (
     BASELINE,
@@ -96,8 +100,8 @@ class TableSpec:
     declared config's cycles; ``profiled`` configs replay with the
     Section 4.3 profile-guided overrides (:meth:`WorkloadRun.get_overrides`).
     Every other column but ``benchmark`` is a load-class column of the
-    address profile (:func:`class_columns`), reclassified by the same
-    overrides when ``reclassified``.
+    address profile (:func:`~repro.profiling.class_columns`),
+    reclassified by the same overrides when ``reclassified``.
     """
 
     key: str
@@ -261,9 +265,10 @@ class WorkloadRun:
 def emit_profile_event(tracer, name: str, profile: AddressProfile) -> None:
     """Emit the per-class load counts behind Table 2 as a trace event.
 
-    ``obs_report`` rebuilds the per-workload Table 2/4 share and rate
-    columns from exactly this record, so the tables become a projection
-    of the trace instead of a separate computation.
+    The counters flatten :meth:`AddressProfile.per_class_counts`;
+    ``obs_report`` rebuilds that dict from them and runs the same
+    :func:`~repro.profiling.class_columns` as :func:`table_row`, so the
+    Table 2/4 share and rate columns are a projection of the trace.
     """
     counts = profile.per_class_counts()
     counters = {"dyn_loads": profile.dynamic_loads}
@@ -449,29 +454,6 @@ def _geomean(values: List[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def class_columns(
-    profile: AddressProfile,
-    overrides: Optional[Dict[int, LoadSpec]] = None,
-) -> dict:
-    """The load-class columns of Tables 2–4: dynamic loads, static and
-    dynamic NT/PD/EC shares, and the unbounded-predictor NT/PD rates
-    (percentages), classified by *overrides* when given."""
-    static = profile.static_class_shares(overrides)
-    dynamic = profile.dynamic_class_shares(overrides)
-    rates = profile.class_rates(overrides)
-    return {
-        "dyn_loads": profile.dynamic_loads,
-        "static_nt": static["n"] * 100,
-        "static_pd": static["p"] * 100,
-        "static_ec": static["e"] * 100,
-        "dyn_nt": dynamic["n"] * 100,
-        "dyn_pd": dynamic["p"] * 100,
-        "dyn_ec": dynamic["e"] * 100,
-        "rate_nt": rates["n"] * 100,
-        "rate_pd": rates["p"] * 100,
-    }
-
-
 def table_row(ctx: ExperimentContext, spec: TableSpec, name: str) -> dict:
     """Workload *name*'s row of *spec*, keyed in header order."""
     if spec.speedups:
@@ -487,10 +469,11 @@ def table_row(ctx: ExperimentContext, spec: TableSpec, name: str) -> dict:
             continue
         if classes is None:
             run = ctx.run(name)
-            classes = class_columns(
-                run.get_profile(),
-                run.get_overrides() if spec.reclassified else None,
+            profile = run.get_profile()
+            counts = profile.per_class_counts(
+                run.get_overrides() if spec.reclassified else None
             )
+            classes = class_columns(counts, profile.dynamic_loads)
         row[column] = classes[column]
     return row
 

@@ -16,8 +16,9 @@ merges the files and prints:
   the harness stamps on its pool workers,
 * **load classes** — Table 2's per-class static/dynamic shares and
   NT/PD prediction rates, recomputed from each workload's
-  ``profile.classes`` event (the raw counts, so the table is a pure
-  projection of the trace),
+  ``profile.classes`` event (the raw counts) by the harness's own
+  :func:`~repro.profiling.class_columns`, so the table is a pure
+  projection of the trace,
 * **simulator totals** — the ``sim.counters`` event counters summed
   per early-generation config,
 * **replay path coverage** — the ``sim.replay`` events grouped by
@@ -45,6 +46,7 @@ from repro.obs import (
     load_manifest,
     validate_manifest,
 )
+from repro.profiling import class_columns
 
 _KINDS = ("meta", "span", "event")
 
@@ -138,18 +140,13 @@ def worker_summary(records: List[dict]) -> List[dict]:
     ]
 
 
-def _share(count: int, total: int) -> float:
-    return count / total * 100 if total else 0.0
-
-
 def class_rows(records: List[dict]) -> List[dict]:
     """Table 2 rows recomputed from ``profile.classes`` events.
 
     Uses each workload's latest event (a re-run into the same trace
-    directory re-emits it) and applies the same arithmetic as
-    :func:`repro.harness.experiments.class_columns`: static share =
-    static_c / Σstatic, dynamic share = dyn_c / Σdyn, rate =
-    correct_c / dyn_c, all × 100.
+    directory re-emits it), rebuilds the per-class counts it flattens
+    and runs them through :func:`repro.profiling.class_columns`, the
+    arithmetic the harness's own Table 2 uses.
     """
     latest: Dict[str, dict] = {}
     for rec in records:
@@ -159,20 +156,12 @@ def class_rows(records: List[dict]) -> List[dict]:
     rows = []
     for workload in sorted(latest):
         c = latest[workload]
-        static_total = sum(c.get(f"static_{cls}", 0) for cls in "npe")
-        dyn_total = sum(c.get(f"dynamic_{cls}", 0) for cls in "npe")
-        rows.append({
-            "benchmark": workload,
-            "dyn_loads": c.get("dyn_loads", 0),
-            "static_nt": _share(c.get("static_n", 0), static_total),
-            "static_pd": _share(c.get("static_p", 0), static_total),
-            "static_ec": _share(c.get("static_e", 0), static_total),
-            "dyn_nt": _share(c.get("dynamic_n", 0), dyn_total),
-            "dyn_pd": _share(c.get("dynamic_p", 0), dyn_total),
-            "dyn_ec": _share(c.get("dynamic_e", 0), dyn_total),
-            "rate_nt": _share(c.get("correct_n", 0), c.get("dynamic_n", 0)),
-            "rate_pd": _share(c.get("correct_p", 0), c.get("dynamic_p", 0)),
-        })
+        counts = {
+            group: {cls: c.get(f"{group}_{cls}", 0) for cls in "npe"}
+            for group in ("static", "dynamic", "correct")
+        }
+        rows.append({"benchmark": workload,
+                     **class_columns(counts, c.get("dyn_loads", 0))})
     return rows
 
 

@@ -2,8 +2,8 @@
 
 from repro.profiling.address_profile import (
     AddressProfile,
-    profile_program,
+    class_columns,
     profile_trace,
 )
 
-__all__ = ["AddressProfile", "profile_program", "profile_trace"]
+__all__ = ["AddressProfile", "class_columns", "profile_trace"]

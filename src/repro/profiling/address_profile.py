@@ -1,35 +1,43 @@
 """Per-static-load stride-predictability profiling.
 
-Feeds every dynamic load address through an unbounded per-load copy of
-the Figure 3 state machine and aggregates per-class statistics — the
-"individual operation prediction" methodology behind Table 2's
-prediction-rate columns, and the input to Section 4.3's profile-guided
-reclassification.
+The profile of a run is its trace's one unbounded Figure 3 pass
+(:func:`~repro.sim.predictors.stride.unbounded_outcomes`): every
+dynamic load address fed through a per-load copy of the state machine,
+the "individual operation prediction" methodology behind Table 2's
+prediction-rate columns and the input to Section 4.3's profile-guided
+reclassification.  :class:`AddressProfile` reads that record in place
+and aggregates it per class; :func:`class_columns` is the one
+arithmetic that turns the per-class counts into the load-class columns
+of Tables 2–4.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.isa.opcodes import LoadSpec
 from repro.isa.program import Program
-from repro.sim.predictors import UnboundedPredictor
-from repro.sim.predictors.stride import unbounded_outcomes
+from repro.sim.predictors.stride import UnboundedOutcomes, unbounded_outcomes
 from repro.sim.trace import Trace
 
 
 class AddressProfile:
-    """Prediction statistics of one program run."""
+    """Prediction statistics of one program run.
 
-    def __init__(self, program: Program, predictor: UnboundedPredictor):
+    ``predictor`` is the trace's :class:`UnboundedOutcomes`, shared with
+    the precompute's prediction streams and never written here.
+    """
+
+    def __init__(self, program: Program, predictor: UnboundedOutcomes):
         self.program = program
         self.predictor = predictor
 
     # -- per-load ------------------------------------------------------------
 
     def rate(self, uid: int) -> float:
-        """Prediction rate of one static load."""
-        return self.predictor.rate(uid)
+        """Prediction rate of one static load (0.0 if never executed)."""
+        counters = self.predictor.per_load.get(uid)
+        return counters[1] / counters[0] if counters else 0.0
 
     def dynamic_count(self, uid: int) -> int:
         counters = self.predictor.per_load.get(uid)
@@ -37,33 +45,14 @@ class AddressProfile:
 
     # -- per-class aggregates ----------------------------------------------
 
-    def class_rates(
-        self, overrides: Optional[Dict[int, LoadSpec]] = None
-    ) -> Dict[str, float]:
-        """Aggregate prediction rate per scheme class (``n``/``p``/``e``).
-
-        The rate of a class is total correct predictions over total
-        dynamic executions of the loads in that class, mirroring the
-        paper's NT / PD "Prediction Rate" columns.
-        """
-        counts = self.per_class_counts(overrides)
-        correct = counts["correct"]
-        return {
-            cls: (correct[cls] / total if total else 0.0)
-            for cls, total in counts["dynamic"].items()
-        }
-
     def dynamic_class_shares(
         self, overrides: Optional[Dict[int, LoadSpec]] = None
     ) -> Dict[str, float]:
         """Fraction of dynamic loads per class (Table 2's "% Dynamic")."""
-        return _shares(self.per_class_counts(overrides)["dynamic"])
-
-    def static_class_shares(
-        self, overrides: Optional[Dict[int, LoadSpec]] = None
-    ) -> Dict[str, float]:
-        """Fraction of static loads per class (Table 2's "% Static")."""
-        return _shares(self.per_class_counts(overrides)["static"])
+        dynamic = self.per_class_counts(overrides)["dynamic"]
+        total = sum(dynamic.values())
+        return {cls: count / total if total else 0.0
+                for cls, count in dynamic.items()}
 
     def per_class_counts(
         self, overrides: Optional[Dict[int, LoadSpec]] = None
@@ -74,12 +63,13 @@ class AddressProfile:
         keyed by class (``n``/``p``/``e``): static load counts, dynamic
         execution counts, and correct unbounded predictions.  This is
         the payload the observability layer emits per workload
-        (``profile.classes``), from which every Table 2 column can be
-        recomputed offline.
+        (``profile.classes``), from which :func:`class_columns`
+        recomputes every Table 2 column offline.
         """
         static = {"n": 0, "p": 0, "e": 0}
         dynamic = {"n": 0, "p": 0, "e": 0}
         correct = {"n": 0, "p": 0, "e": 0}
+        per_load = self.predictor.per_load
         for inst in self.program.static_loads():
             spec = (
                 overrides.get(inst.uid, inst.lspec)
@@ -87,7 +77,7 @@ class AddressProfile:
                 else inst.lspec
             )
             static[spec.value] += 1
-            counters = self.predictor.per_load.get(inst.uid)
+            counters = per_load.get(inst.uid)
             if counters:
                 dynamic[spec.value] += counters[0]
                 correct[spec.value] += counters[1]
@@ -95,30 +85,38 @@ class AddressProfile:
 
     @property
     def dynamic_loads(self) -> int:
-        return self.predictor.accesses
+        return len(self.predictor.codes)
 
 
-def _shares(counts: Dict[str, int]) -> Dict[str, float]:
-    total = sum(counts.values())
-    if total == 0:
-        return {cls: 0.0 for cls in counts}
-    return {cls: count / total for cls, count in counts.items()}
+def _share(count: int, total: int) -> float:
+    return count / total * 100 if total else 0.0
+
+
+def class_columns(counts: Dict[str, Dict[str, int]], dyn_loads: int) -> dict:
+    """The load-class columns of Tables 2–4 from per-class *counts*
+    (:meth:`AddressProfile.per_class_counts`) and the dynamic-load
+    total: static and dynamic NT/PD/EC shares and the unbounded NT/PD
+    prediction rates, as percentages."""
+    static = counts["static"]
+    dynamic = counts["dynamic"]
+    correct = counts["correct"]
+    static_total = sum(static.values())
+    dyn_total = sum(dynamic.values())
+    return {
+        "dyn_loads": dyn_loads,
+        "static_nt": _share(static["n"], static_total),
+        "static_pd": _share(static["p"], static_total),
+        "static_ec": _share(static["e"], static_total),
+        "dyn_nt": _share(dynamic["n"], dyn_total),
+        "dyn_pd": _share(dynamic["p"], dyn_total),
+        "dyn_ec": _share(dynamic["e"], dyn_total),
+        "rate_nt": _share(correct["n"], dynamic["n"]),
+        "rate_pd": _share(correct["p"], dynamic["p"]),
+    }
 
 
 def profile_trace(program: Program, trace: Trace) -> AddressProfile:
-    """Profile an existing trace.
-
-    The counters come from the trace's one unbounded Figure 3 pass,
-    the same pass the precompute's prediction streams copy from.
-    """
-    return AddressProfile(
-        program, UnboundedPredictor.from_outcomes(unbounded_outcomes(trace))
-    )
-
-
-def profile_program(program: Program) -> Tuple[AddressProfile, Trace]:
-    """Emulate *program* once and profile the resulting trace."""
-    from repro.sim.executor import execute
-
-    result = execute(program)
-    return profile_trace(program, result.trace), result.trace
+    """The profile of an existing trace: its one unbounded Figure 3
+    pass, the same record the precompute's prediction streams copy
+    from."""
+    return AddressProfile(program, unbounded_outcomes(trace))

@@ -31,9 +31,9 @@ class DirectMappedCache:
 
     def __init__(self, config: CacheConfig):
         self.config = config
-        self._block_shift = config.block_size.bit_length() - 1
-        self._index_mask = config.num_blocks - 1
-        self._tag_shift = config.num_blocks.bit_length() - 1
+        self._block_shift = config.block_shift
+        self._index_mask = config.index_mask
+        self._tag_shift = config.tag_shift
         self._tags: list = [None] * config.num_blocks
         self.hits = 0
         self.misses = 0

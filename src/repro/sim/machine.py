@@ -61,6 +61,22 @@ class CacheConfig:
     def num_blocks(self) -> int:
         return self.size // self.block_size
 
+    # The one address split of the tag arrays and the precompute: an
+    # address's block is ``addr >> block_shift``, which maps to set
+    # ``block & index_mask`` with tag ``block >> tag_shift``.
+
+    @property
+    def block_shift(self) -> int:
+        return self.block_size.bit_length() - 1
+
+    @property
+    def index_mask(self) -> int:
+        return self.num_blocks - 1
+
+    @property
+    def tag_shift(self) -> int:
+        return self.num_blocks.bit_length() - 1
+
 
 @dataclass(frozen=True)
 class EarlyGenConfig:

@@ -217,7 +217,7 @@ def _decode_program(program, icache: CacheConfig = CacheConfig()):
     place on laid-out programs; every run resolves them afresh
     (:meth:`TracePrecompute.first_route`).
     """
-    block_shift = icache.block_size.bit_length() - 1
+    block_shift = icache.block_shift
     dec = []
     load_uids = []
     for uid, inst in enumerate(program.flat):
@@ -423,19 +423,19 @@ class TracePrecompute:
         ras_depth = cfg.ras_entries
 
         # The demand d-cache without speculation, its tag array driven
-        # in place: loads access and fill, stores count and never fill.
-        dc = DirectMappedCache(cfg.dcache)
-        tags = dc._tags
-        bs = dc._block_shift
-        im = dc._index_mask
-        ts = dc._tag_shift
+        # inline: loads access and fill, stores count and never fill.
+        dc = cfg.dcache
+        tags: list = [None] * dc.num_blocks
+        bs = dc.block_shift
+        im = dc.index_mask
+        ts = dc.tag_shift
         dcodes = bytearray()
         dc_append = dcodes.append
         dmiss = store_miss = 0
         # Per d-cache set, the ordinals of the loads and stores that
         # access it (for the fill patch).
-        lsets: list = [None] * dc.config.num_blocks
-        ssets: list = [None] * dc.config.num_blocks
+        lsets: list = [None] * dc.num_blocks
+        ssets: list = [None] * dc.num_blocks
 
         # Records are interned by content; the pass keeps one record id
         # per instruction, which the segment ids below read.
@@ -926,8 +926,8 @@ class _FillPatch:
         self.fills = 0
         self.pending: dict = {}
         dc = pre.dcache_cfg
-        self.block_shift = dc.block_size.bit_length() - 1
-        self.index_mask = dc.num_blocks - 1
+        self.block_shift = dc.block_shift
+        self.index_mask = dc.index_mask
 
     def fill(self, li: int, addr: int) -> None:
         """Load *li*'s wrong prediction *addr*: under route 1 its block

@@ -26,7 +26,6 @@ from repro.sim.predictors.stride import (
     LEARNING,
     AddressPredictionTable,
     TableEntry,
-    UnboundedPredictor,
 )
 from repro.sim.predictors.cache_level import CacheLevelPredictor
 from repro.sim.predictors.perceptron import PerceptronPredictor
@@ -40,7 +39,6 @@ __all__ = [
     "PerceptronPredictor",
     "Predictor",
     "TableEntry",
-    "UnboundedPredictor",
     "backend_names",
     "create",
     "predictor_key",

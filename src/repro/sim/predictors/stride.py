@@ -223,50 +223,14 @@ class AddressPredictionTable(Predictor):
             entry.update(ca)
 
 
-class UnboundedPredictor:
-    """Per-static-load prediction counters with no capacity or conflicts.
-
-    This is the paper's Table 2 methodology: "a simulation methodology
-    that performs individual operation prediction... not affected by the
-    limitations of a prediction cache".  Also the engine behind address
-    profiling (Section 4.3).  The state machines run once per trace, in
-    :func:`unbounded_outcomes`; :meth:`from_outcomes` reads the counters
-    off that pass.
-    """
-
-    __slots__ = ("accesses", "correct", "per_load")
-
-    def __init__(self):
-        self.accesses = 0
-        self.correct = 0
-        #: uid -> [accesses, correct]
-        self.per_load: Dict[int, list] = {}
-
-    @classmethod
-    def from_outcomes(cls, outcomes: "UnboundedOutcomes"
-                      ) -> "UnboundedPredictor":
-        """The counters of a whole trace, read off its
-        :func:`unbounded_outcomes` (the entries' final state is not
-        kept)."""
-        predictor = cls()
-        predictor.per_load = {
-            uid: [seen, hits] for uid, (seen, hits)
-            in outcomes.per_load.items()
-        }
-        predictor.accesses = len(outcomes.codes)
-        predictor.correct = outcomes.codes.count(6)
-        return predictor
-
-    def rate(self, uid: int) -> float:
-        """Prediction rate of one static load (0.0 if never executed)."""
-        counters = self.per_load.get(uid)
-        if not counters or counters[0] == 0:
-            return 0.0
-        return counters[1] / counters[0]
-
-
 class UnboundedOutcomes:
     """The unbounded Figure 3 outcome of every dynamic load of a trace.
+
+    This is the paper's Table 2 methodology, "individual operation
+    prediction... not affected by the limitations of a prediction
+    cache", and the one record of the address profile: Tables 2–4, the
+    Section 4.3 reclassification and the precompute's prediction
+    streams all read it (:mod:`repro.profiling`).
 
     ``codes[li]`` is the outcome of the ``li``-th dynamic load, in the
     bits of the precompute's prediction stream: 0 no prediction (the
@@ -276,6 +240,10 @@ class UnboundedOutcomes:
     order.  ``per_load`` maps each executed load uid to
     ``(instances, correct predictions)`` and ``first`` to the ordinal
     of its first instance.
+
+    The record is shared by every reader of the trace and is never
+    written after the pass: a caller that wants other counters builds
+    a new instance.
     """
 
     __slots__ = ("codes", "wrong_at", "wrong_pa", "per_load", "first")
@@ -295,9 +263,9 @@ def unbounded_outcomes(trace) -> UnboundedOutcomes:
     Each static load gets its own :class:`TableEntry`, fed every
     instance in trace order, so the codes are what a PC-indexed table
     gives a load that is probed at every instance and owns its table
-    entry.  The address profiler and the precompute's prediction
+    entry.  The address profile and the precompute's prediction
     streams both read this pass; it runs once per trace and lives on
-    the trace (``Trace.unbounded``, never pickled).
+    the trace (``Trace.unbounded``).
     """
     out = trace.unbounded
     if out is not None:

@@ -14,12 +14,13 @@ scheme specifiers change timing, never function).
 
 ``unbounded`` holds the trace's unbounded Figure 3 pass once
 :func:`~repro.sim.predictors.stride.unbounded_outcomes` has run it; it
-lives as long as the trace and is not pickled.
+lives as long as the trace.  A trace stays in the process that emulated
+it: the harness runs each workload whole in one worker, and only table
+rows cross processes.
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import List
 
 from repro.isa.program import Program
@@ -38,17 +39,3 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.uids)
-
-    # Traces cross process boundaries when the harness fans timing
-    # replays across workers.  Pickling the two parallel int lists
-    # element by element dominates the transfer cost; packing them into
-    # typed arrays makes the payload a pair of memcpy-speed blobs.
-    def __getstate__(self):
-        return self.program, array("q", self.uids), array("q", self.eas)
-
-    def __setstate__(self, state) -> None:
-        program, uids, eas = state
-        self.program = program
-        self.uids = uids.tolist()
-        self.eas = eas.tolist()
-        self.unbounded = None

@@ -42,6 +42,24 @@ def test_overflow_wraps_32_bits():
     ) == [-2147483648, -2]
 
 
+def test_literal_past_int_max_wraps_at_every_level():
+    """A literal past 2**31 - 1 is the 32-bit int it wraps to, whether
+    it lives in memory (-O0) or in a register after mem2reg."""
+    assert run_all_levels(
+        """
+        int main() {
+            int a = 0xFFFFFFFF;
+            print_int(a & a);
+            print_int(a < 0);
+            print_int(a | 0x80000000);
+            print_int(-2147483648);
+            print_int(0xFFFFFFFF & 0xFF);
+            return 0;
+        }
+        """
+    ) == [-1, 1, -1, -2147483648, 0xFF]
+
+
 def test_comparisons_and_logic():
     assert run_all_levels(
         """

@@ -7,9 +7,12 @@ from repro.compiler.profile_feedback import (
 )
 from repro.isa.opcodes import LoadSpec
 from repro.profiling import profile_trace
+from repro.sim._pipeline_reference import reference_run
 from repro.sim.executor import execute
-from repro.sim.predictors import UnboundedPredictor
-from repro.sim.predictors.stride import unbounded_outcomes
+from repro.sim.machine import PROPOSED, MachineConfig
+from repro.sim.pipeline import TimingSimulator
+from repro.sim.precompute import simulate_many
+from repro.sim.predictors.stride import UnboundedOutcomes, unbounded_outcomes
 
 # A sorted index array makes tbl[idx[i]] highly stride-predictable, yet
 # the heuristics must classify it NT (the index is loaded, reg+reg mode).
@@ -53,10 +56,11 @@ def executed_loads(program, trace):
 
 
 def profiled_with(trace, pinned):
-    """The trace's own profile predictor, some loads' counters pinned."""
-    predictor = UnboundedPredictor.from_outcomes(unbounded_outcomes(trace))
-    predictor.per_load.update(pinned)
-    return predictor
+    """A copy of the trace's own unbounded outcomes, some loads'
+    counters pinned (the trace's record itself is never written)."""
+    out = unbounded_outcomes(trace)
+    return UnboundedOutcomes(out.codes, out.wrong_at, out.wrong_pa,
+                             {**out.per_load, **pinned}, out.first)
 
 
 def nt_loads(program):
@@ -117,20 +121,21 @@ def test_apply_overrides_mutates():
 
 def test_profile_trace_counts_every_dynamic_load():
     result, trace = compiled_and_traced(PREDICTABLE_NT)
-    predictor = profile_trace(result.program, trace).predictor
-    assert predictor.accesses == len(executed_loads(result.program, trace))
+    profile = profile_trace(result.program, trace)
+    assert profile.predictor is trace.unbounded
+    assert profile.dynamic_loads == len(executed_loads(result.program, trace))
 
 
 def test_rate_exactly_at_threshold_is_not_flipped():
     """The threshold is strict: a measured rate of exactly 60% stays NT.
 
-    The paper flips loads whose rate *exceeds* the threshold; an
-    injected predictor pins the rate to the boundary precisely.
+    The paper flips loads whose rate *exceeds* the threshold; injected
+    outcomes pin the rate to the boundary precisely.
     """
     result, trace = compiled_and_traced(PREDICTABLE_NT)
     target = nt_loads(result.program)[0]
     # rate == 0.60 exactly
-    predictor = profiled_with(trace, {target.uid: [100, 60]})
+    predictor = profiled_with(trace, {target.uid: (100, 60)})
     overrides = profile_overrides(
         result.program, trace, threshold=0.60, predictor=predictor
     )
@@ -141,7 +146,7 @@ def test_rate_one_above_threshold_is_flipped():
     result, trace = compiled_and_traced(PREDICTABLE_NT)
     target = nt_loads(result.program)[0]
     # rate == 0.61 > 0.60
-    predictor = profiled_with(trace, {target.uid: [100, 61]})
+    predictor = profiled_with(trace, {target.uid: (100, 61)})
     overrides = profile_overrides(
         result.program, trace, threshold=0.60, predictor=predictor
     )
@@ -160,12 +165,36 @@ def test_perfect_rate_never_overrules_pd_or_ec():
         if inst.lspec is not LoadSpec.N
     ]
     assert non_nt  # the source produces PD and EC loads
-    predictor = profiled_with(trace, {inst.uid: [100, 100]
+    predictor = profiled_with(trace, {inst.uid: (100, 100)
                                       for inst in non_nt})
     overrides = profile_overrides(
         result.program, trace, threshold=0.60, predictor=predictor
     )
     assert not set(overrides) & {inst.uid for inst in non_nt}
+
+
+def test_pinned_copy_leaves_the_shared_outcomes_alone():
+    """Pinning counters on a copy changes the verdict, never the
+    trace's own record, which the precompute's streams also read."""
+    result, trace = compiled_and_traced(PREDICTABLE_NT)
+    out = unbounded_outcomes(trace)
+    per_load = dict(out.per_load)
+    codes = out.codes
+    target = nt_loads(result.program)[0]
+    overrides = profile_overrides(
+        result.program, trace, threshold=0.60,
+        predictor=profiled_with(trace, {target.uid: (100, 61)}),
+    )
+    assert overrides[target.uid] is LoadSpec.P
+    assert trace.unbounded is out
+    assert out.per_load == per_load
+    assert out.codes == codes
+    machine = MachineConfig()
+    reference = reference_run(TimingSimulator(
+        trace, machine.with_earlygen(PROPOSED), overrides))
+    [swept] = simulate_many(trace, [PROPOSED], machine=machine,
+                            overrides=[overrides])
+    assert swept == reference
 
 
 def test_never_executed_loads_not_flipped():

@@ -15,8 +15,8 @@ from repro.sim.predictors import (
     FUNCTIONING,
     LEARNING,
     TableEntry,
-    UnboundedPredictor,
 )
+from repro.profiling import AddressProfile
 from repro.sim.predictors.stride import unbounded_outcomes
 from repro.sim.trace import Trace
 
@@ -89,9 +89,9 @@ def test_stride_change_relearns(base, stride_a, delta, length):
 @given(st.lists(st.integers(0, 255), min_size=2, max_size=60))
 def test_unbounded_predictor_rate_bounds(addrs):
     trace = Trace(_ONE_LOAD, [0] * len(addrs), [a * 4 for a in addrs])
-    u = UnboundedPredictor.from_outcomes(unbounded_outcomes(trace))
+    u = AddressProfile(_ONE_LOAD, unbounded_outcomes(trace))
     assert 0.0 <= u.rate(0) <= 1.0
-    counters = u.per_load[0]
+    counters = u.predictor.per_load[0]
     assert counters[0] == len(addrs)
     assert counters[1] <= counters[0]
 

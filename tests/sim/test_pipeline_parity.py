@@ -164,8 +164,10 @@ def _random_machine(rng: random.Random) -> MachineConfig:
             issue_width=rng.choice((2, 4, 6)),
             int_alus=rng.choice((2, 4)),
             mem_ports=rng.choice((1, 2)),
-            dcache=CacheConfig(size=rng.choice((1024, 4096, 16384))),
+            dcache=CacheConfig(size=rng.choice((1024, 4096, 16384)),
+                               block_size=rng.choice((16, 32, 64, 128))),
             icache=CacheConfig(size=rng.choice((4096, 16384)),
+                               block_size=rng.choice((16, 32, 64, 128)),
                                miss_penalty=rng.choice((0, 12, 40))),
             # The front end: BTB, return-address stack and redirects.
             btb_entries=rng.choice((16, 1024)),

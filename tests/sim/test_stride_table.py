@@ -9,8 +9,8 @@ from repro.sim.predictors import (
     LEARNING,
     AddressPredictionTable,
     TableEntry,
-    UnboundedPredictor,
 )
+from repro.profiling import AddressProfile
 from repro.sim.predictors.stride import unbounded_outcomes
 from repro.sim.trace import Trace
 
@@ -148,14 +148,17 @@ A, B = (u for u, inst in enumerate(_TWO_LOADS.flat) if inst.is_load)
 
 def unbounded(accesses):
     """The unbounded pass over a trace of ``(load uid, address)``
-    accesses, and the profiler's predictor read off it."""
+    accesses, and the address profile that reads it."""
     trace = Trace(_TWO_LOADS, [u for u, _ in accesses],
                   [ea for _, ea in accesses])
     outcomes = unbounded_outcomes(trace)
-    return outcomes, UnboundedPredictor.from_outcomes(outcomes)
+    return outcomes, AddressProfile(_TWO_LOADS, outcomes)
 
 
 class TestUnboundedPredictor:
+    """The unbounded per-load prediction (Table 2's methodology), read
+    through the address profile."""
+
     def test_per_load_isolation(self):
         # load A strided, load B address-scrambled
         _, u = unbounded([
@@ -168,19 +171,22 @@ class TestUnboundedPredictor:
         assert u.rate(B) < 0.2
 
     def test_rate_of_unknown_load(self):
-        assert UnboundedPredictor().rate(99) == 0.0
+        _, u = unbounded([(A, 0x4000)])
+        assert u.rate(99) == 0.0
+        assert u.rate(B) == 0.0 and u.dynamic_count(B) == 0
 
     def test_constant_address(self):
         _, u = unbounded([(A, 0x4000)] * 10)
         assert u.rate(A) == 0.9  # all but the cold first access
 
     def test_overall_rate(self):
-        _, u = unbounded([(A, i * 8) for i in range(10)])
-        assert 0 < u.correct / u.accesses < 1
-        assert u.accesses == 10
+        outcomes, u = unbounded([(A, i * 8) for i in range(10)])
+        assert 0 < outcomes.codes.count(6) / u.dynamic_loads < 1
+        assert u.dynamic_loads == u.dynamic_count(A) == 10
 
     def test_first_instance_is_cold_then_constant_predicted(self):
         outcomes, u = unbounded([(A, 100), (A, 100)])
         assert outcomes.codes == bytes([0, 6])  # cold, then predicted
         assert outcomes.first == {A: 0}
-        assert u.per_load == {A: [2, 1]}
+        assert outcomes.per_load == {A: (2, 1)}
+        assert u.predictor is outcomes
