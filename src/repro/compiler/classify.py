@@ -32,7 +32,6 @@ from __future__ import annotations
 from typing import Dict, List, Set, Tuple
 
 from repro.compiler.cfg import CFG
-from repro.compiler.ir import FuncIR
 from repro.compiler.loops import find_loops
 from repro.isa.instruction import Instruction, Reg
 from repro.isa.opcodes import ARITHMETIC_OPS, LoadSpec

@@ -25,11 +25,11 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.compiler.opt.fold import fold, wrap
 from repro.isa.instruction import Imm, Instruction, Reg, Sym
-from repro.isa.opcodes import LoadSpec, Opcode
+from repro.isa.opcodes import Opcode
 from repro.isa.program import DataItem, Function, Label, Program
 from repro.isa.registers import RV, SP, ZERO
 from repro.lang import ast
-from repro.lang.sema import BUILTINS, SemanticAnalyzer, SymKind, Symbol
+from repro.lang.sema import SemanticAnalyzer, SymKind, Symbol
 from repro.lang.types import (
     ArrayType,
     CharType,

@@ -9,7 +9,6 @@ count only loads that survive optimization.
 from __future__ import annotations
 
 from repro.compiler.ir import FuncIR
-from repro.isa.instruction import Instruction
 from repro.isa.opcodes import FP_ALU_OPS, INT_ALU_OPS, LOAD_OPS, Opcode
 
 _PURE = INT_ALU_OPS | FP_ALU_OPS | LOAD_OPS | {Opcode.NOP}

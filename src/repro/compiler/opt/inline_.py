@@ -21,7 +21,7 @@ loop context.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List
 
 from repro.compiler.ir import FrameSlot, FuncIR, ModuleIR
 from repro.isa.instruction import Imm, Instruction, Reg

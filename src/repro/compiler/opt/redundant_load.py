@@ -16,7 +16,7 @@ Redefining a base register also kills entries built on it.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from repro.compiler.ir import FuncIR
 from repro.compiler.opt.alias import MemKey, may_alias, mem_key

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.compiler.cfg import CFG
-from repro.compiler.dataflow import Liveness, inst_defs, inst_uses
+from repro.compiler.dataflow import Liveness
 from repro.compiler.ir import FuncIR
 from repro.isa.instruction import Imm, Instruction, Reg
 from repro.isa.opcodes import Opcode

@@ -310,16 +310,12 @@ class ExperimentContext:
         self.fault_injector = fault_injector
         self._runs: Dict[str, WorkloadRun] = {}
 
-    def _scaled(self, name: str) -> int:
-        workload = get_workload(name)
-        return max(1, int(round(workload.default_scale * self.scale)))
-
     def run(self, name: str) -> WorkloadRun:
         cached = self._runs.get(name)
         if cached is not None:
             return cached
         workload = get_workload(name)
-        scale = self._scaled(name)
+        scale = workload.scaled(self.scale)
         injector = self.fault_injector
         options = CompileOptions(
             verify=True,

@@ -27,7 +27,7 @@ so :func:`format_program` output round-trips.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.isa.instruction import Imm, Instruction, Reg, Sym
 from repro.isa.opcodes import LoadSpec, Opcode

@@ -19,7 +19,7 @@ import sys
 from typing import List, Optional
 
 from repro.errors import EmulationError, StepLimitExceeded
-from repro.isa.instruction import Imm, Instruction, Reg, Sym
+from repro.isa.instruction import Imm, Reg, Sym
 from repro.isa.opcodes import Opcode
 from repro.isa.program import CODE_BASE, Program
 from repro.sim.memory import DEFAULT_MEM_SIZE, Memory, initial_sp, load_program

@@ -25,7 +25,7 @@ exists and who chooses between the paths:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.sim.predictors import BACKENDS
 
@@ -162,18 +162,4 @@ class MachineConfig:
 
     def with_earlygen(self, earlygen: EarlyGenConfig) -> "MachineConfig":
         """A copy of this machine with different early-gen hardware."""
-        return MachineConfig(
-            issue_width=self.issue_width,
-            int_alus=self.int_alus,
-            mem_ports=self.mem_ports,
-            fp_alus=self.fp_alus,
-            branch_units=self.branch_units,
-            icache=self.icache,
-            dcache=self.dcache,
-            btb_entries=self.btb_entries,
-            load_latency=self.load_latency,
-            mispredict_penalty=self.mispredict_penalty,
-            jump_bubble=self.jump_bubble,
-            ras_entries=self.ras_entries,
-            earlygen=earlygen,
-        )
+        return replace(self, earlygen=earlygen)

@@ -112,6 +112,7 @@ from repro.sim.addr_reg import RegisterCache
 from repro.sim.btb import BranchTargetBuffer
 from repro.sim.cache import DirectMappedCache
 from repro.sim.machine import (
+    BASELINE,
     CacheConfig,
     EarlyGenConfig,
     MachineConfig,
@@ -193,16 +194,6 @@ _dstream_totals = [0, 0, 0, 0]
 
 def dstream_counts() -> tuple:
     return tuple(_dstream_totals)
-
-
-def _machine_key(cfg: MachineConfig) -> tuple:
-    """Everything that shapes the precompute except the early-gen config."""
-    return (
-        cfg.issue_width, cfg.int_alus, cfg.mem_ports, cfg.fp_alus,
-        cfg.branch_units, cfg.icache, cfg.dcache, cfg.btb_entries,
-        cfg.load_latency, cfg.mispredict_penalty, cfg.jump_bubble,
-        cfg.ras_entries,
-    )
 
 
 def _decode_program(program, icache: CacheConfig = CacheConfig()):
@@ -983,8 +974,9 @@ def get_precompute(trace: Trace, cfg: MachineConfig) -> TracePrecompute:
     """The trace's precompute for *cfg*'s machine shape, built on a miss.
 
     Cached on the Program keyed by trace identity, with an LRU bound of
-    ``_PRECOMPUTE_LIMIT`` machine shapes.  The key holds every field the
-    one pass over the trace reads (front end, D-cache, ports), so that
+    ``_PRECOMPUTE_LIMIT`` machine shapes.  The key is *cfg* with its
+    early-gen config reset to ``BASELINE``, so it holds every field the
+    one pass over the trace reads (front end, D-cache, ports) and that
     pass — decode, front end, demand stream and segment walk — runs once
     per entry, and again only when ``Program.layout`` has replaced
     ``program.flat``.
@@ -995,7 +987,7 @@ def get_precompute(trace: Trace, cfg: MachineConfig) -> TracePrecompute:
         cached = (trace.uids, OrderedDict())
         program._sim_precompute = cached
     store = cached[1]
-    key = _machine_key(cfg)
+    key = cfg.with_earlygen(BASELINE)
     pre = store.get(key)
     if pre is not None and pre.flat is program.flat:
         store.move_to_end(key)

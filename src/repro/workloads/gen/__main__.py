@@ -7,15 +7,15 @@ Usage::
                                        [--seeds N] [--seed-base N]
                                        [--scale F] [--opt-levels 0,1,2]
     python -m repro.workloads.gen sweep [--step PCT] [--seeds N]
-                                        [--scale F] [--jobs N]
-                                        [--result-cache DIR]
-                                        [--timeout SECS]
-                                        [--markdown-out FILE]
-                                        [--trace-out DIR]
+                                        [HARNESS-ARGS...]
 
 ``emit`` prints a generated program (or its reference output);
 ``diff`` runs the differential driver (exit 1 on any mismatch);
-``sweep`` is the synthetic-SPEC tier over the class-mix simplex.
+``sweep`` is the synthetic-SPEC tier over the class-mix simplex: it
+names the grid's programs and runs them through
+:func:`repro.harness.main.main`, passing every other argument
+(``--scale``, ``--jobs``, ``--result-cache``, ``--timeout``,
+``--trace-out`` ...) through, and exits with its status.
 To compare predictor backends on generated programs, give their names
 to the harness: ``python -m repro.harness.main --workloads
 gen:n25p5e70:0,gen:n80p10e10:0 --predictor all``.
@@ -41,7 +41,7 @@ def _progress(message: str) -> None:
 
 def _cmd_emit(args) -> int:
     workload = materialize(args.name)
-    scaled = max(1, int(round(workload.default_scale * args.scale)))
+    scaled = workload.scaled(args.scale)
     if args.ref:
         for value in workload.expected_output(scaled):
             print(value)
@@ -83,45 +83,13 @@ def _cmd_diff(args) -> int:
     return 1 if report.mismatches else 0
 
 
-def _cmd_sweep(args) -> int:
-    from repro.harness.reporting import format_table
-    from repro.workloads.gen.sweep import (
-        SWEEP_HEADERS,
-        run_sweep,
-        write_markdown,
+def _selects_workloads(arg: str) -> bool:
+    """Whether *arg* is (an abbreviation of) ``--workloads``/``--suite``,
+    which would override the grid's names."""
+    option = arg.partition("=")[0]
+    return len(option) > 2 and option.startswith("--") and any(
+        flag.startswith(option) for flag in ("--workloads", "--suite")
     )
-
-    result_store = None
-    if args.result_cache is not None:
-        from repro.harness.store import ResultStore
-        result_store = ResultStore(args.result_cache)
-    result = run_sweep(
-        step=args.step,
-        seeds=args.seeds,
-        scale=args.scale,
-        jobs=args.jobs,
-        result_store=result_store,
-        timeout=args.timeout,
-        progress=_progress,
-    )
-    print()
-    print(format_table(
-        result["rows"],
-        columns=list(SWEEP_HEADERS),
-        headers=SWEEP_HEADERS,
-        title="Synthetic-SPEC sweep — fingerprint vs proposed-config "
-              "speedup",
-    ))
-    if args.markdown_out is not None:
-        path = write_markdown(
-            args.markdown_out, result["rows"], args.scale, args.step
-        )
-        print(f"wrote {path}", file=sys.stderr)
-    if result["degraded"]:
-        print(f"degraded: {', '.join(result['degraded'])}",
-              file=sys.stderr)
-        return 1
-    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -152,17 +120,30 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     diff.add_argument("--opt-levels", default="0,1,2")
     diff.add_argument("--verbose", action="store_true")
 
-    sweep = sub.add_parser("sweep", help="synthetic-SPEC simplex sweep")
+    sweep = sub.add_parser(
+        "sweep", help="synthetic-SPEC simplex sweep; other arguments go "
+        "to repro.harness.main")
     sweep.add_argument("--step", type=int, default=20,
                        help="simplex grid pitch in percent (default 20)")
     sweep.add_argument("--seeds", type=int, default=1,
                        help="seeds per grid point (default 1)")
-    sweep.add_argument("--scale", type=float, default=1.0)
-    sweep.add_argument("--jobs", type=int, default=1)
-    sweep.add_argument("--result-cache", default=None, metavar="DIR")
-    sweep.add_argument("--timeout", type=float, default=0.0)
-    sweep.add_argument("--markdown-out", default=None, metavar="FILE")
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if args.cmd != "sweep" and extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    if args.cmd == "sweep":
+        from repro.harness.main import main as harness_main
+        from repro.workloads.gen.sweep import sweep_names
+
+        clash = [arg for arg in extra if _selects_workloads(arg)]
+        if clash:
+            sweep.error(f"{clash[0]}: the sweep names its own workloads")
+        try:
+            names = sweep_names(args.step, args.seeds)
+        except ValueError as exc:
+            sweep.error(str(exc))
+        if args.trace_out is not None:
+            extra = ["--trace-out", args.trace_out, *extra]
+        return harness_main(["--workloads", ",".join(names), *extra])
 
     try:
         if args.trace_out is not None:
@@ -170,9 +151,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                           worker="main")
         if args.cmd == "emit":
             return _cmd_emit(args)
-        if args.cmd == "diff":
-            return _cmd_diff(args)
-        return _cmd_sweep(args)
+        return _cmd_diff(args)
     except (GenerationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -69,7 +69,7 @@ def check_program(
     """Run every differential invariant for one generated workload."""
     report = DifferentialReport(programs=1)
     workload = materialize(name)
-    scaled = max(1, int(round(workload.default_scale * scale)))
+    scaled = workload.scaled(scale)
     expected = workload.expected_output(scaled)
     source = workload.source(scaled)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.workloads.registry import Workload, register
-from repro.workloads.spec import _LCG_C, _Lcg, _i32
+from repro.workloads.spec import _LCG_C, _Lcg
 
 # ---------------------------------------------------------------------------
 # G.721 encode/decode — ADPCM predictor with quantization tables

@@ -31,6 +31,10 @@ class Workload:
             )
         return n
 
+    def scaled(self, factor: float) -> int:
+        """The integer scale at *factor* times the default (at least 1)."""
+        return max(1, int(round(self.default_scale * factor)))
+
     def source(self, scale: Optional[int] = None) -> str:
         n = self._check_scale(
             self.default_scale if scale is None else scale

@@ -24,4 +24,4 @@ def corpus_source(name: str) -> str:
     """Mini-C source of corpus program *name* at its corpus scale."""
     workload = get_workload(name)
     scale = GEN_SCALE if name.startswith("gen:") else WORKLOAD_SCALE
-    return workload.source(max(1, int(round(workload.default_scale * scale))))
+    return workload.source(workload.scaled(scale))

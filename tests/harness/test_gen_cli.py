@@ -10,6 +10,7 @@ from repro.harness.main import main, select_workloads
 from repro.workloads import gen
 from repro.workloads.gen import GenerationError
 from repro.workloads.gen.__main__ import main as gen_main
+from repro.workloads.gen.sweep import sweep_names
 from repro.workloads.registry import REGISTRY
 
 
@@ -125,34 +126,39 @@ def test_manifest_provenance_comes_from_the_rows(tmp_path, forget_gen):
     assert entries == {name: gen.provenance(name) for name in names}
 
 
+def _gen_row(out, name):
+    """The cells of *name*'s row in the ``Generated workloads`` table."""
+    generated = out[out.index("Generated workloads"):]
+    return next(line.split() for line in generated.splitlines()
+                if line.split()[:1] == [name])
+
+
 def test_sweep_cli_end_to_end_with_jobs_and_result_cache(
     tmp_path, capsys
 ):
-    cache = tmp_path / "cache"
-    md = tmp_path / "sweep.md"
     args = [
         "sweep", "--step", "50", "--scale", "0.25", "--jobs", "2",
-        "--result-cache", str(cache), "--markdown-out", str(md),
+        "--result-cache", str(tmp_path / "cache"),
     ]
-    assert gen_main(args) == 0
-    out = capsys.readouterr().out
-    assert "Synthetic-SPEC sweep" in out
-    assert "n100p0e0" in out and "geomean" in out
-    text = md.read_text()
-    assert text.startswith("### Synthetic-SPEC sweep")
-    assert "| n0p0e100 |" in text
+    # The CLI-level --trace-out goes to the harness, with its manifest.
+    assert gen_main(["--trace-out", str(tmp_path / "trace"), *args]) == 0
+    cold = capsys.readouterr().out
+    manifest = json.loads((tmp_path / "trace" / "manifest.json").read_text())
+    assert [e["name"] for e in manifest["workloads"]] == sweep_names(50)
+    assert "Generated workloads" in cold
+    assert _gen_row(cold, "gen:n100p0e0:0")[-1] == "1.00"
+    assert _gen_row(cold, "average")
 
-    # Second run is served from the result cache, rows identical.
+    # The second run is served from the result cache, rows identical.
     assert gen_main(args) == 0
-    out2 = capsys.readouterr().out
-    assert "result-cache" in out2 or md.read_text() == text
+    captured = capsys.readouterr()
+    assert "result cache: 6 hits, 0 misses" in captured.err
+    assert _without_wall_time(captured.out) == _without_wall_time(cold)
 
 
 def test_sweep_degraded_row_keeps_fingerprint_and_seed(
-    forget_gen, monkeypatch
+    forget_gen, monkeypatch, capsys
 ):
-    from repro.workloads.gen.sweep import run_sweep
-
     real = gen.plan_program
 
     def plan(fp, seed):
@@ -161,16 +167,40 @@ def test_sweep_degraded_row_keeps_fingerprint_and_seed(
         return real(fp, seed)
 
     monkeypatch.setattr(gen, "plan_program", plan)
-    result = run_sweep(step=100, scale=0.05)
-    assert result["degraded"] == ["gen:n100p0e0:0"]
-    rows = {row["fingerprint"]: row for row in result["rows"]}
-    assert rows["n100p0e0"] == {
-        "fingerprint": "n100p0e0", "seed": 0, "ach_nt": "ERROR",
-        "ach_pd": "ERROR", "ach_ec": "ERROR", "dyn_loads": "ERROR",
-        "speedup": "ERROR",
-    }
-    assert rows["n0p0e100"]["ach_ec"] > 90
-    assert "geomean" in rows
+    assert gen_main(
+        ["sweep", "--step", "100", "--scale", "0.05", "--jobs", "2"]
+    ) == 1
+    out = capsys.readouterr().out
+    assert "Degraded workloads (1/3)" in out
+    assert "gen:n100p0e0:0: ERROR [GenerationError]" in out
+    assert "ERROR" in _gen_row(out, "gen:n100p0e0:0")
+    assert float(_gen_row(out, "gen:n0p0e100:0")[7]) > 90  # D.EC%
+    assert _gen_row(out, "average")
+
+
+def test_sweep_is_the_harness_run_of_the_grid_names(capsys):
+    flags = ["--scale", "0.05", "--jobs", "2"]
+    assert gen_main(["sweep", "--step", "100", *flags]) == 0
+    swept = capsys.readouterr().out
+    assert main([
+        "--workloads", "gen:n0p0e100:0,gen:n0p100e0:0,gen:n100p0e0:0",
+        *flags,
+    ]) == 0
+    assert _without_wall_time(swept) == \
+        _without_wall_time(capsys.readouterr().out)
+    # D.PD% is the timed run's own, not the planner's default-scale
+    # probe (0.91).
+    assert _gen_row(swept, "gen:n0p0e100:0")[6] == "3.22"
+
+
+@pytest.mark.parametrize(
+    "flag", ["--workloads", "--workloads=adpcm_decode", "--suite", "--work"]
+)
+def test_sweep_rejects_a_workload_selection(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        gen_main(["sweep", "--step", "100", flag, "spec"])
+    assert exc.value.code == 2
+    assert "names its own workloads" in capsys.readouterr().err
 
 
 def test_gen_cli_emit_and_bad_name(capsys):

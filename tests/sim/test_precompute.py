@@ -26,6 +26,7 @@ Covers what the parity suites do not:
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import json
 import os
@@ -46,6 +47,8 @@ from repro.sim import precompute
 from repro.sim._pipeline_reference import reference_run
 from repro.sim.executor import execute
 from repro.sim.machine import (
+    BASELINE,
+    PROPOSED,
     CacheConfig,
     EarlyGenConfig,
     MachineConfig,
@@ -67,7 +70,6 @@ from repro.sim.precompute import (
     _NO_SRC,
     _STREAM_LIMIT,
     _decode_program,
-    _machine_key,
     get_precompute,
     simulate_many,
 )
@@ -108,7 +110,36 @@ def test_precompute_store_is_bounded(trace):
     assert len(store) <= _PRECOMPUTE_LIMIT
     # LRU: the most recent machine is still warm.
     latest = _machine_variant(_PRECOMPUTE_LIMIT + 2)
-    assert get_precompute(trace, latest) is store[_machine_key(latest)]
+    assert get_precompute(trace, latest) is \
+        store[latest.with_earlygen(BASELINE)]
+
+
+#: A value other than the default for every machine field but
+#: ``earlygen``; a new field must be added here.
+_NON_DEFAULT = dict(
+    issue_width=4, int_alus=3, mem_ports=1, fp_alus=1, branch_units=2,
+    icache=CacheConfig(size=16 * 1024), dcache=CacheConfig(block_size=32),
+    btb_entries=512, load_latency=3, mispredict_penalty=5, jump_bubble=2,
+    ras_entries=8,
+)
+
+
+def test_with_earlygen_keeps_every_other_field():
+    assert set(_NON_DEFAULT) == {
+        f.name for f in dataclasses.fields(MachineConfig)
+    } - {"earlygen"}
+    machine = MachineConfig(**_NON_DEFAULT).with_earlygen(PROPOSED)
+    assert machine == MachineConfig(**_NON_DEFAULT, earlygen=PROPOSED)
+
+
+@pytest.mark.parametrize("field", sorted(_NON_DEFAULT))
+def test_every_machine_field_keys_its_own_precompute(trace, field):
+    base = get_precompute(trace, MachineConfig())
+    variant = MachineConfig(**{field: _NON_DEFAULT[field]})
+    pre = get_precompute(trace, variant)
+    assert pre is not base
+    # The early-gen config alone does not key a precompute.
+    assert get_precompute(trace, variant.with_earlygen(PROPOSED)) is pre
 
 
 def test_stream_caches_are_bounded(trace):
@@ -307,7 +338,7 @@ def test_one_shot_run_builds_the_shared_precompute(trace):
     stats = TimingSimulator(trace, machine).run()
     uids, store = trace.program._sim_precompute
     assert uids is trace.uids
-    pre = store[_machine_key(machine)]
+    pre = store[machine.with_earlygen(BASELINE)]
     assert get_precompute(trace, machine) is pre
     # run() streams: its outcome stream is cached for later sweeps.
     assert pre._dstreams

@@ -244,6 +244,13 @@ def test_workload_scale_validation():
         workload.expected_output(-3)
 
 
+def test_workload_scaled_rounds_and_floors_at_one():
+    workload = get_workload("026.compress")
+    assert workload.scaled(1.0) == workload.default_scale
+    assert workload.scaled(0.0) == 1
+    assert workload.scaled(1.6 / workload.default_scale) == 2
+
+
 # -- differential driver ---------------------------------------------------
 
 def test_differential_check_passes():
