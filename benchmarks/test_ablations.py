@@ -31,8 +31,8 @@ def _speedup(trace, machine, earlygen, overrides=None):
 
 def _compile_run(name, **compile_kwargs):
     workload = get_workload(name)
-    scale = max(1, int(workload.default_scale * SCALE))
-    result = compile_source(workload.source(scale), **compile_kwargs)
+    result = compile_source(workload.source(workload.scaled(SCALE)),
+                            **compile_kwargs)
     trace = Executor(result.program).run().trace
     return result, trace
 
@@ -208,86 +208,3 @@ def test_ablation_1024_entry_hardware_table(benchmark):
     # load, so the 1024-entry step is flat; the compiler-directed 256
     # stays within noise of both.
     assert geo["cc_256"] >= geo["hw_1024"] - 0.03
-
-
-def test_ablation_confidence_counters_vs_compiler(benchmark):
-    """Extension study: do Gonzalez-style confidence counters on a
-    hardware-only table recover the compiler's selectivity?"""
-
-    def run():
-        machine = MachineConfig()
-        rows = []
-        for name in SUBSET:
-            _, trace = _compile_run(name)
-            rows.append(
-                {
-                    "benchmark": name,
-                    "hw_plain": _speedup(
-                        trace, machine,
-                        EarlyGenConfig(64, 0, SelectionMode.HARDWARE),
-                    ),
-                    "hw_conf2": _speedup(
-                        trace, machine,
-                        EarlyGenConfig(
-                            64, 0, SelectionMode.HARDWARE,
-                            table_confidence_bits=2,
-                        ),
-                    ),
-                    "cc_plain": _speedup(
-                        trace, machine,
-                        EarlyGenConfig(64, 0, SelectionMode.COMPILER),
-                    ),
-                }
-            )
-        geo = {
-            "benchmark": "geomean",
-            "hw_plain": _geomean([r["hw_plain"] for r in rows]),
-            "hw_conf2": _geomean([r["hw_conf2"] for r in rows]),
-            "cc_plain": _geomean([r["cc_plain"] for r in rows]),
-        }
-        rows.append(geo)
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(format_table(rows, title="Ablation — confidence counters"))
-    geo = rows[-1]
-    # confidence filtering must not tank performance...
-    assert geo["hw_conf2"] > geo["hw_plain"] - 0.03
-    # ...and the compiler's static selectivity remains competitive with
-    # the dynamic filter.
-    assert geo["cc_plain"] > geo["hw_conf2"] - 0.05
-
-
-def test_ablation_return_address_stack(benchmark):
-    """Extension study: a RAS removes return mispredicts from the
-    call-heavy interpreters, raising the baseline and trimming the
-    relative early-generation gain."""
-
-    def run():
-        rows = []
-        for name in SUBSET:
-            _, trace = _compile_run(name)
-            no_ras = MachineConfig()
-            with_ras = MachineConfig(ras_entries=16)
-            rows.append(
-                {
-                    "benchmark": name,
-                    "speedup_noras": _speedup(trace, no_ras, PROPOSED),
-                    "speedup_ras": _speedup(trace, with_ras, PROPOSED),
-                    "base_cycles_saved": (
-                        TimingSimulator(
-                            trace, no_ras.with_earlygen(BASELINE)
-                        ).run().cycles
-                        - TimingSimulator(
-                            trace, with_ras.with_earlygen(BASELINE)
-                        ).run().cycles
-                    ),
-                }
-            )
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(format_table(rows, title="Ablation — return-address stack"))
-    for row in rows:
-        assert row["base_cycles_saved"] >= 0
-        assert row["speedup_ras"] > 0.95

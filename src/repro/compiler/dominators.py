@@ -40,19 +40,3 @@ def dominators(cfg: CFG) -> Dict[int, Set[int]]:
                 changed = True
     return dom
 
-
-def immediate_dominators(cfg: CFG) -> Dict[int, int]:
-    """``idom[b]`` for every reachable block except the entry."""
-    dom = dominators(cfg)
-    idom: Dict[int, int] = {}
-    for index, dominator_set in dom.items():
-        if index == 0 or not dominator_set:
-            continue
-        strict = dominator_set - {index}
-        # The immediate dominator is the strict dominator dominated by
-        # every other strict dominator.
-        for candidate in strict:
-            if all(candidate in dom[other] for other in strict):
-                idom[index] = candidate
-                break
-    return idom

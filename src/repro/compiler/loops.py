@@ -90,10 +90,3 @@ def _natural_loop(cfg: CFG, header: int, tail: int) -> Set[int]:
                 stack.append(pred)
     return body
 
-
-def loop_blocks_of_function(cfg: CFG) -> Set[int]:
-    """Indices of all blocks inside any loop (the cyclic region)."""
-    cyclic: Set[int] = set()
-    for loop in find_loops(cfg):
-        cyclic.update(loop.blocks)
-    return cyclic

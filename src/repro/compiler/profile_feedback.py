@@ -35,9 +35,8 @@ def profile_overrides(
     Only ``ld_n`` loads whose measured prediction rate strictly exceeds
     *threshold* are flipped; everything else keeps its compiler class.
     The rates come from *predictor* (an address profile's outcomes),
-    else from *trace*'s own unbounded pass.  The returned map can be
-    passed to the timing simulator's ``spec_override`` or applied with
-    :func:`apply_overrides`.
+    else from *trace*'s own unbounded pass.  The returned map is the
+    timing simulator's ``spec_override``.
     """
     if predictor is None:
         predictor = unbounded_outcomes(trace)
@@ -51,13 +50,3 @@ def profile_overrides(
             overrides[inst.uid] = LoadSpec.P
     return overrides
 
-
-def apply_overrides(program: Program, overrides: Dict[int, LoadSpec]) -> int:
-    """Mutate the program's load specifiers; returns loads changed."""
-    changed = 0
-    for inst in program.static_loads():
-        spec = overrides.get(inst.uid)
-        if spec is not None and inst.lspec is not spec:
-            inst.lspec = spec
-            changed += 1
-    return changed

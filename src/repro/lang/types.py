@@ -181,9 +181,3 @@ def decay(t: Type) -> Type:
         return PtrType(t.elem)
     return t
 
-
-def common_arith(a: Type, b: Type) -> Type:
-    """Usual arithmetic conversions (int/char promote; double wins)."""
-    if isinstance(a, DoubleType) or isinstance(b, DoubleType):
-        return DOUBLE
-    return INT

@@ -105,9 +105,6 @@ def reference_run(sim) -> SimStats:
 
     store_q: list = []
 
-    ras: list = []
-    ras_depth = cfg.ras_entries
-
     last_iblock = -1
     iblock_shift = cfg.icache.block_size.bit_length() - 1
 
@@ -212,10 +209,9 @@ def reference_run(sim) -> SimStats:
                     # demand access below mutates the cache (the update
                     # itself never touches the cache, so this equals
                     # the access outcome).
-                    table.update(inst.addr, ea, predicted,
-                                 dcache.probe(ea))
+                    table.update(inst.addr, ea, dcache.probe(ea))
                 else:
-                    table.update(inst.addr, ea, predicted)
+                    table.update(inst.addr, ea)
 
             elif scheme == "e":
                 stats.calc_loads += 1
@@ -322,7 +318,7 @@ def reference_run(sim) -> SimStats:
                 wrong = (ptaken != taken) or (
                     taken and ptarget != target
                 )
-                btb.update(inst.addr, taken, target, wrong)
+                btb.update(inst.addr, taken, target)
                 if wrong:
                     stats.btb_mispredicts += 1
                     t_next = t + 1 + mp_penalty
@@ -330,30 +326,18 @@ def reference_run(sim) -> SimStats:
                     t_next = t + 1 if taken else t
             else:
                 target = flat[next_uid].addr if i + 1 < n else 0
-                if op is Opcode.RET and ras_depth:
-                    predicted = ras.pop() if ras else 0
-                    if predicted == target:
-                        t_next = t + 1
-                    else:
-                        stats.btb_mispredicts += 1
-                        t_next = t + 1 + mp_penalty
+                ptaken, ptarget = btb.predict(inst.addr)
+                correct = ptaken and ptarget == target
+                btb.update(inst.addr, True, target)
+                if correct:
+                    t_next = t + 1
+                elif op is Opcode.RET:
+                    stats.btb_mispredicts += 1
+                    t_next = t + 1 + mp_penalty
                 else:
-                    ptaken, ptarget = btb.predict(inst.addr)
-                    correct = ptaken and ptarget == target
-                    btb.update(inst.addr, True, target, not correct)
-                    if correct:
-                        t_next = t + 1
-                    elif op is Opcode.RET:
-                        stats.btb_mispredicts += 1
-                        t_next = t + 1 + mp_penalty
-                    else:
-                        t_next = t + 1 + j_bubble
+                    t_next = t + 1 + j_bubble
                 if op is Opcode.CALL:
                     reg_ready[63] = t + 1
-                    if ras_depth:
-                        if len(ras) >= ras_depth:
-                            ras.pop(0)
-                        ras.append(inst.addr + 4)
             if timeline is not None:
                 note = "branch"
                 if t_next > t + 1:

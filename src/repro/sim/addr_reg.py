@@ -17,7 +17,8 @@ Two variants are modeled:
 Both track *which* registers are cached, not their values: the timing
 model separately checks that the register's latest value has been
 written back by ID1 (the ``R_addr`` interlock), and the functional trace
-supplies the true effective address.
+supplies the true effective address.  Neither keeps statistics: the
+timing model counts the outcomes it charges.
 """
 
 from __future__ import annotations
@@ -28,31 +29,18 @@ from typing import Optional
 class RAddr:
     """The single compiler-directed special addressing register."""
 
-    __slots__ = ("bound", "bindings", "hits", "misses")
+    __slots__ = ("bound",)
 
     def __init__(self):
         #: Register index currently bound, or None.
         self.bound: Optional[int] = None
-        self.bindings = 0
-        self.hits = 0
-        self.misses = 0
-
-    def reset(self) -> None:
-        self.bound = None
-        self.bindings = self.hits = self.misses = 0
 
     def probe(self, base_reg: int) -> bool:
         """True if ``R_addr`` is currently bound to *base_reg*."""
-        if self.bound == base_reg:
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
+        return self.bound == base_reg
 
     def bind(self, base_reg: int) -> None:
         """Cache *base_reg*'s content (performed by every ``ld_e``)."""
-        if self.bound != base_reg:
-            self.bindings += 1
         self.bound = base_reg
 
 
@@ -66,19 +54,13 @@ class RegisterCache:
     builder of :mod:`repro.sim.precompute`.
     """
 
-    __slots__ = ("capacity", "regs", "hits", "misses")
+    __slots__ = ("capacity", "regs")
 
     def __init__(self, capacity: int):
         if capacity <= 0:
             raise ValueError("register cache capacity must be positive")
         self.capacity = capacity
         self.regs: list = []
-        self.hits = 0
-        self.misses = 0
-
-    def reset(self) -> None:
-        self.regs.clear()
-        self.hits = self.misses = 0
 
     def touch(self, reg: int) -> bool:
         """Make *reg* the most recently used entry; returns whether it
@@ -99,9 +81,7 @@ class RegisterCache:
         """True if *reg* is cached; refreshes its LRU position."""
         if reg in self.regs:
             self.touch(reg)
-            self.hits += 1
             return True
-        self.misses += 1
         return False
 
     def insert(self, reg: int) -> None:

@@ -4,7 +4,9 @@ The front end probes the BTB with the fetch address.  A hit with a
 counter in a taken state (2 or 3) predicts taken toward the stored
 target; anything else predicts fall-through.  Entries are allocated when
 a branch is taken, which is when a fall-through prediction first costs a
-redirect.
+redirect.  Returns predict through the BTB too, as in the paper's
+machine.  The BTB holds only its tag, target and counter arrays; the
+front end counts the mispredicts it charges.
 """
 
 from __future__ import annotations
@@ -13,55 +15,32 @@ from __future__ import annotations
 class BranchTargetBuffer:
     """Direct-mapped BTB with 2-bit counters."""
 
-    __slots__ = ("entries", "_index_mask", "_tag_shift", "_tags", "_targets",
-                 "_counters", "lookups", "hits", "correct", "mispredicts")
+    __slots__ = ("_index_mask", "_tag_shift", "_tags", "_targets",
+                 "_counters")
 
     def __init__(self, entries: int = 1024):
         if entries <= 0 or entries & (entries - 1):
             raise ValueError("BTB entries must be a positive power of two")
-        self.entries = entries
         self._index_mask = entries - 1
         self._tag_shift = entries.bit_length() - 1
         self._tags: list = [None] * entries
         self._targets = [0] * entries
         self._counters = [0] * entries
-        self.lookups = 0
-        self.hits = 0
-        self.correct = 0
-        self.mispredicts = 0
-
-    def reset(self) -> None:
-        self._tags = [None] * self.entries
-        self._targets = [0] * self.entries
-        self._counters = [0] * self.entries
-        self.lookups = self.hits = self.correct = self.mispredicts = 0
-
-    def _split(self, addr: int) -> tuple[int, int]:
-        word = addr >> 2
-        return word & self._index_mask, word >> self._tag_shift
 
     def predict(self, addr: int) -> tuple[bool, int]:
         """Predict ``(taken, target)`` for the branch at *addr*.
 
         A BTB miss or a counter below 2 predicts fall-through (target 0).
         """
-        self.lookups += 1
         word = addr >> 2
         index = word & self._index_mask
-        tag = word >> self._tag_shift
-        if self._tags[index] == tag:
-            self.hits += 1
+        if self._tags[index] == word >> self._tag_shift:
             if self._counters[index] >= 2:
                 return True, self._targets[index]
         return False, 0
 
-    def update(self, addr: int, taken: bool, target: int,
-               mispredicted: bool) -> None:
+    def update(self, addr: int, taken: bool, target: int) -> None:
         """Train the entry after the branch resolves."""
-        if mispredicted:
-            self.mispredicts += 1
-        else:
-            self.correct += 1
         word = addr >> 2
         index = word & self._index_mask
         tag = word >> self._tag_shift
@@ -76,8 +55,3 @@ class BranchTargetBuffer:
             self._tags[index] = tag
             self._targets[index] = target
             self._counters[index] = 2  # weakly taken on allocation
-
-    @property
-    def accuracy(self) -> float:
-        resolved = self.correct + self.mispredicts
-        return self.correct / resolved if resolved else 0.0

@@ -5,8 +5,10 @@ cache is write-through with no write-allocate: stores update memory
 through a write buffer and never stall the pipeline, and store misses do
 not allocate a block.
 
-Counter semantics — a contract relied on by the stream-precompute fast
-path (:mod:`repro.sim.precompute`), which rebuilds these counters from
+The ``hits`` / ``misses`` counters are the seed oracle's d-cache
+statistics (:mod:`repro.sim._pipeline_reference`).  Counter semantics —
+a contract relied on by the stream-precompute fast path
+(:mod:`repro.sim.precompute`), which rebuilds these counters from
 totals instead of replaying the tag array, and pinned by
 ``tests/sim/test_counter_semantics.py``:
 
@@ -37,15 +39,6 @@ class DirectMappedCache:
         self._tags: list = [None] * config.num_blocks
         self.hits = 0
         self.misses = 0
-
-    def reset(self) -> None:
-        self._tags = [None] * self.config.num_blocks
-        self.hits = 0
-        self.misses = 0
-
-    def _split(self, addr: int) -> tuple[int, int]:
-        block = addr >> self._block_shift
-        return block & self._index_mask, block >> self._tag_shift
 
     def probe(self, addr: int) -> bool:
         """Non-allocating lookup; does not count in hit/miss statistics."""

@@ -85,9 +85,6 @@ class EarlyGenConfig:
     table_entries: int = 0
     cached_regs: int = 0
     selection: SelectionMode = SelectionMode.COMPILER
-    #: Extension (Gonzalez-style): saturating confidence counters on the
-    #: prediction table; 0 reproduces the paper's design.
-    table_confidence_bits: int = 0
     #: Speculation backend filling the prediction path: a name from
     #: :data:`repro.sim.predictors.BACKENDS`.  ``"stride"`` is the
     #: paper's Fig. 3 table; ``"perceptron"`` and ``"cache-level"``
@@ -99,16 +96,10 @@ class EarlyGenConfig:
             raise ValueError("negative hardware sizes")
         if self.table_entries and self.table_entries & (self.table_entries - 1):
             raise ValueError("table_entries must be a power of two")
-        if not 0 <= self.table_confidence_bits <= 8:
-            raise ValueError("table_confidence_bits must be in [0, 8]")
         if self.predictor not in BACKENDS:
             raise ValueError(
                 f"unknown predictor backend {self.predictor!r} "
                 f"(known: {', '.join(sorted(BACKENDS))})")
-        if self.predictor != "stride" and self.table_confidence_bits:
-            raise ValueError(
-                f"the {self.predictor} backend carries its own dispatch "
-                "gate; table_confidence_bits must be 0")
 
     @property
     def enabled(self) -> bool:
@@ -142,11 +133,9 @@ class MachineConfig:
     #: from IF to EXE of the 6-stage pipeline).
     mispredict_penalty: int = 3
     #: Fetch bubble for an unconditional direct jump/call missing the BTB
-    #: (target becomes known at decode).
+    #: (target becomes known at decode).  Returns predict through the
+    #: BTB, as in the paper's machine.
     jump_bubble: int = 1
-    #: Extension: return-address-stack depth (0 = paper's BTB-predicted
-    #: returns).  Era-appropriate (the PA-8000 shipped one in 1996).
-    ras_entries: int = 0
     earlygen: EarlyGenConfig = field(default_factory=lambda: BASELINE)
 
     def load_latencies(self) -> tuple:

@@ -42,7 +42,7 @@ formulas, and the mis-speculation penalty is only the wasted cache port
 
 This module holds the timing conventions above, :class:`TimingSimulator`
 and the :func:`simulate` / :func:`speedup` entry points.  Everything the
-trace fixes — the decoded records, the front end (i-cache, BTB, RAS)
+trace fixes — the decoded records, the front end (i-cache, BTB)
 and the demand D-cache stream — is built in one pass by
 :class:`~repro.sim.precompute.TracePrecompute`, and the timing loop
 itself, shared by :meth:`TimingSimulator.run` and config sweeps, lives

@@ -28,11 +28,11 @@ order:
 * **Predictor outcomes** — the backend is probed and updated
   unconditionally for every load routed to the prediction path, so the
   outcome stream depends only on the backend's canonical
-  ``predictor_key`` (backend name, capacity, confidence) and
+  ``predictor_key`` (backend name, capacity) and
   on *which* loads are routed there (the routing mask), never on
   ports, latencies, or the calc path.  A PC that is probed at every
-  instance and owns its entry of a per-entry table (``stride`` without
-  confidence bits) gets the outcomes of the trace's one unbounded
+  instance and owns its entry of a per-entry table (``stride``) gets
+  the outcomes of the trace's one unbounded
   Figure 3 pass, the pass the address profiler reads; only the other
   probed loads replay the backend.  Backends that train on demand
   d-cache outcomes additionally see the patched demand-hit stream.
@@ -319,11 +319,10 @@ class TracePrecompute:
     * the scheduler records ``(kind, fetch_penalty, src1, src2, src3,
       dest, extra)``, one per dynamic instruction, with the front-end
       outcomes baked in: the i-cache fetch stall, and for a branch the
-      redirect cycles of the BTB (and, with ``ras_entries``, the
-      return-address stack).  They are interned by content and kept
-      per distinct segment (``seg_records``, below), not per
+      redirect cycles of the BTB.  They are interned by content and
+      kept per distinct segment (``seg_records``, below), not per
       instruction.  ``imiss_total`` / ``misp_total`` count the i-cache
-      misses and BTB/RAS mispredicts.
+      misses and BTB mispredicts.
     * ``demand`` — the d-cache stream without speculation, the
       :meth:`dstream` of every config that probes no predictor: one
       demand access per load (code bit 0 = hit) and a store-miss count
@@ -400,7 +399,7 @@ class TracePrecompute:
         self.n = n
 
         # The front end: a fetch stall per i-cache miss, and per branch
-        # the cycles to the next issue (BTB/RAS, as in the seed model).
+        # the cycles to the next issue (BTB, as in the seed model).
         i_miss = cfg.icache.miss_penalty
         mp1 = 1 + cfg.mispredict_penalty
         jb1 = 1 + cfg.jump_bubble
@@ -410,8 +409,6 @@ class TracePrecompute:
         btb = BranchTargetBuffer(cfg.btb_entries)
         btb_predict = btb.predict
         btb_update = btb.update
-        ras: list = []
-        ras_depth = cfg.ras_entries
 
         # The demand d-cache without speculation, its tag array driven
         # inline: loads access and fill, stores count and never fill.
@@ -474,7 +471,7 @@ class TracePrecompute:
                     target = dec[next_uid][8] if taken else 0
                     ptaken, ptarget = btb_predict(addr)
                     wrong = (ptaken != taken) or (taken and ptarget != target)
-                    btb_update(addr, taken, target, wrong)
+                    btb_update(addr, taken, target)
                     if wrong:
                         misp_total += 1
                         x = mp1
@@ -483,29 +480,16 @@ class TracePrecompute:
                 else:
                     # JMP/CALL/RET: always taken.
                     target = dec[next_uid][8] if i < last else 0
-                    if k == _K_RET and ras_depth:
-                        predicted = ras.pop() if ras else 0
-                        if predicted == target:
-                            x = 1
-                        else:
-                            misp_total += 1
-                            x = mp1
+                    ptaken, ptarget = btb_predict(addr)
+                    btb_update(addr, True, target)
+                    if ptaken and ptarget == target:
+                        x = 1
+                    elif k == _K_RET:
+                        misp_total += 1
+                        x = mp1
                     else:
-                        ptaken, ptarget = btb_predict(addr)
-                        correct = ptaken and ptarget == target
-                        btb_update(addr, True, target, not correct)
-                        if correct:
-                            x = 1
-                        elif k == _K_RET:
-                            misp_total += 1
-                            x = mp1
-                        else:
-                            # Direct target, known at decode: short bubble.
-                            x = jb1
-                    if k == _K_CALL and ras_depth:
-                        if len(ras) >= ras_depth:
-                            ras.pop(0)
-                        ras.append(addr + 4)
+                        # Direct target, known at decode: short bubble.
+                        x = jb1
                 # A segment ends at a taken branch back, or at its
                 # first branch once it holds _SEGMENT_CAP records.
                 if i < last and (i >= r_cap or x and next_uid <= uid):
@@ -768,8 +752,8 @@ class TracePrecompute:
         A PC probed at every instance that is alone on its table entry
         sees that entry exactly as the trace's unbounded Figure 3 pass
         does, so its codes are copied from the pass.  That holds for a
-        backend whose state is per entry (``stride`` without confidence
-        bits); every other probed load drives *table*, in trace order.
+        backend whose state is per entry (``stride``); every other
+        probed load drives *table*, in trace order.
         """
         out = self.unbounded
         counts = self._probed_counts(probed)
@@ -777,7 +761,7 @@ class TracePrecompute:
         n = self.n_loads
         # walk: 1 for a load to replay, 2 for a copied wrong prediction.
         walk = probed.translate(_ONE_TAB)
-        if eg.predictor == "stride" and not eg.table_confidence_bits:
+        if eg.predictor == "stride":
             mask = eg.table_entries - 1
             owners = Counter(flat[u].addr >> 2 & mask for u in counts)
             copied = bytes([
@@ -829,8 +813,7 @@ class TracePrecompute:
                 fill(li, predicted)
             # A demand-trained backend reads this load's demand access,
             # after every fill before it and its own.
-            update(pc, ea, predicted,
-                   bool(dcodes[li] & 1) if tb_demand else None)
+            update(pc, ea, bool(dcodes[li] & 1) if tb_demand else None)
         return bytes(pred), wrong_at, wrong_pa
 
     def estream(self, eg: EarlyGenConfig, route: bytes) -> bytes:

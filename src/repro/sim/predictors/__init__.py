@@ -44,8 +44,8 @@ __all__ = [
     "predictor_key",
 ]
 
-#: Backend name -> class.  Only ``stride`` takes confidence bits; the
-#: other two carry their own dispatch gate over a confidence-free table.
+#: Backend name -> class.  The other two carry their own dispatch gate
+#: over a ``stride`` table.
 BACKENDS: Dict[str, Type[Predictor]] = {
     cls.name: cls
     for cls in (AddressPredictionTable, PerceptronPredictor,
@@ -63,13 +63,10 @@ def create(eg) -> Optional[Predictor]:
 
     Returns ``None`` when the prediction path is disabled
     (``table_entries == 0``).  ``EarlyGenConfig`` has already rejected
-    unknown names and confidence bits on the gated backends.
+    unknown names.
     """
     if not eg.table_entries:
         return None
-    if eg.predictor == "stride":
-        return AddressPredictionTable(eg.table_entries,
-                                      eg.table_confidence_bits)
     return BACKENDS[eg.predictor](eg.table_entries)
 
 
@@ -82,4 +79,4 @@ def predictor_key(eg) -> tuple:
     """
     if not eg.table_entries:
         return ("none",)
-    return (eg.predictor, eg.table_entries, eg.table_confidence_bits)
+    return (eg.predictor, eg.table_entries)

@@ -2,7 +2,7 @@
 
 Every speculation backend — the paper's Fig. 3 stride table, the
 Hermes-style perceptron, the Jalili–Erez cache-level predictor — sits
-behind the same three-method surface so the timing pipeline and the
+behind the same two-method surface so the timing pipeline and the
 stream-precompute fast path never special-case a backend beyond its
 name:
 
@@ -14,17 +14,15 @@ name:
   :attr:`Predictor.trains_on_demand` set additionally receive
   ``demand_hit`` — whether the load's *demand* access hits the d-cache —
   as a training signal.
-* :meth:`Predictor.reset` — back to the power-on state.
 
-Contract (pinned per backend by ``tests/sim/test_counter_semantics.py``
-and relied on by :mod:`repro.sim.precompute`):
-
-* every probe counts exactly one probe and at most one of
-  prediction/suppressed;
-* update is unconditional per routed load and evolves internal state
-  identically whether or not the prediction was dispatched;
-* the probe/update pair depends only on the (PC, address[, demand-hit])
-  sequence of routed loads, never on cycle timing.
+A backend holds only the state its transitions need; the statistics
+come from the caller's own counters.  The contract, pinned per backend
+by ``tests/sim/test_counter_semantics.py`` and relied on by
+:mod:`repro.sim.precompute`, is that the sequence of probe results
+depends only on the (PC, address[, demand-hit]) sequence of routed
+loads, each probed then updated: :meth:`Predictor.update` takes nothing
+else, so whether a prediction was dispatched, and when, cannot reach
+the backend's state.
 
 The backends are fixed: :mod:`repro.sim.predictors` maps each name to
 its class in one table.
@@ -53,10 +51,6 @@ class Predictor(ABC):
         """The predicted effective address for *pc*, or ``None``."""
 
     @abstractmethod
-    def update(self, pc: int, ca: int, predicted: Optional[int] = None,
+    def update(self, pc: int, ca: int,
                demand_hit: Optional[bool] = None) -> None:
         """Train with the computed address *ca* (and demand outcome)."""
-
-    @abstractmethod
-    def reset(self) -> None:
-        """Return to the power-on state (counters included)."""

@@ -8,19 +8,19 @@ miss dominates) while still occupying a memory port that a neighbouring
 load could have used.  This backend therefore:
 
 * generates candidate addresses with unchanged Fig. 3 stride hardware
-  (an internal confidence-free
-  :class:`~repro.sim.predictors.stride.AddressPredictionTable`);
+  (an internal
+  :class:`~repro.sim.predictors.stride.AddressPredictionTable`, whose
+  :meth:`~repro.sim.predictors.stride.AddressPredictionTable.lookup`
+  gives the entry index and whether an update takes the Replace arc);
 * keeps one n-bit saturating *level counter* per table entry that
   predicts "the d-cache serves this load".  A probe dispatches the
   candidate only when the counter is above its midpoint; otherwise the
-  prediction is withheld (counted in ``suppressed``) and the port is
-  saved for demand traffic;
+  prediction is withheld and the port is saved for demand traffic;
 * trains the counter on the *demand* outcome of every routed load
   (``trains_on_demand``): increment when the demand access hit the
   d-cache, decrement when it missed.  A reallocated entry resets its
-  counter to the optimistic midpoint + 1, mirroring the stride
-  confidence boundary semantics (cold entries dispatch until proven
-  miss-prone).
+  counter to the optimistic midpoint + 1, so cold entries dispatch
+  until proven miss-prone.
 
 Because training consumes the demand-hit stream, the backend's state
 depends on the d-cache contents — which the precompute layer already
@@ -56,44 +56,22 @@ class CacheLevelPredictor(Predictor):
     name = "cache-level"
     trains_on_demand = True
 
-    __slots__ = ("entries", "_table", "_level", "probes", "tag_hits",
-                 "predictions", "correct", "suppressed")
+    __slots__ = ("_table", "_level")
 
     def __init__(self, entries: int):
-        self.entries = entries
-        self._table = AddressPredictionTable(entries, 0)
-        self.reset()
-
-    def reset(self) -> None:
-        self._table.reset()
-        self._level = [_LEVEL_INIT] * self.entries
-        self.probes = 0
-        self.tag_hits = 0
-        self.predictions = 0
-        self.correct = 0
-        #: Candidates withheld by a predicted-miss level counter.
-        self.suppressed = 0
+        self._table = AddressPredictionTable(entries)
+        self._level = [_LEVEL_INIT] * entries
 
     # -- protocol ----------------------------------------------------------
 
     def probe(self, pc: int) -> Optional[int]:
         """The stride candidate, unless the load is predicted to miss."""
-        self.probes += 1
-        index, tag = self._table._split(pc)
-        entry = self._table._table[index]
-        if entry is None or entry.tag != tag:
+        index, entry = self._table.lookup(pc)
+        if entry is None or self._level[index] <= _LEVEL_MID:
             return None
-        self.tag_hits += 1
-        candidate = entry.predict()
-        if candidate is None:
-            return None
-        if self._level[index] <= _LEVEL_MID:
-            self.suppressed += 1
-            return None
-        self.predictions += 1
-        return candidate
+        return entry.predict()
 
-    def update(self, pc: int, ca: int, predicted: Optional[int] = None,
+    def update(self, pc: int, ca: int,
                demand_hit: Optional[bool] = None) -> None:
         """Advance the stride engine and train the level counter.
 
@@ -101,13 +79,9 @@ class CacheLevelPredictor(Predictor):
         the caller cannot supply it (``None``) the counter is left
         untouched, which keeps update unconditional and deterministic.
         """
-        if predicted is not None and predicted == ca:
-            self.correct += 1
-        index, tag = self._table._split(pc)
-        entry = self._table._table[index]
-        realloc = entry is None or entry.tag != tag
+        index, entry = self._table.lookup(pc)
         self._table.update(pc, ca)
-        if realloc:
+        if entry is None:
             self._level[index] = _LEVEL_INIT
         elif demand_hit is not None:
             if demand_hit:

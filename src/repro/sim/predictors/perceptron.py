@@ -4,16 +4,14 @@ Hermes (Bera et al., PAPERS.md) predicts whether a load goes off-chip
 with a multi-feature hashed perceptron and uses the prediction to start
 the slow path early.  Transplanted to this machine's question — *should
 the speculative access for this load dispatch at all?* — the perceptron
-becomes a learned replacement for the stride table's saturating
-confidence counter:
+becomes a learned dispatch gate in front of the stride table:
 
 * address generation is unchanged Fig. 3 stride hardware (an internal
-  :class:`~repro.sim.predictors.stride.AddressPredictionTable` with no
-  confidence bits supplies the candidate address);
+  :class:`~repro.sim.predictors.stride.AddressPredictionTable` supplies
+  the candidate address);
 * a hashed-PC weight row dotted with a global history register of
   recent *prediction outcomes* decides whether the candidate is
-  trusted.  ``sum >= 0`` dispatches; ``sum < 0`` suppresses (counted in
-  ``suppressed``, like the stride counter extension);
+  trusted.  ``sum >= 0`` dispatches; ``sum < 0`` withholds it;
 * training follows the standard perceptron rule (Jiménez & Lin): on
   every routed load whose entry produced a candidate, if the sign
   disagrees with the observed outcome or ``|sum| <= THETA``, each
@@ -61,33 +59,14 @@ class PerceptronPredictor(Predictor):
     name = "perceptron"
     trains_on_demand = False
 
-    __slots__ = ("_table", "_weights", "_history", "probes", "tag_hits",
-                 "predictions", "correct", "suppressed")
+    __slots__ = ("_table", "_weights", "_history")
 
     def __init__(self, entries: int):
-        self._table = AddressPredictionTable(entries, 0)
-        self.reset()
-
-    def reset(self) -> None:
-        self._table.reset()
+        self._table = AddressPredictionTable(entries)
         self._weights = [[0] * (HISTORY + 1) for _ in range(WEIGHT_ROWS)]
         self._history = 0
-        self.probes = 0
-        self.tag_hits = 0
-        self.predictions = 0
-        self.correct = 0
-        #: Candidates withheld by a negative perceptron sum.
-        self.suppressed = 0
 
     # -- internals ---------------------------------------------------------
-
-    def _peek(self, pc: int):
-        """(candidate, tag_hit) from the stride engine, no counters."""
-        index, tag = self._table._split(pc)
-        entry = self._table._table[index]
-        if entry is None or entry.tag != tag:
-            return None, False
-        return entry.predict(), True
 
     def _dot(self, pc: int):
         """(row index, perceptron sum) for *pc* and the current history."""
@@ -108,21 +87,12 @@ class PerceptronPredictor(Predictor):
 
     def probe(self, pc: int) -> Optional[int]:
         """The stride candidate, gated by the perceptron sign."""
-        self.probes += 1
-        candidate, hit = self._peek(pc)
-        if not hit:
+        candidate = self._table.probe(pc)
+        if candidate is None or self._dot(pc)[1] < 0:
             return None
-        self.tag_hits += 1
-        if candidate is None:
-            return None
-        _, total = self._dot(pc)
-        if total < 0:
-            self.suppressed += 1
-            return None
-        self.predictions += 1
         return candidate
 
-    def update(self, pc: int, ca: int, predicted: Optional[int] = None,
+    def update(self, pc: int, ca: int,
                demand_hit: Optional[bool] = None) -> None:
         """Train the perceptron and advance the stride engine.
 
@@ -131,10 +101,8 @@ class PerceptronPredictor(Predictor):
         pair stays well-defined even under adversarial call orders.
         ``demand_hit`` is accepted for uniformity and ignored.
         """
-        if predicted is not None and predicted == ca:
-            self.correct += 1
-        candidate, hit = self._peek(pc)
-        if hit and candidate is not None:
+        candidate = self._table.probe(pc)
+        if candidate is not None:
             taken = candidate == ca
             row, total = self._dot(pc)
             if (total >= 0) != taken or abs(total) <= THETA:

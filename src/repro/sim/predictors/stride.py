@@ -25,17 +25,16 @@ in the learning state PA holds the previous address, not a prediction,
 and the hardware makes no prediction — exactly as "if the table access
 is a miss, no prediction will be made" covers the cold case.
 
-Counter semantics — a contract relied on by the stream-precompute fast
-path (:mod:`repro.sim.precompute`), which replays the table state
-machine outside the timing loop, and pinned by
+Contract — relied on by the stream-precompute fast path
+(:mod:`repro.sim.precompute`), which replays the table state machine
+outside the timing loop, and pinned by
 ``tests/sim/test_counter_semantics.py``:
 
-* every :meth:`AddressPredictionTable.probe` counts exactly one probe,
-  at most one tag hit, and at most one of prediction/suppressed;
+* :meth:`AddressPredictionTable.probe` only reads the table;
 * :meth:`AddressPredictionTable.update` is unconditional per routed
-  load — it counts ``correct`` only for a paired probe that predicted,
-  and the table state evolves identically whether or not the prediction
-  was dispatched (dispatch is a port question, not a table question);
+  load, so the table state evolves identically whether or not the
+  prediction was dispatched (dispatch is a port question, not a table
+  question);
 * the probe/update pair per routed load depends only on the PC/address
   sequence of routed loads, never on cycle timing.
 """
@@ -44,7 +43,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import compress
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.sim.predictors.base import Predictor
 
@@ -98,129 +97,71 @@ class AddressPredictionTable(Predictor):
     """Direct-mapped, PC-indexed table of :class:`TableEntry`.
 
     This is the reference backend (``name="stride"``) — the paper's
-    own design.
-
-    ``confidence_bits`` is an *extension* beyond the paper: Gonzalez and
-    Gonzalez [5] add saturating counters "to prevent predictions for
-    unpredictable loads after repeated incorrect predictions".  With
-    ``confidence_bits=0`` (the paper's design) every functioning entry
-    predicts; with ``confidence_bits=n`` an entry also needs its n-bit
-    counter *above* the midpoint.
-
-    Confidence boundary semantics (deliberate, pinned by
-    ``tests/sim/test_counter_semantics.py`` boundary tests):
-
-    * the counter saturates in ``[0, 2**n - 1]``; a probe is suppressed
-      when it is at or below the midpoint ``(2**n - 1) // 2``;
-    * a freshly (re)allocated entry starts at *midpoint + 1* — weakly
-      trusted — so a cold entry predicts immediately, matching the
-      paper's counter-free table, and only repeated mispredictions can
-      silence it;
-    * at ``confidence_bits=1`` init therefore equals the maximum (1):
-      a fresh entry is never suppressed until its first miss, and a
-      single verified prediction re-arms it.  The asymmetry (init above
-      the suppression threshold) is the intended semantics, not an
-      off-by-one;
-    * the counter trains on the *would-be* prediction of a functioning
-      entry, whether or not it was dispatched: increment on
-      ``PA == CA`` (below max), decrement otherwise (above 0).
+    own design: every functioning entry predicts.
     """
 
     name = "stride"
     trains_on_demand = False
 
-    __slots__ = ("entries", "confidence_bits", "_conf_max", "_conf_init",
-                 "_index_mask", "_index_bits", "_table", "_conf",
-                 "probes", "tag_hits", "predictions", "correct",
-                 "suppressed")
+    __slots__ = ("_index_mask", "_index_bits", "_table")
 
-    def __init__(self, entries: int, confidence_bits: int = 0):
+    def __init__(self, entries: int):
         if entries <= 0 or entries & (entries - 1):
             raise ValueError("table entries must be a positive power of two")
-        if confidence_bits < 0 or confidence_bits > 8:
-            raise ValueError("confidence_bits must be in [0, 8]")
-        self.entries = entries
-        self.confidence_bits = confidence_bits
-        self._conf_max = (1 << confidence_bits) - 1
-        self._conf_init = self._conf_max // 2 + 1 if confidence_bits else 0
         self._index_mask = entries - 1
         self._index_bits = entries.bit_length() - 1
         self._table: list = [None] * entries
-        self._conf = [0] * entries
-        self.probes = 0
-        self.tag_hits = 0
-        self.predictions = 0
-        self.correct = 0
-        #: Predictions withheld by a low confidence counter.
-        self.suppressed = 0
 
-    def reset(self) -> None:
-        self._table = [None] * self.entries
-        self._conf = [0] * self.entries
-        self.probes = self.tag_hits = self.predictions = self.correct = 0
-        self.suppressed = 0
+    def _split(self, pc: int) -> Tuple[int, int]:
+        """``(index, tag)`` of *pc* — the ONLY split in the class.
 
-    def _split(self, pc: int) -> tuple[int, int]:
-        """The (index, tag) pair for *pc* — the ONLY split in the class.
-
-        Probe and update both route through this helper so the two
-        stages can never disagree on which entry a PC maps to (they once
-        each re-inlined the shift/mask and could drift independently).
+        Probe and update both route through this method, so the two
+        stages can never disagree on which entry a PC maps to or which
+        tag it carries.
         """
         word = pc >> 2
         return word & self._index_mask, word >> self._index_bits
 
-    def probe(self, pc: int) -> Optional[int]:
-        """ID1-stage probe: the predicted address, or None.
+    def lookup(self, pc: int) -> Tuple[int, Optional[TableEntry]]:
+        """``(index, entry)`` for *pc*.
 
-        None means a table miss, a learning-state entry, or (with the
-        confidence extension) a distrusted entry; in all three cases no
-        speculative access is dispatched for this load.
+        *entry* is the resident :class:`TableEntry` when its tag matches
+        *pc*, else ``None``: a miss, on which :meth:`update` takes the
+        Replace arc.  The gated backends read their per-entry state by
+        the same index.
         """
-        self.probes += 1
         index, tag = self._split(pc)
         entry = self._table[index]
         if entry is None or entry.tag != tag:
-            return None
-        self.tag_hits += 1
-        prediction = entry.predict()
-        if prediction is None:
-            return None
-        if self.confidence_bits and self._conf[index] <= self._conf_max // 2:
-            self.suppressed += 1
-            return None
-        self.predictions += 1
-        return prediction
+            return index, None
+        return index, entry
 
-    def update(self, pc: int, ca: int, predicted: Optional[int] = None,
+    def probe(self, pc: int) -> Optional[int]:
+        """ID1-stage probe: the predicted address, or None.
+
+        None means a table miss or a learning-state entry; in both
+        cases no speculative access is dispatched for this load.
+        """
+        entry = self.lookup(pc)[1]
+        return None if entry is None else entry.predict()
+
+    def update(self, pc: int, ca: int,
                demand_hit: Optional[bool] = None) -> None:
         """MEM-stage update with the computed address *ca*.
 
-        Allocates (Replace arc) on a miss.  ``predicted`` is the value
-        returned by the paired :meth:`probe`, used only for statistics.
-        ``demand_hit`` is accepted for protocol uniformity and ignored
-        (the stride table trains on addresses, not cache outcomes).
+        Allocates (Replace arc) on a miss.  ``demand_hit`` is accepted
+        for protocol uniformity and ignored (the stride table trains on
+        addresses, not cache outcomes).
         """
-        if predicted is not None and predicted == ca:
-            self.correct += 1
         index, tag = self._split(pc)
-        entry = self._table[index]
-        if entry is None:
+        resident = self._table[index]
+        if resident is not None and resident.tag == tag:
+            resident.update(ca)
+            return
+        if resident is None:
             self._table[index] = TableEntry(tag, ca)
-            self._conf[index] = self._conf_init
-        elif entry.tag != tag:
-            entry.allocate(tag, ca)
-            self._conf[index] = self._conf_init
         else:
-            if self.confidence_bits and entry.state == FUNCTIONING:
-                # Train the counter on the would-be prediction, whether
-                # or not it was dispatched.
-                if entry.pa == ca:
-                    if self._conf[index] < self._conf_max:
-                        self._conf[index] += 1
-                elif self._conf[index] > 0:
-                    self._conf[index] -= 1
-            entry.update(ca)
+            resident.allocate(tag, ca)
 
 
 class UnboundedOutcomes:

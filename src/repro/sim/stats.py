@@ -49,12 +49,6 @@ class SimStats:
     def ipc(self) -> float:
         return self.instructions / self.cycles if self.cycles else 0.0
 
-    def speedup_over(self, baseline: "SimStats") -> float:
-        """Baseline cycles divided by this run's cycles."""
-        if self.cycles == 0:
-            raise ValueError("no cycles simulated")
-        return baseline.cycles / self.cycles
-
     def summary(self) -> str:
         lines = [
             f"cycles             {self.cycles}",

@@ -1,7 +1,7 @@
 """Dominator and natural-loop analysis tests."""
 
 from repro.compiler.cfg import CFG
-from repro.compiler.dominators import dominators, immediate_dominators
+from repro.compiler.dominators import dominators
 from repro.compiler.loops import find_loops
 from repro.isa import Function, Imm, Instruction, Label, Opcode, Reg
 
@@ -47,13 +47,6 @@ def test_diamond_join_not_dominated_by_arms():
     arm_t = cfg.label_block["t"]
     assert arm_t not in dom[join]
     assert dom[join] == {0, join}
-
-
-def test_immediate_dominators():
-    cfg = diamond_cfg()
-    idom = immediate_dominators(cfg)
-    join = cfg.label_block["e"]
-    assert idom[join] == 0
 
 
 def nested_loop_func():

@@ -1,10 +1,7 @@
 """Section 4.3 profile-guided reclassification tests."""
 
 from repro.compiler.driver import compile_source
-from repro.compiler.profile_feedback import (
-    apply_overrides,
-    profile_overrides,
-)
+from repro.compiler.profile_feedback import profile_overrides
 from repro.isa.opcodes import LoadSpec
 from repro.profiling import profile_trace
 from repro.sim._pipeline_reference import reference_run
@@ -106,17 +103,6 @@ def test_threshold_respected():
     lax = profile_overrides(result.program, trace, threshold=0.0)
     assert len(strict) <= len(profile_overrides(result.program, trace))
     assert len(lax) >= len(strict)
-
-
-def test_apply_overrides_mutates():
-    result, trace = compiled_and_traced(PREDICTABLE_NT)
-    overrides = profile_overrides(result.program, trace)
-    changed = apply_overrides(result.program, overrides)
-    assert changed == len(overrides)
-    for uid, spec in overrides.items():
-        assert result.program.flat[uid].lspec is spec
-    # idempotent
-    assert apply_overrides(result.program, overrides) == 0
 
 
 def test_profile_trace_counts_every_dynamic_load():

@@ -11,7 +11,6 @@ from repro.lang.types import (
     FuncType,
     PtrType,
     StructType,
-    common_arith,
     decay,
 )
 
@@ -84,13 +83,6 @@ def test_decay():
     assert decay(ArrayType(INT, 4)) == PtrType(INT)
     assert decay(INT) == INT
     assert decay(PtrType(INT)) == PtrType(INT)
-
-
-def test_common_arith():
-    assert common_arith(INT, INT) == INT
-    assert common_arith(CHAR, INT) == INT
-    assert common_arith(INT, DOUBLE) == DOUBLE
-    assert common_arith(DOUBLE, DOUBLE) == DOUBLE
 
 
 def test_func_type():

@@ -27,20 +27,6 @@ class TestRAddr:
         assert r.probe(6)
         assert not r.probe(5)
 
-    def test_binding_count(self):
-        r = RAddr()
-        r.bind(5)
-        r.bind(5)  # same register: not a switch
-        r.bind(7)
-        assert r.bindings == 2
-
-    def test_reset(self):
-        r = RAddr()
-        r.bind(5)
-        r.reset()
-        assert r.bound is None
-        assert not r.probe(5)
-
 
 class TestRegisterCache:
     def test_capacity_positive(self):
@@ -84,10 +70,3 @@ class TestRegisterCache:
         for r in (1, 2, 3):
             c.insert(r)
         assert len(c) == 3
-
-    def test_hit_miss_counters(self):
-        c = RegisterCache(2)
-        c.insert(1)
-        c.probe(1)
-        c.probe(9)
-        assert (c.hits, c.misses) == (1, 1)

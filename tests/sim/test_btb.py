@@ -17,25 +17,25 @@ def test_cold_predicts_not_taken():
 
 def test_allocation_on_taken():
     btb = BranchTargetBuffer(64)
-    btb.update(0x1000, True, 0x2000, mispredicted=True)
+    btb.update(0x1000, True, 0x2000)
     taken, target = btb.predict(0x1000)
     assert taken and target == 0x2000
 
 
 def test_not_taken_branches_not_allocated():
     btb = BranchTargetBuffer(64)
-    btb.update(0x1000, False, 0, mispredicted=False)
+    btb.update(0x1000, False, 0)
     assert btb.predict(0x1000) == (False, 0)
 
 
 def test_two_bit_hysteresis():
     btb = BranchTargetBuffer(64)
     pc = 0x1000
-    btb.update(pc, True, 0x2000, True)  # allocate, counter=2
-    btb.update(pc, True, 0x2000, False)  # counter=3
-    btb.update(pc, False, 0, False)  # counter=2: still predicts taken
+    btb.update(pc, True, 0x2000)  # allocate, counter=2
+    btb.update(pc, True, 0x2000)  # counter=3
+    btb.update(pc, False, 0)  # counter=2: still predicts taken
     assert btb.predict(pc)[0]
-    btb.update(pc, False, 0, False)  # counter=1
+    btb.update(pc, False, 0)  # counter=1
     assert not btb.predict(pc)[0]
 
 
@@ -43,17 +43,17 @@ def test_counter_saturation():
     btb = BranchTargetBuffer(64)
     pc = 0x1000
     for _ in range(10):
-        btb.update(pc, True, 0x2000, False)
+        btb.update(pc, True, 0x2000)
     # one not-taken cannot flip a saturated counter
-    btb.update(pc, False, 0, False)
+    btb.update(pc, False, 0)
     assert btb.predict(pc)[0]
 
 
 def test_target_update():
     btb = BranchTargetBuffer(64)
     pc = 0x1000
-    btb.update(pc, True, 0x2000, True)
-    btb.update(pc, True, 0x3000, True)  # indirect branch changed target
+    btb.update(pc, True, 0x2000)
+    btb.update(pc, True, 0x3000)  # indirect branch changed target
     assert btb.predict(pc)[1] == 0x3000
 
 
@@ -61,18 +61,10 @@ def test_index_conflict():
     btb = BranchTargetBuffer(64)
     a = 0x1000
     b = 0x1000 + 64 * 4  # same index, different tag
-    btb.update(a, True, 0x2000, True)
-    btb.update(b, True, 0x4000, True)
+    btb.update(a, True, 0x2000)
+    btb.update(b, True, 0x4000)
     assert btb.predict(b) == (True, 0x4000)
     assert btb.predict(a) == (False, 0)  # evicted
-
-
-def test_accuracy_counter():
-    btb = BranchTargetBuffer(64)
-    btb.update(0x10, True, 0x20, True)
-    btb.update(0x10, True, 0x20, False)
-    assert btb.accuracy == 0.5
-    assert btb.mispredicts == 1
 
 
 def test_loop_branch_converges():
@@ -86,5 +78,5 @@ def test_loop_branch_converges():
         wrong = ptaken != taken or (taken and ptarget != 0x6000)
         if wrong:
             mispredicts += 1
-        btb.update(pc, taken, 0x6000 if taken else 0, wrong)
+        btb.update(pc, taken, 0x6000 if taken else 0)
     assert mispredicts <= 25

@@ -63,14 +63,6 @@ def test_write_through_no_allocate():
     assert c.write_access(0x300)  # but the load fill serves stores
 
 
-def test_reset():
-    c = small_cache()
-    c.access(0x100)
-    c.reset()
-    assert not c.access(0x100)
-    assert c.misses == 1
-
-
 def test_distinct_indices_coexist():
     c = small_cache()
     for i in range(16):

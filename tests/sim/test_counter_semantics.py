@@ -1,18 +1,19 @@
-"""Counter-semantics contract of the cache and prediction-table models.
+"""Counter semantics of the cache model and the predictor contract.
 
 The stream-precompute fast path (:mod:`repro.sim.precompute`) does not
 replay the tag arrays inside the timing loop — it reconstructs
-``SimStats`` cache counters from precomputed totals.  That is only
-sound under the documented counter semantics of
-:mod:`repro.sim.cache` and :mod:`repro.sim.predictors.stride`:
+``SimStats`` cache counters from precomputed totals — and it replays
+the predictor backends outside it, reading only the sequence of
+``probe`` results.  That is only sound under the documented semantics
+of :mod:`repro.sim.cache` and :mod:`repro.sim.predictors`:
 
 * ``accesses == hits + misses`` at all times, with ``probe``
   non-counting and non-allocating;
 * ``access`` counts one hit or miss and allocates on a miss;
 * ``write_access`` counts one hit or miss and never fills;
-* every table ``probe`` counts one probe and at most one of
-  prediction/suppressed; ``update`` advances the state machine
-  unconditionally per routed load, independent of dispatch timing.
+* a backend's ``probe`` only reads its state, and ``update`` advances
+  it unconditionally per routed load, so the probe results depend only
+  on the (PC, address[, demand-hit]) sequence of routed loads.
 
 These tests pin the semantics at the unit level and then pin that the
 precomputed streams report the seed oracle's access/hit counters on a
@@ -77,20 +78,25 @@ def test_direct_mapped_probe_is_neutral():
     assert cache.access(_block(cache, 0)) is True
 
 
-def test_table_probe_counts_exactly_once():
+def _fields(table, pc):
+    entry = table.lookup(pc)[1]
+    return (entry.tag, entry.pa, entry.st, entry.stc, entry.state)
+
+
+def test_table_probe_is_a_pure_read():
     table = AddressPredictionTable(16)
-    assert table.probe(0x40) is None           # cold: probe, no tag hit
-    assert (table.probes, table.tag_hits) == (1, 0)
+    assert table.probe(0x40) is None           # cold: table miss
+    assert table.lookup(0x40) == (0x40 >> 2 & 15, None)
     table.update(0x40, 1000)                   # Replace arc: functioning
-    assert table.probe(0x40) == 1000           # constant-address predict
-    assert (table.probes, table.tag_hits, table.predictions) == (2, 1, 1)
-    table.update(0x40, 1000, predicted=1000)
-    assert table.correct == 1
+    before = _fields(table, 0x40)
+    for _ in range(3):
+        assert table.probe(0x40) == 1000       # constant-address predict
+    assert _fields(table, 0x40) == before
+    table.update(0x40, 1000)                   # Correct arc
     # New_Stride drops to learning: tag hit but no prediction.
-    table.update(0x40, 1064, predicted=table.probe(0x40))
+    table.update(0x40, 1064)
+    assert table.lookup(0x40)[1] is not None
     assert table.probe(0x40) is None
-    assert table.tag_hits == table.probes - 1  # only the cold probe missed
-    assert table.predictions + table.suppressed < table.probes
 
 
 def test_table_update_is_unconditional_per_routed_load():
@@ -100,36 +106,10 @@ def test_table_update_is_unconditional_per_routed_load():
     starved = AddressPredictionTable(16)
     addresses = [1000 + 8 * n for n in range(6)]
     for ca in addresses:
-        pred = dispatched.probe(0x40)
-        dispatched.update(0x40, ca, predicted=pred)
-        starved.probe(0x40)
-        starved.update(0x40, ca, predicted=None)  # probe result unused
-    assert dispatched.probes == starved.probes
-    assert dispatched.tag_hits == starved.tag_hits
-    assert dispatched.predictions == starved.predictions
-    entry_a = dispatched._table[dispatched._split(0x40)[0]]
-    entry_b = starved._table[starved._split(0x40)[0]]
-    assert (entry_a.pa, entry_a.st, entry_a.stc, entry_a.state) == (
-        entry_b.pa, entry_b.st, entry_b.stc, entry_b.state
-    )
-    # Only the statistics-side `correct` counter may differ.
-    assert starved.correct == 0
-
-
-def test_suppressed_predictions_still_count_probes():
-    table = AddressPredictionTable(16, confidence_bits=2)
-    table.update(0x40, 1000)
-    # Drive the counter below the midpoint with mispredictions.
-    for ca in (2000, 3000, 5000, 7000, 11000):
-        table.probe(0x40)
-        table.update(0x40, ca)
-    before = table.probes
-    result = table.probe(0x40)
-    assert table.probes == before + 1
-    assert result is None
-    assert table.predictions + table.suppressed + (
-        table.probes - table.tag_hits
-    ) <= table.probes
+        dispatched.probe(0x40)
+        dispatched.update(0x40, ca)
+        starved.update(0x40, ca)  # no port: the probe never happened
+    assert _fields(dispatched, 0x40) == _fields(starved, 0x40)
 
 
 @pytest.mark.parametrize("mem_ports", (1, 2))
@@ -155,10 +135,10 @@ def test_both_paths_report_identical_cache_counters(mem_ports):
 
 
 # ---------------------------------------------------------------------------
-# Backend-generic contract suite: every predictor backend
-# must satisfy the same probe/update semantics the precompute fast path
-# assumes (one probe per routed load, at most one of
-# prediction/suppressed, update unconditional, timing-independence).
+# Backend-generic contract suite: every predictor backend must satisfy
+# the probe/update semantics the precompute fast path assumes (probe a
+# pure read, update unconditional, probe results a function of the
+# routed (PC, address[, demand-hit]) sequence alone).
 # ---------------------------------------------------------------------------
 
 from repro.sim.predictors import (  # noqa: E402
@@ -179,6 +159,9 @@ def _routed_loads(n: int = 300):
     """A deterministic (pc, ca, demand_hit) stream with mixed behavior:
     strided PCs, a constant-address PC, an erratic PC, and tag-conflict
     aliases, so every backend exercises predict/suppress/realloc arcs.
+    On a 16-entry table 0x40, 0x44, 0x48 and 0x4C map to entries 0–3,
+    except that every third 0x4C slot goes to 0x80, which shares entry
+    0 with 0x40.
     """
     loads = []
     for i in range(n):
@@ -186,76 +169,71 @@ def _routed_loads(n: int = 300):
         if k == 0:
             pc, ca = 0x40, 1000 + (i // 4) * 8      # clean stride
         elif k == 1:
-            pc, ca = 0x80, 5000                      # constant address
+            pc, ca = 0x44, 5000                      # constant address
         elif k == 2:
-            pc, ca = 0xC0, (i * 2654435761) % 65536  # erratic
+            pc, ca = 0x48, (i * 2654435761) % 65536  # erratic
+        elif i % 3:
+            pc, ca = 0x4C, 3000                      # constant, own entry
         else:
-            pc, ca = 0x40 + 16 * 64 * 4, 2000 + i    # aliases 0x40's set
+            pc, ca = 0x40 + 16 * 4, 2000 + i        # aliases 0x40's entry
         loads.append((pc, ca, (i * 7) % 3 != 0))
     return loads
 
 
+def _probe_results(p, loads, reprobe=False):
+    """Probe then update *p* per routed load; with *reprobe* each load
+    probes a second time, as a re-read of the same entry."""
+    out = []
+    for pc, ca, dh in loads:
+        out.append(p.probe(pc))
+        if reprobe:
+            assert p.probe(pc) == out[-1]
+        p.update(pc, ca, demand_hit=dh)
+    return out
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_backend_probe_counts_exactly_once(backend):
-    p = create_predictor(_eg(backend))
-    for pc, ca, dh in _routed_loads():
-        before = (p.probes, p.predictions, p.suppressed)
-        predicted = p.probe(pc)
-        assert p.probes == before[0] + 1
-        d_pred = p.predictions - before[1]
-        d_supp = p.suppressed - before[2]
-        assert d_pred >= 0 and d_supp >= 0
-        assert d_pred + d_supp <= 1
-        # A probe that returned an address counted it as a prediction.
-        assert (d_pred == 1) == (predicted is not None)
-        p.update(pc, ca, predicted, demand_hit=dh)
+def test_backend_probe_is_a_pure_read(backend):
+    """Probing a load twice returns the same result twice and leaves
+    every later probe result unchanged."""
+    loads = _routed_loads()
+    once = _probe_results(create_predictor(_eg(backend)), loads)
+    assert _probe_results(
+        create_predictor(_eg(backend)), loads, reprobe=True) == once
+    # The stream yields predictions and loads without one.
+    assert any(r is None for r in once)
+    assert any(r is not None for r in once)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_backend_update_unconditional(backend):
-    """Internal state must evolve identically whether or not the
-    prediction dispatched (``predicted=None`` models a starved port);
-    only the statistics-side ``correct`` counter may differ."""
+    """Internal state must evolve identically whether or not a load's
+    prediction was looked up: a backend that skips the probe of every
+    other load (a starved port) still returns the same results on the
+    loads it does probe."""
     dispatched = create_predictor(_eg(backend))
     starved = create_predictor(_eg(backend))
-    outputs_d, outputs_s = [], []
-    for pc, ca, dh in _routed_loads():
-        pred_d = dispatched.probe(pc)
-        outputs_d.append(pred_d)
-        dispatched.update(pc, ca, pred_d, demand_hit=dh)
-        outputs_s.append(starved.probe(pc))
-        starved.update(pc, ca, None, demand_hit=dh)
-    assert outputs_d == outputs_s
-    assert dispatched.probes == starved.probes
-    assert dispatched.predictions == starved.predictions
-    assert dispatched.suppressed == starved.suppressed
-    assert starved.correct == 0
+    for i, (pc, ca, dh) in enumerate(_routed_loads()):
+        pred = dispatched.probe(pc)
+        dispatched.update(pc, ca, demand_hit=dh)
+        if i % 2:
+            assert starved.probe(pc) == pred
+        starved.update(pc, ca, demand_hit=dh)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_backend_timing_independence_and_reset(backend):
-    """The probe/update outcome stream is a pure function of the
-    (pc, ca, demand) sequence: a fresh instance and a reset instance
-    replay it identically."""
+def test_backend_timing_independence(backend):
+    """The probe results are a pure function of the (pc, ca, demand)
+    sequence: two fresh instances replay it identically, and a
+    different demand-hit sequence changes only a demand-trained
+    backend."""
     loads = _routed_loads()
-
-    def run(p):
-        out = []
-        for pc, ca, dh in loads:
-            pred = p.probe(pc)
-            out.append(pred)
-            p.update(pc, ca, pred, demand_hit=dh)
-        return out
-
-    fresh = create_predictor(_eg(backend))
-    first = run(fresh)
-    reused = create_predictor(_eg(backend))
-    run(reused)
-    reused.reset()
-    assert run(reused) == first
-    assert (reused.probes, reused.predictions, reused.suppressed) == (
-        fresh.probes, fresh.predictions, fresh.suppressed
-    )
+    first = _probe_results(create_predictor(_eg(backend)), loads)
+    assert _probe_results(create_predictor(_eg(backend)), loads) == first
+    flipped = [(pc, ca, not dh) for pc, ca, dh in loads]
+    other = _probe_results(create_predictor(_eg(backend)), flipped)
+    trains_on_demand = create_predictor(_eg(backend)).trains_on_demand
+    assert (other != first) == trains_on_demand
 
 
 def test_backend_names_are_the_three_fixed_backends():
@@ -265,29 +243,17 @@ def test_backend_names_are_the_three_fixed_backends():
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_predictor_key_names_backend_capacity_and_confidence(backend):
-    assert predictor_key(_eg(backend)) == (backend, 16, 0)
-    assert predictor_key(_eg(backend, entries=32)) == (backend, 32, 0)
+def test_predictor_key_names_backend_and_capacity(backend):
+    assert predictor_key(_eg(backend)) == (backend, 16)
+    assert predictor_key(_eg(backend, entries=32)) == (backend, 32)
     assert predictor_key(EarlyGenConfig(0, 1, predictor=backend)) == (
         "none",)
     assert create_predictor(EarlyGenConfig(0, 1, predictor=backend)) is None
 
 
-def test_stride_key_carries_confidence_bits():
-    eg = EarlyGenConfig(16, 0, table_confidence_bits=2)
-    assert predictor_key(eg) == ("stride", 16, 2)
-    assert create_predictor(eg).confidence_bits == 2
-
-
 def test_unknown_backend_is_rejected():
     with pytest.raises(ValueError, match="unknown predictor backend"):
         EarlyGenConfig(64, 0, predictor="nope")
-
-
-@pytest.mark.parametrize("backend", ["perceptron", "cache-level"])
-def test_gated_backends_reject_confidence_bits(backend):
-    with pytest.raises(ValueError, match="table_confidence_bits must be 0"):
-        EarlyGenConfig(64, 0, predictor=backend, table_confidence_bits=2)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -304,7 +270,7 @@ def test_both_paths_identical_counters_per_backend(backend):
 
 # ---------------------------------------------------------------------------
 # Stride-table index/tag split: probe and update must agree through the
-# single _split helper, for any PC the front end can produce.
+# single split method, for any PC the front end can produce.
 # ---------------------------------------------------------------------------
 
 ADVERSARIAL_PCS = (
@@ -326,14 +292,13 @@ def test_probe_and_update_agree_on_index_and_tag(pc):
     table = AddressPredictionTable(16)
     table.update(pc, 9000)          # allocate via update's split
     assert table.probe(pc) == 9000  # found via probe's split: same entry
-    assert table.tag_hits == 1
-    index, tag = table._split(pc)
-    entry = table._table[index]
-    assert entry is not None and entry.tag == tag
+    index, entry = table.lookup(pc)
+    assert index == (pc >> 2) & 15
+    assert entry is not None and entry.tag == pc >> 2 >> 4
     # Word-aligned aliases of the same word map to the same entry;
     # a PC one full word away must not.
-    assert table._split(pc | 3) == (index, tag)
-    assert table._split(pc + 4) != (index, tag)
+    assert table.lookup(pc | 3) == (index, entry)
+    assert table.lookup(pc + 4)[1] is None
 
 
 def test_update_then_probe_roundtrip_over_dense_pcs():
@@ -344,51 +309,3 @@ def test_update_then_probe_roundtrip_over_dense_pcs():
         pc = word << 2
         table.update(pc, 1234)
         assert table.probe(pc) == 1234
-
-
-# ---------------------------------------------------------------------------
-# Confidence-counter boundary semantics at 1 and 8 bits (documented in
-# AddressPredictionTable's docstring: init = midpoint + 1, suppression
-# at or below the midpoint).
-# ---------------------------------------------------------------------------
-
-def test_confidence_boundary_one_bit():
-    table = AddressPredictionTable(16, confidence_bits=1)
-    assert table._conf_max == 1 and table._conf_init == 1
-    table.update(0x40, 1000)             # fresh allocation: counter = 1
-    # init == max at one bit: a fresh entry is trusted immediately.
-    assert table.probe(0x40) == 1000
-    assert table.suppressed == 0
-    # One miss (functioning, PA != CA) decrements to 0 ...
-    table.update(0x40, 2000)
-    # ... the entry drops to learning; re-verify the stride first:
-    table.update(0x40, 3000)             # Verified_Stride (st=1000)
-    assert table._conf[table._split(0x40)[0]] == 0
-    # ... and now the functioning entry is suppressed at counter 0.
-    assert table.probe(0x40) is None
-    assert table.suppressed == 1
-    # One verified prediction re-arms it.
-    table.update(0x40, 4000)             # PA == CA: counter back to 1
-    assert table.probe(0x40) == 5000
-    assert table.suppressed == 1
-
-
-def test_confidence_boundary_eight_bits():
-    table = AddressPredictionTable(16, confidence_bits=8)
-    assert table._conf_max == 255 and table._conf_init == 128
-    table.update(0x40, 1000)             # counter = 128: weakly trusted
-    assert table.probe(0x40) == 1000
-    assert table.suppressed == 0
-    # A single miss crosses the boundary: 127 <= midpoint suppresses.
-    table.update(0x40, 2000)
-    table.update(0x40, 3000)             # re-verify (functioning again)
-    assert table._conf[table._split(0x40)[0]] == 127
-    assert table.probe(0x40) is None
-    assert table.suppressed == 1
-    # A single hit re-crosses it: 128 > midpoint predicts again.
-    table.update(0x40, 4000)
-    assert table.probe(0x40) == 5000
-    # Saturation: long runs of hits never exceed _conf_max.
-    for n in range(300):
-        table.update(0x40, 5000 + n * 1000, predicted=table.probe(0x40))
-    assert table._conf[table._split(0x40)[0]] <= 255

@@ -151,7 +151,7 @@ def _random_c_source(rng: random.Random) -> str:
         mult=rng.choice((3, 7, 13)),
         scale=rng.randint(1, 9),
         step=rng.choice((1, 2, 4)),
-        # Recursion depth: calls and returns that overflow the RAS.
+        # Recursion depth: returns to many call sites through the BTB.
         depth=rng.choice((3, 12)),
     )
 
@@ -169,9 +169,8 @@ def _random_machine(rng: random.Random) -> MachineConfig:
             icache=CacheConfig(size=rng.choice((4096, 16384)),
                                block_size=rng.choice((16, 32, 64, 128)),
                                miss_penalty=rng.choice((0, 12, 40))),
-            # The front end: BTB, return-address stack and redirects.
+            # The front end: BTB and redirects.
             btb_entries=rng.choice((16, 1024)),
-            ras_entries=rng.choice((0, 2, 8)),
             mispredict_penalty=rng.choice((0, 3, 7)),
             jump_bubble=rng.choice((0, 1, 3)),
         )
@@ -179,7 +178,6 @@ def _random_machine(rng: random.Random) -> MachineConfig:
         rng.choice((0, 4, 16, 64, 256)),
         rng.choice((0, 1, 2)),
         rng.choice((SelectionMode.COMPILER, SelectionMode.HARDWARE)),
-        table_confidence_bits=rng.choice((0, 0, 1, 2)),
     )
     return machine.with_earlygen(earlygen)
 

@@ -120,7 +120,6 @@ _NON_DEFAULT = dict(
     issue_width=4, int_alus=3, mem_ports=1, fp_alus=1, branch_units=2,
     icache=CacheConfig(size=16 * 1024), dcache=CacheConfig(block_size=32),
     btb_entries=512, load_latency=3, mispredict_penalty=5, jump_bubble=2,
-    ras_entries=8,
 )
 
 
@@ -146,17 +145,23 @@ def test_stream_caches_are_bounded(trace):
     pre = get_precompute(trace, MachineConfig())
     n_static = len(pre.static_load_uids)
     assert n_static > 0
-    route = pre._per_load(bytes([1] * n_static))
     combos = [
-        (entries, conf)
+        (entries, backend, guess)
         for entries in (2, 4, 8, 16, 32, 64, 128, 256)
-        for conf in (0, 1, 2, 3, 4)
+        for backend in ("stride", "perceptron", "cache-level")
+        for guess in (1, 3)
     ]
-    for entries, conf in combos[: _STREAM_LIMIT + 6]:
+    keys = []
+    for entries, backend, guess in combos[: _STREAM_LIMIT + 6]:
         eg = EarlyGenConfig(entries, 0, SelectionMode.HARDWARE,
-                            table_confidence_bits=conf)
-        pre.dstream(eg, route)
+                            predictor=backend)
+        pre.dstream(eg, pre._per_load(bytes([guess] * n_static)))
+        keys.extend(k for k in pre._dstreams if k not in keys)
+    # More distinct streams than the bound were built, and the oldest
+    # went first.
+    assert len(keys) > _STREAM_LIMIT
     assert len(pre._dstreams) <= _STREAM_LIMIT
+    assert keys[0] not in pre._dstreams
 
 
 _RESTRIDE_ASM = """

@@ -1,7 +1,5 @@
 """SimStats accounting tests."""
 
-import pytest
-
 from repro.sim.stats import SimStats
 
 
@@ -9,14 +7,6 @@ def test_ipc():
     stats = SimStats(cycles=100, instructions=250)
     assert stats.ipc == 2.5
     assert SimStats().ipc == 0.0
-
-
-def test_speedup_over():
-    base = SimStats(cycles=300)
-    fast = SimStats(cycles=200)
-    assert fast.speedup_over(base) == pytest.approx(1.5)
-    with pytest.raises(ValueError):
-        SimStats(cycles=0).speedup_over(base)
 
 
 def test_summary_mentions_key_counters():

@@ -96,25 +96,25 @@ class TestAddressPredictionTable:
     def test_probe_update_cycle(self):
         t = AddressPredictionTable(64)
         pc = 0x1000
-        t.update(pc, 100, None)
+        t.update(pc, 100)
         assert t.probe(pc) == 100  # constant-address prediction
-        t.update(pc, 100, 100)
-        assert t.correct == 1
+        t.update(pc, 100)  # Correct arc: PA = CA + ST
+        assert t.probe(pc) == 100
 
     def test_conflict_replaces_entry(self):
         t = AddressPredictionTable(64)
         pc_a = 0x1000
         pc_b = 0x1000 + 64 * 4  # same index, different tag
-        t.update(pc_a, 100, None)
+        t.update(pc_a, 100)
         assert t.probe(pc_a) == 100
-        t.update(pc_b, 555, None)  # Replace arc
+        t.update(pc_b, 555)  # Replace arc
         assert t.probe(pc_b) == 555
         assert t.probe(pc_a) is None  # evicted
 
     def test_distinct_indices_do_not_conflict(self):
         t = AddressPredictionTable(64)
-        t.update(0x1000, 100, None)
-        t.update(0x1004, 200, None)
+        t.update(0x1000, 100)
+        t.update(0x1004, 200)
         assert t.probe(0x1000) == 100
         assert t.probe(0x1004) == 200
 
@@ -126,15 +126,8 @@ class TestAddressPredictionTable:
             addr = 0x8000 + i * 4
             if t.probe(pc) == addr:
                 hits += 1
-            t.update(pc, addr, None)
+            t.update(pc, addr)
         assert hits >= 47
-
-    def test_reset(self):
-        t = AddressPredictionTable(64)
-        t.update(0x1000, 100, None)
-        t.reset()
-        assert t.probe(0x1000) is None
-        assert t.probes == 1  # counter restarted (this probe)
 
 
 _TWO_LOADS = parse_asm("""

@@ -89,26 +89,3 @@ class TestWorkloadRegistry:
 
         for name in workload_names():
             assert get_workload(name).description
-
-
-class TestLoopUtilities:
-    def test_loop_blocks_of_function(self):
-        from repro.compiler.cfg import CFG
-        from repro.compiler.loops import loop_blocks_of_function
-
-        program = parse_asm(
-            """
-            main:
-                mov r1, 0
-            loop:
-                add r1, r1, 1
-                blt r1, 5, loop
-                out r1
-                halt
-            """
-        )
-        func = program.functions["main"]
-        cfg = CFG(func)
-        cyclic = loop_blocks_of_function(cfg)
-        assert cyclic  # the loop block is found
-        assert len(cyclic) < len(cfg.blocks)  # entry/exit stay acyclic

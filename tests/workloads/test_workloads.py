@@ -16,14 +16,10 @@ from repro.workloads import (
 _TEST_FRACTION = 0.12
 
 
-def _scaled(workload):
-    return max(1, int(workload.default_scale * _TEST_FRACTION))
-
-
 @pytest.mark.parametrize("name", workload_names())
 def test_workload_matches_reference(name):
     workload = get_workload(name)
-    scale = _scaled(workload)
+    scale = workload.scaled(_TEST_FRACTION)
     result = compile_source(workload.source(scale))
     out = execute(result.program)
     assert out.output == workload.expected_output(scale)
@@ -32,7 +28,7 @@ def test_workload_matches_reference(name):
 @pytest.mark.parametrize("name", workload_names())
 def test_workload_is_deterministic(name):
     workload = get_workload(name)
-    scale = _scaled(workload)
+    scale = workload.scaled(_TEST_FRACTION)
     program = compile_source(workload.source(scale)).program
     from repro.sim.executor import Executor
 
@@ -65,7 +61,7 @@ def test_scale_changes_dynamic_length():
 def test_every_workload_has_all_three_classes_somewhere(name):
     """Each program must at least produce a classified binary."""
     workload = get_workload(name)
-    result = compile_source(workload.source(_scaled(workload)))
+    result = compile_source(workload.source(workload.scaled(_TEST_FRACTION)))
     counts = result.class_counts()
     assert sum(counts.values()) > 0
 
@@ -77,7 +73,7 @@ def test_spec_suite_is_ec_heavier_than_mediabench():
         totals = {"n": 0, "p": 0, "e": 0}
         for w in workloads:
             counts = compile_source(
-                w.source(max(1, w.default_scale // 8))
+                w.source(w.scaled(1 / 8))
             ).class_counts()
             for key in totals:
                 totals[key] += counts[key]
